@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
@@ -170,13 +171,16 @@ def _fmt(x) -> str:
 
 
 def _job(args):
+    """One trial as a CSV-ready tuple; the last field is None, or for a
+    failed trial its one-line message and formatted traceback."""
     config, algorithm, trial_seed = args
     try:
         r = run_trial(config, algorithm, trial_seed)
         return (r.sum_rate, r.csi_acquisitions, r.info_exchange,
                 r.multiplication_estimate, r.wall_ms, None)
     except Exception as e:  # report and keep the sweep going
-        return (float("nan"), 0, 0, 0, 0.0, f"{type(e).__name__}: {e}")
+        return (float("nan"), 0, 0, 0, 0.0,
+                (f"{type(e).__name__}: {e}", traceback.format_exc()))
 
 
 def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
@@ -210,7 +214,9 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
             rate, csi, info, mults, wall, err = res
             if err is not None:
                 errors += 1
-                print(f"error: {algorithm} seed={t}: {err}", file=stream)
+                message, trace = err
+                print(f"error: {algorithm} seed={t}: {message}", file=stream)
+                print(trace, end="", file=stream)
             else:
                 sums.setdefault(algorithm, []).append(rate)
             writer.writerow(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -148,6 +148,108 @@ def sum_rate(group: UserGroup, chans: ChannelSet, noise_power: float) -> float:
     return evaluate_group(group, chans, noise_power)[0]
 
 
+# Closed-form scores only rank candidates; every pick is confirmed with
+# sum_rate. _SCORE_BAND must exceed twice the scores' relative error;
+# _MIN_RESIDUAL keeps that error far below it by refusing 1 - a_k terms
+# that the subtraction leaves with too few correct digits.
+_SCORE_BAND = 1e-9
+_MIN_RESIDUAL = 1e-6
+# Combinations scored per batched solve: bounds brute-force memory.
+_BLOCK = 2048
+
+
+def _rate_terms(one_minus_a: np.ndarray) -> np.ndarray | None:
+    """log2(1 + gamma_k) = -log2(1 - a_k), where a_k = h_k^H R^-1 h_k and R
+    holds noise plus every scheduled user, so gamma_k = a_k / (1 - a_k).
+
+    None when any 1 - a_k is non-finite or at most _MIN_RESIDUAL: there the
+    subtraction loses too many digits to rank, and callers score exactly.
+    """
+    if not np.all(np.isfinite(one_minus_a)) or np.any(one_minus_a <= _MIN_RESIDUAL):
+        return None
+    return -np.log2(one_minus_a)
+
+
+def candidate_rates(
+    chans: ChannelSet,
+    members: dict[int, list[int]],
+    cell: int,
+    candidates: list[int],
+    noise_power: float,
+) -> np.ndarray | None:
+    """Closed-form sum rates of `members` with each candidate added to `cell`.
+
+    At BS c, R_c = noise I + sum of h h^H over the partial group. Adding
+    user u (Sherman-Morrison) lowers each served a_k by
+    |h_k^H R_c^-1 h_u|^2 / (1 + b_u), b_u = h_u^H R_c^-1 h_u, and u itself
+    gets gamma_u = b_u at its serving BS. None when the closed form cannot
+    be trusted (see _rate_terms).
+    """
+    rows = {c: np.array([chans.index[u] for u in members[c]], dtype=np.int64)
+            for c in sorted(members)}
+    placed = np.concatenate(list(rows.values()))
+    cand = np.array([chans.index[u] for u in candidates], dtype=np.int64)
+    eye = noise_power * np.eye(chans.h.shape[2])
+    total = np.zeros(len(cand))
+    for c, served in rows.items():
+        if not served.size and c != cell:
+            continue
+        s = chans.h[c][placed]
+        r_inv = np.linalg.inv(s.T @ s.conj() + eye)
+        g = chans.h[c][cand]
+        v = r_inv @ g.T                                   # (N, u): R_c^-1 h_u
+        b = np.einsum("un,nu->u", g.conj(), v).real
+        d = chans.h[c][served]
+        a = np.einsum("kn,nk->k", d.conj(), r_inv @ d.T).real
+        one_minus_a = (1.0 - a)[:, None] + np.abs(d.conj() @ v) ** 2 / (1.0 + b)
+        if c == cell:
+            one_minus_a = np.vstack([one_minus_a, 1.0 / (1.0 + b)])
+        terms = _rate_terms(one_minus_a)
+        if terms is None:
+            return None
+        total += terms.sum(axis=0)
+    return total
+
+
+def _block_rates(
+    h: np.ndarray, rows: np.ndarray, serving: np.ndarray, noise_power: float
+) -> np.ndarray | None:
+    """Closed-form sum rates of a batch of groups: rows (B, M) index the
+    users of each group, serving (M,) their serving BSs. One batched solve
+    per BS; None when the closed form cannot be trusted (see _rate_terms).
+    """
+    eye = noise_power * np.eye(h.shape[2])
+    total = np.zeros(len(rows))
+    for c in np.unique(serving):
+        s = h[c][rows]                                    # (B, M, N)
+        d = s[:, serving == c]                            # (B, k, N)
+        x = np.linalg.solve(s.transpose(0, 2, 1) @ s.conj() + eye,
+                            d.transpose(0, 2, 1))         # (B, N, k): R^-1 h_k
+        terms = _rate_terms(1.0 - np.einsum("bkn,bnk->bk", d.conj(), x).real)
+        if terms is None:
+            return None
+        total += terms.sum(axis=1)
+    return total
+
+
+def exact_pick(scores: np.ndarray | None, count: int, exact_rate) -> tuple[int, float]:
+    """Index and exact rate of the best of `count` candidates.
+
+    Candidates whose closed-form score lies within _SCORE_BAND (relative)
+    of the best one, or all of them when scores is None, are re-scored with
+    exact_rate(index). The first strict maximum wins, so the pick and its
+    rate equal those of exact scoring with a lowest-index tie-break.
+    """
+    if scores is None:
+        band = np.arange(count)
+    else:
+        top = scores.max()
+        band = np.flatnonzero(scores >= top - _SCORE_BAND * abs(top))
+    rates = [exact_rate(int(i)) for i in band]
+    best = int(np.argmax(rates))
+    return int(band[best]), rates[best]
+
+
 def brute_force_optimum(
     chans: ChannelSet,
     kbar: int,
@@ -157,7 +259,9 @@ def brute_force_optimum(
     """Exhaustive search over all per-cell kbar-subsets.
 
     Guarded by max_combinations on the product of per-cell subset
-    counts. Ties keep the lexicographically lowest selection.
+    counts. Combinations are ranked in closed form, _BLOCK at a time, and
+    the pick is confirmed with sum_rate (exact_pick), so ties keep the
+    lexicographically lowest selection.
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
@@ -170,13 +274,37 @@ def brute_force_optimum(
         raise EnumerationGuardError(
             f"{n_combos} combinations exceed the budget of {max_combinations}"
         )
-    best_rate = -1.0
-    best = None
-    for pick in product(*(combinations(bycell[l], kbar) for l in cells)):
-        group = UserGroup(members={l: list(p) for l, p in zip(cells, pick)})
-        rate = sum_rate(group, chans, noise_power)
-        if rate > best_rate:
-            best_rate, best = rate, group
+    # Row indices of every kbar-subset per cell, in lexicographic id order;
+    # combination i of the product is np.unravel_index(i, shape).
+    picks = []
+    for l in cells:
+        rows = [chans.index[u] for u in bycell[l]]
+        n = math.comb(len(rows), kbar)
+        flat = chain.from_iterable(combinations(rows, kbar))
+        picks.append(np.fromiter(flat, np.int64, n * kbar).reshape(n, kbar))
+    shape = tuple(len(p) for p in picks)
+    serving = np.repeat(cells, kbar)
+
+    def group_at(i: int) -> UserGroup:
+        idx = np.unravel_index(i, shape)
+        return UserGroup(members={
+            l: chans.ids[p[j]].tolist() for l, p, j in zip(cells, picks, idx)
+        })
+
+    scores = np.empty(n_combos)
+    for start in range(0, n_combos, _BLOCK):
+        stop = min(start + _BLOCK, n_combos)
+        idx = np.unravel_index(np.arange(start, stop), shape)
+        rows = np.hstack([p[j] for p, j in zip(picks, idx)])
+        block = _block_rates(chans.h, rows, serving, noise_power)
+        if block is None:
+            scores = None
+            break
+        scores[start:stop] = block
+    i, _ = exact_pick(
+        scores, n_combos, lambda i: sum_rate(group_at(i), chans, noise_power)
+    )
+    best = group_at(i)
     rate, gammas = evaluate_group(best, chans, noise_power)
     best.meta = [
         SelectionRecord(uid, cell, slot, gammas[uid], "icsi")

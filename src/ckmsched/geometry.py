@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError, GeometryError, OutOfClusterError, ZeroNormError
 
@@ -40,6 +40,26 @@ class GridIndex(NamedTuple):
 
     cell: int
     g: int
+
+
+@lru_cache(maxsize=16)
+def _halton_prefix(count: int) -> np.ndarray:
+    """First `count` points of the unscrambled 2-D Halton sequence (bases 2
+    and 3, starting at the origin), as a read-only (count, 2) array.
+
+    Digits are summed in the same order as scipy.stats.qmc.Halton(d=2,
+    scramble=False), so the points are bit-identical to it.
+    """
+    pts = np.zeros((count, 2))
+    for col, base in enumerate((2, 3)):
+        index = np.arange(count)
+        scale = 1.0 / base
+        while index.any():
+            pts[:, col] += (index % base) * scale
+            scale /= base
+            index //= base
+    pts.flags.writeable = False
+    return pts
 
 
 @dataclass(frozen=True)
@@ -404,8 +424,7 @@ class Scenario:
         toroidal shift, so the S-point set is a prefix of the 2S-point
         set and every point stays strictly inside the grid square.
         """
-        pts = qmc.Halton(d=2, scramble=False).random(count)
-        pts = np.mod(pts + self.halton_shift[g], 1.0)
+        pts = np.mod(_halton_prefix(count) + self.halton_shift[g], 1.0)
         return self.grid_centers[g] + (pts - 0.5) * self.config.grid_edge_m
 
     def export_csv(self, path):

@@ -30,16 +30,6 @@ def _user_id(u) -> int:
     return int(getattr(u, "id", u))
 
 
-def _argmax_lowest_id(ids, scores) -> int:
-    """Index of the maximum score; ids are ascending, so the first strict
-    maximum realizes the lowest-id tie-break."""
-    best = 0
-    for i in range(1, len(ids)):
-        if scores[i] > scores[best]:
-            best = i
-    return best
-
-
 @dataclass
 class EffectiveCsi:
     """Fused gains/correlations consumed by the two-stage schedulers.
@@ -163,7 +153,7 @@ def aes_select(
     selected: list[int] = []
     while len(selected) < kprime and pool:
         gains = [csi.gain_of(observing_bs, k) for k in pool]
-        pick = pool.pop(_argmax_lowest_id(pool, gains))
+        pick = pool.pop(int(np.argmax(gains)))
         selected.append(pick)
         if len(selected) < kprime:
             drop = [k for k in pool if csi.corr_of(observing_bs, k, pick) > alpha]
@@ -191,7 +181,7 @@ def gis_select(cell_users, csi: EffectiveCsi, observing_bs: int, kprime: int) ->
         # Row sums minus the unit self-term; the self-term is constant
         # across candidates so dropping it never changes the argmax.
         z = sub.sum(axis=1) - 1.0
-        worst = _argmax_lowest_id(active, z)
+        worst = int(np.argmax(z))
         del active[worst]
     cell = int(getattr(cell_users[0], "cell", observing_bs))
     return ActiveSet(cell=cell, members=[ids[i] for i in active])
@@ -226,7 +216,7 @@ def iccs_schedule(
             else:
                 load = np.zeros(len(rows))
             mu = np.sqrt(csi.gain[cell, rows] * np.clip(1.0 - load, 0.0, None))
-            j = _argmax_lowest_id(pools[cell], mu)
+            j = int(np.argmax(mu))
             uid = pools[cell].pop(j)
             members[cell].append(uid)
             placed_rows.append(int(csi.index[uid]))
@@ -264,7 +254,7 @@ def sus_schedule(channels_by_cell: dict, kbar: int, alpha: float) -> UserGroup:
                     r -= (np.vdot(g, chans[k]) / np.vdot(g, g)) * g
                 residuals.append(r)
             norms = [float(np.linalg.norm(r)) for r in residuals]
-            j = _argmax_lowest_id(pool, norms)
+            j = int(np.argmax(norms))
             uid = pool.pop(j)
             chosen.append(uid)
             basis.append(residuals[j])
@@ -299,7 +289,9 @@ def greedy_schedule(chans, kbar: int, noise_power: float) -> UserGroup:
     """Exact greedy sum-rate maximization with full true CSI.
 
     Cells take turns; each addition maximizes the genie-evaluated MMSE
-    sum rate of the partial group.
+    sum rate of the partial group. Candidates are ranked in closed form and
+    the pick is confirmed with the exact evaluator (evaluation.exact_pick),
+    so ties go to the lowest id.
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
@@ -311,17 +303,18 @@ def greedy_schedule(chans, kbar: int, noise_power: float) -> UserGroup:
     meta: list[SelectionRecord] = []
     for slot in range(kbar):
         for l in cells:
-            rates = []
-            for uid in remaining[l]:
+            pool = remaining[l]
+
+            def rate_with(j: int) -> float:
                 trial = {c: list(v) for c, v in members.items()}
-                trial[l].append(uid)
-                rates.append(
-                    evaluation.sum_rate(UserGroup(members=trial), chans, noise_power)
-                )
-            j = _argmax_lowest_id(remaining[l], rates)
-            uid = remaining[l].pop(j)
+                trial[l].append(pool[j])
+                return evaluation.sum_rate(UserGroup(members=trial), chans, noise_power)
+
+            scores = evaluation.candidate_rates(chans, members, l, pool, noise_power)
+            j, rate = evaluation.exact_pick(scores, len(pool), rate_with)
+            uid = pool.pop(j)
             members[l].append(uid)
-            meta.append(SelectionRecord(uid, l, slot, rates[j], "icsi"))
+            meta.append(SelectionRecord(uid, l, slot, rate, "icsi"))
     return UserGroup(members=members, meta=meta)
 
 

@@ -209,6 +209,26 @@ def test_failed_trials_keep_rows_and_set_exit_code(tmp_path):
     assert "2 trial(s) errored" in log
 
 
+def test_failed_trial_prints_its_traceback(tmp_path, monkeypatch):
+    def broken_trial(config, algorithm, trial_seed):
+        raise RuntimeError(f"injected failure {trial_seed}")
+
+    text = DESK_CFG + "algorithms = random\ntrials = 1\n"
+    _, good, _ = run_plan(tmp_path, text, out_name="good.csv")
+    monkeypatch.setattr("ckmsched.cli.run_trial", broken_trial)
+    code, out, log = run_plan(tmp_path, text)
+    assert code == 1
+    lines = log.splitlines()
+    at = lines.index("error: random seed=0: RuntimeError: injected failure 0")
+    assert lines[at + 1] == "Traceback (most recent call last):"
+    assert any("broken_trial" in line for line in lines[at:])
+    assert "RuntimeError: injected failure 0" in lines[at + 2:]
+    # the row keeps its place and format; only the rate and counters are blanked
+    row = good.read_text().splitlines()[1].split(",")
+    failed = out.read_text().splitlines()[1].split(",")
+    assert failed == row[:9] + ["nan", "0", "0", "0", "0"]
+
+
 def test_run_prints_per_algorithm_summary(tmp_path):
     _, _, log = run_plan(tmp_path, DESK_CFG + "algorithms = random\ntrials = 2\n")
     assert "algorithm" in log and "mean_rate" in log

@@ -2,17 +2,22 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from ckmsched import ScenarioConfig, build_scenario, generate_channel
 from ckmsched.errors import ConfigError, GeometryError, OutOfClusterError
 from ckmsched.geometry import (
     SPEED_OF_LIGHT,
     Position,
+    _halton_prefix,
     array_response,
     channel_rows,
     path_loss_db,
@@ -328,6 +333,24 @@ def test_sample_positions_are_deterministic_and_prefix_stable(small_scenario):
     c = scen.grid_sample_positions(3, 10)
     assert np.array_equal(a, b)
     assert np.array_equal(a, c[:5])
+
+
+def test_halton_prefix_is_bit_identical_to_scipy():
+    for count in (1, 5, 9, 10, 18, 64, 257, 1000):
+        ref = qmc.Halton(d=2, scramble=False).random(count)
+        assert _halton_prefix(count).tobytes() == ref.tobytes()
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    import ckmsched
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ckmsched.__file__)))
+    code = "import sys, ckmsched; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_sample_grid_validates_inputs(small_scenario):
