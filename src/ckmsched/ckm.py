@@ -5,22 +5,30 @@ For every observing BS and every coverage grid the map stores the mean
 sampled channel, the mean channel gain, the variance of the
 sample-to-center correlations, and a reliability flag (variance at or
 below a threshold). Cross-grid correlations are the normalized inner
-products of the mean channels.
+products of the mean channels; they are computed on demand, not stored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroNormError
-from .geometry import GridIndex, Scenario, sample_grid
+from .geometry import GridIndex, Scenario, channel_rows
 
 _FORMAT_MAGIC = b"CKMAP"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+# Stored arrays in file order, with their dtypes.
+_FORMAT_ARRAYS = (
+    ("h_bar", np.complex128),
+    ("epsilon", np.float64),
+    ("sigma", np.float64),
+    ("reliable", np.uint8),
+)
 
 
 def _entries(v) -> np.ndarray:
@@ -99,10 +107,18 @@ def _corr_matrix(rows: np.ndarray) -> np.ndarray:
     return corr
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row along the last axis, summed as the 1-D
+    np.linalg.norm sums it (real and imaginary dot products)."""
+    re, im = rows.real[..., None, :], rows.imag[..., None, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
 class UsCkm:
     """Channel knowledge map over a scenario's grid partition."""
 
-    def __init__(self, scenario, s, delta, h_bar, epsilon, sigma, reliable, corr):
+    def __init__(self, scenario, s, delta, h_bar, epsilon, sigma, reliable):
         self.scenario = scenario
         self.samples_per_grid = int(s)
         self.delta = float(delta)
@@ -110,8 +126,7 @@ class UsCkm:
         self.epsilon = epsilon    # (L, G)
         self.sigma = sigma        # (L, G)
         self.reliable = reliable  # (L, G) uint8
-        self.corr = corr          # (L, G, G)
-        for arr in (h_bar, epsilon, sigma, reliable, corr):
+        for arr in (h_bar, epsilon, sigma, reliable):
             arr.setflags(write=False)
 
     @property
@@ -131,7 +146,9 @@ class UsCkm:
         )
 
     def corr_value(self, observing_bs: int, grid_a: int, grid_b: int) -> float:
-        return float(self.corr[observing_bs, grid_a, grid_b])
+        """Cross-grid correlation seen at one BS. Builds that BS's G x G
+        table (_corr_matrix of its mean channels) on every call."""
+        return float(_corr_matrix(self.h_bar[observing_bs])[grid_a, grid_b])
 
     def realized_eta(self) -> float:
         """Fraction of (BS, grid) entries classified reliable."""
@@ -148,7 +165,7 @@ class UsCkm:
             "arrays": [],
         }
         payload = []
-        for name in ("h_bar", "epsilon", "sigma", "reliable", "corr"):
+        for name, _ in _FORMAT_ARRAYS:
             arr = np.ascontiguousarray(getattr(self, name))
             header["arrays"].append(
                 {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
@@ -165,25 +182,40 @@ class UsCkm:
 
     @classmethod
     def load(cls, path, scenario=None) -> "UsCkm":
+        """Read a map file, rejecting other formats, a header whose arrays
+        do not describe a map, and a payload of the wrong length."""
         with open(path, "rb") as fh:
-            magic = fh.read(len(_FORMAT_MAGIC))
-            if magic != _FORMAT_MAGIC:
-                raise ValueError(f"{path}: not a channel map file")
-            version = int.from_bytes(fh.read(2), "little")
-            if version != _FORMAT_VERSION:
-                raise ValueError(f"{path}: unsupported format version {version}")
-            hlen = int.from_bytes(fh.read(8), "little")
-            header = json.loads(fh.read(hlen).decode())
-            if scenario is not None and header["scenario_hash"] != scenario_hash(scenario):
-                raise ValueError(f"{path}: map was built for a different scenario")
-            arrays = {}
-            for desc in header["arrays"]:
-                dtype = np.dtype(desc["dtype"])
-                count = int(np.prod(desc["shape"])) if desc["shape"] else 1
-                buf = fh.read(count * dtype.itemsize)
-                arrays[desc["name"]] = np.frombuffer(buf, dtype=dtype).reshape(
-                    desc["shape"]
-                ).copy()
+            data = fh.read()
+        head = len(_FORMAT_MAGIC) + 10
+        if data[: len(_FORMAT_MAGIC)] != _FORMAT_MAGIC:
+            raise ValueError(f"{path}: not a channel map file")
+        version = int.from_bytes(data[len(_FORMAT_MAGIC) : head - 8], "little")
+        if version == 1:
+            raise ValueError(
+                f"{path}: map format v1 stored a correlation table that is no "
+                "longer read; rebuild the map with `ckmsched build-ckm`"
+            )
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported format version {version}")
+        start = head + int.from_bytes(data[head - 8 : head], "little")
+        if len(data) < start:
+            raise ValueError(f"{path}: truncated header")
+        header = _parse_header(path, data[head:start])
+        if scenario is not None and header["scenario_hash"] != scenario_hash(scenario):
+            raise ValueError(f"{path}: map was built for a different scenario")
+        arrays = {}
+        for desc, (name, dtype) in zip(header["arrays"], _FORMAT_ARRAYS):
+            shape = tuple(desc["shape"])
+            stop = start + math.prod(shape) * np.dtype(dtype).itemsize
+            if stop > len(data):
+                raise ValueError(
+                    f"{path}: truncated payload: {name} ends at byte {stop} "
+                    f"of a {len(data)}-byte file"
+                )
+            arrays[name] = np.frombuffer(data[start:stop], dtype).reshape(shape).copy()
+            start = stop
+        if start != len(data):
+            raise ValueError(f"{path}: {len(data) - start} trailing bytes after the payload")
         return cls(
             scenario,
             header["samples_per_grid"],
@@ -192,7 +224,6 @@ class UsCkm:
             arrays["epsilon"],
             arrays["sigma"],
             arrays["reliable"],
-            arrays["corr"],
         )
 
     def export_csv(self, directory):
@@ -218,12 +249,34 @@ class UsCkm:
                             int(self.reliable[l, g]),
                         ]
                     )
+            corr = _corr_matrix(self.h_bar[l])
             with open(os.path.join(directory, f"corr_bs{l}.csv"), "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["grid_a", "grid_b", "rho"])
                 for a in range(self.n_grids):
                     for b in range(a + 1, self.n_grids):
-                        w.writerow([a, b, f"{self.corr[l, a, b]:.12e}"])
+                        w.writerow([a, b, f"{corr[a, b]:.12e}"])
+
+
+def _parse_header(path, blob: bytes) -> dict:
+    """Decode a v2 header and check that its arrays are h_bar (L, G, N) and
+    epsilon, sigma, reliable (L, G), in file order with the stored dtypes."""
+    try:
+        header = json.loads(blob.decode())
+        got = [(d["name"], np.dtype(d["dtype"]), tuple(d["shape"]))
+               for d in header["arrays"]]
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed map header ({exc!r})") from None
+    missing = {"scenario_hash", "samples_per_grid", "delta"} - header.keys()
+    if missing:
+        raise ValueError(f"{path}: map header lacks {sorted(missing)}")
+    shape = got[0][2] if got else ()
+    want = [(name, np.dtype(dtype), shape if name == "h_bar" else shape[:2])
+            for name, dtype in _FORMAT_ARRAYS]
+    if (got != want or len(shape) != 3
+            or not all(isinstance(n, int) and n >= 0 for n in shape)):
+        raise ValueError(f"{path}: header arrays {got} do not describe a map")
+    return header
 
 
 def scenario_hash(scenario: Scenario) -> str:
@@ -253,6 +306,8 @@ def build_ckm(
     cfg = scenario.config
     if s is None:
         s = cfg.samples_per_grid
+    if s < 1:
+        raise ValueError("s must be >= 1")
     if delta is None and eta is None:
         delta, eta = cfg.delta, cfg.eta
         if delta is None and eta is None:
@@ -260,19 +315,29 @@ def build_ckm(
     if delta is not None and eta is not None:
         raise ValueError("set at most one of delta / eta")
 
+    # Every grid is surveyed at its s sample points (realizations 1..s,
+    # matching geometry.sample_grid at realization 0) and at its center
+    # (realization 0), with one channel_rows call over all BSs.
     L, G, N = cfg.n_cells, scenario.n_grids, scenario.n_antennas
-    h_bar = np.zeros((L, G, N), dtype=np.complex128)
-    epsilon = np.zeros((L, G))
-    sigma = np.zeros((L, G))
-    corr = np.zeros((L, G, G))
-    for l in range(L):
-        for g in range(G):
-            samples, center = sample_grid(scenario, l, g, s, realization=0)
-            h_bar[l, g] = statistical_channel(samples)
-            epsilon[l, g] = statistical_gain(samples)
-            corrs = [sample_center_correlation(sv, center) for sv in samples]
-            sigma[l, g] = grid_variance(corrs)
-        corr[l] = _corr_matrix(h_bar[l])
+    pts = scenario.grid_sample_positions(np.arange(G), s)            # (G, s, 2)
+    pos = np.concatenate([pts, scenario.grid_centers[:, None, :]], axis=1)
+    reals = np.tile(np.append(np.arange(1, s + 1), 0), G)
+    rows = channel_rows(scenario, range(L), pos.reshape(-1, 2), reals)
+    rows = rows.reshape(L, G, s + 1, N)
+    samples, center = rows[:, :, :s], rows[:, :, s:]
+    h_bar = samples.mean(axis=2)
+    epsilon = np.mean(np.sum(np.abs(samples) ** 2, axis=3), axis=2)
+    # Row-wise dot products as stacked (1, N) @ (N, 1) matmuls: these reach
+    # the same BLAS dot kernels as np.vdot and the 1-D np.linalg.norm of
+    # statistical_correlation, so sigma is bit-identical to the per-grid
+    # helpers (einsum or norm(axis=...) are not).
+    dot = np.matmul(samples.conj()[..., None, :], center[..., :, None])[..., 0, 0]
+    na = _row_norms(samples)
+    nb = _row_norms(center)
+    if np.any(na == 0.0) or np.any(nb == 0.0):
+        raise ZeroNormError("correlation undefined for a zero-norm vector")
+    corrs = np.minimum(np.hypot(dot.real, dot.imag) / (na * nb), 1.0)
+    sigma = np.var(corrs, axis=2)
 
     if eta is not None:
         if eta <= 0.0:
@@ -286,4 +351,4 @@ def build_ckm(
             reliable = (sigma <= delta).astype(np.uint8)
     else:
         reliable = (sigma <= delta).astype(np.uint8)
-    return UsCkm(scenario, s, delta, h_bar, epsilon, sigma, reliable, corr)
+    return UsCkm(scenario, s, delta, h_bar, epsilon, sigma, reliable)

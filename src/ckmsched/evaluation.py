@@ -149,7 +149,7 @@ def sum_rate(group: UserGroup, chans: ChannelSet, noise_power: float) -> float:
 
 
 # Closed-form scores only rank candidates; every pick is confirmed with
-# sum_rate. _SCORE_BAND must exceed twice the scores' relative error;
+# evaluate_group. _SCORE_BAND must exceed twice the scores' relative error;
 # _MIN_RESIDUAL keeps that error far below it by refusing 1 - a_k terms
 # that the subtraction leaves with too few correct digits.
 _SCORE_BAND = 1e-9
@@ -232,22 +232,26 @@ def _block_rates(
     return total
 
 
-def exact_pick(scores: np.ndarray | None, count: int, exact_rate) -> tuple[int, float]:
-    """Index and exact rate of the best of `count` candidates.
+def exact_pick(scores: np.ndarray | None, count: int, evaluate) -> tuple[int, tuple]:
+    """Index and exact evaluation of the best of `count` candidates.
 
+    evaluate(index) returns (rate, gammas) as evaluate_group does.
     Candidates whose closed-form score lies within _SCORE_BAND (relative)
-    of the best one, or all of them when scores is None, are re-scored with
-    exact_rate(index). The first strict maximum wins, so the pick and its
-    rate equal those of exact scoring with a lowest-index tie-break.
+    of the best one, or all of them when scores is None, are evaluated.
+    The first strict maximum of the rate wins, so the pick and its
+    evaluation equal those of exact scoring with a lowest-index tie-break.
     """
     if scores is None:
-        band = np.arange(count)
+        band = range(count)
     else:
         top = scores.max()
         band = np.flatnonzero(scores >= top - _SCORE_BAND * abs(top))
-    rates = [exact_rate(int(i)) for i in band]
-    best = int(np.argmax(rates))
-    return int(band[best]), rates[best]
+    best_i, best = -1, None
+    for i in band:
+        result = evaluate(int(i))
+        if best is None or result[0] > best[0]:
+            best_i, best = int(i), result
+    return best_i, best
 
 
 def brute_force_optimum(
@@ -260,8 +264,9 @@ def brute_force_optimum(
 
     Guarded by max_combinations on the product of per-cell subset
     counts. Combinations are ranked in closed form, _BLOCK at a time, and
-    the pick is confirmed with sum_rate (exact_pick), so ties keep the
-    lexicographically lowest selection.
+    the pick is confirmed with evaluate_group (exact_pick), so ties keep the
+    lexicographically lowest selection. The winner's exact evaluation also
+    fills its SelectionRecords.
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
@@ -301,11 +306,10 @@ def brute_force_optimum(
             scores = None
             break
         scores[start:stop] = block
-    i, _ = exact_pick(
-        scores, n_combos, lambda i: sum_rate(group_at(i), chans, noise_power)
+    i, (rate, gammas) = exact_pick(
+        scores, n_combos, lambda i: evaluate_group(group_at(i), chans, noise_power)
     )
     best = group_at(i)
-    rate, gammas = evaluate_group(best, chans, noise_power)
     best.meta = [
         SelectionRecord(uid, cell, slot, gammas[uid], "icsi")
         for cell in cells
@@ -402,7 +406,7 @@ def calibrate_noise(scenario: Scenario, target_snr_db: float) -> float:
     return med / 10.0 ** (target_snr_db / 10.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduleResult:
     """Outcome of one scheduling trial. Wall time is diagnostic only and
     excluded from equality."""

@@ -19,7 +19,14 @@ from .evaluation import (
     evaluate_group,
     overhead_counts,
 )
-from .geometry import Position, Scenario, ScenarioConfig, build_scenario, channel_rows
+from .geometry import (
+    GridIndex,
+    Position,
+    Scenario,
+    ScenarioConfig,
+    build_scenario,
+    channel_rows,
+)
 from .groups import UserRecord
 from .scheduling import greedy_schedule, random_schedule, robust_two_stage, sus_schedule
 
@@ -68,8 +75,8 @@ def place_users(scenario: Scenario, trial_seed: int) -> list[UserRecord]:
     cfg = scenario.config
     rng = _rng(cfg, _TAG_USERS, trial_seed)
     edge = cfg.grid_edge_m
-    users: list[UserRecord] = []
-    uid = 0
+    K = cfg.users_per_cell
+    picks, offsets = [], []
     for cell in range(cfg.n_cells):
         grids = scenario.grids_of_cell[cell]
         if cfg.placement == "clustered":
@@ -82,22 +89,36 @@ def place_users(scenario: Scenario, trial_seed: int) -> list[UserRecord]:
                 d2 = np.sum((centers - scenario.grid_centers[a]) ** 2, axis=1)
                 weights += np.exp(-d2 / (2.0 * spread**2))
             weights /= weights.sum()
+            # rng.choice(grids, p=weights) draws one random() per pick and
+            # inverts this cdf, so one (K, 3) draw of pick uniform plus 2-D
+            # offset per user reproduces the per-user stream.
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            u = rng.random((K, 3))
+            picks.append(grids[cdf.searchsorted(u[:, 0], side="right")])
+            offsets.append(u[:, 1:])
         else:
-            weights = None
-        for _ in range(cfg.users_per_cell):
-            g = int(rng.choice(grids, p=weights))
-            pos = scenario.grid_centers[g] + (rng.random(2) - 0.5) * edge
-            grid = scenario.locate(pos)
-            users.append(
-                UserRecord(
-                    id=uid,
-                    cell=grid.cell,
-                    position=Position(float(pos[0]), float(pos[1])),
-                    grid=grid,
-                )
-            )
-            uid += 1
-    return users
+            # rng.choice(grids) is one rng.integers(len(grids)) draw; each
+            # pick is followed by its offset, so the draws stay per user.
+            idx, u = np.empty(K, dtype=np.int64), np.empty((K, 2))
+            for k in range(K):
+                idx[k] = rng.integers(len(grids))
+                u[k] = rng.random(2)
+            picks.append(grids[idx])
+            offsets.append(u)
+    gids = np.concatenate(picks)
+    pos = scenario.grid_centers[gids] + (np.concatenate(offsets) - 0.5) * edge
+    located = scenario.locate_many(pos)
+    cells = scenario.grid_serving[located]
+    return [
+        UserRecord(
+            id=uid,
+            cell=int(cell),
+            position=Position(x, y),
+            grid=GridIndex(cell=int(cell), g=int(g)),
+        )
+        for uid, ((x, y), cell, g) in enumerate(zip(pos.tolist(), cells, located))
+    ]
 
 
 def trial_channels(
@@ -108,11 +129,7 @@ def trial_channels(
     pos = np.array([u.position for u in ordered])
     ids = np.array([u.id for u in ordered], dtype=np.int64)
     cells = np.array([u.cell for u in ordered], dtype=np.int64)
-    L = scenario.config.n_cells
-    h = np.stack(
-        [channel_rows(scenario, l, pos, np.full(len(ordered), realization))
-         for l in range(L)]
-    )
+    h = channel_rows(scenario, range(scenario.config.n_cells), pos, realization)
     return ChannelSet(ids=ids, cell_of=cells, h=h)
 
 

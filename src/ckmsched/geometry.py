@@ -257,6 +257,26 @@ def path_loss_db(
     return offset_db + 10.0 * exponent * math.log10(distance_3d / ref_distance)
 
 
+def _path_loss_db_many(cfg: ScenarioConfig, distance_3d: np.ndarray) -> np.ndarray:
+    """path_loss_db of every element of an array of 3-D distances.
+
+    Element-wise, because the scalar math.log10 is not always bit-identical
+    to np.log10.
+    """
+    pl = [
+        path_loss_db(
+            d,
+            cfg.fc_hz,
+            cfg.bs_height_m,
+            cfg.user_height_m,
+            exponent=cfg.path_loss_exponent,
+            offset_db=cfg.path_loss_offset_db,
+        )
+        for d in distance_3d.ravel().tolist()
+    ]
+    return np.array(pl).reshape(distance_3d.shape)
+
+
 class Scenario:
     """Immutable output of build_scenario; all arrays are precomputed."""
 
@@ -289,7 +309,8 @@ class Scenario:
         n_iy = max(1, math.ceil((y1 - y0) / edge - 1e-9))
         centers = []
         serving = []
-        lattice = {}
+        # lattice[iy, ix] is the grid id of lattice square (ix, iy), -1 outside.
+        lattice = np.full((n_iy, n_ix), -1, dtype=np.int64)
         for iy in range(n_iy):
             cy = y0 + (iy + 0.5) * edge
             for ix in range(n_ix):
@@ -297,7 +318,7 @@ class Scenario:
                 d = np.hypot(self.bs_xy[:, 0] - cx, self.bs_xy[:, 1] - cy)
                 best = int(np.argmin(d))  # argmin keeps the lowest BS id on ties
                 if d[best] <= radius + 1e-9:
-                    lattice[(ix, iy)] = len(centers)
+                    lattice[iy, ix] = len(centers)
                     centers.append((cx, cy))
                     serving.append(best)
         if not centers:
@@ -367,7 +388,9 @@ class Scenario:
             jitter_scale=cfg.dynamic_jitter_scale,
             affected_grids=frozenset(int(g) for g in dyn_ids),
         )
-        self._dyn_row = {int(g): a for a, g in enumerate(dyn_ids)}
+        # _dyn_row[g] is grid g's row in the dynamic-cluster arrays, -1 if static.
+        self._dyn_row = np.full(self.n_grids, -1, dtype=np.int64)
+        self._dyn_row[dyn_ids] = np.arange(n_dyn)
         # Per-BS mixed steering rows: row c of static_mix[l] is the
         # polarization-weighted array response toward static cluster c.
         L, N = cfg.n_cells, self.n_antennas
@@ -401,6 +424,8 @@ class Scenario:
             self.halton_shift,
             self.static_mix,
             self.dyn_mix,
+            self._lattice,
+            self._dyn_row,
         ):
             arr.setflags(write=False)
 
@@ -408,24 +433,39 @@ class Scenario:
 
     def locate(self, position) -> GridIndex:
         """Map a position to its grid (half-open square convention)."""
-        x, y = float(position[0]), float(position[1])
-        edge = self.config.grid_edge_m
-        ix = math.floor((x - self.origin[0]) / edge)
-        iy = math.floor((y - self.origin[1]) / edge)
-        g = self._lattice.get((ix, iy))
-        if g is None:
-            raise OutOfClusterError(f"position ({x:.2f}, {y:.2f}) is outside the cluster")
+        g = int(self.locate_many([position[0], position[1]])[0])
         return GridIndex(cell=int(self.grid_serving[g]), g=g)
 
-    def grid_sample_positions(self, g: int, count: int) -> np.ndarray:
+    def locate_many(self, positions) -> np.ndarray:
+        """Grid ids of an (n, 2) batch of positions (half-open squares).
+
+        Raises OutOfClusterError for the first position outside the
+        cluster (a non-finite coordinate counts as outside).
+        """
+        pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+        idx = np.floor((pos - self.origin) / self.config.grid_edge_m)
+        n_iy, n_ix = self._lattice.shape
+        inside = ((idx[:, 0] >= 0) & (idx[:, 0] < n_ix)
+                  & (idx[:, 1] >= 0) & (idx[:, 1] < n_iy))
+        gids = np.full(len(pos), -1, dtype=np.int64)
+        ix, iy = idx[inside].astype(np.int64).T
+        gids[inside] = self._lattice[iy, ix]
+        bad = np.flatnonzero(gids < 0)
+        if bad.size:
+            x, y = pos[bad[0]]
+            raise OutOfClusterError(f"position ({x:.2f}, {y:.2f}) is outside the cluster")
+        return gids
+
+    def grid_sample_positions(self, g, count: int) -> np.ndarray:
         """First `count` low-discrepancy positions inside grid g.
 
         The layout is a fixed Halton sequence with a per-grid seeded
         toroidal shift, so the S-point set is a prefix of the 2S-point
-        set and every point stays strictly inside the grid square.
+        set and every point stays strictly inside the grid square. An
+        array of grid ids gives one (count, 2) block per grid.
         """
-        pts = np.mod(_halton_prefix(count) + self.halton_shift[g], 1.0)
-        return self.grid_centers[g] + (pts - 0.5) * self.config.grid_edge_m
+        pts = np.mod(_halton_prefix(count) + self.halton_shift[g][..., None, :], 1.0)
+        return self.grid_centers[g][..., None, :] + (pts - 0.5) * self.config.grid_edge_m
 
     def export_csv(self, path):
         import csv
@@ -462,13 +502,9 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
 
 def _jitter(scenario: Scenario, gid: int, realization: int) -> np.ndarray:
-    """Per-realization complex jitter for the dynamic clusters of a grid.
-
-    Realization 0 is the jitter-free reference state.
-    """
+    """Complex jitter for the dynamic clusters of a grid at a nonzero
+    realization (realization 0 is the jitter-free reference state)."""
     d = scenario.config.dynamic_clusters_per_grid
-    if realization == 0:
-        return np.zeros(d, dtype=np.complex128)
     rng = _seeded(scenario.config.rng_seed, _TAG_JITTER, int(gid), int(realization))
     z = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
     return scenario.scatterers.jitter_scale * z
@@ -476,67 +512,64 @@ def _jitter(scenario: Scenario, gid: int, realization: int) -> np.ndarray:
 
 def channel_rows(
     scenario: Scenario,
-    observing_bs: int,
+    observing_bs,
     positions: np.ndarray,
     realizations: np.ndarray,
 ) -> np.ndarray:
-    """Channels from a batch of positions to one BS, one row per position.
+    """Channels from a batch of positions, one row per position.
 
-    The small-scale direction is the attenuation/phase-weighted sum over
-    static clusters (plus jittered dynamic clusters when the position's
-    grid is dynamic and the realization is nonzero); the row norm equals
-    the path-loss plus shadowing amplitude exactly.
+    observing_bs is one BS id, giving an (n, N) array, or a sequence of
+    BS ids, giving (len(observing_bs), n, N). The small-scale direction
+    is the attenuation/phase-weighted sum over static clusters (plus
+    jittered dynamic clusters when the position's grid is dynamic and the
+    realization is nonzero); the row norm equals the path-loss plus
+    shadowing amplitude exactly. The jitter of a (grid, realization) pair
+    is drawn once and shared by every requested BS.
     """
     cfg = scenario.config
-    if not (0 <= observing_bs < cfg.n_cells):
-        raise ValueError(f"observing_bs {observing_bs} out of range")
+    bss = np.atleast_1d(np.asarray(observing_bs, dtype=np.int64))
+    for l in bss:
+        if not (0 <= l < cfg.n_cells):
+            raise ValueError(f"observing_bs {l} out of range")
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     real = np.broadcast_to(np.asarray(realizations, dtype=np.int64), (pos.shape[0],))
-    gids = np.array([scenario.locate(p).g for p in pos], dtype=np.int64)
+    gids = scenario.locate_many(pos)
 
-    bs = scenario.bs_xy[observing_bs]
-    d2 = np.hypot(pos[:, 0] - bs[0], pos[:, 1] - bs[1])
+    bs = scenario.bs_xy[bss]
+    d2 = np.hypot(pos[None, :, 0] - bs[:, 0, None], pos[None, :, 1] - bs[:, 1, None])
     d3 = np.hypot(d2, cfg.bs_height_m - cfg.user_height_m)
-    pl = np.array(
-        [
-            path_loss_db(
-                d,
-                cfg.fc_hz,
-                cfg.bs_height_m,
-                cfg.user_height_m,
-                exponent=cfg.path_loss_exponent,
-                offset_db=cfg.path_loss_offset_db,
-            )
-            for d in d3
-        ]
-    )
-    amp = 10.0 ** (-(pl + scenario.shadow_db[observing_bs, gids]) / 20.0)
+    pl = _path_loss_db_many(cfg, d3)
+    amp = 10.0 ** (-(pl + scenario.shadow_db[bss[:, None], gids]) / 20.0)
 
     sp = scenario.scatterers.static_positions
     duc = np.hypot(pos[:, 0, None] - sp[None, :, 0], pos[:, 1, None] - sp[None, :, 1])
     w = np.exp(2j * math.pi * duc / cfg.phase_length_m) / (
         1.0 + duc / cfg.scatter_range_m
     ) ** cfg.scatter_falloff
-    v = w @ scenario.static_mix[observing_bs]
+    v = np.stack([w @ scenario.static_mix[l] for l in bss])
 
-    for i, gid in enumerate(gids):
-        a = scenario._dyn_row.get(int(gid))
-        if a is None or real[i] == 0:
-            continue
-        zeta = _jitter(scenario, int(gid), int(real[i]))
-        dp = scenario.scatterers.dynamic_positions[a]
-        dud = np.hypot(pos[i, 0] - dp[:, 0], pos[i, 1] - dp[:, 1])
+    rows = scenario._dyn_row[gids]
+    hit = np.flatnonzero((rows >= 0) & (real != 0))
+    if hit.size:
+        pairs = list(zip(gids[hit].tolist(), real[hit].tolist()))
+        drawn = {pair: _jitter(scenario, *pair) for pair in set(pairs)}
+        zeta = np.array([drawn[pair] for pair in pairs])             # (m, D)
+        a = rows[hit]
+        dp = scenario.scatterers.dynamic_positions[a]                # (m, D, 2)
+        dud = np.hypot(pos[hit, 0, None] - dp[:, :, 0], pos[hit, 1, None] - dp[:, :, 1])
         dw = (
             np.exp(2j * math.pi * dud / cfg.phase_length_m)
             / (1.0 + dud / cfg.scatter_range_m) ** cfg.scatter_falloff
             * zeta
-        )
-        v[i] += dw @ scenario.dyn_mix[observing_bs, a]
+        )[:, None, :]                                                # (m, 1, D)
+        for j, l in enumerate(bss):
+            v[j, hit] += (dw @ scenario.dyn_mix[l, a])[:, 0]
 
-    norms = np.linalg.norm(v, axis=1)
+    norms = np.linalg.norm(v, axis=-1)
     if np.any(norms < 1e-250):
         raise ZeroNormError("degenerate small-scale channel (zero cluster sum)")
-    return v * (amp / norms)[:, None]
+    out = v * (amp / norms)[..., None]
+    return out[0] if np.ndim(observing_bs) == 0 else out
 
 
 def generate_channel(

@@ -23,7 +23,7 @@ class UserRecord:
     icsi: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ActiveSet:
     """First-stage output for one cell: an ordered candidate set."""
 
@@ -32,7 +32,7 @@ class ActiveSet:
     fallback: frozenset[int] = field(default_factory=frozenset)
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectionRecord:
     """Metadata for one scheduling decision."""
 
@@ -43,7 +43,7 @@ class SelectionRecord:
     source: str
 
 
-@dataclass
+@dataclass(slots=True)
 class UserGroup:
     """Scheduled users per cell plus selection-order metadata."""
 

@@ -305,13 +305,15 @@ def greedy_schedule(chans, kbar: int, noise_power: float) -> UserGroup:
         for l in cells:
             pool = remaining[l]
 
-            def rate_with(j: int) -> float:
+            def evaluate_with(j: int) -> tuple[float, dict[int, float]]:
                 trial = {c: list(v) for c, v in members.items()}
                 trial[l].append(pool[j])
-                return evaluation.sum_rate(UserGroup(members=trial), chans, noise_power)
+                return evaluation.evaluate_group(
+                    UserGroup(members=trial), chans, noise_power
+                )
 
             scores = evaluation.candidate_rates(chans, members, l, pool, noise_power)
-            j, rate = evaluation.exact_pick(scores, len(pool), rate_with)
+            j, (rate, _) = evaluation.exact_pick(scores, len(pool), evaluate_with)
             uid = pool.pop(j)
             members[l].append(uid)
             meta.append(SelectionRecord(uid, l, slot, rate, "icsi"))

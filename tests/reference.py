@@ -1,12 +1,27 @@
 """Slow reference implementations that the production fast paths are
-checked against: one exact evaluate_group call per candidate group, and
-per-user SINRs through the public mmse_receiver / sinr functions.
+checked against: one exact evaluate_group call per candidate group,
+per-user SINRs through the public mmse_receiver / sinr functions, the
+per-grid map survey through sample_grid and the statistical_* helpers,
+per-user placement, a scalar grid lookup, and per-BS, per-row channel
+synthesis.
 """
 
+import math
 from itertools import combinations, product
 
+import numpy as np
+
+from ckmsched.ckm import (
+    grid_variance,
+    reliability_indicator,
+    sample_center_correlation,
+    statistical_channel,
+    statistical_gain,
+)
 from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr, sum_rate
-from ckmsched.groups import SelectionRecord, UserGroup
+from ckmsched.experiments import _TAG_USERS, _rng
+from ckmsched.geometry import Position, _jitter, path_loss_db, sample_grid
+from ckmsched.groups import SelectionRecord, UserGroup, UserRecord
 
 
 def first_max(scores) -> int:
@@ -67,3 +82,112 @@ def sinr_reference(group: UserGroup, chans, noise_power: float) -> dict[int, flo
             out[uid] = sinr(w, d, others, [], noise_power)
     return out
 
+
+
+def map_survey_reference(scenario, s: int, eta: float):
+    """h_bar, epsilon, sigma, reliable and delta of build_ckm at a
+    quantile threshold 0 < eta < 1, with one sample_grid call and one set of
+    scalar statistics per (BS, grid)."""
+    L, G, N = scenario.config.n_cells, scenario.n_grids, scenario.n_antennas
+    h_bar = np.zeros((L, G, N), dtype=np.complex128)
+    epsilon = np.zeros((L, G))
+    sigma = np.zeros((L, G))
+    for l in range(L):
+        for g in range(G):
+            samples, center = sample_grid(scenario, l, g, s, realization=0)
+            h_bar[l, g] = statistical_channel(samples)
+            epsilon[l, g] = statistical_gain(samples)
+            corrs = [sample_center_correlation(sv, center) for sv in samples]
+            sigma[l, g] = grid_variance(corrs)
+    delta = float(np.quantile(sigma.ravel(), eta, method="lower"))
+    reliable = np.array(
+        [[reliability_indicator(x, delta) for x in row] for row in sigma], dtype=np.uint8
+    )
+    return h_bar, epsilon, sigma, reliable, delta
+
+
+def place_users_reference(scenario, trial_seed: int) -> list[UserRecord]:
+    """place_users with one rng.choice, one offset draw and one locate per
+    user."""
+    cfg = scenario.config
+    rng = _rng(cfg, _TAG_USERS, trial_seed)
+    edge = cfg.grid_edge_m
+    users = []
+    uid = 0
+    for cell in range(cfg.n_cells):
+        grids = scenario.grids_of_cell[cell]
+        if cfg.placement == "clustered":
+            anchors = rng.choice(grids, size=min(cfg.hotspots_per_cell, len(grids)),
+                                 replace=False)
+            centers = scenario.grid_centers[grids]
+            spread = 2.0 * edge
+            weights = np.zeros(len(grids))
+            for a in anchors:
+                d2 = np.sum((centers - scenario.grid_centers[a]) ** 2, axis=1)
+                weights += np.exp(-d2 / (2.0 * spread**2))
+            weights /= weights.sum()
+        else:
+            weights = None
+        for _ in range(cfg.users_per_cell):
+            g = int(rng.choice(grids, p=weights))
+            pos = scenario.grid_centers[g] + (rng.random(2) - 0.5) * edge
+            grid = scenario.locate(pos)
+            users.append(UserRecord(
+                id=uid, cell=grid.cell,
+                position=Position(float(pos[0]), float(pos[1])), grid=grid,
+            ))
+            uid += 1
+    return users
+
+
+def locate_reference(scenario, position) -> int | None:
+    """Grid id of a position, or None outside the cluster: floor it onto the
+    lattice and find the grid whose center is that square's center."""
+    edge = scenario.config.grid_edge_m
+    x0, y0 = scenario.origin.tolist()
+    squares = {
+        (round((cx - x0) / edge - 0.5), round((cy - y0) / edge - 0.5)): g
+        for g, (cx, cy) in enumerate(scenario.grid_centers.tolist())
+    }
+    ix = math.floor((float(position[0]) - x0) / edge)
+    iy = math.floor((float(position[1]) - y0) / edge)
+    return squares.get((ix, iy))
+
+
+def channel_rows_reference(scenario, observing_bs: int, positions, realizations):
+    """channel_rows for one BS: a locate, a path_loss_db call and, in a
+    dynamic grid at a nonzero realization, a jitter draw per row."""
+    cfg = scenario.config
+    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    real = np.broadcast_to(np.asarray(realizations, dtype=np.int64), (pos.shape[0],))
+    gids = np.array([scenario.locate(p).g for p in pos], dtype=np.int64)
+    bs = scenario.bs_xy[observing_bs]
+    d2 = np.hypot(pos[:, 0] - bs[0], pos[:, 1] - bs[1])
+    d3 = np.hypot(d2, cfg.bs_height_m - cfg.user_height_m)
+    pl = np.array([
+        path_loss_db(d, cfg.fc_hz, cfg.bs_height_m, cfg.user_height_m,
+                     exponent=cfg.path_loss_exponent, offset_db=cfg.path_loss_offset_db)
+        for d in d3
+    ])
+    amp = 10.0 ** (-(pl + scenario.shadow_db[observing_bs, gids]) / 20.0)
+    sp = scenario.scatterers.static_positions
+    duc = np.hypot(pos[:, 0, None] - sp[None, :, 0], pos[:, 1, None] - sp[None, :, 1])
+    w = np.exp(2j * math.pi * duc / cfg.phase_length_m) / (
+        1.0 + duc / cfg.scatter_range_m
+    ) ** cfg.scatter_falloff
+    v = w @ scenario.static_mix[observing_bs]
+    dyn_row = {int(g): a for a, g in enumerate(scenario.scatterers.dynamic_grid_ids)}
+    for i, gid in enumerate(gids):
+        a = dyn_row.get(int(gid))
+        if a is None or real[i] == 0:
+            continue
+        zeta = _jitter(scenario, int(gid), int(real[i]))
+        dp = scenario.scatterers.dynamic_positions[a]
+        dud = np.hypot(pos[i, 0] - dp[:, 0], pos[i, 1] - dp[:, 1])
+        dw = (
+            np.exp(2j * math.pi * dud / cfg.phase_length_m)
+            / (1.0 + dud / cfg.scatter_range_m) ** cfg.scatter_falloff
+            * zeta
+        )
+        v[i] += dw @ scenario.dyn_mix[observing_bs, a]
+    return v * (amp / np.linalg.norm(v, axis=1))[:, None]

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from ckmsched import UsCkm, build_ckm, build_scenario
 from ckmsched.ckm import (
+    _corr_matrix,
     grid_variance,
     lookup_grid,
     reliability_indicator,
@@ -149,21 +150,22 @@ def test_map_shapes_and_dtypes(small_scenario, small_ckm):
     assert small_ckm.epsilon.shape == (L, G)
     assert small_ckm.sigma.shape == (L, G)
     assert small_ckm.reliable.shape == (L, G)
-    assert small_ckm.corr.shape == (L, G, G)
+    assert not hasattr(small_ckm, "corr")
     assert small_ckm.reliable.dtype == np.uint8
     assert small_ckm.samples_per_grid == small_scenario.config.samples_per_grid
 
 
 def test_map_arrays_are_read_only(small_ckm):
     for arr in (small_ckm.h_bar, small_ckm.epsilon, small_ckm.sigma,
-                small_ckm.reliable, small_ckm.corr):
+                small_ckm.reliable):
         with pytest.raises(ValueError):
             arr.flat[0] = arr.flat[0]
 
 
 def test_corr_tables_are_symmetric_unit_diagonal(small_ckm):
     for l in range(small_ckm.n_cells):
-        c = small_ckm.corr[l]
+        c = _corr_matrix(small_ckm.h_bar[l])
+        assert c.shape == (small_ckm.n_grids, small_ckm.n_grids)
         assert np.array_equal(c, c.T)
         assert np.all(np.diag(c) == 1.0)
         assert np.all((c >= 0.0) & (c <= 1.0))
@@ -180,7 +182,7 @@ def test_stats_accessor_matches_arrays(small_ckm):
     assert st_.epsilon == small_ckm.epsilon[1, 3]
     assert st_.sigma == small_ckm.sigma[1, 3]
     assert st_.reliable == small_ckm.reliable[1, 3]
-    assert small_ckm.corr_value(1, 2, 5) == small_ckm.corr[1, 2, 5]
+    assert small_ckm.corr_value(1, 2, 5) == _corr_matrix(small_ckm.h_bar[1])[2, 5]
 
 
 def test_reliability_consistent_with_sigma_and_delta(small_ckm):
@@ -205,8 +207,13 @@ def test_single_grid_map_is_degenerate():
     )
     ckm = build_ckm(build_scenario(cfg))
     assert ckm.n_grids == 1
-    assert ckm.corr.shape == (1, 1, 1)
-    assert ckm.corr[0, 0, 0] == 1.0
+    assert _corr_matrix(ckm.h_bar[0]).shape == (1, 1)
+    assert ckm.corr_value(0, 0, 0) == 1.0
+
+
+def test_build_ckm_rejects_an_empty_survey(small_scenario):
+    with pytest.raises(ValueError, match="s must be >= 1"):
+        build_ckm(small_scenario, s=0)
 
 
 def test_doubling_samples_reuses_the_shorter_prefix(small_scenario):
@@ -281,7 +288,7 @@ def test_save_load_round_trip(tmp_path, small_scenario, small_ckm):
     back = UsCkm.load(path, scenario=small_scenario)
     assert back.samples_per_grid == small_ckm.samples_per_grid
     assert back.delta == small_ckm.delta
-    for name in ("h_bar", "epsilon", "sigma", "reliable", "corr"):
+    for name in ("h_bar", "epsilon", "sigma", "reliable"):
         assert np.array_equal(getattr(back, name), getattr(small_ckm, name))
 
 
@@ -308,6 +315,49 @@ def test_load_rejects_foreign_files(tmp_path):
         UsCkm.load(path)
 
 
+def saved_map(tmp_path, ckm):
+    path = tmp_path / "map.ckm"
+    ckm.save(path)
+    return path, path.read_bytes()
+
+
+def test_load_rejects_format_v1_with_a_rebuild_hint(tmp_path, small_ckm):
+    path, data = saved_map(tmp_path, small_ckm)
+    path.write_bytes(data[:5] + (1).to_bytes(2, "little") + data[7:])
+    with pytest.raises(ValueError, match="v1.*rebuild the map with `ckmsched build-ckm`"):
+        UsCkm.load(path)
+
+
+def test_load_rejects_a_truncated_payload(tmp_path, small_ckm):
+    path, data = saved_map(tmp_path, small_ckm)
+    for cut in (1, small_ckm.reliable.nbytes + 1, len(data) // 2):
+        path.write_bytes(data[:-cut])
+        with pytest.raises(ValueError, match="truncated"):
+            UsCkm.load(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path, small_ckm):
+    path, data = saved_map(tmp_path, small_ckm)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        UsCkm.load(path)
+
+
+def test_load_rejects_header_arrays_that_do_not_describe_a_map(tmp_path, small_ckm):
+    path, data = saved_map(tmp_path, small_ckm)
+    hlen = int.from_bytes(data[7:15], "little")
+    L, G = small_ckm.n_cells, small_ckm.n_grids
+    for old, new in ((f"[{L}, {G}]", f"[{L}, {G - 1}]"),
+                     ('"uint8"', '"int8"'),
+                     ('"sigma"', '"sigmb"'),
+                     ('"arrays"', '"arrayz"')):
+        blob = data[15:15 + hlen].decode().replace(old, new, 1).encode()
+        path.write_bytes(data[:7] + len(blob).to_bytes(8, "little") + blob
+                         + data[15 + hlen:])
+        with pytest.raises(ValueError, match="describe a map|malformed"):
+            UsCkm.load(path)
+
+
 def test_export_csv_writes_per_bs_tables(tmp_path, small_ckm):
     small_ckm.export_csv(tmp_path)
     for l in range(small_ckm.n_cells):
@@ -318,3 +368,6 @@ def test_export_csv_writes_per_bs_tables(tmp_path, small_ckm):
         assert corr[0] == "grid_a,grid_b,rho"
         n = small_ckm.n_grids
         assert len(corr) == 1 + n * (n - 1) // 2
+        table = _corr_matrix(small_ckm.h_bar[l])
+        assert corr[1] == f"0,1,{table[0, 1]:.12e}"
+        assert corr[-1] == f"{n - 2},{n - 1},{table[n - 2, n - 1]:.12e}"

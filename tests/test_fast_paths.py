@@ -1,9 +1,11 @@
-"""Closed-form candidate scoring against the slow exact references.
+"""Fast paths against the slow references in tests/reference.py.
 
 greedy_schedule and brute_force_optimum rank candidates with the batched
-closed form and confirm picks with sum_rate; these tests require the same
-members, the same selection metrics and the same repr(sum_rate) as scoring
-every candidate exactly (tests/reference.py).
+closed form and confirm picks with evaluate_group; these tests require the
+same members, the same selection metrics and the same repr(sum_rate) as
+scoring every candidate exactly. build_ckm, place_users and multi-BS
+channel_rows are batched array code; they must equal the per-grid,
+per-user and per-position paths bit for bit.
 """
 
 import math
@@ -11,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from ckmsched import evaluation
+from ckmsched import build_ckm, build_scenario, evaluation, generate_channel
+from ckmsched.errors import OutOfClusterError
 from ckmsched.evaluation import (
     ChannelSet,
     brute_force_optimum,
@@ -20,11 +23,20 @@ from ckmsched.evaluation import (
     sum_rate,
 )
 from ckmsched.experiments import cached_noise, cached_scenario, place_users, trial_channels
+from ckmsched.geometry import channel_rows
 from ckmsched.groups import UserGroup
 from ckmsched.scheduling import greedy_schedule
 
 from conftest import desk_config
-from reference import brute_force_reference, greedy_reference, sinr_reference
+from reference import (
+    brute_force_reference,
+    channel_rows_reference,
+    greedy_reference,
+    locate_reference,
+    map_survey_reference,
+    place_users_reference,
+    sinr_reference,
+)
 from test_acceptance import table_scale_config
 
 
@@ -66,15 +78,19 @@ def random_chans(rng, users_per_cell, n_cells, n_antennas):
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Count exact sum_rate evaluations made by the schedulers."""
+    """Count exact evaluate_group evaluations (sum_rate included).
+
+    The references and assert_same_* score through evaluate_group too, so a
+    test reads the list right after the fast scheduler returns and clears it
+    before comparing against a reference."""
     calls = []
-    exact = evaluation.sum_rate
+    exact = evaluation.evaluate_group
 
     def counted(group, chans, noise_power):
         calls.append(group)
         return exact(group, chans, noise_power)
 
-    monkeypatch.setattr(evaluation, "sum_rate", counted)
+    monkeypatch.setattr(evaluation, "evaluate_group", counted)
     return calls
 
 
@@ -111,20 +127,29 @@ def duplicated_chans():
 
 def test_greedy_breaks_exact_ties_by_lowest_id(exact_calls):
     chans = duplicated_chans()
-    group = assert_same_greedy(chans, 2, 0.5)
-    first = group.meta[0]
-    assert (first.cell, first.user) == (0, 1)
-    assert 2 not in group.members[0]
+    group = greedy_schedule(chans, 2, 0.5)
     # the first pick was confirmed by re-scoring both tied candidates
     assert len(exact_calls) >= 2
     assert {exact_calls[0].members[0][0], exact_calls[1].members[0][0]} == {1, 2}
+    exact_calls.clear()
+    assert assert_same_greedy(chans, 2, 0.5).members == group.members
+    first = group.meta[0]
+    assert (first.cell, first.user) == (0, 1)
+    assert 2 not in group.members[0]
 
 
 def test_brute_force_breaks_exact_ties_by_lowest_selection(exact_calls):
     chans = duplicated_chans()
-    group = assert_same_brute_force(chans, 1, 0.5)
-    assert group.members[0] == [1]
+    group, rate = brute_force_optimum(chans, 1, 0.5)
+    # the tied candidates were evaluated exactly, and the winner only once
     assert len(exact_calls) >= 2
+    assert [g.members for g in exact_calls].count(group.members) == 1
+    exact_calls.clear()
+    assert group.members[0] == [1]
+    assert [m.metric for m in group.meta] == [
+        evaluate_group(group, chans, 0.5)[1][m.user] for m in group.meta
+    ]
+    assert assert_same_brute_force(chans, 1, 0.5).members == group.members
 
 
 def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
@@ -135,8 +160,11 @@ def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
     )
     noise = 1e-9
     assert candidate_rates(chans, {0: []}, 0, [0, 1, 2, 3], noise) is None
-    assert_same_greedy(chans, 2, noise)
+    group = greedy_schedule(chans, 2, noise)
+    # every candidate of both slots was scored exactly by the scheduler
     assert len(exact_calls) >= 4 + 3
+    exact_calls.clear()
+    assert assert_same_greedy(chans, 2, noise).members == group.members
     assert_same_brute_force(chans, 2, noise)
 
 
@@ -178,3 +206,92 @@ def test_candidate_rates_match_exact_sum_rates():
             trial[cell].append(uid)
             exact = sum_rate(UserGroup(members=trial), chans, noise)
             assert math.isclose(score, exact, rel_tol=1e-9)
+
+
+# -- batched map survey, channel synthesis and placement ----------------------
+
+
+@pytest.mark.parametrize("cfg", [
+    desk_config(),
+    desk_config(dynamic_grid_fraction=1.0),
+    table_scale_config(),
+], ids=["desk", "desk_all_dynamic", "table"])
+def test_map_survey_matches_the_per_grid_reference(cfg):
+    scenario = build_scenario(cfg)
+    ckm = build_ckm(scenario)
+    h_bar, epsilon, sigma, reliable, delta = map_survey_reference(
+        scenario, cfg.samples_per_grid, cfg.eta
+    )
+    assert ckm.h_bar.tobytes() == h_bar.tobytes()
+    assert ckm.epsilon.tobytes() == epsilon.tobytes()
+    assert ckm.sigma.tobytes() == sigma.tobytes()
+    assert np.array_equal(ckm.reliable, reliable)
+    assert repr(ckm.delta) == repr(delta)
+
+
+def test_multi_bs_channel_rows_equal_per_position_channels():
+    # One stacked call against one call per BS, the per-BS per-row reference
+    # and single positions.
+    scen = build_scenario(desk_config(n_cells=3, dynamic_grid_fraction=0.5))
+    rng = np.random.default_rng(3)
+    # Every grid center plus random points around them, with repeated
+    # realizations so that (grid, realization) pairs recur in the batch.
+    gids = np.concatenate([np.arange(scen.n_grids), rng.integers(0, scen.n_grids, 60)])
+    offs = (rng.random((len(gids), 2)) - 0.5) * scen.config.grid_edge_m
+    offs[: scen.n_grids] = 0.0
+    pos = scen.grid_centers[gids] + offs
+    reals = rng.integers(0, 4, len(gids))
+    bss = [2, 0, 1, 0]
+    rows = channel_rows(scen, bss, pos, reals)
+    assert rows.shape == (len(bss), len(gids), scen.n_antennas)
+    anchor = scen.grid_centers[0]
+    for j, l in enumerate(bss):
+        assert channel_rows(scen, l, pos, reals).tobytes() == rows[j].tobytes()
+        ref = channel_rows_reference(scen, l, pos, reals)
+        assert ref.tobytes() == rows[j].tobytes()
+        for i in range(len(gids)):
+            # A one-row call takes numpy's gemv path for the static-cluster
+            # sum, which can differ from gemm in the last bit; a second row
+            # keeps the per-position call on the batch's gemm path.
+            pair = channel_rows(scen, l, [pos[i], anchor], [reals[i], 0])
+            assert pair[0].tobytes() == rows[j, i].tobytes()
+            one = generate_channel(scen, l, pos[i], int(reals[i])).entries
+            np.testing.assert_allclose(one, rows[j, i], rtol=1e-13, atol=0.0)
+
+
+def test_locate_and_locate_many_match_the_scalar_lookup():
+    scen = build_scenario(desk_config())
+    edge = scen.config.grid_edge_m
+    rng = np.random.default_rng(5)
+    lo = scen.origin - edge
+    hi = scen.grid_centers.max(axis=0) + 2 * edge
+    random_pts = lo + rng.random((500, 2)) * (hi - lo)
+    # Lattice edges: the corners and edge midpoints of every grid square.
+    corners = (scen.grid_centers[:, None, :]
+               + edge * np.array([[-0.5, -0.5], [0.5, 0.5], [-0.5, 0.0], [0.0, 0.5]]))
+    pts = np.concatenate([random_pts, corners.reshape(-1, 2)])
+    want = [locate_reference(scen, p) for p in pts]
+    inside = [i for i, g in enumerate(want) if g is not None]
+    outside = [i for i, g in enumerate(want) if g is None]
+    assert len(inside) > 100 and len(outside) > 50
+    assert scen.locate_many(pts[inside]).tolist() == [want[i] for i in inside]
+    assert [scen.locate(pts[i]).g for i in inside] == [want[i] for i in inside]
+    for i in outside:
+        p = pts[i]
+        with pytest.raises(OutOfClusterError, match=f"{p[0]:.2f}, {p[1]:.2f}"):
+            scen.locate_many(np.array([scen.grid_centers[0], p]))
+        with pytest.raises(OutOfClusterError):
+            scen.locate(p)
+    with pytest.raises(OutOfClusterError):
+        scen.locate_many(np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("cfg, seeds", [
+    (desk_config(), range(100)),
+    (table_scale_config(), range(100)),
+    (table_scale_config(users_per_cell=200, kprime=40, placement="uniform"), range(30)),
+], ids=["desk", "table_clustered", "dense_uniform"])
+def test_place_users_matches_the_per_user_reference(cfg, seeds):
+    scenario = cached_scenario(cfg)
+    for seed in seeds:
+        assert place_users(scenario, seed) == place_users_reference(scenario, seed)
