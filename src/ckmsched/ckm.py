@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroNormError
-from .geometry import GridIndex, Scenario, channel_rows
+from .geometry import Scenario, channel_rows
 
 _FORMAT_MAGIC = b"CKMAP"
 _FORMAT_VERSION = 2
@@ -63,11 +63,6 @@ def statistical_correlation(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         raise ZeroNormError("correlation undefined for a zero-norm vector")
     return float(min(abs(np.vdot(va, vb)) / (na * nb), 1.0))
-
-
-def sample_center_correlation(sample, center) -> float:
-    """Correlation of one sampled channel against the grid-center channel."""
-    return statistical_correlation(sample, center)
 
 
 def grid_variance(correlations) -> float:
@@ -282,11 +277,6 @@ def _parse_header(path, blob: bytes) -> dict:
 def scenario_hash(scenario: Scenario) -> str:
     """Stable digest of the scenario configuration."""
     return hashlib.sha256(repr(scenario.config).encode()).hexdigest()
-
-
-def lookup_grid(ckm: UsCkm, position) -> GridIndex:
-    """Map a position to its grid index through the map's scenario."""
-    return ckm.scenario.locate(position)
 
 
 def build_ckm(

@@ -20,6 +20,7 @@ import numpy as np
 
 from .ckm import UsCkm, build_ckm
 from .errors import ConfigError
+from .evaluation import BRUTE_FORCE_BUDGET
 from .experiments import ALGORITHMS, cached_scenario, run_trial
 from .geometry import ScenarioConfig
 
@@ -47,7 +48,6 @@ CSV_HEADER = [
 ]
 
 DEFAULT_ALGORITHMS = tuple(a for a in ALGORITHMS if a != "brute_force")
-BRUTE_FORCE_BUDGET = 1_000_000
 
 
 @dataclass
@@ -192,13 +192,11 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
     """
     stream = stream or sys.stdout
     jobs = []
-    rowmeta = []
     for point in plan.sweep_points():
         cfg = plan.config_at(point)
         for algorithm in plan.algorithms:
             for t in range(plan.trials):
                 jobs.append((cfg, algorithm, t))
-                rowmeta.append((cfg, algorithm, t))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_job, jobs, chunksize=max(1, plan.trials)))
@@ -210,7 +208,7 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for (cfg, algorithm, t), res in zip(rowmeta, results):
+        for (cfg, algorithm, t), res in zip(jobs, results):
             rate, csi, info, mults, wall, err = res
             if err is not None:
                 errors += 1

@@ -156,6 +156,8 @@ _SCORE_BAND = 1e-9
 _MIN_RESIDUAL = 1e-6
 # Combinations scored per batched solve: bounds brute-force memory.
 _BLOCK = 2048
+# Default cap on the combinations brute_force_optimum enumerates.
+BRUTE_FORCE_BUDGET = 1_000_000
 
 
 def _rate_terms(one_minus_a: np.ndarray) -> np.ndarray | None:
@@ -258,7 +260,7 @@ def brute_force_optimum(
     chans: ChannelSet,
     kbar: int,
     noise_power: float,
-    max_combinations: int = 1_000_000,
+    max_combinations: int = BRUTE_FORCE_BUDGET,
 ) -> tuple[UserGroup, float]:
     """Exhaustive search over all per-cell kbar-subsets.
 
@@ -331,37 +333,24 @@ class OverheadModel:
     eta: float | None = None
 
 
-_OVERHEAD_ALGOS = (
-    "greedy",
-    "sus",
-    "random",
-    "two_stage_aes",
-    "two_stage_gis",
-    "robust_aes",
-    "robust_gis",
-)
-
-
 def overhead_counts(model: OverheadModel) -> dict[str, int]:
     """Exact multiplication / CSI-acquisition / information-exchange counts.
 
-    Evaluates the closed forms for the seven table algorithms; robust
-    variants require eta.
+    Evaluates the closed forms for the seven table algorithms and the
+    exhaustive oracle; robust variants require eta.
     """
     algo = model.algorithm
-    if algo not in _OVERHEAD_ALGOS:
-        raise ValueError(f"no closed-form overhead model for {algo!r}")
     L = model.n_cells
     k = model.users_per_cell
     kb = model.kbar
     kp = model.kprime
     n = model.n_antennas
+    full_csi = {"csi_acquisitions": L**2 * k, "info_exchange": L**2 * k * n}
     if algo == "greedy":
-        return {
-            "mults": L * k * kb**2 * (n**3 + k * n**2 + kb * n**2),
-            "csi_acquisitions": L**2 * k,
-            "info_exchange": L**2 * k * n,
-        }
+        return {"mults": L * k * kb**2 * (n**3 + k * n**2 + kb * n**2), **full_csi}
+    if algo == "brute_force":
+        # Not table-modeled: combinations times one MMSE solve per user.
+        return {"mults": math.comb(k, kb) ** L * L * kb * n**3, **full_csi}
     if algo == "sus":
         return {"mults": L * k * kb * n, "csi_acquisitions": L * k, "info_exchange": 0}
     if algo == "random":
@@ -373,11 +362,13 @@ def overhead_counts(model: OverheadModel) -> dict[str, int]:
         return {"mults": aes, "csi_acquisitions": 0, "info_exchange": L * kp}
     if algo == "two_stage_gis":
         return {"mults": gis, "csi_acquisitions": 0, "info_exchange": L * kp}
+    base = {"robust_aes": aes, "robust_gis": gis}.get(algo)
+    if base is None:
+        raise ValueError(f"no closed-form overhead model for {algo!r}")
     if model.eta is None:
         raise ValueError("robust overhead models require eta")
     miss = 1.0 - model.eta
     extra = L**2 * miss * k + L**3 * miss**2 * k**2
-    base = aes if algo == "robust_aes" else gis
     return {
         "mults": int(round(base + extra)),
         "csi_acquisitions": int(round(L**2 * miss * k)),

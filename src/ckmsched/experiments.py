@@ -27,19 +27,8 @@ from .geometry import (
     build_scenario,
     channel_rows,
 )
-from .groups import UserRecord
+from .groups import UserGroup, UserRecord
 from .scheduling import greedy_schedule, random_schedule, robust_two_stage, sus_schedule
-
-ALGORITHMS = (
-    "greedy",
-    "random",
-    "sus",
-    "two_stage_aes",
-    "two_stage_gis",
-    "robust_aes",
-    "robust_gis",
-    "brute_force",
-)
 
 _TAG_USERS = 31
 _TAG_RANDOM_PICK = 41
@@ -133,26 +122,69 @@ def trial_channels(
     return ChannelSet(ids=ids, cell_of=cells, h=h)
 
 
-def _mult_estimate(config: ScenarioConfig, algorithm: str, ckm: UsCkm | None) -> int:
-    if algorithm == "brute_force":
-        # Not table-modeled: combinations times one MMSE solve per user.
-        import math
+def validate_group(group: UserGroup, chans: ChannelSet, kbar: int) -> None:
+    """Raise ScheduleError unless every cell schedules exactly kbar users,
+    no user appears twice, and each user is in its serving cell."""
+    cells = range(chans.n_cells)
+    if sorted(group.members) != list(cells):
+        raise ScheduleError(f"group covers cells {sorted(group.members)}, not {list(cells)}")
+    seen: set[int] = set()
+    for cell in cells:
+        served = group.members[cell]
+        if len(served) != kbar:
+            raise ScheduleError(f"cell {cell} has {len(served)} users, not kbar={kbar}")
+        for uid in served:
+            if uid in seen:
+                raise ScheduleError(f"user {uid} is scheduled twice")
+            seen.add(uid)
+            if uid not in chans.index or chans.cell_of[chans.index[uid]] != cell:
+                raise ScheduleError(f"user {uid} is not served by cell {cell}")
 
-        combos = math.comb(config.users_per_cell, config.kbar) ** config.n_cells
-        return combos * config.n_cells * config.kbar * config.n_antennas**3
-    eta = None
-    if algorithm.startswith("robust"):
-        eta = config.eta if config.eta is not None else ckm.realized_eta()
-    model = OverheadModel(
-        algorithm=algorithm,
-        n_cells=config.n_cells,
-        users_per_cell=config.users_per_cell,
-        kbar=config.kbar,
-        kprime=config.kprime,
-        n_antennas=config.n_antennas,
-        eta=eta,
-    )
-    return overhead_counts(model)["mults"]
+
+# Every scheduler takes (config, trial_seed, scenario, users, chans, noise)
+# and returns (group, counters): the map-driven ones return the event
+# counters of robust_two_stage, the others None, and their counters come
+# from the closed forms of overhead_counts. Entries look the schedulers up
+# as module globals at call time, so a wrapper installed on this module
+# sees every call.
+def _random(config, trial_seed, scenario, users, chans, noise):
+    seed = int(_rng(config, _TAG_RANDOM_PICK, trial_seed).integers(2**63))
+    return random_schedule(chans.ids_by_cell(), config.kbar, seed), None
+
+
+def _sus(config, trial_seed, scenario, users, chans, noise):
+    per_cell = {
+        l: {u: chans.vector(l, u) for u in ids}
+        for l, ids in chans.ids_by_cell().items()
+    }
+    return sus_schedule(per_cell, config.kbar, config.alpha), None
+
+
+def _two_stage(first_stage: str, csi_mode: str):
+    def schedule(config, trial_seed, scenario, users, chans, noise):
+        provider = (lambda u: chans.h[:, chans.index[u.id], :]) if csi_mode == "auto" else None
+        return robust_two_stage(
+            scenario, cached_ckm(config), users, config.kprime, config.kbar,
+            config.alpha, first_stage=first_stage, icsi_provider=provider,
+            csi_mode=csi_mode,
+        )
+
+    return schedule
+
+
+_SCHEDULERS = {
+    "greedy": lambda config, trial_seed, scenario, users, chans, noise: (
+        greedy_schedule(chans, config.kbar, noise), None),
+    "random": _random,
+    "sus": _sus,
+    "two_stage_aes": _two_stage("aes", "scsi"),
+    "two_stage_gis": _two_stage("gis", "scsi"),
+    "robust_aes": _two_stage("aes", "auto"),
+    "robust_gis": _two_stage("gis", "auto"),
+    "brute_force": lambda config, trial_seed, scenario, users, chans, noise: (
+        brute_force_optimum(chans, config.kbar, noise)[0], None),
+}
+ALGORITHMS = tuple(_SCHEDULERS)
 
 
 def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> ScheduleResult:
@@ -161,64 +193,46 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     Identical (config, algorithm, trial_seed) invocations reproduce the
     result exactly; wall_ms is diagnostic.
     """
-    if algorithm not in ALGORITHMS:
+    if algorithm not in _SCHEDULERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if trial_seed < 0:
         raise ValueError("trial_seed must be >= 0")
     scenario = cached_scenario(config)
     noise = cached_noise(config, config.target_snr_db)
     users = place_users(scenario, trial_seed)
-    realization = int(trial_seed) + 1
-    chans = trial_channels(scenario, users, realization)
-    needs_map = algorithm.startswith(("two_stage", "robust"))
-    ckm = cached_ckm(config) if needs_map or algorithm.startswith("robust") else None
+    chans = trial_channels(scenario, users, int(trial_seed) + 1)
 
     t0 = time.perf_counter()
-    counters = None
-    if algorithm == "greedy":
-        group = greedy_schedule(chans, config.kbar, noise)
-    elif algorithm == "random":
-        seed = int(_rng(config, _TAG_RANDOM_PICK, trial_seed).integers(2**63))
-        group = random_schedule(chans.ids_by_cell(), config.kbar, seed)
-    elif algorithm == "sus":
-        per_cell = {
-            l: {u: chans.vector(l, u) for u in ids}
-            for l, ids in chans.ids_by_cell().items()
-        }
-        group = sus_schedule(per_cell, config.kbar, config.alpha)
-    elif algorithm == "brute_force":
-        group, _ = brute_force_optimum(chans, config.kbar, noise)
-    else:
-        first_stage = "gis" if algorithm.endswith("gis") else "aes"
-        mode = "auto" if algorithm.startswith("robust") else "scsi"
-        provider = (lambda u: chans.h[:, chans.index[u.id], :]) if mode == "auto" else None
-        # Users are re-placed fresh each trial; clear stale acquisitions.
-        for u in users:
-            u.icsi = None
-        group, counters = robust_two_stage(
-            scenario, ckm, users, config.kprime, config.kbar, config.alpha,
-            first_stage=first_stage, icsi_provider=provider, csi_mode=mode,
-        )
+    group, counters = _SCHEDULERS[algorithm](
+        config, trial_seed, scenario, users, chans, noise
+    )
     wall_ms = (time.perf_counter() - t0) * 1e3
 
+    validate_group(group, chans, config.kbar)
     rate, gammas = evaluate_group(group, chans, noise)
-    if group.size() != config.n_cells * config.kbar:
-        raise ScheduleError("scheduler returned a wrong-sized group")
-    L, K, N = config.n_cells, config.users_per_cell, config.n_antennas
+    eta = config.eta
+    if eta is None and counters is not None:
+        # Only the map-driven schedulers report counters, and they have
+        # built the map; robust overheads are modeled at its reliable share.
+        eta = cached_ckm(config).realized_eta()
+    closed = overhead_counts(OverheadModel(
+        algorithm=algorithm,
+        n_cells=config.n_cells,
+        users_per_cell=config.users_per_cell,
+        kbar=config.kbar,
+        kprime=config.kprime,
+        n_antennas=config.n_antennas,
+        eta=eta,
+    ))
     if counters is None:
-        if algorithm in ("greedy", "brute_force"):
-            counters = {"csi_acquisitions": L * L * K, "info_exchange": L * L * K * N}
-        elif algorithm == "sus":
-            counters = {"csi_acquisitions": L * K, "info_exchange": 0}
-        else:
-            counters = {"csi_acquisitions": 0, "info_exchange": 0}
+        counters = closed
     return ScheduleResult(
         algorithm=algorithm,
         sum_rate=float(rate),
         per_user_sinr=gammas,
         csi_acquisitions=int(counters["csi_acquisitions"]),
         info_exchange=int(counters["info_exchange"]),
-        multiplication_estimate=int(_mult_estimate(config, algorithm, ckm)),
+        multiplication_estimate=int(closed["mults"]),
         group=group,
         wall_ms=wall_ms,
     )

@@ -381,17 +381,3 @@ def robust_two_stage(
     }
     return group, counters
 
-
-def two_stage_schedule(
-    scenario,
-    ckm: UsCkm,
-    users: list[UserRecord],
-    kprime: int,
-    kbar: int,
-    alpha: float,
-    first_stage: str = "aes",
-) -> tuple[UserGroup, dict[str, int]]:
-    """Map-only two-stage pipeline (no reliability fusion)."""
-    return robust_two_stage(
-        scenario, ckm, users, kprime, kbar, alpha, first_stage, csi_mode="scsi"
-    )

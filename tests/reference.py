@@ -14,8 +14,8 @@ import numpy as np
 from ckmsched.ckm import (
     grid_variance,
     reliability_indicator,
-    sample_center_correlation,
     statistical_channel,
+    statistical_correlation,
     statistical_gain,
 )
 from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr, sum_rate
@@ -97,7 +97,7 @@ def map_survey_reference(scenario, s: int, eta: float):
             samples, center = sample_grid(scenario, l, g, s, realization=0)
             h_bar[l, g] = statistical_channel(samples)
             epsilon[l, g] = statistical_gain(samples)
-            corrs = [sample_center_correlation(sv, center) for sv in samples]
+            corrs = [statistical_correlation(sv, center) for sv in samples]
             sigma[l, g] = grid_variance(corrs)
     delta = float(np.quantile(sigma.ravel(), eta, method="lower"))
     reliable = np.array(

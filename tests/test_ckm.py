@@ -12,14 +12,12 @@ from ckmsched import UsCkm, build_ckm, build_scenario
 from ckmsched.ckm import (
     _corr_matrix,
     grid_variance,
-    lookup_grid,
     reliability_indicator,
-    sample_center_correlation,
     statistical_channel,
     statistical_correlation,
     statistical_gain,
 )
-from ckmsched.errors import OutOfClusterError, ZeroNormError
+from ckmsched.errors import ZeroNormError
 
 from conftest import desk_config
 
@@ -133,12 +131,6 @@ def test_correlation_symmetric_and_bounded(rows):
     assert 0.0 <= r <= 1.0
     assert statistical_correlation(b, a) == pytest.approx(r)
     assert statistical_correlation(a, a) == pytest.approx(1.0)
-
-
-def test_sample_center_correlation_matches_pairwise_definition():
-    a = np.array([1.0, 1.0j])
-    b = np.array([1.0, 0.0])
-    assert sample_center_correlation(a, b) == statistical_correlation(a, b)
 
 
 # -- map assembly -------------------------------------------------------
@@ -262,21 +254,6 @@ def test_absolute_delta_covering_all_sigma_is_fully_reliable(small_scenario):
     probe = build_ckm(small_scenario, eta=1.0)
     ckm = build_ckm(small_scenario, delta=float(probe.sigma.max()))
     assert ckm.realized_eta() == 1.0
-
-
-# -- lookup --------------------------------------------------------------
-
-
-def test_lookup_grid_agrees_with_scenario_locate(small_scenario, small_ckm):
-    pos = small_scenario.grid_centers[9]
-    idx = lookup_grid(small_ckm, pos)
-    assert idx.g == 9
-    assert idx.cell == int(small_scenario.grid_serving[9])
-
-
-def test_lookup_grid_rejects_outside_positions(small_ckm):
-    with pytest.raises(OutOfClusterError):
-        lookup_grid(small_ckm, (1e6, -1e6))
 
 
 # -- serialization --------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ckmsched.errors import EnumerationGuardError
+from ckmsched.errors import EnumerationGuardError, ScheduleError
 from ckmsched.evaluation import (
     ChannelSet,
     OverheadModel,
@@ -18,7 +18,7 @@ from ckmsched.evaluation import (
     sinr,
     sum_rate,
 )
-from ckmsched.experiments import run_trial
+from ckmsched.experiments import ALGORITHMS, cached_ckm, run_trial
 from ckmsched.geometry import channel_rows
 from ckmsched.groups import UserGroup
 from ckmsched.scheduling import greedy_schedule
@@ -233,6 +233,18 @@ def test_overhead_known_cells():
     }
     assert overhead_counts(table_model("two_stage_aes"))["mults"] == 87_000
     assert overhead_counts(table_model("greedy"))["csi_acquisitions"] == 450
+    assert overhead_counts(table_model("brute_force")) == {
+        "mults": math.comb(50, 10) ** 3 * 3 * 10 * 32**3,
+        "csi_acquisitions": 450,
+        "info_exchange": 450 * 32,
+    }
+
+
+def test_overhead_covers_every_algorithm():
+    for algorithm in ALGORITHMS:
+        eta = 0.5 if algorithm.startswith("robust") else None
+        counts = overhead_counts(table_model(algorithm, eta=eta))
+        assert set(counts) == {"mults", "csi_acquisitions", "info_exchange"}
 
 
 def test_overhead_robust_requires_eta():
@@ -242,7 +254,7 @@ def test_overhead_robust_requires_eta():
 
 def test_overhead_rejects_unknown_algorithm():
     with pytest.raises(ValueError, match="overhead model"):
-        overhead_counts(table_model("brute_force"))
+        overhead_counts(table_model("exhaustive"))
 
 
 def test_overhead_robust_interpolates_between_extremes():
@@ -303,6 +315,60 @@ def test_run_trial_validates_inputs():
         run_trial(cfg, "magic", trial_seed=0)
     with pytest.raises(ValueError, match="trial_seed"):
         run_trial(cfg, "sus", trial_seed=-1)
+
+
+def test_algorithms_keep_their_order():
+    # The CLI's default CSV rows follow this order.
+    assert ALGORITHMS == (
+        "greedy", "random", "sus", "two_stage_aes", "two_stage_gis",
+        "robust_aes", "robust_gis", "brute_force",
+    )
+
+
+def trial_model(cfg, algorithm, eta=None):
+    return OverheadModel(
+        algorithm=algorithm, n_cells=cfg.n_cells, users_per_cell=cfg.users_per_cell,
+        kbar=cfg.kbar, kprime=cfg.kprime, n_antennas=cfg.n_antennas, eta=eta,
+    )
+
+
+def test_run_trial_counters_match_the_closed_forms():
+    cfg = desk_config()
+    for algorithm in ("greedy", "sus", "random", "brute_force"):
+        closed = overhead_counts(trial_model(cfg, algorithm))
+        for seed in range(5):
+            r = run_trial(cfg, algorithm, seed)
+            assert r.csi_acquisitions == closed["csi_acquisitions"]
+            assert r.info_exchange == closed["info_exchange"]
+            assert r.multiplication_estimate == closed["mults"]
+
+
+def test_run_trial_models_robust_mults_at_the_realized_eta():
+    cfg = desk_config(eta=None)
+    r = run_trial(cfg, "robust_aes", 0)
+    eta = cached_ckm(cfg).realized_eta()
+    assert r.multiplication_estimate == overhead_counts(
+        trial_model(cfg, "robust_aes", eta))["mults"]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda m: m[0].__setitem__(1, m[0][0]), "twice"),
+    (lambda m: m[0].__setitem__(1, m[1][0]), "not served by cell 0"),
+    (lambda m: m[1].pop(), "cell 1 has 1 users"),
+])
+def test_run_trial_rejects_invalid_groups(monkeypatch, corrupt, match):
+    import ckmsched.experiments as experiments
+
+    schedule = experiments.random_schedule
+
+    def broken(*args):
+        group = schedule(*args)
+        corrupt(group.members)
+        return group
+
+    monkeypatch.setattr(experiments, "random_schedule", broken)
+    with pytest.raises(ScheduleError, match=match):
+        run_trial(desk_config(), "random", 0)
 
 
 def test_run_trial_counters_follow_the_algorithm():

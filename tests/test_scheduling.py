@@ -20,7 +20,6 @@ from ckmsched.scheduling import (
     residual_metric,
     robust_two_stage,
     sus_schedule,
-    two_stage_schedule,
 )
 
 
@@ -431,8 +430,8 @@ def test_robust_on_fully_reliable_map_equals_map_only_pipeline(static_scenario):
         static_scenario, ckm, users, cfg.kprime, cfg.kbar, cfg.alpha,
         icsi_provider=fail_provider, csi_mode="auto",
     )
-    baseline, bc = two_stage_schedule(
-        static_scenario, ckm, users, cfg.kprime, cfg.kbar, cfg.alpha
+    baseline, bc = robust_two_stage(
+        static_scenario, ckm, users, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="scsi"
     )
     assert robust.members == baseline.members
     assert rc == bc == {
@@ -490,8 +489,8 @@ def test_group_export_lists_each_member_once(tmp_path, static_scenario):
     ckm = build_ckm(static_scenario, delta=1.0)
     cfg = static_scenario.config
     users = place_users(static_scenario, 3)
-    group, _ = two_stage_schedule(
-        static_scenario, ckm, users, cfg.kprime, cfg.kbar, cfg.alpha
+    group, _ = robust_two_stage(
+        static_scenario, ckm, users, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="scsi"
     )
     out = tmp_path / "group.csv"
     group.export_csv(out)
