@@ -13,12 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroNormError
-from .geometry import Scenario, channel_rows
+from .geometry import Scenario, sample_grid
 
 _FORMAT_MAGIC = b"CKMAP"
 _FORMAT_VERSION = 2
@@ -31,63 +30,59 @@ _FORMAT_ARRAYS = (
 )
 
 
-def _entries(v) -> np.ndarray:
-    arr = getattr(v, "entries", v)
-    return np.asarray(arr, dtype=np.complex128)
-
-
 def statistical_channel(samples) -> np.ndarray:
-    """Mean of the sampled channel vectors."""
-    rows = np.stack([_entries(s) for s in samples])
-    if rows.shape[0] < 1:
+    """Mean of the sampled channel vectors: samples (..., S, N) -> (..., N)."""
+    rows = np.asarray(samples, dtype=np.complex128)
+    if rows.ndim < 2 or rows.shape[-2] < 1:
         raise ValueError("need at least one sample")
-    return rows.mean(axis=0)
+    return rows.mean(axis=-2)
 
 
-def statistical_gain(samples) -> float:
-    """Mean squared norm of the sampled channel vectors.
+def statistical_gain(samples):
+    """Mean squared norm of the sampled channel vectors: (..., S, N) -> (...).
 
     By Jensen's inequality this is never below the squared norm of the
     mean channel.
     """
-    rows = np.stack([_entries(s) for s in samples])
-    if rows.shape[0] < 1:
+    rows = np.asarray(samples, dtype=np.complex128)
+    if rows.ndim < 2 or rows.shape[-2] < 1:
         raise ValueError("need at least one sample")
-    return float(np.mean(np.sum(np.abs(rows) ** 2, axis=1)))
+    return np.mean(np.sum(np.abs(rows) ** 2, axis=-1), axis=-1)
 
 
-def statistical_correlation(a, b) -> float:
-    """Normalized inner-product magnitude of two vectors, in [0, 1]."""
-    va, vb = _entries(a), _entries(b)
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
+def statistical_correlation(a, b):
+    """Normalized inner-product magnitude |a^H b| / (|a| |b|) in [0, 1] of
+    vectors along the last axis, broadcasting over the leading axes.
+
+    The dot products are stacked (1, N) @ (N, 1) matmuls and the norms
+    _row_norms: these reach the same BLAS dot kernels as np.vdot and the
+    1-D np.linalg.norm, so a stacked call is bit-identical to one call per
+    pair (einsum or norm(axis=...) are not).
+    """
+    va = np.asarray(a, dtype=np.complex128)
+    vb = np.asarray(b, dtype=np.complex128)
+    na, nb = _row_norms(va), _row_norms(vb)
+    if np.any(na == 0.0) or np.any(nb == 0.0):
         raise ZeroNormError("correlation undefined for a zero-norm vector")
-    return float(min(abs(np.vdot(va, vb)) / (na * nb), 1.0))
+    dot = np.matmul(va.conj()[..., None, :], vb[..., :, None])[..., 0, 0]
+    return np.minimum(np.hypot(dot.real, dot.imag) / (na * nb), 1.0)[()]
 
 
-def grid_variance(correlations) -> float:
-    """Population variance of the sample-to-center correlations."""
-    vals = np.asarray(list(correlations), dtype=float)
-    if vals.size < 1:
+def grid_variance(correlations):
+    """Population variance of the sample-to-center correlations along the
+    last axis."""
+    vals = np.asarray(correlations, dtype=float)
+    if vals.ndim < 1 or vals.shape[-1] < 1:
         raise ValueError("need at least one correlation value")
-    return float(np.var(vals))
+    return np.var(vals, axis=-1)
 
 
-def reliability_indicator(sigma: float, delta: float) -> int:
-    """1 when the correlation variance stays within the threshold."""
-    if sigma < 0.0:
+def reliability_indicator(sigma, delta):
+    """1 (uint8) where the correlation variance stays within the threshold."""
+    sigma = np.asarray(sigma)
+    if np.any(sigma < 0.0):
         raise ValueError("sigma must be >= 0")
-    return 1 if sigma <= delta else 0
-
-
-@dataclass
-class GridStats:
-    """Per (observing BS, grid) entry of the map."""
-
-    h_bar: np.ndarray
-    epsilon: float
-    sigma: float
-    reliable: int
+    return (sigma <= delta).astype(np.uint8)[()]
 
 
 def _corr_matrix(rows: np.ndarray) -> np.ndarray:
@@ -131,19 +126,6 @@ class UsCkm:
     @property
     def n_cells(self) -> int:
         return self.h_bar.shape[0]
-
-    def stats(self, observing_bs: int, grid: int) -> GridStats:
-        return GridStats(
-            h_bar=self.h_bar[observing_bs, grid],
-            epsilon=float(self.epsilon[observing_bs, grid]),
-            sigma=float(self.sigma[observing_bs, grid]),
-            reliable=int(self.reliable[observing_bs, grid]),
-        )
-
-    def corr_value(self, observing_bs: int, grid_a: int, grid_b: int) -> float:
-        """Cross-grid correlation seen at one BS. Builds that BS's G x G
-        table (_corr_matrix of its mean channels) on every call."""
-        return float(_corr_matrix(self.h_bar[observing_bs])[grid_a, grid_b])
 
     def realized_eta(self) -> float:
         """Fraction of (BS, grid) entries classified reliable."""
@@ -296,8 +278,6 @@ def build_ckm(
     cfg = scenario.config
     if s is None:
         s = cfg.samples_per_grid
-    if s < 1:
-        raise ValueError("s must be >= 1")
     if delta is None and eta is None:
         delta, eta = cfg.delta, cfg.eta
         if delta is None and eta is None:
@@ -305,40 +285,17 @@ def build_ckm(
     if delta is not None and eta is not None:
         raise ValueError("set at most one of delta / eta")
 
-    # Every grid is surveyed at its s sample points (realizations 1..s,
-    # matching geometry.sample_grid at realization 0) and at its center
-    # (realization 0), with one channel_rows call over all BSs.
-    L, G, N = cfg.n_cells, scenario.n_grids, scenario.n_antennas
-    pts = scenario.grid_sample_positions(np.arange(G), s)            # (G, s, 2)
-    pos = np.concatenate([pts, scenario.grid_centers[:, None, :]], axis=1)
-    reals = np.tile(np.append(np.arange(1, s + 1), 0), G)
-    rows = channel_rows(scenario, range(L), pos.reshape(-1, 2), reals)
-    rows = rows.reshape(L, G, s + 1, N)
-    samples, center = rows[:, :, :s], rows[:, :, s:]
-    h_bar = samples.mean(axis=2)
-    epsilon = np.mean(np.sum(np.abs(samples) ** 2, axis=3), axis=2)
-    # Row-wise dot products as stacked (1, N) @ (N, 1) matmuls: these reach
-    # the same BLAS dot kernels as np.vdot and the 1-D np.linalg.norm of
-    # statistical_correlation, so sigma is bit-identical to the per-grid
-    # helpers (einsum or norm(axis=...) are not).
-    dot = np.matmul(samples.conj()[..., None, :], center[..., :, None])[..., 0, 0]
-    na = _row_norms(samples)
-    nb = _row_norms(center)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise ZeroNormError("correlation undefined for a zero-norm vector")
-    corrs = np.minimum(np.hypot(dot.real, dot.imag) / (na * nb), 1.0)
-    sigma = np.var(corrs, axis=2)
-
+    grids = np.arange(scenario.n_grids)
+    samples, centers = sample_grid(scenario, range(cfg.n_cells), grids, s)
+    h_bar = statistical_channel(samples)
+    epsilon = statistical_gain(samples)
+    sigma = grid_variance(statistical_correlation(samples, centers[..., None, :]))
     if eta is not None:
         if eta <= 0.0:
-            reliable = np.zeros((L, G), dtype=np.uint8)
             delta = -np.inf
         elif eta >= 1.0:
-            reliable = np.ones((L, G), dtype=np.uint8)
             delta = float(sigma.max())
         else:
             delta = float(np.quantile(sigma.ravel(), eta, method="lower"))
-            reliable = (sigma <= delta).astype(np.uint8)
-    else:
-        reliable = (sigma <= delta).astype(np.uint8)
-    return UsCkm(scenario, s, delta, h_bar, epsilon, sigma, reliable)
+    return UsCkm(scenario, s, delta, h_bar, epsilon, sigma,
+                 reliability_indicator(sigma, delta))

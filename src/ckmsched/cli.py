@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +19,7 @@ import numpy as np
 
 from .ckm import UsCkm, build_ckm
 from .errors import ConfigError
-from .evaluation import BRUTE_FORCE_BUDGET
+from .evaluation import BRUTE_FORCE_BUDGET, combination_count
 from .experiments import ALGORITHMS, cached_scenario, run_trial
 from .geometry import ScenarioConfig
 
@@ -73,6 +72,23 @@ class ExperimentPlan:
             kw["delta"] = None
         return replace(self.base_config, **kw) if kw else self.base_config
 
+    def validate(self, source: str) -> None:
+        """Reject unknown algorithms, an invalid config at any sweep point
+        and a brute-force enumeration beyond BRUTE_FORCE_BUDGET; source
+        prefixes the error messages."""
+        bad = [a for a in self.algorithms if a not in ALGORITHMS]
+        if bad:
+            raise ConfigError(f"{source}: unknown algorithms {bad}")
+        for point in self.sweep_points():
+            cfg = self.config_at(point)  # re-validates every swept config
+            if "brute_force" in self.algorithms:
+                combos = combination_count([cfg.users_per_cell] * cfg.n_cells, cfg.kbar)
+                if combos > BRUTE_FORCE_BUDGET:
+                    raise ConfigError(
+                        f"{source}: brute_force would enumerate {combos} combinations "
+                        f"(budget {BRUTE_FORCE_BUDGET}); shrink the scenario"
+                    )
+
 
 def _coerce(key: str, raw: str, line_no: int, path: str):
     low = raw.strip()
@@ -110,9 +126,6 @@ def parse_config(path: str) -> ExperimentPlan:
         key, raw = (part.strip() for part in text.split("=", 1))
         if key == "algorithms":
             algorithms = tuple(a.strip() for a in raw.split(",") if a.strip())
-            bad = [a for a in algorithms if a not in ALGORITHMS]
-            if bad:
-                raise ConfigError(f"{path}:{ln}: unknown algorithms {bad}")
         elif key == "trials":
             trials = int(_coerce("trials", raw, ln, path))
             if trials < 1:
@@ -150,15 +163,7 @@ def parse_config(path: str) -> ExperimentPlan:
         output=output,
         sweeps=tuple(sweeps),
     )
-    for point in plan.sweep_points():
-        cfg = plan.config_at(point)  # re-validates every swept config
-        if "brute_force" in algorithms:
-            combos = math.comb(cfg.users_per_cell, cfg.kbar) ** cfg.n_cells
-            if combos > BRUTE_FORCE_BUDGET:
-                raise ConfigError(
-                    f"{path}: brute_force would enumerate {combos} combinations "
-                    f"(budget {BRUTE_FORCE_BUDGET}); shrink the scenario"
-                )
+    plan.validate(path)
     return plan
 
 
@@ -322,11 +327,8 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 plan.base_config = replace(plan.base_config, rng_seed=args.seed)
             if args.algorithms:
-                algos = tuple(a.strip() for a in args.algorithms.split(","))
-                bad = [a for a in algos if a not in ALGORITHMS]
-                if bad:
-                    raise ConfigError(f"unknown algorithms {bad}")
-                plan.algorithms = algos
+                plan.algorithms = tuple(a.strip() for a in args.algorithms.split(","))
+            plan.validate(args.config)
             out = args.out or plan.output or "results.csv"
             return cmd_run(plan, out, threads=args.threads, timing=args.timing)
         if args.command == "build-ckm":

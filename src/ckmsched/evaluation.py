@@ -50,7 +50,6 @@ class ChannelSet:
 @dataclass
 class ReceiveBeamformer:
     weights: np.ndarray
-    target: tuple[int, int] | None = None
 
 
 def _require_finite(name, arr):
@@ -158,6 +157,11 @@ _MIN_RESIDUAL = 1e-6
 _BLOCK = 2048
 # Default cap on the combinations brute_force_optimum enumerates.
 BRUTE_FORCE_BUDGET = 1_000_000
+
+
+def combination_count(cell_sizes, kbar: int) -> int:
+    """Number of groups that pick kbar users in each cell of these sizes."""
+    return math.prod(math.comb(k, kbar) for k in cell_sizes)
 
 
 def _rate_terms(one_minus_a: np.ndarray) -> np.ndarray | None:
@@ -272,11 +276,10 @@ def brute_force_optimum(
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
-    n_combos = 1
     for l in cells:
         if len(bycell[l]) < kbar:
             raise ValueError(f"cell {l} has fewer than kbar={kbar} users")
-        n_combos *= math.comb(len(bycell[l]), kbar)
+    n_combos = combination_count([len(bycell[l]) for l in cells], kbar)
     if n_combos > max_combinations:
         raise EnumerationGuardError(
             f"{n_combos} combinations exceed the budget of {max_combinations}"
@@ -350,7 +353,7 @@ def overhead_counts(model: OverheadModel) -> dict[str, int]:
         return {"mults": L * k * kb**2 * (n**3 + k * n**2 + kb * n**2), **full_csi}
     if algo == "brute_force":
         # Not table-modeled: combinations times one MMSE solve per user.
-        return {"mults": math.comb(k, kb) ** L * L * kb * n**3, **full_csi}
+        return {"mults": combination_count([k] * L, kb) * L * kb * n**3, **full_csi}
     if algo == "sus":
         return {"mults": L * k * kb * n, "csi_acquisitions": L * k, "info_exchange": 0}
     if algo == "random":

@@ -171,16 +171,6 @@ class ScenarioConfig:
 
 
 @dataclass
-class ChannelVector:
-    """Complex channel with provenance metadata."""
-
-    entries: np.ndarray
-    observing_bs: int
-    source_cell: int
-    source_position: Position
-
-
-@dataclass
 class ScattererField:
     """Static clusters plus per-grid dynamic clusters."""
 
@@ -572,44 +562,27 @@ def channel_rows(
     return out[0] if np.ndim(observing_bs) == 0 else out
 
 
-def generate_channel(
-    scenario: Scenario, observing_bs: int, position, realization: int
-) -> ChannelVector:
-    """Channel from one position to one BS at a given realization index."""
-    pos = np.asarray(position, dtype=float).reshape(1, 2)
-    idx = scenario.locate(pos[0])
-    row = channel_rows(scenario, observing_bs, pos, np.array([realization]))[0]
-    return ChannelVector(
-        entries=row,
-        observing_bs=observing_bs,
-        source_cell=idx.cell,
-        source_position=Position(float(pos[0, 0]), float(pos[0, 1])),
-    )
+def sample_grid(scenario: Scenario, observing_bs, grids,
+                s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map survey of grids: s sampled channels inside each grid plus the
+    grid-center channel, from one channel_rows call.
 
-
-def sample_grid(
-    scenario: Scenario, observing_bs: int, grid: int, s: int, realization: int
-) -> tuple[list[ChannelVector], ChannelVector]:
-    """S sampled channels inside a grid plus the grid-center channel.
-
-    Sample i is generated at realization index realization+1+i so the
-    correlation spread across samples reflects temporal jitter in
-    dynamic grids; the center uses the stable realization 0.
+    observing_bs is one BS id or a sequence, as in channel_rows; grids is one
+    grid id or an array, as in grid_sample_positions. Returns samples
+    (..., s, N) and centers (..., N), the leading axes being the BSs (for a
+    sequence) then the shape of grids. Sample i is synthesized at realization
+    i+1, so the spread of sample-to-center correlations reflects temporal
+    jitter in dynamic grids; the center uses the stable realization 0.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    if not (0 <= grid < scenario.n_grids):
-        raise ValueError(f"grid {grid} out of range")
-    pts = scenario.grid_sample_positions(grid, s)
-    center = scenario.grid_centers[grid]
-    pos = np.vstack([pts, center[None, :]])
-    reals = np.concatenate(
-        [np.arange(1, s + 1, dtype=np.int64) + int(realization), [0]]
-    )
-    rows = channel_rows(scenario, observing_bs, pos, reals)
-    cell = int(scenario.grid_serving[grid])
-    samples = [
-        ChannelVector(rows[i], observing_bs, cell, Position(*pos[i])) for i in range(s)
-    ]
-    center_cv = ChannelVector(rows[s], observing_bs, cell, Position(*center))
-    return samples, center_cv
+    g = np.asarray(grids, dtype=np.int64)
+    bad = g[(g < 0) | (g >= scenario.n_grids)]
+    if bad.size:
+        raise ValueError(f"grid {int(bad[0])} out of range")
+    pts = scenario.grid_sample_positions(g, s)                       # (..., s, 2)
+    pos = np.concatenate([pts, scenario.grid_centers[g][..., None, :]], axis=-2)
+    reals = np.tile(np.append(np.arange(1, s + 1), 0), g.size)
+    rows = channel_rows(scenario, observing_bs, pos.reshape(-1, 2), reals)
+    rows = rows.reshape(rows.shape[:-2] + g.shape + (s + 1, scenario.n_antennas))
+    return rows[..., :s, :], rows[..., s, :]

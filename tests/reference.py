@@ -1,8 +1,9 @@
 """Slow reference implementations that the production fast paths are
 checked against: one exact evaluate_group call per candidate group,
 per-user SINRs through the public mmse_receiver / sinr functions, the
-per-grid map survey through sample_grid and the statistical_* helpers,
-per-user placement, a scalar grid lookup, and per-BS, per-row channel
+per-grid map survey through one channel_rows call and scalar statistics
+(np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), per-user
+placement, a scalar grid lookup, and per-BS, per-row channel
 synthesis.
 """
 
@@ -11,16 +12,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ckmsched.ckm import (
-    grid_variance,
-    reliability_indicator,
-    statistical_channel,
-    statistical_correlation,
-    statistical_gain,
-)
 from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr, sum_rate
 from ckmsched.experiments import _TAG_USERS, _rng
-from ckmsched.geometry import Position, _jitter, path_loss_db, sample_grid
+from ckmsched.geometry import Position, _jitter, channel_rows, path_loss_db
 from ckmsched.groups import SelectionRecord, UserGroup, UserRecord
 
 
@@ -83,25 +77,40 @@ def sinr_reference(group: UserGroup, chans, noise_power: float) -> dict[int, flo
     return out
 
 
+def grid_statistics_reference(samples, center):
+    """h_bar, epsilon and sigma of one (BS, grid) from its (s, N) sample rows
+    and its center row: the sample mean and mean squared norm, one np.vdot,
+    1-D np.linalg.norm and min per sample, then np.var of the
+    sample-to-center correlations."""
+    h_bar = samples.mean(axis=0)
+    epsilon = float(np.mean(np.sum(np.abs(samples) ** 2, axis=1)))
+    nc = np.linalg.norm(center)
+    corrs = [min(abs(np.vdot(v, center)) / (np.linalg.norm(v) * nc), 1.0)
+             for v in samples]
+    return h_bar, epsilon, float(np.var(corrs))
+
 
 def map_survey_reference(scenario, s: int, eta: float):
     """h_bar, epsilon, sigma, reliable and delta of build_ckm at a
-    quantile threshold 0 < eta < 1, with one sample_grid call and one set of
-    scalar statistics per (BS, grid)."""
+    quantile threshold 0 < eta < 1, with one channel_rows call (samples at
+    realizations 1..s, the center at 0) and one set of scalar statistics per
+    (BS, grid)."""
     L, G, N = scenario.config.n_cells, scenario.n_grids, scenario.n_antennas
     h_bar = np.zeros((L, G, N), dtype=np.complex128)
     epsilon = np.zeros((L, G))
     sigma = np.zeros((L, G))
+    reals = list(range(1, s + 1)) + [0]
     for l in range(L):
         for g in range(G):
-            samples, center = sample_grid(scenario, l, g, s, realization=0)
-            h_bar[l, g] = statistical_channel(samples)
-            epsilon[l, g] = statistical_gain(samples)
-            corrs = [statistical_correlation(sv, center) for sv in samples]
-            sigma[l, g] = grid_variance(corrs)
+            pos = np.vstack([scenario.grid_sample_positions(g, s),
+                             scenario.grid_centers[g]])
+            rows = channel_rows(scenario, l, pos, reals)
+            h_bar[l, g], epsilon[l, g], sigma[l, g] = grid_statistics_reference(
+                rows[:s], rows[s]
+            )
     delta = float(np.quantile(sigma.ravel(), eta, method="lower"))
     reliable = np.array(
-        [[reliability_indicator(x, delta) for x in row] for row in sigma], dtype=np.uint8
+        [[1 if x <= delta else 0 for x in row] for row in sigma], dtype=np.uint8
     )
     return h_bar, epsilon, sigma, reliable, delta
 

@@ -94,6 +94,32 @@ def test_reliability_indicator_boundary_is_inclusive():
         reliability_indicator(-1e-9, 0.05)
 
 
+def test_statistics_of_stacked_rows_equal_one_call_per_row():
+    # (BS, grid, sample, antenna) rows, as build_ckm reduces them.
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(2, 3, 5, 4)) + 1j * rng.normal(size=(2, 3, 5, 4))
+    center = rows[..., 0, :]
+    corr = statistical_correlation(rows, center[..., None, :])
+    sigma = grid_variance(corr)
+    assert corr.shape == sigma.shape + (5,) == (2, 3, 5)
+    for idx in np.ndindex(2, 3):
+        r = rows[idx]
+        assert statistical_channel(r).tobytes() == statistical_channel(rows)[idx].tobytes()
+        assert statistical_gain(r) == statistical_gain(rows)[idx]
+        per_row = [statistical_correlation(v, center[idx]) for v in r]
+        assert np.array(per_row).tobytes() == corr[idx].tobytes()
+        assert grid_variance(per_row) == sigma[idx]
+    delta = float(np.median(sigma))
+    flags = reliability_indicator(sigma, delta)
+    assert flags.dtype == np.uint8
+    assert flags.tolist() == [[reliability_indicator(x, delta) for x in row]
+                              for row in sigma]
+    with pytest.raises(ValueError):
+        reliability_indicator(np.array([0.1, -1e-9]), 0.05)
+    with pytest.raises(ZeroNormError):
+        statistical_correlation(rows, np.zeros(4))
+
+
 @given(complex_vectors(4, 6))
 @settings(max_examples=100, deadline=None)
 def test_gain_dominates_mean_channel_energy(rows):
@@ -168,15 +194,6 @@ def test_map_entries_respect_jensen_bound(small_ckm):
     assert np.all(small_ckm.epsilon >= mean_energy - 1e-12)
 
 
-def test_stats_accessor_matches_arrays(small_ckm):
-    st_ = small_ckm.stats(1, 3)
-    assert np.array_equal(st_.h_bar, small_ckm.h_bar[1, 3])
-    assert st_.epsilon == small_ckm.epsilon[1, 3]
-    assert st_.sigma == small_ckm.sigma[1, 3]
-    assert st_.reliable == small_ckm.reliable[1, 3]
-    assert small_ckm.corr_value(1, 2, 5) == _corr_matrix(small_ckm.h_bar[1])[2, 5]
-
-
 def test_reliability_consistent_with_sigma_and_delta(small_ckm):
     expect = (small_ckm.sigma <= small_ckm.delta).astype(np.uint8)
     assert np.array_equal(small_ckm.reliable, expect)
@@ -199,8 +216,7 @@ def test_single_grid_map_is_degenerate():
     )
     ckm = build_ckm(build_scenario(cfg))
     assert ckm.n_grids == 1
-    assert _corr_matrix(ckm.h_bar[0]).shape == (1, 1)
-    assert ckm.corr_value(0, 0, 0) == 1.0
+    assert _corr_matrix(ckm.h_bar[0]).tolist() == [[1.0]]
 
 
 def test_build_ckm_rejects_an_empty_survey(small_scenario):

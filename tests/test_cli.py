@@ -266,6 +266,19 @@ def test_main_rejects_unknown_algorithm_override(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_applies_the_brute_force_budget_to_an_algorithm_override(
+    tmp_path, capsys
+):
+    text = ("n_cells = 2\nusers_per_cell = 30\nkbar = 6\nkprime = 6\n"
+            "n_h = 4\nn_v = 4\ngrid_edge_m = 5\ntrials = 2\n")
+    out = tmp_path / "x.csv"
+    code = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                 "--algorithms", "brute_force"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_reports_config_errors_with_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bogus = 1\n")
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")])

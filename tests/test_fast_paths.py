@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from ckmsched import build_ckm, build_scenario, evaluation, generate_channel
+from ckmsched import build_ckm, build_scenario, evaluation
 from ckmsched.errors import OutOfClusterError
 from ckmsched.evaluation import (
     ChannelSet,
@@ -255,7 +255,7 @@ def test_multi_bs_channel_rows_equal_per_position_channels():
             # keeps the per-position call on the batch's gemm path.
             pair = channel_rows(scen, l, [pos[i], anchor], [reals[i], 0])
             assert pair[0].tobytes() == rows[j, i].tobytes()
-            one = generate_channel(scen, l, pos[i], int(reals[i])).entries
+            one = channel_rows(scen, l, pos[i], reals[i])[0]
             np.testing.assert_allclose(one, rows[j, i], rtol=1e-13, atol=0.0)
 
 
