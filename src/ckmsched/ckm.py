@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ZeroNormError
-from .geometry import Scenario, sample_grid
+from .geometry import Scenario, check_thresholds, sample_grid
 
 _FORMAT_MAGIC = b"CKMAP"
 _FORMAT_VERSION = 2
@@ -64,7 +64,7 @@ def statistical_correlation(a, b):
     na, nb = _row_norms(va), _row_norms(vb)
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise ZeroNormError("correlation undefined for a zero-norm vector")
-    dot = np.matmul(va.conj()[..., None, :], vb[..., :, None])[..., 0, 0]
+    dot = _dots(va, vb)
     return np.minimum(np.hypot(dot.real, dot.imag) / (na * nb), 1.0)[()]
 
 
@@ -103,6 +103,12 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     re, im = rows.real[..., None, :], rows.imag[..., None, :]
     sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
     return np.sqrt(sq[..., 0, 0])
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^H b along the last axis, broadcasting over the leading axes, as
+    stacked (1, N) @ (N, 1) matmuls (bit-identical to one np.vdot each)."""
+    return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 class UsCkm:
@@ -273,7 +279,8 @@ def build_ckm(
     threshold is either the absolute delta or, when eta is given, the
     eta-quantile of all correlation variances (eta=0 and eta=1 force
     all-unreliable / all-reliable classifications). With neither set the
-    scenario config's delta/eta apply (eta=0.7 as a last resort).
+    scenario config's delta/eta apply (eta=0.7 as a last resort). A
+    negative delta, an eta outside [0, 1] or both set raise ConfigError.
     """
     cfg = scenario.config
     if s is None:
@@ -282,8 +289,7 @@ def build_ckm(
         delta, eta = cfg.delta, cfg.eta
         if delta is None and eta is None:
             eta = 0.7
-    if delta is not None and eta is not None:
-        raise ValueError("set at most one of delta / eta")
+    check_thresholds(delta, eta)
 
     grids = np.arange(scenario.n_grids)
     samples, centers = sample_grid(scenario, range(cfg.n_cells), grids, s)

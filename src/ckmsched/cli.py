@@ -11,6 +11,7 @@ import argparse
 import csv
 import sys
 import traceback
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
@@ -33,13 +34,13 @@ SWEEP_DIMS = {
     "samples": "samples_per_grid",
 }
 
-_INT_FIELDS = {
-    "n_cells", "users_per_cell", "kbar", "kprime", "n_h", "n_v",
-    "samples_per_grid", "rng_seed", "static_clusters_per_cell",
-    "dynamic_clusters_per_grid", "hotspots_per_cell",
+# Each field's type is stated once, in ScenarioConfig's annotations.
+_HINTS = typing.get_type_hints(ScenarioConfig)
+_INT_FIELDS = {name for name, kind in _HINTS.items() if kind is int}
+_STR_FIELDS = {name for name, kind in _HINTS.items() if kind is str}
+_OPTIONAL_FIELDS = {
+    name for name, kind in _HINTS.items() if type(None) in typing.get_args(kind)
 }
-_STR_FIELDS = {"placement"}
-_OPTIONAL_FIELDS = {"delta", "eta", "inter_site_distance_m", "path_loss_offset_db"}
 
 CSV_HEADER = [
     "algorithm", "snr_db", "kbar", "kprime", "alpha", "eta", "grid_edge",
@@ -67,6 +68,8 @@ class ExperimentPlan:
         kw = {}
         for dim, value in point.items():
             name = SWEEP_DIMS[dim]
+            if name in _INT_FIELDS and not float(value).is_integer():
+                raise ConfigError(f"sweep {dim!r} needs integers, got {value!r}")
             kw[name] = int(value) if name in _INT_FIELDS else float(value)
         if "eta" in kw and self.base_config.delta is not None:
             kw["delta"] = None
@@ -94,14 +97,15 @@ def _coerce(key: str, raw: str, line_no: int, path: str):
     low = raw.strip()
     if key in _OPTIONAL_FIELDS and low.lower() in ("none", ""):
         return None
+    integral = key in _INT_FIELDS or key == "trials"
     try:
-        if key in _INT_FIELDS:
+        if integral:
             return int(low)
         if key in _STR_FIELDS:
             return low
         return float(low)
     except ValueError:
-        kind = "an integer" if key in _INT_FIELDS else "a number"
+        kind = "an integer" if integral else "a number"
         raise ConfigError(f"{path}:{line_no}: key {key!r} needs {kind}, got {raw!r}")
 
 
@@ -127,7 +131,7 @@ def parse_config(path: str) -> ExperimentPlan:
         if key == "algorithms":
             algorithms = tuple(a.strip() for a in raw.split(",") if a.strip())
         elif key == "trials":
-            trials = int(_coerce("trials", raw, ln, path))
+            trials = _coerce("trials", raw, ln, path)
             if trials < 1:
                 raise ConfigError(f"{path}:{ln}: trials must be >= 1")
         elif key == "output":

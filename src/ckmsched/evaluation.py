@@ -38,13 +38,7 @@ class ChannelSet:
         return self.h.shape[0]
 
     def ids_by_cell(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {l: [] for l in range(self.n_cells)}
-        for u, c in zip(self.ids, self.cell_of):
-            out[int(c)].append(int(u))
-        return {l: sorted(v) for l, v in out.items()}
-
-    def vector(self, observing_bs: int, user: int) -> np.ndarray:
-        return self.h[observing_bs, self.index[int(user)]]
+        return {l: sorted(self.ids[self.cell_of == l].tolist()) for l in range(self.n_cells)}
 
 
 @dataclass

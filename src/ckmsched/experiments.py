@@ -141,47 +141,37 @@ def validate_group(group: UserGroup, chans: ChannelSet, kbar: int) -> None:
                 raise ScheduleError(f"user {uid} is not served by cell {cell}")
 
 
-# Every scheduler takes (config, trial_seed, scenario, users, chans, noise)
-# and returns (group, counters): the map-driven ones return the event
-# counters of robust_two_stage, the others None, and their counters come
-# from the closed forms of overhead_counts. Entries look the schedulers up
-# as module globals at call time, so a wrapper installed on this module
-# sees every call.
-def _random(config, trial_seed, scenario, users, chans, noise):
+# Every scheduler takes (config, trial_seed, users, chans, noise) and returns
+# (group, counters): the map-driven ones return the event counters of
+# robust_two_stage, the others None, and their counters come from the closed
+# forms of overhead_counts. Entries look the schedulers up as module globals
+# at call time, so a wrapper installed on this module sees every call.
+def _random(config, trial_seed, users, chans, noise):
     seed = int(_rng(config, _TAG_RANDOM_PICK, trial_seed).integers(2**63))
     return random_schedule(chans.ids_by_cell(), config.kbar, seed), None
 
 
-def _sus(config, trial_seed, scenario, users, chans, noise):
-    per_cell = {
-        l: {u: chans.vector(l, u) for u in ids}
-        for l, ids in chans.ids_by_cell().items()
-    }
-    return sus_schedule(per_cell, config.kbar, config.alpha), None
-
-
 def _two_stage(first_stage: str, csi_mode: str):
-    def schedule(config, trial_seed, scenario, users, chans, noise):
-        provider = (lambda u: chans.h[:, chans.index[u.id], :]) if csi_mode == "auto" else None
+    def schedule(config, trial_seed, users, chans, noise):
         return robust_two_stage(
-            scenario, cached_ckm(config), users, config.kprime, config.kbar,
-            config.alpha, first_stage=first_stage, icsi_provider=provider,
-            csi_mode=csi_mode,
+            cached_ckm(config), users, config.kprime, config.kbar, config.alpha,
+            first_stage=first_stage, chans=chans, csi_mode=csi_mode,
         )
 
     return schedule
 
 
 _SCHEDULERS = {
-    "greedy": lambda config, trial_seed, scenario, users, chans, noise: (
+    "greedy": lambda config, trial_seed, users, chans, noise: (
         greedy_schedule(chans, config.kbar, noise), None),
     "random": _random,
-    "sus": _sus,
+    "sus": lambda config, trial_seed, users, chans, noise: (
+        sus_schedule(chans, config.kbar, config.alpha), None),
     "two_stage_aes": _two_stage("aes", "scsi"),
     "two_stage_gis": _two_stage("gis", "scsi"),
     "robust_aes": _two_stage("aes", "auto"),
     "robust_gis": _two_stage("gis", "auto"),
-    "brute_force": lambda config, trial_seed, scenario, users, chans, noise: (
+    "brute_force": lambda config, trial_seed, users, chans, noise: (
         brute_force_optimum(chans, config.kbar, noise)[0], None),
 }
 ALGORITHMS = tuple(_SCHEDULERS)
@@ -203,9 +193,7 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     chans = trial_channels(scenario, users, int(trial_seed) + 1)
 
     t0 = time.perf_counter()
-    group, counters = _SCHEDULERS[algorithm](
-        config, trial_seed, scenario, users, chans, noise
-    )
+    group, counters = _SCHEDULERS[algorithm](config, trial_seed, users, chans, noise)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     validate_group(group, chans, config.kbar)

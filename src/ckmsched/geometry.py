@@ -62,6 +62,17 @@ def _halton_prefix(count: int) -> np.ndarray:
     return pts
 
 
+def check_thresholds(delta: float | None, eta: float | None) -> None:
+    """Raise ConfigError unless delta >= 0, 0 <= eta <= 1 and at most one of
+    the two reliability thresholds is set (None means unset)."""
+    if delta is not None and delta < 0.0:
+        raise ConfigError("delta must be >= 0")
+    if eta is not None and not (0.0 <= eta <= 1.0):
+        raise ConfigError("eta must lie in [0, 1]")
+    if delta is not None and eta is not None:
+        raise ConfigError("set at most one of delta / eta")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Scenario parameters. Defaults follow the reference three-cell setup.
@@ -130,12 +141,7 @@ class ScenarioConfig:
             raise ConfigError("samples_per_grid must be >= 1")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError("alpha must lie in (0, 1]")
-        if self.delta is not None and self.delta < 0.0:
-            raise ConfigError("delta must be >= 0")
-        if self.eta is not None and not (0.0 <= self.eta <= 1.0):
-            raise ConfigError("eta must lie in [0, 1]")
-        if self.delta is not None and self.eta is not None:
-            raise ConfigError("set at most one of delta / eta")
+        check_thresholds(self.delta, self.eta)
         if not (0.0 <= self.dynamic_grid_fraction <= 1.0):
             raise ConfigError("dynamic_grid_fraction must lie in [0, 1]")
         if self.fc_hz <= 0 or self.cell_radius_m <= 0:

@@ -4,23 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .geometry import GridIndex, Position
 
 
 @dataclass
 class UserRecord:
-    """One user: identity, placement, and (optionally) acquired channels.
-
-    icsi, when present, holds one channel row per observing BS.
-    """
+    """One user: identity, serving cell, position and grid."""
 
     id: int
     cell: int
     position: Position
     grid: GridIndex
-    icsi: np.ndarray | None = None
 
 
 @dataclass(slots=True)

@@ -18,17 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation
-from .ckm import UsCkm, _corr_matrix
+from .ckm import UsCkm, _corr_matrix, _dots, _row_norms
 from .errors import ScheduleError
 from .groups import ActiveSet, SelectionRecord, UserGroup, UserRecord
-
-SOURCE_SCSI = 1
-SOURCE_ICSI = 0
-
-
-def _user_id(u) -> int:
-    return int(getattr(u, "id", u))
-
 
 @dataclass
 class EffectiveCsi:
@@ -38,31 +30,30 @@ class EffectiveCsi:
     statistics were kept and 0 where true channels were substituted.
     """
 
-    user_ids: np.ndarray          # (n,)
+    user_ids: np.ndarray          # (n,) ascending
     vectors: np.ndarray | None    # (L, n, N) fused channel vectors
     gain: np.ndarray              # (L, n)
     corr: np.ndarray              # (L, n, n)
     source: np.ndarray            # (L, n) uint8
     acquired: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        self.index = {int(u): i for i, u in enumerate(self.user_ids)}
-
-    def gain_of(self, observing_bs: int, user: int) -> float:
-        return float(self.gain[observing_bs, self.index[int(user)]])
-
-    def corr_of(self, observing_bs: int, user_a: int, user_b: int) -> float:
-        return float(
-            self.corr[observing_bs, self.index[int(user_a)], self.index[int(user_b)]]
-        )
-
-    def source_of(self, observing_bs: int, user: int) -> str:
-        return "scsi" if self.source[observing_bs, self.index[int(user)]] else "icsi"
+    def rows(self, ids) -> np.ndarray:
+        """Row of each user id; ScheduleError for an id without a row."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = self.user_ids.searchsorted(ids)
+        if ids.size and (
+            not self.user_ids.size or (self.user_ids.take(rows, mode="clip") != ids).any()
+        ):
+            unknown = sorted(set(ids.tolist()) - set(self.user_ids.tolist()))
+            raise ScheduleError(f"no fused CSI for user ids {unknown}")
+        return rows
 
     @classmethod
     def from_tables(cls, user_ids, gain, corr, vectors=None, source=None):
         """Synthetic construction from explicit tables (tests, studies)."""
         ids = np.asarray(user_ids, dtype=np.int64)
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("user_ids must be strictly ascending")
         gain = np.asarray(gain, dtype=float)
         corr = np.asarray(corr, dtype=float)
         if source is None:
@@ -71,56 +62,38 @@ class EffectiveCsi:
 
 
 def fuse_effective_csi(
-    ckm: UsCkm, users: list[UserRecord], icsi_provider=None, mode: str = "auto"
+    ckm: UsCkm, users: list[UserRecord], chans=None, mode: str = "auto"
 ) -> EffectiveCsi:
-    """Build the per-user effective CSI from the map and acquired channels.
+    """Build the per-user effective CSI from the map and the trial's channels.
 
-    mode "auto" substitutes true channels exactly where the user's grid
-    is unreliable (the provider is invoked once per such user and must
-    return one channel row per observing BS); "scsi" keeps map
-    statistics everywhere; "icsi" substitutes everywhere.
+    mode "auto" substitutes the true channels of chans (a ChannelSet)
+    exactly where the user's grid is unreliable for an observing BS;
+    "scsi" keeps map statistics everywhere and needs no chans.
     """
-    if mode not in ("auto", "scsi", "icsi"):
+    if mode not in ("auto", "scsi"):
         raise ValueError(f"unknown fusion mode {mode!r}")
     ordered = sorted(users, key=lambda u: u.id)
     ids = np.array([u.id for u in ordered], dtype=np.int64)
-    if len(set(ids.tolist())) != len(ids):
+    if np.any(ids[1:] == ids[:-1]):
         raise ValueError("duplicate user ids")
-    L = ckm.n_cells
-    n = len(ordered)
-    nant = ckm.h_bar.shape[2]
-    vectors = np.zeros((L, n, nant), dtype=np.complex128)
-    gain = np.zeros((L, n))
-    source = np.ones((L, n), dtype=np.uint8)
-    acquired: list[int] = []
-    for i, u in enumerate(ordered):
-        g = u.grid.g
-        if mode == "icsi":
-            need = [True] * L
-        elif mode == "scsi":
-            need = [False] * L
-        else:
-            need = [not ckm.reliable[l, g] for l in range(L)]
-        if any(need):
-            if u.icsi is None:
-                if icsi_provider is None:
-                    raise ValueError("icsi_provider required for unreliable grids")
-                u.icsi = np.asarray(icsi_provider(u), dtype=np.complex128)
-            if u.icsi.shape != (L, nant):
-                raise ValueError("icsi must hold one row per observing BS")
-            acquired.append(int(u.id))
-        for l in range(L):
-            if need[l]:
-                vectors[l, i] = u.icsi[l]
-                gain[l, i] = float(np.sum(np.abs(u.icsi[l]) ** 2))
-                source[l, i] = SOURCE_ICSI
-            else:
-                vectors[l, i] = ckm.h_bar[l, g]
-                gain[l, i] = float(ckm.epsilon[l, g])
-    corr = np.zeros((L, n, n))
-    for l in range(L):
-        corr[l] = _corr_matrix(vectors[l])
-    return EffectiveCsi(ids, vectors, gain, corr, source, acquired)
+    grids = np.array([u.grid.g for u in ordered], dtype=np.int64)
+    vectors = ckm.h_bar[:, grids]
+    gain = ckm.epsilon[:, grids]
+    need = (ckm.reliable[:, grids] == 0) & (mode == "auto")
+    acq = np.flatnonzero(need.any(axis=0))
+    if len(acq):
+        if chans is None:
+            raise ValueError("chans required for users in unreliable grids")
+        L, _, nant = ckm.h_bar.shape
+        if chans.h.ndim != 3 or chans.h.shape[0] != L or chans.h.shape[2] != nant:
+            raise ValueError(f"chans.h must hold one row per observing BS of {nant} antennas")
+        h = chans.h[:, [chans.index[u] for u in ids[acq].tolist()]]
+        sub = need[:, acq]
+        vectors[:, acq] = np.where(sub[..., None], h, vectors[:, acq])
+        gain[:, acq] = np.where(sub, np.sum(np.abs(h) ** 2, axis=-1), gain[:, acq])
+    corr = np.stack([_corr_matrix(v) for v in vectors])
+    source = (~need).astype(np.uint8)
+    return EffectiveCsi(ids, vectors, gain, corr, source, ids[acq].tolist())
 
 
 def residual_metric(gain: float, correlations) -> float:
@@ -136,44 +109,51 @@ def residual_metric(gain: float, correlations) -> float:
 
 
 def aes_select(
-    cell_users, csi: EffectiveCsi, observing_bs: int, kprime: int, alpha: float
+    cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int, alpha: float
 ) -> ActiveSet:
-    """Active-set selection by descending gain with correlation pruning.
+    """Active-set selection among one cell's user ids by descending gain
+    with correlation pruning.
 
     After each pick, candidates whose correlation with any selected user
     exceeds alpha are pruned. If the pool empties early, the remaining
     slots are refilled with the highest-gain pruned users and flagged as
     fallback.
     """
-    ids = sorted(_user_id(u) for u in cell_users)
+    ids = np.sort(np.asarray(cell_ids, dtype=np.int64))
     if len(ids) < kprime:
         raise ScheduleError(f"cell pool of {len(ids)} users cannot fill kprime={kprime}")
-    pool = list(ids)
-    pruned: list[int] = []
+    rows = csi.rows(ids)
+    gain = csi.gain[observing_bs, rows]
+    corr = csi.corr[observing_bs]
+    # Descending gain, ties to the lowest id: the next pick is always the
+    # first user of this order still in the pool.
+    order = np.lexsort((ids, -gain))
+    pool = np.ones(len(ids), dtype=bool)
+    pruned = np.zeros(len(ids), dtype=bool)
     selected: list[int] = []
-    while len(selected) < kprime and pool:
-        gains = [csi.gain_of(observing_bs, k) for k in pool]
-        pick = pool.pop(int(np.argmax(gains)))
+    for pick in order.tolist():
+        if len(selected) == kprime:
+            break
+        if not pool[pick]:
+            continue
+        pool[pick] = False
         selected.append(pick)
-        if len(selected) < kprime:
-            drop = [k for k in pool if csi.corr_of(observing_bs, k, pick) > alpha]
-            pruned.extend(drop)
-            pool = [k for k in pool if k not in drop]
-    fallback: list[int] = []
-    if len(selected) < kprime:
-        order = sorted(pruned, key=lambda k: (-csi.gain_of(observing_bs, k), k))
-        fallback = order[: kprime - len(selected)]
-    cell = int(getattr(cell_users[0], "cell", observing_bs))
-    return ActiveSet(cell=cell, members=selected + fallback, fallback=frozenset(fallback))
+        drop = pool & (corr[rows, rows[pick]] > alpha)
+        pruned |= drop
+        pool &= ~drop
+    fallback = order[pruned[order]][: kprime - len(selected)]
+    return ActiveSet(cell=observing_bs, members=ids[selected + fallback.tolist()].tolist(),
+                     fallback=frozenset(ids[fallback].tolist()))
 
 
-def gis_select(cell_users, csi: EffectiveCsi, observing_bs: int, kprime: int) -> ActiveSet:
-    """Active-set selection by deleting the highest-total-correlation user
-    until kprime remain. Survivors are returned in ascending id order."""
-    ids = sorted(_user_id(u) for u in cell_users)
+def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> ActiveSet:
+    """Active-set selection among one cell's user ids by deleting the
+    highest-total-correlation user until kprime remain. Survivors are
+    returned in ascending id order."""
+    ids = sorted(int(k) for k in cell_ids)
     if len(ids) < kprime:
         raise ScheduleError(f"cell pool of {len(ids)} users cannot fill kprime={kprime}")
-    rows = np.array([csi.index[k] for k in ids])
+    rows = csi.rows(ids)
     m = csi.corr[observing_bs][np.ix_(rows, rows)]
     active = list(range(len(ids)))
     while len(active) > kprime:
@@ -183,8 +163,7 @@ def gis_select(cell_users, csi: EffectiveCsi, observing_bs: int, kprime: int) ->
         z = sub.sum(axis=1) - 1.0
         worst = int(np.argmax(z))
         del active[worst]
-    cell = int(getattr(cell_users[0], "cell", observing_bs))
-    return ActiveSet(cell=cell, members=[ids[i] for i in active])
+    return ActiveSet(cell=observing_bs, members=[ids[i] for i in active])
 
 
 def iccs_schedule(
@@ -204,84 +183,79 @@ def iccs_schedule(
                 f"active set of cell {a.cell} has {len(a.members)} < kbar={kbar} users"
             )
     pools = {a.cell: sorted(a.members) for a in sets}
+    pool_rows = {cell: csi.rows(ids).tolist() for cell, ids in pools.items()}
     members: dict[int, list[int]] = {a.cell: [] for a in sets}
     meta: list[SelectionRecord] = []
-    placed_rows: list[int] = []
+    placed: list[int] = []
     for slot in range(kbar):
         for a in sets:
             cell = a.cell
-            rows = np.array([csi.index[k] for k in pools[cell]])
-            if placed_rows:
-                load = np.sum(csi.corr[cell][np.ix_(rows, placed_rows)] ** 2, axis=1)
+            rows = pool_rows[cell]
+            if placed:
+                # Recomputed in placement order every slot: a running sum
+                # would round differently from numpy's pairwise sum.
+                load = np.sum(csi.corr[cell][np.ix_(rows, placed)] ** 2, axis=1)
             else:
                 load = np.zeros(len(rows))
             mu = np.sqrt(csi.gain[cell, rows] * np.clip(1.0 - load, 0.0, None))
             j = int(np.argmax(mu))
-            uid = pools[cell].pop(j)
+            uid, row = pools[cell].pop(j), rows.pop(j)
             members[cell].append(uid)
-            placed_rows.append(int(csi.index[uid]))
-            meta.append(
-                SelectionRecord(uid, cell, slot, float(mu[j]), csi.source_of(cell, uid))
-            )
+            placed.append(row)
+            source = "scsi" if csi.source[cell, row] else "icsi"
+            meta.append(SelectionRecord(uid, cell, slot, float(mu[j]), source))
     return UserGroup(members=members, meta=meta)
 
 
-def sus_schedule(channels_by_cell: dict, kbar: int, alpha: float) -> UserGroup:
+def sus_schedule(chans, kbar: int, alpha: float) -> UserGroup:
     """Per-cell semi-orthogonal user selection on true serving-BS channels.
 
     Each pick maximizes the norm of the component orthogonal to the
     already-selected basis; candidates too aligned with the newest basis
     vector (correlation >= alpha) are pruned. Pool exhaustion falls back
     to the highest-norm pruned users.
+
+    Every user keeps a running classical Gram-Schmidt residual; the dots
+    are stacked (1, N) @ (N, 1) matmuls and the norms _row_norms, which
+    equal np.vdot and the 1-D np.linalg.norm bit for bit.
     """
     members: dict[int, list[int]] = {}
     meta: list[SelectionRecord] = []
-    for cell in sorted(channels_by_cell):
-        chans = {int(k): np.asarray(v, dtype=np.complex128).ravel()
-                 for k, v in channels_by_cell[cell].items()}
-        ids = sorted(chans)
+    for cell, cell_ids in sorted(chans.ids_by_cell().items()):
+        ids = np.array(cell_ids, dtype=np.int64)
         if len(ids) < kbar:
             raise ScheduleError(f"cell {cell} has {len(ids)} < kbar={kbar} users")
-        pool = list(ids)
-        pruned: list[int] = []
-        basis: list[np.ndarray] = []
+        h = chans.h[cell, [chans.index[k] for k in cell_ids]]
+        h_norm = _row_norms(h)
+        resid = h.copy()
+        pool = np.ones(len(ids), dtype=bool)
+        pruned = np.zeros(len(ids), dtype=bool)
         chosen: list[int] = []
-        while len(chosen) < kbar and pool:
-            residuals = []
-            for k in pool:
-                r = chans[k].copy()
-                for g in basis:
-                    r -= (np.vdot(g, chans[k]) / np.vdot(g, g)) * g
-                residuals.append(r)
-            norms = [float(np.linalg.norm(r)) for r in residuals]
+        while len(chosen) < kbar and pool.any():
+            left = np.flatnonzero(pool)
+            norms = _row_norms(resid[left])
             j = int(np.argmax(norms))
-            uid = pool.pop(j)
-            chosen.append(uid)
-            basis.append(residuals[j])
-            meta.append(SelectionRecord(uid, cell, len(chosen) - 1, norms[j], "icsi"))
+            pick = left[j]
+            pool[pick] = False
+            chosen.append(pick)
+            meta.append(SelectionRecord(int(ids[pick]), cell, len(chosen) - 1,
+                                        float(norms[j]), "icsi"))
             if len(chosen) < kbar:
-                g = basis[-1]
-                gn = np.linalg.norm(g)
-                drop = []
-                for k in pool:
-                    c = abs(np.vdot(chans[k], g)) / (np.linalg.norm(chans[k]) * gn)
-                    if c >= alpha:
-                        drop.append(k)
-                pruned.extend(drop)
-                pool = [k for k in pool if k not in drop]
-        if len(chosen) < kbar:
-            order = sorted(
-                pruned, key=lambda k: (-float(np.linalg.norm(chans[k])), k)
-            )
-            for uid in order[: kbar - len(chosen)]:
-                chosen.append(uid)
-                meta.append(
-                    SelectionRecord(
-                        uid, cell, len(chosen) - 1, float(np.linalg.norm(chans[uid])),
-                        "fallback",
-                    )
-                )
-        members[cell] = chosen
+                g = resid[pick].copy()
+                proj = _dots(g, h) / _dots(g, g)
+                resid -= proj[:, None] * g
+                dots = _dots(h, g)
+                c = np.hypot(dots.real, dots.imag) / (h_norm * _row_norms(g))
+                drop = pool & (c >= alpha)
+                pruned |= drop
+                pool &= ~drop
+        cut = np.flatnonzero(pruned)
+        order = cut[np.lexsort((ids[cut], -h_norm[cut]))][: kbar - len(chosen)]
+        for pick in order:
+            chosen.append(pick)
+            meta.append(SelectionRecord(int(ids[pick]), cell, len(chosen) - 1,
+                                        float(h_norm[pick]), "fallback"))
+        members[cell] = ids[chosen].tolist()
     return UserGroup(members=members, meta=meta)
 
 
@@ -339,45 +313,39 @@ def random_schedule(ids_by_cell: dict, kbar: int, seed: int) -> UserGroup:
 
 
 def robust_two_stage(
-    scenario,
     ckm: UsCkm,
     users: list[UserRecord],
     kprime: int,
     kbar: int,
     alpha: float,
     first_stage: str = "aes",
-    icsi_provider=None,
+    chans=None,
     csi_mode: str = "auto",
 ) -> tuple[UserGroup, dict[str, int]]:
     """Fused-CSI two-stage pipeline with overhead counters.
 
-    csi_mode "auto" is the robust scheduler (true channels substituted in
-    unreliable grids), "scsi" the map-only two-stage baseline, "icsi" the
-    full-CSI variant. Counters record actual events: L acquisitions per
-    user whose grid needed true CSI; candidate locations plus, per
-    unreliable candidate, one gain and L^2 correlation uploads.
+    csi_mode "auto" is the robust scheduler (the true channels of chans
+    substituted in unreliable grids), "scsi" the map-only two-stage
+    baseline. Counters record actual events: L acquisitions per user whose
+    grid needed true CSI; candidate locations plus, per unreliable
+    candidate, one gain and L^2 correlation uploads.
     """
     if first_stage not in ("aes", "gis"):
         raise ValueError(f"unknown first stage {first_stage!r}")
-    csi = fuse_effective_csi(ckm, users, icsi_provider, mode=csi_mode)
-    cells = sorted({u.cell for u in users})
-    active_sets = []
-    for l in cells:
-        cell_users = [u for u in users if u.cell == l]
-        if first_stage == "aes":
-            active_sets.append(aes_select(cell_users, csi, l, kprime, alpha))
-        else:
-            active_sets.append(gis_select(cell_users, csi, l, kprime))
+    csi = fuse_effective_csi(ckm, users, chans, mode=csi_mode)
+    by_cell: dict[int, list[int]] = {}
+    for u in users:
+        by_cell.setdefault(u.cell, []).append(u.id)
+    active_sets = [
+        aes_select(ids, csi, l, kprime, alpha) if first_stage == "aes"
+        else gis_select(ids, csi, l, kprime)
+        for l, ids in sorted(by_cell.items())
+    ]
     group = iccs_schedule(active_sets, csi, kbar)
-    L = scenario.config.n_cells
-    candidates = set()
-    for a in active_sets:
-        candidates.update(a.members)
-    trigger_candidates = len(candidates & set(csi.acquired))
-    counters = {
+    L = ckm.n_cells
+    candidates = {k for a in active_sets for k in a.members}
+    return group, {
         "csi_acquisitions": L * len(csi.acquired),
         "info_exchange": sum(len(a.members) for a in active_sets)
-        + trigger_candidates * (1 + L**2),
+        + len(candidates & set(csi.acquired)) * (1 + L**2),
     }
-    return group, counters
-

@@ -3,8 +3,9 @@ checked against: one exact evaluate_group call per candidate group,
 per-user SINRs through the public mmse_receiver / sinr functions, the
 per-grid map survey through one channel_rows call and scalar statistics
 (np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), per-user
-placement, a scalar grid lookup, and per-BS, per-row channel
-synthesis.
+placement, a scalar grid lookup, per-BS, per-row channel synthesis, and
+the per-user CSI fusion, first-stage, ICCS and SUS loops that read the
+fused tables through an id-to-row dict.
 """
 
 import math
@@ -12,10 +13,12 @@ from itertools import combinations, product
 
 import numpy as np
 
+from ckmsched.ckm import _corr_matrix
 from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr, sum_rate
 from ckmsched.experiments import _TAG_USERS, _rng
 from ckmsched.geometry import Position, _jitter, channel_rows, path_loss_db
-from ckmsched.groups import SelectionRecord, UserGroup, UserRecord
+from ckmsched.groups import ActiveSet, SelectionRecord, UserGroup, UserRecord
+from ckmsched.scheduling import EffectiveCsi
 
 
 def first_max(scores) -> int:
@@ -70,8 +73,8 @@ def sinr_reference(group: UserGroup, chans, noise_power: float) -> dict[int, flo
     out = {}
     for cell, served in group.members.items():
         for uid in served:
-            d = chans.vector(cell, uid)
-            others = [chans.vector(cell, u) for u in everyone if u != uid]
+            d = chans.h[cell, chans.index[uid]]
+            others = [chans.h[cell, chans.index[u]] for u in everyone if u != uid]
             w = mmse_receiver(d, others, noise_power).weights
             out[uid] = sinr(w, d, others, [], noise_power)
     return out
@@ -200,3 +203,124 @@ def channel_rows_reference(scenario, observing_bs: int, positions, realizations)
         )
         v[i] += dw @ scenario.dyn_mix[observing_bs, a]
     return v * (amp / np.linalg.norm(v, axis=1))[:, None]
+
+
+def fuse_reference(ckm, users, chans=None, mode: str = "auto") -> EffectiveCsi:
+    """fuse_effective_csi with one pass per (user, BS): the user's true
+    channel rows are fetched when any of its BSs sees an unreliable grid."""
+    ordered = sorted(users, key=lambda u: u.id)
+    ids = np.array([u.id for u in ordered], dtype=np.int64)
+    L, n, nant = ckm.n_cells, len(ordered), ckm.h_bar.shape[2]
+    vectors = np.zeros((L, n, nant), dtype=np.complex128)
+    gain = np.zeros((L, n))
+    source = np.ones((L, n), dtype=np.uint8)
+    acquired = []
+    for i, u in enumerate(ordered):
+        g = u.grid.g
+        need = [mode == "auto" and not ckm.reliable[l, g] for l in range(L)]
+        if any(need):
+            icsi = chans.h[:, chans.index[u.id], :]
+            acquired.append(int(u.id))
+        for l in range(L):
+            if need[l]:
+                vectors[l, i] = icsi[l]
+                gain[l, i] = float(np.sum(np.abs(icsi[l]) ** 2))
+                source[l, i] = 0
+            else:
+                vectors[l, i] = ckm.h_bar[l, g]
+                gain[l, i] = float(ckm.epsilon[l, g])
+    corr = np.zeros((L, n, n))
+    for l in range(L):
+        corr[l] = _corr_matrix(vectors[l])
+    return EffectiveCsi(ids, vectors, gain, corr, source, acquired)
+
+
+def _row_of(csi):
+    return {int(u): i for i, u in enumerate(csi.user_ids)}
+
+
+def aes_reference(cell_ids, csi, observing_bs: int, kprime: int, alpha: float):
+    """aes_select over id lists: one gain lookup per pool member per pick and
+    one correlation lookup per pool member per prune."""
+    row = _row_of(csi)
+
+    def gain(k):
+        return float(csi.gain[observing_bs, row[k]])
+
+    pool = sorted(int(k) for k in cell_ids)
+    pruned, selected = [], []
+    while len(selected) < kprime and pool:
+        pick = pool.pop(int(np.argmax([gain(k) for k in pool])))
+        selected.append(pick)
+        if len(selected) < kprime:
+            drop = [k for k in pool
+                    if float(csi.corr[observing_bs, row[k], row[pick]]) > alpha]
+            pruned.extend(drop)
+            pool = [k for k in pool if k not in drop]
+    fallback = []
+    if len(selected) < kprime:
+        fallback = sorted(pruned, key=lambda k: (-gain(k), k))[: kprime - len(selected)]
+    return ActiveSet(cell=observing_bs, members=selected + fallback,
+                     fallback=frozenset(fallback))
+
+
+def iccs_reference(active_sets, csi, kbar: int) -> UserGroup:
+    """iccs_schedule with an id-to-row dict lookup per candidate per slot."""
+    row = _row_of(csi)
+    sets = sorted(active_sets, key=lambda a: a.cell)
+    pools = {a.cell: sorted(a.members) for a in sets}
+    members = {a.cell: [] for a in sets}
+    meta = []
+    placed = []
+    for slot in range(kbar):
+        for a in sets:
+            cell = a.cell
+            rows = np.array([row[k] for k in pools[cell]])
+            if placed:
+                load = np.sum(csi.corr[cell][np.ix_(rows, placed)] ** 2, axis=1)
+            else:
+                load = np.zeros(len(rows))
+            mu = np.sqrt(csi.gain[cell, rows] * np.clip(1.0 - load, 0.0, None))
+            j = int(np.argmax(mu))
+            uid = pools[cell].pop(j)
+            members[cell].append(uid)
+            placed.append(row[uid])
+            source = "scsi" if csi.source[cell, row[uid]] else "icsi"
+            meta.append(SelectionRecord(uid, cell, slot, float(mu[j]), source))
+    return UserGroup(members=members, meta=meta)
+
+
+def sus_reference(chans, kbar: int, alpha: float) -> UserGroup:
+    """sus_schedule re-running Gram-Schmidt over the whole basis for every
+    candidate in every round, with np.vdot and the 1-D np.linalg.norm."""
+    members, meta = {}, []
+    for cell, ids in sorted(chans.ids_by_cell().items()):
+        h = {k: chans.h[cell, chans.index[k]] for k in ids}
+        pool, pruned, basis, chosen = list(ids), [], [], []
+        while len(chosen) < kbar and pool:
+            residuals = []
+            for k in pool:
+                r = h[k].copy()
+                for g in basis:
+                    r -= (np.vdot(g, h[k]) / np.vdot(g, g)) * g
+                residuals.append(r)
+            norms = [float(np.linalg.norm(r)) for r in residuals]
+            j = int(np.argmax(norms))
+            uid = pool.pop(j)
+            chosen.append(uid)
+            basis.append(residuals[j])
+            meta.append(SelectionRecord(uid, cell, len(chosen) - 1, norms[j], "icsi"))
+            if len(chosen) < kbar:
+                g = basis[-1]
+                gn = np.linalg.norm(g)
+                drop = [k for k in pool
+                        if abs(np.vdot(h[k], g)) / (np.linalg.norm(h[k]) * gn) >= alpha]
+                pruned.extend(drop)
+                pool = [k for k in pool if k not in drop]
+        order = sorted(pruned, key=lambda k: (-float(np.linalg.norm(h[k])), k))
+        for uid in order[: kbar - len(chosen)]:
+            chosen.append(uid)
+            meta.append(SelectionRecord(uid, cell, len(chosen) - 1,
+                                        float(np.linalg.norm(h[uid])), "fallback"))
+        members[cell] = chosen
+    return UserGroup(members=members, meta=meta)

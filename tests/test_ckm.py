@@ -1,6 +1,7 @@
 """Statistical map ops, map assembly, reliability classification, serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ckmsched.ckm import (
     statistical_correlation,
     statistical_gain,
 )
-from ckmsched.errors import ZeroNormError
+from ckmsched.errors import ConfigError, ZeroNormError
 
 from conftest import desk_config
 
@@ -244,6 +245,18 @@ def test_doubling_samples_reuses_the_shorter_prefix(small_scenario):
 def test_build_rejects_both_thresholds(small_scenario):
     with pytest.raises(ValueError, match="at most one"):
         build_ckm(small_scenario, delta=0.1, eta=0.5)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"eta": 1.5}, "eta must lie in"),
+    ({"eta": -0.2}, "eta must lie in"),
+    ({"delta": -1.0}, "delta must be >= 0"),
+])
+def test_build_rejects_thresholds_the_config_rejects(small_scenario, kw, message):
+    with pytest.raises(ConfigError, match=message):
+        build_ckm(small_scenario, **kw)
+    with pytest.raises(ConfigError, match=message):
+        replace(small_scenario.config, **({"delta": None, "eta": None} | kw))
 
 
 def test_eta_extremes_classify_everything(small_scenario):

@@ -5,8 +5,12 @@ import io
 import pytest
 
 from ckmsched.cli import (
+    _INT_FIELDS,
+    _OPTIONAL_FIELDS,
+    _STR_FIELDS,
     CSV_HEADER,
     DEFAULT_ALGORITHMS,
+    SWEEP_DIMS,
     ExperimentPlan,
     cmd_run,
     main,
@@ -14,6 +18,8 @@ from ckmsched.cli import (
 )
 from ckmsched.errors import ConfigError
 from ckmsched.geometry import ScenarioConfig
+
+from conftest import desk_config
 
 DESK_CFG = """\
 n_cells = 2
@@ -144,6 +150,33 @@ def test_integer_sweeps_coerce_to_int(tmp_path):
     cfg = plan.config_at({"kbar": 2.0})
     assert cfg.kbar == 2
     assert isinstance(cfg.kbar, int)
+
+
+def test_parse_rejects_non_integral_counts(tmp_path):
+    with pytest.raises(ConfigError, match=r"plan\.cfg:\d+: key 'trials' needs an integer"):
+        parse_config(write_cfg(tmp_path, DESK_CFG + "trials = 2.5\n"))
+    with pytest.raises(ConfigError, match="key 'kbar' needs an integer"):
+        parse_config(write_cfg(tmp_path, DESK_CFG + "kbar = 1.5\n"))
+    for dim in ("kprime", "kbar", "samples"):
+        text = DESK_CFG + f"sweep.{dim} = 3.9, 4\n"
+        with pytest.raises(ConfigError, match=f"sweep '{dim}' needs integers, got 3.9"):
+            parse_config(write_cfg(tmp_path, text))
+    plan = ExperimentPlan(base_config=desk_config(), sweeps=(("kprime", (4.5,)),))
+    with pytest.raises(ConfigError, match="needs integers, got 4.5"):
+        plan.config_at({"kprime": 4.5})
+
+
+def test_field_kinds_follow_the_config_annotations():
+    assert _INT_FIELDS == {
+        "n_cells", "users_per_cell", "kbar", "kprime", "n_h", "n_v",
+        "samples_per_grid", "rng_seed", "static_clusters_per_cell",
+        "dynamic_clusters_per_grid", "hotspots_per_cell",
+    }
+    assert _STR_FIELDS == {"placement"}
+    assert _OPTIONAL_FIELDS == {
+        "delta", "eta", "inter_site_distance_m", "path_loss_offset_db"
+    }
+    assert {SWEEP_DIMS[d] for d in ("kprime", "kbar", "samples")} <= _INT_FIELDS
 
 
 # -- run command -----------------------------------------------------------

@@ -3,9 +3,9 @@
 greedy_schedule and brute_force_optimum rank candidates with the batched
 closed form and confirm picks with evaluate_group; these tests require the
 same members, the same selection metrics and the same repr(sum_rate) as
-scoring every candidate exactly. build_ckm, place_users and multi-BS
-channel_rows are batched array code; they must equal the per-grid,
-per-user and per-position paths bit for bit.
+scoring every candidate exactly. build_ckm, place_users, multi-BS
+channel_rows, CSI fusion, AES, ICCS and SUS are batched array code; they
+must equal the per-grid, per-user and per-position paths bit for bit.
 """
 
 import math
@@ -22,20 +22,37 @@ from ckmsched.evaluation import (
     evaluate_group,
     sum_rate,
 )
-from ckmsched.experiments import cached_noise, cached_scenario, place_users, trial_channels
+from ckmsched.experiments import (
+    cached_ckm,
+    cached_noise,
+    cached_scenario,
+    place_users,
+    trial_channels,
+)
 from ckmsched.geometry import channel_rows
 from ckmsched.groups import UserGroup
-from ckmsched.scheduling import greedy_schedule
+from ckmsched.scheduling import (
+    aes_select,
+    fuse_effective_csi,
+    gis_select,
+    greedy_schedule,
+    iccs_schedule,
+    sus_schedule,
+)
 
 from conftest import desk_config
 from reference import (
+    aes_reference,
     brute_force_reference,
     channel_rows_reference,
+    fuse_reference,
     greedy_reference,
+    iccs_reference,
     locate_reference,
     map_survey_reference,
     place_users_reference,
     sinr_reference,
+    sus_reference,
 )
 from test_acceptance import table_scale_config
 
@@ -112,6 +129,57 @@ def test_greedy_matches_the_reference_at_table_scale():
         assert_same_greedy(chans, cfg.kbar, noise)
 
 
+def assert_same_group(fast, slow, chans, noise):
+    assert fast.members == slow.members
+    assert [(m.user, m.cell, m.slot, repr(m.metric), m.source) for m in fast.meta] == [
+        (m.user, m.cell, m.slot, repr(m.metric), m.source) for m in slow.meta
+    ]
+    assert repr(sum_rate(fast, chans, noise)) == repr(sum_rate(slow, chans, noise))
+
+
+def two_stage_and_sus_fallbacks(cfg, seed):
+    """Check fusion (both modes), AES, ICCS on AES and GIS sets, and SUS
+    against the per-user references on one trial; returns the number of AES
+    fallback users and SUS fallback picks."""
+    users = place_users(cached_scenario(cfg), seed)
+    chans, noise = trial_instance(cfg, seed)
+    cells = range(cfg.n_cells)
+    ids = [[u.id for u in users if u.cell == l] for l in cells]
+    aes_fallbacks = 0
+    for mode in ("auto", "scsi"):
+        fast = fuse_effective_csi(cached_ckm(cfg), users, chans, mode=mode)
+        slow = fuse_reference(cached_ckm(cfg), users, chans, mode=mode)
+        for name in ("user_ids", "vectors", "gain", "corr", "source"):
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+        assert fast.acquired == slow.acquired
+        aes = [aes_select(ids[l], fast, l, cfg.kprime, cfg.alpha) for l in cells]
+        for l, a in zip(cells, aes):
+            ref = aes_reference(ids[l], slow, l, cfg.kprime, cfg.alpha)
+            assert (a.cell, a.members, a.fallback) == (ref.cell, ref.members, ref.fallback)
+            aes_fallbacks += len(a.fallback)
+        gis = [gis_select(ids[l], fast, l, cfg.kprime) for l in cells]
+        for sets in (aes, gis):
+            assert_same_group(iccs_schedule(sets, fast, cfg.kbar),
+                              iccs_reference(sets, slow, cfg.kbar), chans, noise)
+    sus = sus_schedule(chans, cfg.kbar, cfg.alpha)
+    assert_same_group(sus, sus_reference(chans, cfg.kbar, cfg.alpha), chans, noise)
+    return aes_fallbacks, sum(m.source == "fallback" for m in sus.meta)
+
+
+@pytest.mark.parametrize("cfg, seeds, sus_refills", [
+    (desk_config(), range(100), True),
+    (table_scale_config(alpha=0.30), range(10), True),
+    (table_scale_config(alpha=0.05), range(10), True),
+    (table_scale_config(users_per_cell=200, kprime=40, placement="uniform"), range(3),
+     False),
+], ids=["desk", "table_alpha030", "table_alpha005", "dense_uniform"])
+def test_two_stage_and_sus_match_the_per_user_references(cfg, seeds, sus_refills):
+    aes, sus = np.sum([two_stage_and_sus_fallbacks(cfg, seed) for seed in seeds], axis=0)
+    # the instances take the AES (and, but for dense, the SUS) refill path
+    assert aes > 0
+    assert (sus > 0) == sus_refills
+
+
 # -- exact ties and the guard ---------------------------------------------------
 
 
@@ -183,10 +251,10 @@ def test_closed_form_sinr_matches_mmse_receiver_and_sinr():
         _, gammas = evaluate_group(group, chans, noise)
         everyone = group.all_users()
         for cell, served in group.members.items():
-            s = np.stack([chans.vector(cell, u) for u in everyone])
+            s = chans.h[cell, [chans.index[u] for u in everyone]]
             r_inv = np.linalg.inv(s.T @ s.conj() + noise * np.eye(n_ant))
             for uid in served:
-                h = chans.vector(cell, uid)
+                h = chans.h[cell, chans.index[uid]]
                 a = np.vdot(h, r_inv @ h).real
                 assert a / (1.0 - a) == pytest.approx(ref[uid], rel=1e-9)
                 assert gammas[uid] == pytest.approx(ref[uid], rel=1e-9)

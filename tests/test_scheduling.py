@@ -116,7 +116,8 @@ def test_aes_non_fallback_members_stay_below_alpha(seed):
     kept = [u for u in out.members if u not in out.fallback]
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
-            assert csi.corr_of(0, a, b) <= alpha
+            ra, rb = csi.rows([a, b])
+            assert csi.corr[0, ra, rb] <= alpha
 
 
 # -- first stage: iterative deletion ---------------------------------------
@@ -217,26 +218,40 @@ def test_iccs_rejects_active_set_smaller_than_kbar():
 # -- baseline: semi-orthogonal selection -----------------------------------
 
 
+def serving_chans(per_cell):
+    """ChannelSet from {cell: {user id: serving-BS channel}}; the rows toward
+    the other BSs are zero."""
+    owner = {u: c for c, vecs in per_cell.items() for u in vecs}
+    ids = np.array(sorted(owner), dtype=np.int64)
+    nant = len(next(iter(per_cell[min(per_cell)].values())))
+    h = np.zeros((len(per_cell), len(ids), nant), dtype=np.complex128)
+    for i, u in enumerate(ids.tolist()):
+        h[owner[u], i] = per_cell[owner[u]][u]
+    return ChannelSet(ids=ids, cell_of=np.array([owner[u] for u in ids.tolist()]), h=h)
+
+
 def test_sus_selects_all_mutually_orthogonal_users():
-    chans = {0: {1: [3.0, 0.0, 0.0], 2: [0.0, 2.0, 0.0], 3: [0.0, 0.0, 1.0]}}
+    chans = serving_chans(
+        {0: {1: [3.0, 0.0, 0.0], 2: [0.0, 2.0, 0.0], 3: [0.0, 0.0, 1.0]}}
+    )
     group = sus_schedule(chans, kbar=3, alpha=0.01)
     assert group.members == {0: [1, 2, 3]}
 
 
 def test_sus_prunes_collinear_candidates():
-    chans = {0: {1: [2.0, 0.0], 2: [1.0, 0.0], 3: [0.0, 1.0]}}
+    chans = serving_chans({0: {1: [2.0, 0.0], 2: [1.0, 0.0], 3: [0.0, 1.0]}})
     group = sus_schedule(chans, kbar=2, alpha=0.5)
     assert group.members == {0: [1, 3]}
 
 
 def test_sus_first_pick_maximizes_channel_norm():
-    chans = {0: {1: [1.0, 0.0], 2: [0.0, 5.0], 3: [2.0, 0.0]}}
+    chans = serving_chans({0: {1: [1.0, 0.0], 2: [0.0, 5.0], 3: [2.0, 0.0]}})
     group = sus_schedule(chans, kbar=1, alpha=0.5)
     assert group.members == {0: [2]}
 
 
 def test_sus_falls_back_to_highest_norm_pruned_users():
-    chans = {0: {1: [3.0, 0.0], 2: [2.0, 0.0], 3: [1.0, 0.0]}}
+    chans = serving_chans({0: {1: [3.0, 0.0], 2: [2.0, 0.0], 3: [1.0, 0.0]}})
     group = sus_schedule(chans, kbar=2, alpha=0.5)
     assert group.members == {0: [1, 2]}
     src = {m.user: m.source for m in group.meta}
@@ -244,16 +259,25 @@ def test_sus_falls_back_to_highest_norm_pruned_users():
     assert src[2] == "fallback"
 
 
+def test_sus_prunes_at_exactly_alpha():
+    # User 2 is collinear with the first pick: its correlation is exactly 1.0,
+    # so alpha = 1 prunes it and it returns only as a fallback.
+    chans = serving_chans({0: {1: [2.0, 0.0], 2: [1.0, 0.0], 3: [0.0, 0.5]}})
+    group = sus_schedule(chans, kbar=3, alpha=1.0)
+    assert group.members == {0: [1, 3, 2]}
+    assert [m.source for m in group.meta] == ["icsi", "icsi", "fallback"]
+
+
 def test_sus_rejects_undersized_cell():
     with pytest.raises(ScheduleError):
-        sus_schedule({0: {1: [1.0, 0.0]}}, kbar=2, alpha=0.5)
+        sus_schedule(serving_chans({0: {1: [1.0, 0.0]}}), kbar=2, alpha=0.5)
 
 
 def test_sus_handles_multiple_cells_independently():
-    chans = {
+    chans = serving_chans({
         0: {1: [2.0, 0.0], 2: [0.0, 1.0]},
         1: {3: [0.0, 3.0], 4: [1.0, 0.0]},
-    }
+    })
     group = sus_schedule(chans, kbar=1, alpha=0.9)
     assert group.members == {0: [1], 1: [3]}
 
@@ -321,14 +345,11 @@ def test_random_rejects_undersized_pool():
 # -- CSI fusion ---------------------------------------------------------------
 
 
-def fail_provider(user):
-    raise AssertionError("provider must not be called")
-
-
 def test_fuse_keeps_map_statistics_when_every_grid_is_reliable(static_scenario):
     ckm = build_ckm(static_scenario, delta=1.0)
     users = place_users(static_scenario, 0)
-    csi = fuse_effective_csi(ckm, users, icsi_provider=fail_provider, mode="auto")
+    # No channels are passed: a user needing them would raise.
+    csi = fuse_effective_csi(ckm, users, mode="auto")
     assert csi.acquired == []
     assert np.all(csi.source == 1)
     for i, u in enumerate(sorted(users, key=lambda x: x.id)):
@@ -341,16 +362,12 @@ def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario):
     ckm = build_ckm(small_scenario, eta=0.0)
     users = place_users(small_scenario, 1)
     chans = trial_channels(small_scenario, users, realization=2)
-
-    def provider(u):
-        return chans.h[:, chans.index[u.id], :]
-
-    csi = fuse_effective_csi(ckm, users, icsi_provider=provider, mode="auto")
+    csi = fuse_effective_csi(ckm, users, chans, mode="auto")
     assert csi.acquired == sorted(u.id for u in users)
     assert np.all(csi.source == 0)
     for i, uid in enumerate(csi.user_ids):
         for l in range(ckm.n_cells):
-            h = chans.vector(l, int(uid))
+            h = chans.h[l, chans.index[int(uid)]]
             assert np.array_equal(csi.vectors[l, i], h)
             assert csi.gain[l, i] == pytest.approx(np.sum(np.abs(h) ** 2))
 
@@ -358,56 +375,53 @@ def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario):
 def test_fuse_scsi_mode_never_acquires(small_scenario):
     ckm = build_ckm(small_scenario, eta=0.0)
     users = place_users(small_scenario, 1)
-    csi = fuse_effective_csi(ckm, users, icsi_provider=fail_provider, mode="scsi")
+    csi = fuse_effective_csi(ckm, users, mode="scsi")
     assert csi.acquired == []
     assert np.all(csi.source == 1)
-
-
-def test_fuse_icsi_mode_always_acquires(static_scenario):
-    ckm = build_ckm(static_scenario, delta=1.0)
-    users = place_users(static_scenario, 2)
-    chans = trial_channels(static_scenario, users, realization=3)
-    csi = fuse_effective_csi(
-        ckm, users, icsi_provider=lambda u: chans.h[:, chans.index[u.id], :],
-        mode="icsi",
-    )
-    assert csi.acquired == sorted(u.id for u in users)
-    assert np.all(csi.source == 0)
 
 
 def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
     users = place_users(small_scenario, 4)
     chans = trial_channels(small_scenario, users, realization=5)
-    csi = fuse_effective_csi(
-        small_ckm, users, icsi_provider=lambda u: chans.h[:, chans.index[u.id], :],
-        mode="auto",
-    )
+    csi = fuse_effective_csi(small_ckm, users, chans, mode="auto")
     for l in range(small_ckm.n_cells):
         unit = csi.vectors[l] / np.linalg.norm(csi.vectors[l], axis=1)[:, None]
         expect = np.abs(unit @ unit.conj().T)
         np.fill_diagonal(expect, 1.0)
         assert np.allclose(csi.corr[l], expect)
-    assert csi.source_of(0, csi.acquired[0]) == "icsi"
+    assert csi.source[0, csi.rows(csi.acquired[:1])[0]] == 0
+    grids = [u.grid.g for u in sorted(users, key=lambda u: u.id)]
+    assert np.array_equal(csi.source == 0, small_ckm.reliable[:, grids] == 0)
 
 
 def test_fuse_requires_provider_for_unreliable_grids(small_scenario):
     ckm = build_ckm(small_scenario, eta=0.0)
     users = place_users(small_scenario, 1)
-    for u in users:
-        u.icsi = None
-    with pytest.raises(ValueError, match="icsi_provider"):
+    with pytest.raises(ValueError, match="chans required"):
         fuse_effective_csi(ckm, users, mode="auto")
 
 
 def test_fuse_validates_provider_shape(small_scenario):
     ckm = build_ckm(small_scenario, eta=0.0)
     users = place_users(small_scenario, 1)
-    for u in users:
-        u.icsi = None
-    with pytest.raises(ValueError, match="one row per"):
-        fuse_effective_csi(
-            ckm, users, icsi_provider=lambda u: np.zeros(3), mode="auto"
-        )
+    chans = trial_channels(small_scenario, users, realization=2)
+    for h in (chans.h[:1], chans.h[..., :3], chans.h[0]):
+        bad = ChannelSet(ids=chans.ids, cell_of=chans.cell_of, h=h)
+        with pytest.raises(ValueError, match="one row per"):
+            fuse_effective_csi(ckm, users, bad, mode="auto")
+
+
+def test_fused_rows_follow_ascending_ids_and_reject_unknown_ids(small_scenario, small_ckm):
+    users = place_users(small_scenario, 1)
+    csi = fuse_effective_csi(small_ckm, users, mode="scsi")
+    ids = csi.user_ids.tolist()
+    assert ids == sorted(u.id for u in users)
+    assert csi.rows(ids[::-1]).tolist() == list(range(len(ids)))[::-1]
+    for unknown in ([max(ids) + 1], [-1], [ids[0], max(ids) + 5]):
+        with pytest.raises(ScheduleError, match=str(unknown[-1])):
+            csi.rows(unknown)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        EffectiveCsi.from_tables([3, 1, 2], [[1.0, 2.0, 3.0]], [np.eye(3)])
 
 
 def test_fuse_rejects_duplicate_ids_and_bad_mode(static_scenario):
@@ -427,11 +441,10 @@ def test_robust_on_fully_reliable_map_equals_map_only_pipeline(static_scenario):
     cfg = static_scenario.config
     users = place_users(static_scenario, 3)
     robust, rc = robust_two_stage(
-        static_scenario, ckm, users, cfg.kprime, cfg.kbar, cfg.alpha,
-        icsi_provider=fail_provider, csi_mode="auto",
+        ckm, users, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="auto"
     )
     baseline, bc = robust_two_stage(
-        static_scenario, ckm, users, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="scsi"
+        ckm, users, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="scsi"
     )
     assert robust.members == baseline.members
     assert rc == bc == {
@@ -445,11 +458,8 @@ def test_robust_on_fully_unreliable_map_acquires_everyone(small_scenario):
     cfg = small_scenario.config
     users = place_users(small_scenario, 5)
     chans = trial_channels(small_scenario, users, realization=6)
-    for u in users:
-        u.icsi = None
     group, counters = robust_two_stage(
-        small_scenario, ckm, users, cfg.kprime, cfg.kbar, cfg.alpha,
-        icsi_provider=lambda u: chans.h[:, chans.index[u.id], :], csi_mode="auto",
+        ckm, users, cfg.kprime, cfg.kbar, cfg.alpha, chans=chans, csi_mode="auto"
     )
     L = cfg.n_cells
     total_users = L * cfg.users_per_cell
@@ -465,13 +475,9 @@ def test_robust_pipeline_is_deterministic(small_scenario, small_ckm):
     for _ in range(2):
         users = place_users(small_scenario, 7)
         chans = trial_channels(small_scenario, users, realization=8)
-        for u in users:
-            u.icsi = None
         group, _ = robust_two_stage(
-            small_scenario, small_ckm, users, cfg.kprime, cfg.kbar, cfg.alpha,
-            first_stage="gis",
-            icsi_provider=lambda u: chans.h[:, chans.index[u.id], :],
-            csi_mode="auto",
+            small_ckm, users, cfg.kprime, cfg.kbar, cfg.alpha,
+            first_stage="gis", chans=chans, csi_mode="auto",
         )
         runs.append(group.members)
     assert runs[0] == runs[1]
@@ -480,9 +486,7 @@ def test_robust_pipeline_is_deterministic(small_scenario, small_ckm):
 def test_robust_rejects_unknown_first_stage(small_scenario, small_ckm):
     users = place_users(small_scenario, 0)
     with pytest.raises(ValueError, match="first stage"):
-        robust_two_stage(
-            small_scenario, small_ckm, users, 4, 2, 0.5, first_stage="best"
-        )
+        robust_two_stage(small_ckm, users, 4, 2, 0.5, first_stage="best")
 
 
 def test_group_export_lists_each_member_once(tmp_path, static_scenario):
@@ -490,7 +494,7 @@ def test_group_export_lists_each_member_once(tmp_path, static_scenario):
     cfg = static_scenario.config
     users = place_users(static_scenario, 3)
     group, _ = robust_two_stage(
-        static_scenario, ckm, users, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="scsi"
+        ckm, users, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="scsi"
     )
     out = tmp_path / "group.csv"
     group.export_csv(out)
