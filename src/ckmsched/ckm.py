@@ -85,16 +85,31 @@ def reliability_indicator(sigma, delta):
     return (sigma <= delta).astype(np.uint8)[()]
 
 
-def _corr_matrix(rows: np.ndarray) -> np.ndarray:
-    """|normalized Gram matrix| with unit diagonal, clipped to [0, 1]."""
-    norms = np.linalg.norm(rows, axis=1)
+def _corr_rows(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of the |normalized Gram matrix| of vectors (n, N),
+    clipped to [0, 1], with unit self entries: (len(rows), n).
+
+    The block is one (len(rows), N) @ (N, n) gemm against the same operand
+    the full table uses; on OpenBLAS such row blocks equal the rows of the
+    full table byte for byte (tests/test_fast_paths.py checks this). Square
+    sub-blocks need not match, nor does a one-row product, which numpy
+    hands to gemv; a single row is therefore computed as a doubled pair.
+    """
+    norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms == 0.0):
         raise ZeroNormError("zero-norm mean channel in correlation table")
-    unit = rows / norms[:, None]
-    corr = np.abs(unit @ unit.conj().T)
-    np.clip(corr, 0.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
+    unit = vectors / norms[:, None]
+    rows = np.asarray(rows, dtype=np.int64)
+    picked = unit[np.repeat(rows, 2) if len(rows) == 1 else rows]
+    corr = np.abs(picked @ unit.conj().T)[: len(rows)]
+    np.minimum(corr, 1.0, out=corr)
+    corr[np.arange(len(rows)), rows] = 1.0
     return corr
+
+
+def _corr_matrix(vectors: np.ndarray) -> np.ndarray:
+    """|normalized Gram matrix| with unit diagonal, clipped to [0, 1]."""
+    return _corr_rows(vectors, np.arange(len(vectors)))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ from .ckm import UsCkm, build_ckm
 from .errors import ConfigError
 from .evaluation import BRUTE_FORCE_BUDGET, combination_count
 from .experiments import ALGORITHMS, cached_scenario, run_trial
+from .geometry import CONFIG_HINTS as _HINTS
+from .geometry import INT_FIELDS as _INT_FIELDS
 from .geometry import ScenarioConfig
 
 SWEEP_DIMS = {
@@ -34,9 +36,6 @@ SWEEP_DIMS = {
     "samples": "samples_per_grid",
 }
 
-# Each field's type is stated once, in ScenarioConfig's annotations.
-_HINTS = typing.get_type_hints(ScenarioConfig)
-_INT_FIELDS = {name for name, kind in _HINTS.items() if kind is int}
 _STR_FIELDS = {name for name, kind in _HINTS.items() if kind is str}
 _OPTIONAL_FIELDS = {
     name for name, kind in _HINTS.items() if type(None) in typing.get_args(kind)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -119,6 +119,11 @@ class ScenarioConfig:
     hotspots_per_cell: int = 2
 
     def __post_init__(self):
+        # Rejected, not coerced: scenario_hash is sha256(repr(config)).
+        for name in sorted(INT_FIELDS):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_cells < 1:
             raise ConfigError("n_cells must be >= 1")
         if not (1 <= self.kbar <= self.kprime <= self.users_per_cell):
@@ -174,6 +179,11 @@ class ScenarioConfig:
         if self.inter_site_distance_m is not None:
             return self.inter_site_distance_m
         return math.sqrt(3.0) * self.cell_radius_m
+
+
+# Each field's type is stated once, in ScenarioConfig's annotations.
+CONFIG_HINTS = get_type_hints(ScenarioConfig)
+INT_FIELDS = frozenset(name for name, kind in CONFIG_HINTS.items() if kind is int)
 
 
 @dataclass

@@ -12,15 +12,28 @@ true channels according to per-grid reliability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import evaluation
-from .ckm import UsCkm, _corr_matrix, _dots, _row_norms
+from .ckm import UsCkm, _corr_rows, _dots, _row_norms
 from .errors import ScheduleError
 from .groups import ActiveSet, SelectionRecord, UserGroup, UserRecord
+
+
+def _lookup(table_ids: np.ndarray, ids, missing: str) -> np.ndarray:
+    """Position of each id in the ascending table_ids; ScheduleError listing
+    the ids that have none."""
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = table_ids.searchsorted(ids)
+    if ids.size and (
+        not table_ids.size or (table_ids.take(rows, mode="clip") != ids).any()
+    ):
+        unknown = sorted(set(ids.tolist()) - set(table_ids.tolist()))
+        raise ScheduleError(f"{missing} {unknown}")
+    return rows
+
 
 @dataclass
 class EffectiveCsi:
@@ -28,37 +41,50 @@ class EffectiveCsi:
 
     Rows are ordered by ascending user id. source is 1 where the map
     statistics were kept and 0 where true channels were substituted.
+    corr[l] holds only the correlation rows the schedulers read at BS l:
+    row i belongs to user corr_ids[l][i] (ascending; fusion gives BS l the
+    users it serves) and column j to row j of the other arrays.
     """
 
-    user_ids: np.ndarray          # (n,) ascending
-    vectors: np.ndarray | None    # (L, n, N) fused channel vectors
-    gain: np.ndarray              # (L, n)
-    corr: np.ndarray              # (L, n, n)
-    source: np.ndarray            # (L, n) uint8
+    user_ids: np.ndarray              # (n,) ascending
+    vectors: np.ndarray | None        # (L, n, N) fused channel vectors
+    gain: np.ndarray                  # (L, n)
+    corr: tuple[np.ndarray, ...]      # per BS l: (n_l, n)
+    corr_ids: tuple[np.ndarray, ...]  # per BS l: (n_l,) ids of corr[l]'s rows
+    source: np.ndarray                # (L, n) uint8
     acquired: list[int] = field(default_factory=list)
 
     def rows(self, ids) -> np.ndarray:
         """Row of each user id; ScheduleError for an id without a row."""
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = self.user_ids.searchsorted(ids)
-        if ids.size and (
-            not self.user_ids.size or (self.user_ids.take(rows, mode="clip") != ids).any()
-        ):
-            unknown = sorted(set(ids.tolist()) - set(self.user_ids.tolist()))
-            raise ScheduleError(f"no fused CSI for user ids {unknown}")
-        return rows
+        return _lookup(self.user_ids, ids, "no fused CSI for user ids")
+
+    def corr_rows(self, bs: int, ids) -> np.ndarray:
+        """Row of corr[bs] of each user id; ScheduleError for an id without one."""
+        return _lookup(self.corr_ids[bs], ids,
+                       f"no correlation row at BS {bs} for user ids")
 
     @classmethod
     def from_tables(cls, user_ids, gain, corr, vectors=None, source=None):
-        """Synthetic construction from explicit tables (tests, studies)."""
+        """Synthetic construction from full tables (tests, studies): gain
+        (L, n) and corr (L, n, n) with entries in [0, 1], so every user has
+        a row at every BS."""
         ids = np.asarray(user_ids, dtype=np.int64)
         if np.any(ids[1:] <= ids[:-1]):
             raise ValueError("user_ids must be strictly ascending")
         gain = np.asarray(gain, dtype=float)
         corr = np.asarray(corr, dtype=float)
+        L, n = len(gain), len(ids)
+        if gain.shape != (L, n) or corr.shape != (L, n, n):
+            raise ValueError(
+                f"need gain (L, {n}) and corr (L, {n}, {n}) tables, "
+                f"got {gain.shape} and {corr.shape}"
+            )
+        if not np.all((corr >= 0.0) & (corr <= 1.0)):
+            raise ValueError("corr entries must lie in [0, 1]")
         if source is None:
             source = np.ones(gain.shape, dtype=np.uint8)
-        return cls(ids, vectors, gain, corr, np.asarray(source, dtype=np.uint8))
+        return cls(ids, vectors, gain, tuple(corr), (ids,) * L,
+                   np.asarray(source, dtype=np.uint8))
 
 
 def fuse_effective_csi(
@@ -68,7 +94,9 @@ def fuse_effective_csi(
 
     mode "auto" substitutes the true channels of chans (a ChannelSet)
     exactly where the user's grid is unreliable for an observing BS;
-    "scsi" keeps map statistics everywhere and needs no chans.
+    "scsi" keeps map statistics everywhere and needs no chans. Each BS
+    gets the correlation rows of the users it serves against all users,
+    one (n_l, N) @ (N, n) product, never the full n x n table.
     """
     if mode not in ("auto", "scsi"):
         raise ValueError(f"unknown fusion mode {mode!r}")
@@ -77,35 +105,45 @@ def fuse_effective_csi(
     if np.any(ids[1:] == ids[:-1]):
         raise ValueError("duplicate user ids")
     grids = np.array([u.grid.g for u in ordered], dtype=np.int64)
+    cells = np.array([u.cell for u in ordered], dtype=np.int64)
     vectors = ckm.h_bar[:, grids]
     gain = ckm.epsilon[:, grids]
     need = (ckm.reliable[:, grids] == 0) & (mode == "auto")
     acq = np.flatnonzero(need.any(axis=0))
+    L, _, nant = ckm.h_bar.shape
     if len(acq):
         if chans is None:
             raise ValueError("chans required for users in unreliable grids")
-        L, _, nant = ckm.h_bar.shape
         if chans.h.ndim != 3 or chans.h.shape[0] != L or chans.h.shape[2] != nant:
-            raise ValueError(f"chans.h must hold one row per observing BS of {nant} antennas")
+            raise ValueError(
+                f"chans.h must hold one row per observing BS of {nant} antennas"
+            )
         h = chans.h[:, [chans.index[u] for u in ids[acq].tolist()]]
         sub = need[:, acq]
         vectors[:, acq] = np.where(sub[..., None], h, vectors[:, acq])
         gain[:, acq] = np.where(sub, np.sum(np.abs(h) ** 2, axis=-1), gain[:, acq])
-    corr = np.stack([_corr_matrix(v) for v in vectors])
+    served = [np.flatnonzero(cells == l) for l in range(L)]
+    corr = tuple(_corr_rows(v, rows) for v, rows in zip(vectors, served))
     source = (~need).astype(np.uint8)
-    return EffectiveCsi(ids, vectors, gain, corr, source, ids[acq].tolist())
+    return EffectiveCsi(ids, vectors, gain, corr, tuple(ids[rows] for rows in served),
+                        source, ids[acq].tolist())
 
 
-def residual_metric(gain: float, correlations) -> float:
+def residual_metric(gain, correlations):
     """Interference-discounted gain: sqrt(gain * max(0, 1 - sum rho^2)).
 
+    correlations holds each candidate's correlations along the last axis,
+    so a gain array (m,) with correlations (m, p) scores m candidates at
+    once; a scalar gain with a sequence of correlations returns a float.
     For a unit channel against an orthonormal set of already-selected
     channels this equals the exact orthogonal-residual norm.
     """
-    if gain < 0:
+    gain = np.asarray(gain, dtype=float)
+    if gain.min(initial=0.0) < 0.0:
         raise ValueError("gain must be >= 0")
-    s = float(np.sum(np.square(np.asarray(list(correlations), dtype=float))))
-    return math.sqrt(gain * max(1.0 - s, 0.0))
+    load = np.square(np.asarray(correlations, dtype=float)).sum(axis=-1)
+    mu = np.sqrt(gain * np.maximum(1.0 - load, 0.0))
+    return mu if mu.ndim else float(mu)
 
 
 def aes_select(
@@ -125,6 +163,7 @@ def aes_select(
     rows = csi.rows(ids)
     gain = csi.gain[observing_bs, rows]
     corr = csi.corr[observing_bs]
+    corr_rows = csi.corr_rows(observing_bs, ids)
     # Descending gain, ties to the lowest id: the next pick is always the
     # first user of this order still in the pool.
     order = np.lexsort((ids, -gain))
@@ -138,7 +177,7 @@ def aes_select(
             continue
         pool[pick] = False
         selected.append(pick)
-        drop = pool & (corr[rows, rows[pick]] > alpha)
+        drop = pool & (corr[corr_rows, rows[pick]] > alpha)
         pruned |= drop
         pool &= ~drop
     fallback = order[pruned[order]][: kprime - len(selected)]
@@ -146,24 +185,60 @@ def aes_select(
                      fallback=frozenset(ids[fallback].tolist()))
 
 
+# Relative width of gis_select's band of candidate rows; see its docstring.
+_GIS_BAND = 1e-9
+
+
 def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> ActiveSet:
     """Active-set selection among one cell's user ids by deleting the
     highest-total-correlation user until kprime remain. Survivors are
-    returned in ascending id order."""
-    ids = sorted(int(k) for k in cell_ids)
+    returned in ascending id order.
+
+    Each deletion removes the first maximum, in ascending id order, of
+    m[i][alive].sum() - 1.0 over the alive rows i of the cell's K x K
+    correlation block m: the row sum minus the unit self-term.
+
+    Running row sums find the candidates: each deletion subtracts the
+    deleted column. Correlations lie in [0, 1], so no partial row sum
+    exceeds S = max(1, largest row sum of m). A running sum and an exact
+    sum each lie within about (K + log2 K) * 2**-53 * S of the true row
+    sum, so they differ by less than _GIS_BAND * S / 4 for K below 10**6.
+    Hence every row that can hold the exact maximum has a
+    running sum within _GIS_BAND * S of the largest one (the band), and no
+    row outside the band ties with it after the self-term is subtracted. A
+    one-row band is the pick; a wider band is summed exactly
+    (_gis_confirm). The picks therefore equal those of re-summing every
+    alive row.
+
+    Cost: O(K) per deletion plus O(K) per band row, so O(K^2) per cell;
+    re-summing would cost O(K^2) per deletion. The paper models this stage
+    as L * K^3 multiplications (overhead_counts); that is the paper's
+    figure, not this code's cost.
+    """
+    ids = np.array(sorted(int(k) for k in cell_ids), dtype=np.int64)
     if len(ids) < kprime:
         raise ScheduleError(f"cell pool of {len(ids)} users cannot fill kprime={kprime}")
-    rows = csi.rows(ids)
-    m = csi.corr[observing_bs][np.ix_(rows, rows)]
-    active = list(range(len(ids)))
-    while len(active) > kprime:
-        sub = m[np.ix_(active, active)]
-        # Row sums minus the unit self-term; the self-term is constant
-        # across candidates so dropping it never changes the argmax.
-        z = sub.sum(axis=1) - 1.0
-        worst = int(np.argmax(z))
-        del active[worst]
-    return ActiveSet(cell=observing_bs, members=[ids[i] for i in active])
+    m = csi.corr[observing_bs][np.ix_(csi.corr_rows(observing_bs, ids), csi.rows(ids))]
+    run = m.sum(axis=1)
+    band = _GIS_BAND * max(1.0, float(run.max(initial=0.0)))
+    alive = np.ones(len(ids), dtype=bool)
+    for _ in range(len(ids) - kprime):
+        near = np.flatnonzero(run >= run.max() - band)
+        worst = int(near[0]) if len(near) == 1 else _gis_confirm(m, near, alive)
+        alive[worst] = False
+        run -= m[:, worst]
+        run[worst] = -np.inf
+    return ActiveSet(cell=observing_bs, members=ids[alive].tolist())
+
+
+def _gis_confirm(m: np.ndarray, band: np.ndarray, alive: np.ndarray) -> int:
+    """The row to delete among the ascending band rows: the first maximum
+    of the exact alive row sum minus the unit self-term."""
+    # compress returns C-contiguous rows, each reduced by one pairwise sum
+    # as in the alive sub-table; m[band][:, alive] comes back column-major
+    # and sums in another order.
+    z = m[band].compress(alive, axis=1).sum(axis=1) - 1.0
+    return int(band[np.argmax(z)])
 
 
 def iccs_schedule(
@@ -184,22 +259,25 @@ def iccs_schedule(
             )
     pools = {a.cell: sorted(a.members) for a in sets}
     pool_rows = {cell: csi.rows(ids).tolist() for cell, ids in pools.items()}
+    pool_corr_rows = {
+        cell: csi.corr_rows(cell, ids).tolist() for cell, ids in pools.items()
+    }
     members: dict[int, list[int]] = {a.cell: [] for a in sets}
     meta: list[SelectionRecord] = []
     placed: list[int] = []
     for slot in range(kbar):
         for a in sets:
             cell = a.cell
-            rows = pool_rows[cell]
-            if placed:
-                # Recomputed in placement order every slot: a running sum
-                # would round differently from numpy's pairwise sum.
-                load = np.sum(csi.corr[cell][np.ix_(rows, placed)] ** 2, axis=1)
-            else:
-                load = np.zeros(len(rows))
-            mu = np.sqrt(csi.gain[cell, rows] * np.clip(1.0 - load, 0.0, None))
+            rows, corr_rows = pool_rows[cell], pool_corr_rows[cell]
+            # The load against every placed user is recomputed in placement
+            # order every slot: a running sum would round differently from
+            # numpy's pairwise sum.
+            corr = (csi.corr[cell][np.ix_(corr_rows, placed)] if placed
+                    else np.zeros((len(rows), 0)))
+            mu = residual_metric(csi.gain[cell, rows], corr)
             j = int(np.argmax(mu))
             uid, row = pools[cell].pop(j), rows.pop(j)
+            corr_rows.pop(j)
             members[cell].append(uid)
             placed.append(row)
             source = "scsi" if csi.source[cell, row] else "icsi"

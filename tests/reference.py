@@ -5,7 +5,7 @@ per-grid map survey through one channel_rows call and scalar statistics
 (np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), per-user
 placement, a scalar grid lookup, per-BS, per-row channel synthesis, and
 the per-user CSI fusion, first-stage, ICCS and SUS loops that read the
-fused tables through an id-to-row dict.
+fused full tables through an id-to-row dict.
 """
 
 import math
@@ -232,7 +232,9 @@ def fuse_reference(ckm, users, chans=None, mode: str = "auto") -> EffectiveCsi:
     corr = np.zeros((L, n, n))
     for l in range(L):
         corr[l] = _corr_matrix(vectors[l])
-    return EffectiveCsi(ids, vectors, gain, corr, source, acquired)
+    csi = EffectiveCsi.from_tables(ids, gain, corr, vectors, source)
+    csi.acquired = acquired
+    return csi
 
 
 def _row_of(csi):
@@ -254,7 +256,7 @@ def aes_reference(cell_ids, csi, observing_bs: int, kprime: int, alpha: float):
         selected.append(pick)
         if len(selected) < kprime:
             drop = [k for k in pool
-                    if float(csi.corr[observing_bs, row[k], row[pick]]) > alpha]
+                    if float(csi.corr[observing_bs][row[k], row[pick]]) > alpha]
             pruned.extend(drop)
             pool = [k for k in pool if k not in drop]
     fallback = []
@@ -262,6 +264,19 @@ def aes_reference(cell_ids, csi, observing_bs: int, kprime: int, alpha: float):
         fallback = sorted(pruned, key=lambda k: (-gain(k), k))[: kprime - len(selected)]
     return ActiveSet(cell=observing_bs, members=selected + fallback,
                      fallback=frozenset(fallback))
+
+
+def gis_reference(cell_ids, csi, observing_bs: int, kprime: int) -> ActiveSet:
+    """gis_select re-summing the whole alive sub-table for every deletion."""
+    row = _row_of(csi)
+    ids = sorted(int(k) for k in cell_ids)
+    rows = [row[k] for k in ids]
+    m = csi.corr[observing_bs][np.ix_(rows, rows)]
+    active = list(range(len(ids)))
+    while len(active) > kprime:
+        z = m[np.ix_(active, active)].sum(axis=1) - 1.0
+        del active[int(np.argmax(z))]
+    return ActiveSet(cell=observing_bs, members=[ids[i] for i in active])
 
 
 def iccs_reference(active_sets, csi, kbar: int) -> UserGroup:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from ckmsched import build_ckm, build_scenario, evaluation
+from ckmsched import build_ckm, build_scenario, evaluation, scheduling
 from ckmsched.errors import OutOfClusterError
 from ckmsched.evaluation import (
     ChannelSet,
@@ -32,6 +32,7 @@ from ckmsched.experiments import (
 from ckmsched.geometry import channel_rows
 from ckmsched.groups import UserGroup
 from ckmsched.scheduling import (
+    EffectiveCsi,
     aes_select,
     fuse_effective_csi,
     gis_select,
@@ -46,6 +47,7 @@ from reference import (
     brute_force_reference,
     channel_rows_reference,
     fuse_reference,
+    gis_reference,
     greedy_reference,
     iccs_reference,
     locate_reference,
@@ -111,6 +113,21 @@ def exact_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def gis_bands(monkeypatch):
+    """Sizes of the row bands gis_select sums exactly (bands of two or more
+    rows; a one-row band is the pick without a sum)."""
+    sizes = []
+    confirm = scheduling._gis_confirm
+
+    def counted(m, band, alive):
+        sizes.append(len(band))
+        return confirm(m, band, alive)
+
+    monkeypatch.setattr(scheduling, "_gis_confirm", counted)
+    return sizes
+
+
 # -- identical picks on the acceptance instances ------------------------------
 
 
@@ -137,8 +154,30 @@ def assert_same_group(fast, slow, chans, noise):
     assert repr(sum_rate(fast, chans, noise)) == repr(sum_rate(slow, chans, noise))
 
 
+def assert_same_fusion(fast, slow, ids_by_cell):
+    """Fused CSI equal to the per-user reference byte for byte; each BS
+    holds the rows of its own users, equal to the rows of the full table."""
+    for name in ("user_ids", "vectors", "gain", "source"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+    assert fast.acquired == slow.acquired
+    for l, ids in enumerate(ids_by_cell):
+        assert fast.corr_ids[l].tolist() == ids
+        assert fast.corr[l].tobytes() == slow.corr[l][slow.rows(ids)].tobytes()
+
+
+def test_one_user_cells_fuse_like_the_full_tables():
+    # a one-row block would go through gemv and round differently
+    cfg = desk_config(users_per_cell=1, kbar=1, kprime=1)
+    for seed in range(10):
+        users = place_users(cached_scenario(cfg), seed)
+        chans, _ = trial_instance(cfg, seed)
+        ids = [[u.id for u in users if u.cell == l] for l in range(cfg.n_cells)]
+        assert_same_fusion(fuse_effective_csi(cached_ckm(cfg), users, chans),
+                           fuse_reference(cached_ckm(cfg), users, chans), ids)
+
+
 def two_stage_and_sus_fallbacks(cfg, seed):
-    """Check fusion (both modes), AES, ICCS on AES and GIS sets, and SUS
+    """Check fusion (both modes), AES, GIS, ICCS on AES and GIS sets, and SUS
     against the per-user references on one trial; returns the number of AES
     fallback users and SUS fallback picks."""
     users = place_users(cached_scenario(cfg), seed)
@@ -149,15 +188,15 @@ def two_stage_and_sus_fallbacks(cfg, seed):
     for mode in ("auto", "scsi"):
         fast = fuse_effective_csi(cached_ckm(cfg), users, chans, mode=mode)
         slow = fuse_reference(cached_ckm(cfg), users, chans, mode=mode)
-        for name in ("user_ids", "vectors", "gain", "corr", "source"):
-            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
-        assert fast.acquired == slow.acquired
+        assert_same_fusion(fast, slow, ids)
         aes = [aes_select(ids[l], fast, l, cfg.kprime, cfg.alpha) for l in cells]
         for l, a in zip(cells, aes):
             ref = aes_reference(ids[l], slow, l, cfg.kprime, cfg.alpha)
             assert (a.cell, a.members, a.fallback) == (ref.cell, ref.members, ref.fallback)
             aes_fallbacks += len(a.fallback)
         gis = [gis_select(ids[l], fast, l, cfg.kprime) for l in cells]
+        for l, g in zip(cells, gis):
+            assert g.members == gis_reference(ids[l], slow, l, cfg.kprime).members
         for sets in (aes, gis):
             assert_same_group(iccs_schedule(sets, fast, cfg.kbar),
                               iccs_reference(sets, slow, cfg.kbar), chans, noise)
@@ -173,11 +212,44 @@ def two_stage_and_sus_fallbacks(cfg, seed):
     (table_scale_config(users_per_cell=200, kprime=40, placement="uniform"), range(3),
      False),
 ], ids=["desk", "table_alpha030", "table_alpha005", "dense_uniform"])
-def test_two_stage_and_sus_match_the_per_user_references(cfg, seeds, sus_refills):
+def test_two_stage_and_sus_match_the_per_user_references(
+    cfg, seeds, sus_refills, gis_bands
+):
     aes, sus = np.sum([two_stage_and_sus_fallbacks(cfg, seed) for seed in seeds], axis=0)
     # the instances take the AES (and, but for dense, the SUS) refill path
     assert aes > 0
     assert (sus > 0) == sus_refills
+    # users sharing a grid tie in GIS, so some bands hold several rows
+    assert gis_bands and min(gis_bands) > 1
+
+
+def tied_table(rng, n, pairs, jitter):
+    """Symmetric unit-diagonal correlation table in which each pair (i, j)
+    shares its row exactly (rho_ij = 1), then every off-diagonal entry moved
+    by up to jitter: near ties far inside gis_select's band."""
+    m = np.triu(rng.uniform(0.0, 0.6, size=(n, n)), 1)
+    m += m.T
+    np.fill_diagonal(m, 1.0)
+    for i, j in pairs:
+        m[j] = m[i]
+        m[:, j] = m[:, i]
+    e = np.triu(rng.uniform(-jitter, jitter, size=(n, n)), 1)
+    return np.clip(m + e + e.T, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-13], ids=["exact_duplicates", "near_ties"])
+def test_gis_band_confirmation_matches_the_reference_on_ties(gis_bands, jitter):
+    rng = np.random.default_rng(5)
+    n = 30
+    ids = list(range(100, 100 + n))
+    for _ in range(40):
+        pairs = rng.choice(n, size=(6, 2), replace=False)
+        table = tied_table(rng, n, pairs, jitter)
+        csi = EffectiveCsi.from_tables(ids, [np.ones(n)], [table])
+        for kprime in (1, 5, 12):
+            assert (gis_select(ids, csi, 0, kprime).members
+                    == gis_reference(ids, csi, 0, kprime).members)
+    assert gis_bands and min(gis_bands) > 1
 
 
 # -- exact ties and the guard ---------------------------------------------------

@@ -57,6 +57,17 @@ def test_config_accepts_grid_edge_equal_to_diameter():
     assert int(scen.grid_serving[0]) == 0
 
 
+@pytest.mark.parametrize("name, value", [
+    ("kprime", 4.5), ("samples_per_grid", 2.5), ("users_per_cell", 5.0),
+    ("rng_seed", True), ("n_h", "2"),
+])
+def test_config_rejects_non_integral_counts(name, value):
+    # Rejected rather than coerced: the scenario hash is sha256(repr(config)).
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        desk_config(**{name: value})
+    assert desk_config(kprime=np.int64(3)).kprime == 3
+
+
 def test_config_rejects_out_of_range_knobs():
     with pytest.raises(ConfigError):
         desk_config(alpha=0.0)

@@ -117,7 +117,7 @@ def test_aes_non_fallback_members_stay_below_alpha(seed):
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
             ra, rb = csi.rows([a, b])
-            assert csi.corr[0, ra, rb] <= alpha
+            assert csi.corr[0][ra, rb] <= alpha
 
 
 # -- first stage: iterative deletion ---------------------------------------
@@ -388,7 +388,11 @@ def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
         unit = csi.vectors[l] / np.linalg.norm(csi.vectors[l], axis=1)[:, None]
         expect = np.abs(unit @ unit.conj().T)
         np.fill_diagonal(expect, 1.0)
-        assert np.allclose(csi.corr[l], expect)
+        # BS l holds the rows of the users it serves, against every user
+        served = sorted(u.id for u in users if u.cell == l)
+        assert csi.corr_ids[l].tolist() == served
+        assert csi.corr[l].shape == (len(served), len(users))
+        assert np.allclose(csi.corr[l], expect[csi.rows(served)])
     assert csi.source[0, csi.rows(csi.acquired[:1])[0]] == 0
     grids = [u.grid.g for u in sorted(users, key=lambda u: u.id)]
     assert np.array_equal(csi.source == 0, small_ckm.reliable[:, grids] == 0)
@@ -422,6 +426,23 @@ def test_fused_rows_follow_ascending_ids_and_reject_unknown_ids(small_scenario, 
             csi.rows(unknown)
     with pytest.raises(ValueError, match="strictly ascending"):
         EffectiveCsi.from_tables([3, 1, 2], [[1.0, 2.0, 3.0]], [np.eye(3)])
+
+
+def test_from_tables_rejects_tables_that_do_not_cover_every_user():
+    ids, gain = [1, 2, 3], [[1.0, 2.0, 3.0]]
+    for corr in ([np.eye(2)], np.eye(3), [np.eye(3)[:2]], [np.eye(3)] * 2):
+        with pytest.raises(ValueError, match="corr"):
+            EffectiveCsi.from_tables(ids, gain, corr)
+    with pytest.raises(ValueError, match="gain"):
+        EffectiveCsi.from_tables(ids, [1.0, 2.0, 3.0], [np.eye(3)])
+    # gis_select's band bound needs correlations in [0, 1]
+    for rho in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            EffectiveCsi.from_tables(ids, gain, [corr_from_pairs(3, {(0, 1): rho})])
+    csi = EffectiveCsi.from_tables(ids, gain, [np.eye(3)])
+    assert csi.corr_rows(0, [3, 1]).tolist() == [2, 0]
+    with pytest.raises(ScheduleError, match="BS 0"):
+        csi.corr_rows(0, [4])
 
 
 def test_fuse_rejects_duplicate_ids_and_bad_mode(static_scenario):
