@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ZeroNormError
-from .geometry import Scenario, check_thresholds, sample_grid
+from .geometry import Scenario, _row_product, check_thresholds, sample_grid
 
 _FORMAT_MAGIC = b"CKMAP"
 _FORMAT_VERSION = 2
@@ -89,19 +89,17 @@ def _corr_rows(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows `rows` of the |normalized Gram matrix| of vectors (n, N),
     clipped to [0, 1], with unit self entries: (len(rows), n).
 
-    The block is one (len(rows), N) @ (N, n) gemm against the same operand
-    the full table uses; on OpenBLAS such row blocks equal the rows of the
-    full table byte for byte (tests/test_fast_paths.py checks this). Square
-    sub-blocks need not match, nor does a one-row product, which numpy
-    hands to gemv; a single row is therefore computed as a doubled pair.
+    The block is one (len(rows), N) @ (N, n) product (_row_product) against
+    the same operand the full table uses; on OpenBLAS such row blocks equal
+    the rows of the full table byte for byte (tests/test_fast_paths.py
+    checks this). Square sub-blocks need not match.
     """
     norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms == 0.0):
         raise ZeroNormError("zero-norm mean channel in correlation table")
     unit = vectors / norms[:, None]
     rows = np.asarray(rows, dtype=np.int64)
-    picked = unit[np.repeat(rows, 2) if len(rows) == 1 else rows]
-    corr = np.abs(picked @ unit.conj().T)[: len(rows)]
+    corr = np.abs(_row_product(unit[rows], unit.conj().T))
     np.minimum(corr, 1.0, out=corr)
     corr[np.arange(len(rows)), rows] = 1.0
     return corr

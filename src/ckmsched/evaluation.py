@@ -21,24 +21,31 @@ _RESIDUAL_TOL = 1e-10
 
 @dataclass
 class ChannelSet:
-    """True channels of a trial: one row per (observing BS, user).
+    """The trial's users: user i is row i of every array.
 
-    h has shape (n_cells, n_users, n_antennas); row order follows ids.
+    cell_of[i] is user i's serving cell, grid[i] the map grid of its
+    position, and h[l, i] its true channel toward BS l.
     """
 
-    ids: np.ndarray       # (n,) global user ids
     cell_of: np.ndarray   # (n,)
+    grid: np.ndarray      # (n,)
     h: np.ndarray         # (L, n, N) complex
-
-    def __post_init__(self):
-        self.index = {int(u): i for i, u in enumerate(self.ids)}
 
     @property
     def n_cells(self) -> int:
         return self.h.shape[0]
 
     def ids_by_cell(self) -> dict[int, list[int]]:
-        return {l: sorted(self.ids[self.cell_of == l].tolist()) for l in range(self.n_cells)}
+        return {l: np.flatnonzero(self.cell_of == l).tolist() for l in range(self.n_cells)}
+
+
+def _require_rows(chans: ChannelSet, ids) -> None:
+    """ValueError for a user id that is not a row of chans; a negative id
+    must not wrap around to the last rows."""
+    n = len(chans.cell_of)
+    for uid in ids:
+        if not 0 <= uid < n:
+            raise ValueError(f"user {uid} has no channel row")
 
 
 @dataclass
@@ -111,7 +118,9 @@ def evaluate_group(
             sched.append((cell, uid))
     if not sched:
         return 0.0, {}
-    rows = np.array([chans.index[uid] for _, uid in sched])
+    ids = [uid for _, uid in sched]
+    _require_rows(chans, ids)
+    rows = np.array(ids)
     gammas: dict[int, float] = {}
     total = 0.0
     for cell in sorted(group.members):
@@ -185,10 +194,10 @@ def candidate_rates(
     gets gamma_u = b_u at its serving BS. None when the closed form cannot
     be trusted (see _rate_terms).
     """
-    rows = {c: np.array([chans.index[u] for u in members[c]], dtype=np.int64)
-            for c in sorted(members)}
+    _require_rows(chans, chain(candidates, *members.values()))
+    rows = {c: np.array(members[c], dtype=np.int64) for c in sorted(members)}
     placed = np.concatenate(list(rows.values()))
-    cand = np.array([chans.index[u] for u in candidates], dtype=np.int64)
+    cand = np.array(candidates, dtype=np.int64)
     eye = noise_power * np.eye(chans.h.shape[2])
     total = np.zeros(len(cand))
     for c, served in rows.items():
@@ -278,22 +287,19 @@ def brute_force_optimum(
         raise EnumerationGuardError(
             f"{n_combos} combinations exceed the budget of {max_combinations}"
         )
-    # Row indices of every kbar-subset per cell, in lexicographic id order;
+    # User ids of every kbar-subset per cell, in lexicographic order;
     # combination i of the product is np.unravel_index(i, shape).
     picks = []
     for l in cells:
-        rows = [chans.index[u] for u in bycell[l]]
-        n = math.comb(len(rows), kbar)
-        flat = chain.from_iterable(combinations(rows, kbar))
+        n = math.comb(len(bycell[l]), kbar)
+        flat = chain.from_iterable(combinations(bycell[l], kbar))
         picks.append(np.fromiter(flat, np.int64, n * kbar).reshape(n, kbar))
     shape = tuple(len(p) for p in picks)
     serving = np.repeat(cells, kbar)
 
     def group_at(i: int) -> UserGroup:
         idx = np.unravel_index(i, shape)
-        return UserGroup(members={
-            l: chans.ids[p[j]].tolist() for l, p, j in zip(cells, picks, idx)
-        })
+        return UserGroup(members={l: p[j].tolist() for l, p, j in zip(cells, picks, idx)})
 
     scores = np.empty(n_combos)
     for start in range(0, n_combos, _BLOCK):

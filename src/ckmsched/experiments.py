@@ -45,8 +45,8 @@ def cached_ckm(config: ScenarioConfig) -> UsCkm:
 
 
 @lru_cache(maxsize=64)
-def cached_noise(config: ScenarioConfig, target_snr_db: float) -> float:
-    return calibrate_noise(cached_scenario(config), target_snr_db)
+def cached_noise(config: ScenarioConfig) -> float:
+    return calibrate_noise(cached_scenario(config), config.target_snr_db)
 
 
 def _rng(config: ScenarioConfig, tag: int, trial_seed: int) -> np.random.Generator:
@@ -113,13 +113,17 @@ def place_users(scenario: Scenario, trial_seed: int) -> list[UserRecord]:
 def trial_channels(
     scenario: Scenario, users: list[UserRecord], realization: int
 ) -> ChannelSet:
-    """True channels of every user toward every BS at one realization."""
-    ordered = sorted(users, key=lambda u: u.id)
-    pos = np.array([u.position for u in ordered])
-    ids = np.array([u.id for u in ordered], dtype=np.int64)
-    cells = np.array([u.cell for u in ordered], dtype=np.int64)
+    """The trial table: serving cell, grid and true channels toward every BS
+    at one realization of users numbered 0..n-1 in order (user i is row i)."""
+    if [u.id for u in users] != list(range(len(users))):
+        raise ValueError("users must be numbered 0..n-1 in order")
+    pos = np.array([u.position for u in users])
     h = channel_rows(scenario, range(scenario.config.n_cells), pos, realization)
-    return ChannelSet(ids=ids, cell_of=cells, h=h)
+    return ChannelSet(
+        cell_of=np.array([u.cell for u in users], dtype=np.int64),
+        grid=np.array([u.grid.g for u in users], dtype=np.int64),
+        h=h,
+    )
 
 
 def validate_group(group: UserGroup, chans: ChannelSet, kbar: int) -> None:
@@ -137,41 +141,41 @@ def validate_group(group: UserGroup, chans: ChannelSet, kbar: int) -> None:
             if uid in seen:
                 raise ScheduleError(f"user {uid} is scheduled twice")
             seen.add(uid)
-            if uid not in chans.index or chans.cell_of[chans.index[uid]] != cell:
+            if not 0 <= uid < len(chans.cell_of) or chans.cell_of[uid] != cell:
                 raise ScheduleError(f"user {uid} is not served by cell {cell}")
 
 
-# Every scheduler takes (config, trial_seed, users, chans, noise) and returns
+# Every scheduler takes (config, trial_seed, chans, noise) and returns
 # (group, counters): the map-driven ones return the event counters of
 # robust_two_stage, the others None, and their counters come from the closed
 # forms of overhead_counts. Entries look the schedulers up as module globals
 # at call time, so a wrapper installed on this module sees every call.
-def _random(config, trial_seed, users, chans, noise):
+def _random(config, trial_seed, chans, noise):
     seed = int(_rng(config, _TAG_RANDOM_PICK, trial_seed).integers(2**63))
     return random_schedule(chans.ids_by_cell(), config.kbar, seed), None
 
 
 def _two_stage(first_stage: str, csi_mode: str):
-    def schedule(config, trial_seed, users, chans, noise):
+    def schedule(config, trial_seed, chans, noise):
         return robust_two_stage(
-            cached_ckm(config), users, config.kprime, config.kbar, config.alpha,
-            first_stage=first_stage, chans=chans, csi_mode=csi_mode,
+            cached_ckm(config), chans, config.kprime, config.kbar, config.alpha,
+            first_stage=first_stage, csi_mode=csi_mode,
         )
 
     return schedule
 
 
 _SCHEDULERS = {
-    "greedy": lambda config, trial_seed, users, chans, noise: (
+    "greedy": lambda config, trial_seed, chans, noise: (
         greedy_schedule(chans, config.kbar, noise), None),
     "random": _random,
-    "sus": lambda config, trial_seed, users, chans, noise: (
+    "sus": lambda config, trial_seed, chans, noise: (
         sus_schedule(chans, config.kbar, config.alpha), None),
     "two_stage_aes": _two_stage("aes", "scsi"),
     "two_stage_gis": _two_stage("gis", "scsi"),
     "robust_aes": _two_stage("aes", "auto"),
     "robust_gis": _two_stage("gis", "auto"),
-    "brute_force": lambda config, trial_seed, users, chans, noise: (
+    "brute_force": lambda config, trial_seed, chans, noise: (
         brute_force_optimum(chans, config.kbar, noise)[0], None),
 }
 ALGORITHMS = tuple(_SCHEDULERS)
@@ -188,12 +192,11 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     if trial_seed < 0:
         raise ValueError("trial_seed must be >= 0")
     scenario = cached_scenario(config)
-    noise = cached_noise(config, config.target_snr_db)
-    users = place_users(scenario, trial_seed)
-    chans = trial_channels(scenario, users, int(trial_seed) + 1)
+    noise = cached_noise(config)
+    chans = trial_channels(scenario, place_users(scenario, trial_seed), int(trial_seed) + 1)
 
     t0 = time.perf_counter()
-    group, counters = _SCHEDULERS[algorithm](config, trial_seed, users, chans, noise)
+    group, counters = _SCHEDULERS[algorithm](config, trial_seed, chans, noise)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     validate_group(group, chans, config.kbar)

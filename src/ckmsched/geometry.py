@@ -516,6 +516,15 @@ def _jitter(scenario: Scenario, gid: int, realization: int) -> np.ndarray:
     return scenario.scatterers.jitter_scale * z
 
 
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D a, each row equal byte for byte to the same row in a
+    larger batch: numpy hands a one-row product to gemv, whose last bits can
+    differ from gemm's, so one row is computed as a doubled pair."""
+    if len(a) == 1:
+        return (a[[0, 0]] @ b)[:1]
+    return a @ b
+
+
 def channel_rows(
     scenario: Scenario,
     observing_bs,
@@ -552,7 +561,7 @@ def channel_rows(
     w = np.exp(2j * math.pi * duc / cfg.phase_length_m) / (
         1.0 + duc / cfg.scatter_range_m
     ) ** cfg.scatter_falloff
-    v = np.stack([w @ scenario.static_mix[l] for l in bss])
+    v = np.stack([_row_product(w, scenario.static_mix[l]) for l in bss])
 
     rows = scenario._dyn_row[gids]
     hit = np.flatnonzero((rows >= 0) & (real != 0))

@@ -19,34 +19,20 @@ import numpy as np
 from . import evaluation
 from .ckm import UsCkm, _corr_rows, _dots, _row_norms
 from .errors import ScheduleError
-from .groups import ActiveSet, SelectionRecord, UserGroup, UserRecord
-
-
-def _lookup(table_ids: np.ndarray, ids, missing: str) -> np.ndarray:
-    """Position of each id in the ascending table_ids; ScheduleError listing
-    the ids that have none."""
-    ids = np.asarray(ids, dtype=np.int64)
-    rows = table_ids.searchsorted(ids)
-    if ids.size and (
-        not table_ids.size or (table_ids.take(rows, mode="clip") != ids).any()
-    ):
-        unknown = sorted(set(ids.tolist()) - set(table_ids.tolist()))
-        raise ScheduleError(f"{missing} {unknown}")
-    return rows
+from .groups import ActiveSet, SelectionRecord, UserGroup
 
 
 @dataclass
 class EffectiveCsi:
     """Fused gains/correlations consumed by the two-stage schedulers.
 
-    Rows are ordered by ascending user id. source is 1 where the map
-    statistics were kept and 0 where true channels were substituted.
-    corr[l] holds only the correlation rows the schedulers read at BS l:
-    row i belongs to user corr_ids[l][i] (ascending; fusion gives BS l the
-    users it serves) and column j to row j of the other arrays.
+    User i is column i of gain, source and every corr[l] (row i of the
+    trial's ChannelSet). source is 1 where the map statistics were kept and
+    0 where true channels were substituted. corr[l] holds only the
+    correlation rows the schedulers read at BS l: row i belongs to user
+    corr_ids[l][i] (ascending; fusion gives BS l the users it serves).
     """
 
-    user_ids: np.ndarray              # (n,) ascending
     vectors: np.ndarray | None        # (L, n, N) fused channel vectors
     gain: np.ndarray                  # (L, n)
     corr: tuple[np.ndarray, ...]      # per BS l: (n_l, n)
@@ -54,26 +40,25 @@ class EffectiveCsi:
     source: np.ndarray                # (L, n) uint8
     acquired: list[int] = field(default_factory=list)
 
-    def rows(self, ids) -> np.ndarray:
-        """Row of each user id; ScheduleError for an id without a row."""
-        return _lookup(self.user_ids, ids, "no fused CSI for user ids")
-
     def corr_rows(self, bs: int, ids) -> np.ndarray:
-        """Row of corr[bs] of each user id; ScheduleError for an id without one."""
-        return _lookup(self.corr_ids[bs], ids,
-                       f"no correlation row at BS {bs} for user ids")
+        """Row of corr[bs] of each user id; ScheduleError for an id that BS
+        bs does not serve."""
+        table = self.corr_ids[bs]
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = table.searchsorted(ids)
+        if ids.size and (not table.size or (table.take(rows, mode="clip") != ids).any()):
+            unknown = sorted(set(ids.tolist()) - set(table.tolist()))
+            raise ScheduleError(f"no correlation row at BS {bs} for user ids {unknown}")
+        return rows
 
     @classmethod
-    def from_tables(cls, user_ids, gain, corr, vectors=None, source=None):
+    def from_tables(cls, gain, corr, vectors=None, source=None):
         """Synthetic construction from full tables (tests, studies): gain
         (L, n) and corr (L, n, n) with entries in [0, 1], so every user has
         a row at every BS."""
-        ids = np.asarray(user_ids, dtype=np.int64)
-        if np.any(ids[1:] <= ids[:-1]):
-            raise ValueError("user_ids must be strictly ascending")
         gain = np.asarray(gain, dtype=float)
         corr = np.asarray(corr, dtype=float)
-        L, n = len(gain), len(ids)
+        L, n = len(gain), gain.shape[-1]
         if gain.shape != (L, n) or corr.shape != (L, n, n):
             raise ValueError(
                 f"need gain (L, {n}) and corr (L, {n}, {n}) tables, "
@@ -83,50 +68,37 @@ class EffectiveCsi:
             raise ValueError("corr entries must lie in [0, 1]")
         if source is None:
             source = np.ones(gain.shape, dtype=np.uint8)
-        return cls(ids, vectors, gain, tuple(corr), (ids,) * L,
-                   np.asarray(source, dtype=np.uint8))
+        ids = np.arange(n)
+        return cls(vectors, gain, tuple(corr), (ids,) * L, np.asarray(source, dtype=np.uint8))
 
 
-def fuse_effective_csi(
-    ckm: UsCkm, users: list[UserRecord], chans=None, mode: str = "auto"
-) -> EffectiveCsi:
-    """Build the per-user effective CSI from the map and the trial's channels.
+def fuse_effective_csi(ckm: UsCkm, chans, mode: str = "auto") -> EffectiveCsi:
+    """Build the per-user effective CSI from the map and the trial's
+    ChannelSet: map statistics at each user's grid, with user i in column i.
 
-    mode "auto" substitutes the true channels of chans (a ChannelSet)
-    exactly where the user's grid is unreliable for an observing BS;
-    "scsi" keeps map statistics everywhere and needs no chans. Each BS
-    gets the correlation rows of the users it serves against all users,
-    one (n_l, N) @ (N, n) product, never the full n x n table.
+    mode "auto" substitutes the true channels of chans exactly where the
+    user's grid is unreliable for an observing BS; "scsi" keeps map
+    statistics everywhere. Each BS gets the correlation rows of the users
+    it serves against all users, one (n_l, N) @ (N, n) product, never the
+    full n x n table.
     """
     if mode not in ("auto", "scsi"):
         raise ValueError(f"unknown fusion mode {mode!r}")
-    ordered = sorted(users, key=lambda u: u.id)
-    ids = np.array([u.id for u in ordered], dtype=np.int64)
-    if np.any(ids[1:] == ids[:-1]):
-        raise ValueError("duplicate user ids")
-    grids = np.array([u.grid.g for u in ordered], dtype=np.int64)
-    cells = np.array([u.cell for u in ordered], dtype=np.int64)
-    vectors = ckm.h_bar[:, grids]
-    gain = ckm.epsilon[:, grids]
-    need = (ckm.reliable[:, grids] == 0) & (mode == "auto")
-    acq = np.flatnonzero(need.any(axis=0))
     L, _, nant = ckm.h_bar.shape
+    if chans.h.ndim != 3 or chans.h.shape[0] != L or chans.h.shape[2] != nant:
+        raise ValueError(f"chans.h must hold one row per observing BS of {nant} antennas")
+    vectors = ckm.h_bar[:, chans.grid]
+    gain = ckm.epsilon[:, chans.grid]
+    need = (ckm.reliable[:, chans.grid] == 0) & (mode == "auto")
+    acq = np.flatnonzero(need.any(axis=0))
     if len(acq):
-        if chans is None:
-            raise ValueError("chans required for users in unreliable grids")
-        if chans.h.ndim != 3 or chans.h.shape[0] != L or chans.h.shape[2] != nant:
-            raise ValueError(
-                f"chans.h must hold one row per observing BS of {nant} antennas"
-            )
-        h = chans.h[:, [chans.index[u] for u in ids[acq].tolist()]]
+        h = chans.h[:, acq]
         sub = need[:, acq]
         vectors[:, acq] = np.where(sub[..., None], h, vectors[:, acq])
         gain[:, acq] = np.where(sub, np.sum(np.abs(h) ** 2, axis=-1), gain[:, acq])
-    served = [np.flatnonzero(cells == l) for l in range(L)]
+    served = tuple(np.flatnonzero(chans.cell_of == l) for l in range(L))
     corr = tuple(_corr_rows(v, rows) for v, rows in zip(vectors, served))
-    source = (~need).astype(np.uint8)
-    return EffectiveCsi(ids, vectors, gain, corr, tuple(ids[rows] for rows in served),
-                        source, ids[acq].tolist())
+    return EffectiveCsi(vectors, gain, corr, served, (~need).astype(np.uint8), acq.tolist())
 
 
 def residual_metric(gain, correlations):
@@ -160,10 +132,9 @@ def aes_select(
     ids = np.sort(np.asarray(cell_ids, dtype=np.int64))
     if len(ids) < kprime:
         raise ScheduleError(f"cell pool of {len(ids)} users cannot fill kprime={kprime}")
-    rows = csi.rows(ids)
-    gain = csi.gain[observing_bs, rows]
-    corr = csi.corr[observing_bs]
     corr_rows = csi.corr_rows(observing_bs, ids)
+    gain = csi.gain[observing_bs, ids]
+    corr = csi.corr[observing_bs]
     # Descending gain, ties to the lowest id: the next pick is always the
     # first user of this order still in the pool.
     order = np.lexsort((ids, -gain))
@@ -177,7 +148,7 @@ def aes_select(
             continue
         pool[pick] = False
         selected.append(pick)
-        drop = pool & (corr[corr_rows, rows[pick]] > alpha)
+        drop = pool & (corr[corr_rows, ids[pick]] > alpha)
         pruned |= drop
         pool &= ~drop
     fallback = order[pruned[order]][: kprime - len(selected)]
@@ -218,7 +189,7 @@ def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> A
     ids = np.array(sorted(int(k) for k in cell_ids), dtype=np.int64)
     if len(ids) < kprime:
         raise ScheduleError(f"cell pool of {len(ids)} users cannot fill kprime={kprime}")
-    m = csi.corr[observing_bs][np.ix_(csi.corr_rows(observing_bs, ids), csi.rows(ids))]
+    m = csi.corr[observing_bs][np.ix_(csi.corr_rows(observing_bs, ids), ids)]
     run = m.sum(axis=1)
     band = _GIS_BAND * max(1.0, float(run.max(initial=0.0)))
     alive = np.ones(len(ids), dtype=bool)
@@ -258,7 +229,6 @@ def iccs_schedule(
                 f"active set of cell {a.cell} has {len(a.members)} < kbar={kbar} users"
             )
     pools = {a.cell: sorted(a.members) for a in sets}
-    pool_rows = {cell: csi.rows(ids).tolist() for cell, ids in pools.items()}
     pool_corr_rows = {
         cell: csi.corr_rows(cell, ids).tolist() for cell, ids in pools.items()
     }
@@ -268,19 +238,19 @@ def iccs_schedule(
     for slot in range(kbar):
         for a in sets:
             cell = a.cell
-            rows, corr_rows = pool_rows[cell], pool_corr_rows[cell]
+            pool, corr_rows = pools[cell], pool_corr_rows[cell]
             # The load against every placed user is recomputed in placement
             # order every slot: a running sum would round differently from
             # numpy's pairwise sum.
             corr = (csi.corr[cell][np.ix_(corr_rows, placed)] if placed
-                    else np.zeros((len(rows), 0)))
-            mu = residual_metric(csi.gain[cell, rows], corr)
+                    else np.zeros((len(pool), 0)))
+            mu = residual_metric(csi.gain[cell, pool], corr)
             j = int(np.argmax(mu))
-            uid, row = pools[cell].pop(j), rows.pop(j)
+            uid = pool.pop(j)
             corr_rows.pop(j)
             members[cell].append(uid)
-            placed.append(row)
-            source = "scsi" if csi.source[cell, row] else "icsi"
+            placed.append(uid)
+            source = "scsi" if csi.source[cell, uid] else "icsi"
             meta.append(SelectionRecord(uid, cell, slot, float(mu[j]), source))
     return UserGroup(members=members, meta=meta)
 
@@ -303,7 +273,7 @@ def sus_schedule(chans, kbar: int, alpha: float) -> UserGroup:
         ids = np.array(cell_ids, dtype=np.int64)
         if len(ids) < kbar:
             raise ScheduleError(f"cell {cell} has {len(ids)} < kbar={kbar} users")
-        h = chans.h[cell, [chans.index[k] for k in cell_ids]]
+        h = chans.h[cell, cell_ids]
         h_norm = _row_norms(h)
         resid = h.copy()
         pool = np.ones(len(ids), dtype=bool)
@@ -392,15 +362,15 @@ def random_schedule(ids_by_cell: dict, kbar: int, seed: int) -> UserGroup:
 
 def robust_two_stage(
     ckm: UsCkm,
-    users: list[UserRecord],
+    chans,
     kprime: int,
     kbar: int,
     alpha: float,
     first_stage: str = "aes",
-    chans=None,
     csi_mode: str = "auto",
 ) -> tuple[UserGroup, dict[str, int]]:
-    """Fused-CSI two-stage pipeline with overhead counters.
+    """Fused-CSI two-stage pipeline over the trial's ChannelSet, with
+    overhead counters.
 
     csi_mode "auto" is the robust scheduler (the true channels of chans
     substituted in unreliable grids), "scsi" the map-only two-stage
@@ -410,14 +380,11 @@ def robust_two_stage(
     """
     if first_stage not in ("aes", "gis"):
         raise ValueError(f"unknown first stage {first_stage!r}")
-    csi = fuse_effective_csi(ckm, users, chans, mode=csi_mode)
-    by_cell: dict[int, list[int]] = {}
-    for u in users:
-        by_cell.setdefault(u.cell, []).append(u.id)
+    csi = fuse_effective_csi(ckm, chans, mode=csi_mode)
     active_sets = [
         aes_select(ids, csi, l, kprime, alpha) if first_stage == "aes"
         else gis_select(ids, csi, l, kprime)
-        for l, ids in sorted(by_cell.items())
+        for l, ids in chans.ids_by_cell().items()
     ]
     group = iccs_schedule(active_sets, csi, kbar)
     L = ckm.n_cells

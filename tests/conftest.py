@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ckmsched import ScenarioConfig, build_ckm, build_scenario
+from ckmsched.evaluation import ChannelSet
 
 
 def desk_config(**overrides):
@@ -30,6 +31,14 @@ def desk_config(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def synthetic_chans(h, cell_of):
+    """ChannelSet of channels h (L, n, N): user i is row i, serves in
+    cell_of[i] and stands in grid 0."""
+    cell_of = np.asarray(cell_of, dtype=np.int64)
+    return ChannelSet(cell_of=cell_of, grid=np.zeros(len(cell_of), dtype=np.int64),
+                      h=np.asarray(h, dtype=np.complex128))
 
 
 @pytest.fixture(scope="session")

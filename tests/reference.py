@@ -5,7 +5,7 @@ per-grid map survey through one channel_rows call and scalar statistics
 (np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), per-user
 placement, a scalar grid lookup, per-BS, per-row channel synthesis, and
 the per-user CSI fusion, first-stage, ICCS and SUS loops that read the
-fused full tables through an id-to-row dict.
+fused full tables one user at a time (user i is row i).
 """
 
 import math
@@ -73,8 +73,8 @@ def sinr_reference(group: UserGroup, chans, noise_power: float) -> dict[int, flo
     out = {}
     for cell, served in group.members.items():
         for uid in served:
-            d = chans.h[cell, chans.index[uid]]
-            others = [chans.h[cell, chans.index[u]] for u in everyone if u != uid]
+            d = chans.h[cell, uid]
+            others = [chans.h[cell, u] for u in everyone if u != uid]
             w = mmse_receiver(d, others, noise_power).weights
             out[uid] = sinr(w, d, others, [], noise_power)
     return out
@@ -205,22 +205,20 @@ def channel_rows_reference(scenario, observing_bs: int, positions, realizations)
     return v * (amp / np.linalg.norm(v, axis=1))[:, None]
 
 
-def fuse_reference(ckm, users, chans=None, mode: str = "auto") -> EffectiveCsi:
+def fuse_reference(ckm, chans, mode: str = "auto") -> EffectiveCsi:
     """fuse_effective_csi with one pass per (user, BS): the user's true
     channel rows are fetched when any of its BSs sees an unreliable grid."""
-    ordered = sorted(users, key=lambda u: u.id)
-    ids = np.array([u.id for u in ordered], dtype=np.int64)
-    L, n, nant = ckm.n_cells, len(ordered), ckm.h_bar.shape[2]
+    L, n, nant = ckm.n_cells, len(chans.grid), ckm.h_bar.shape[2]
     vectors = np.zeros((L, n, nant), dtype=np.complex128)
     gain = np.zeros((L, n))
     source = np.ones((L, n), dtype=np.uint8)
     acquired = []
-    for i, u in enumerate(ordered):
-        g = u.grid.g
+    for i in range(n):
+        g = int(chans.grid[i])
         need = [mode == "auto" and not ckm.reliable[l, g] for l in range(L)]
         if any(need):
-            icsi = chans.h[:, chans.index[u.id], :]
-            acquired.append(int(u.id))
+            icsi = chans.h[:, i, :]
+            acquired.append(i)
         for l in range(L):
             if need[l]:
                 vectors[l, i] = icsi[l]
@@ -232,22 +230,17 @@ def fuse_reference(ckm, users, chans=None, mode: str = "auto") -> EffectiveCsi:
     corr = np.zeros((L, n, n))
     for l in range(L):
         corr[l] = _corr_matrix(vectors[l])
-    csi = EffectiveCsi.from_tables(ids, gain, corr, vectors, source)
+    csi = EffectiveCsi.from_tables(gain, corr, vectors, source)
     csi.acquired = acquired
     return csi
-
-
-def _row_of(csi):
-    return {int(u): i for i, u in enumerate(csi.user_ids)}
 
 
 def aes_reference(cell_ids, csi, observing_bs: int, kprime: int, alpha: float):
     """aes_select over id lists: one gain lookup per pool member per pick and
     one correlation lookup per pool member per prune."""
-    row = _row_of(csi)
 
     def gain(k):
-        return float(csi.gain[observing_bs, row[k]])
+        return float(csi.gain[observing_bs, k])
 
     pool = sorted(int(k) for k in cell_ids)
     pruned, selected = [], []
@@ -256,7 +249,7 @@ def aes_reference(cell_ids, csi, observing_bs: int, kprime: int, alpha: float):
         selected.append(pick)
         if len(selected) < kprime:
             drop = [k for k in pool
-                    if float(csi.corr[observing_bs][row[k], row[pick]]) > alpha]
+                    if float(csi.corr[observing_bs][k, pick]) > alpha]
             pruned.extend(drop)
             pool = [k for k in pool if k not in drop]
     fallback = []
@@ -268,10 +261,8 @@ def aes_reference(cell_ids, csi, observing_bs: int, kprime: int, alpha: float):
 
 def gis_reference(cell_ids, csi, observing_bs: int, kprime: int) -> ActiveSet:
     """gis_select re-summing the whole alive sub-table for every deletion."""
-    row = _row_of(csi)
     ids = sorted(int(k) for k in cell_ids)
-    rows = [row[k] for k in ids]
-    m = csi.corr[observing_bs][np.ix_(rows, rows)]
+    m = csi.corr[observing_bs][np.ix_(ids, ids)]
     active = list(range(len(ids)))
     while len(active) > kprime:
         z = m[np.ix_(active, active)].sum(axis=1) - 1.0
@@ -280,8 +271,7 @@ def gis_reference(cell_ids, csi, observing_bs: int, kprime: int) -> ActiveSet:
 
 
 def iccs_reference(active_sets, csi, kbar: int) -> UserGroup:
-    """iccs_schedule with an id-to-row dict lookup per candidate per slot."""
-    row = _row_of(csi)
+    """iccs_schedule with a table lookup per candidate per slot."""
     sets = sorted(active_sets, key=lambda a: a.cell)
     pools = {a.cell: sorted(a.members) for a in sets}
     members = {a.cell: [] for a in sets}
@@ -290,7 +280,7 @@ def iccs_reference(active_sets, csi, kbar: int) -> UserGroup:
     for slot in range(kbar):
         for a in sets:
             cell = a.cell
-            rows = np.array([row[k] for k in pools[cell]])
+            rows = np.array(pools[cell])
             if placed:
                 load = np.sum(csi.corr[cell][np.ix_(rows, placed)] ** 2, axis=1)
             else:
@@ -299,8 +289,8 @@ def iccs_reference(active_sets, csi, kbar: int) -> UserGroup:
             j = int(np.argmax(mu))
             uid = pools[cell].pop(j)
             members[cell].append(uid)
-            placed.append(row[uid])
-            source = "scsi" if csi.source[cell, row[uid]] else "icsi"
+            placed.append(uid)
+            source = "scsi" if csi.source[cell, uid] else "icsi"
             meta.append(SelectionRecord(uid, cell, slot, float(mu[j]), source))
     return UserGroup(members=members, meta=meta)
 
@@ -310,7 +300,7 @@ def sus_reference(chans, kbar: int, alpha: float) -> UserGroup:
     candidate in every round, with np.vdot and the 1-D np.linalg.norm."""
     members, meta = {}, []
     for cell, ids in sorted(chans.ids_by_cell().items()):
-        h = {k: chans.h[cell, chans.index[k]] for k in ids}
+        h = {k: chans.h[cell, k] for k in ids}
         pool, pruned, basis, chosen = list(ids), [], [], []
         while len(chosen) < kbar and pool:
             residuals = []

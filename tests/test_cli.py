@@ -282,6 +282,20 @@ def test_main_run_honors_out_and_algorithm_overrides(tmp_path, capsys):
     assert all(r.startswith("random,") for r in lines[1:])
 
 
+def test_main_run_with_two_worker_processes_writes_the_serial_bytes(tmp_path, capsys):
+    # --threads > 1 hands the trials to a process pool of that many workers.
+    text = DESK_CFG + (
+        "algorithms = greedy, random, sus, two_stage_gis, robust_aes, brute_force\n"
+        "trials = 2\nsweep.snr = 10, 20\n"
+    )
+    cfg = write_cfg(tmp_path, text)
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(["run", "--config", cfg, "--out", str(serial)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(pooled), "--threads", "2"]) == 0
+    capsys.readouterr()
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
 def test_main_seed_override_changes_the_draws(tmp_path, capsys):
     cfg = write_cfg(tmp_path, DESK_CFG + "algorithms = random\ntrials = 2\n")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,23 +7,29 @@ import pytest
 
 from ckmsched.errors import EnumerationGuardError, ScheduleError
 from ckmsched.evaluation import (
-    ChannelSet,
     OverheadModel,
     ScheduleResult,
     brute_force_optimum,
     calibrate_noise,
+    candidate_rates,
     evaluate_group,
     mmse_receiver,
     overhead_counts,
     sinr,
     sum_rate,
 )
-from ckmsched.experiments import ALGORITHMS, cached_ckm, run_trial
+from ckmsched.experiments import (
+    ALGORITHMS,
+    cached_ckm,
+    place_users,
+    run_trial,
+    trial_channels,
+)
 from ckmsched.geometry import channel_rows
 from ckmsched.groups import UserGroup
 from ckmsched.scheduling import greedy_schedule
 
-from conftest import desk_config
+from conftest import desk_config, synthetic_chans
 
 
 def collinear(a, b):
@@ -111,29 +117,39 @@ def test_sinr_rejects_zero_combiner_and_bad_noise():
 
 
 def one_cell_chans(vectors):
-    ids = np.array(sorted(vectors), dtype=np.int64)
-    h = np.stack([np.asarray(vectors[int(u)], dtype=np.complex128) for u in ids])
-    return ChannelSet(ids=ids, cell_of=np.zeros(len(ids), dtype=np.int64),
-                      h=h[None, :, :])
+    """One-cell ChannelSet: user i has channel vectors[i]."""
+    return synthetic_chans(np.asarray(vectors)[None], np.zeros(len(vectors)))
 
 
 def test_unit_gain_single_user_at_unit_noise_rates_one_bit():
-    chans = one_cell_chans({1: [1.0, 0.0]})
-    group = UserGroup(members={0: [1]})
+    chans = one_cell_chans([[1.0, 0.0]])
+    group = UserGroup(members={0: [0]})
     rate, gammas = evaluate_group(group, chans, noise_power=1.0)
-    assert gammas[1] == pytest.approx(1.0)
+    assert gammas[0] == pytest.approx(1.0)
     assert rate == pytest.approx(1.0)
 
 
 def test_orthogonal_pair_doubles_the_single_user_rate():
-    chans = one_cell_chans({1: [2.0, 0.0, 0.0], 2: [0.0, 2.0, 0.0]})
-    solo = sum_rate(UserGroup(members={0: [1]}), chans, 0.7)
-    pair = sum_rate(UserGroup(members={0: [1, 2]}), chans, 0.7)
+    chans = one_cell_chans([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    solo = sum_rate(UserGroup(members={0: [0]}), chans, 0.7)
+    pair = sum_rate(UserGroup(members={0: [0, 1]}), chans, 0.7)
     assert pair == pytest.approx(2.0 * solo)
 
 
+def test_evaluation_rejects_ids_without_a_channel_row():
+    # User i is row i: -1 must not wrap to the last row.
+    chans = one_cell_chans([[1.0, 0.0], [0.0, 1.0]])
+    for uid in (-1, 2):
+        with pytest.raises(ValueError, match=f"user {uid} has no channel row"):
+            evaluate_group(UserGroup(members={0: [0, uid]}), chans, 1.0)
+        with pytest.raises(ValueError, match=f"user {uid} has no channel row"):
+            candidate_rates(chans, {0: [0]}, 0, [uid], 1.0)
+        with pytest.raises(ValueError, match=f"user {uid} has no channel row"):
+            candidate_rates(chans, {0: [uid]}, 0, [0], 1.0)
+
+
 def test_empty_group_has_zero_rate():
-    chans = one_cell_chans({1: [1.0, 0.0]})
+    chans = one_cell_chans([[1.0, 0.0]])
     assert sum_rate(UserGroup(members={}), chans, 1.0) == 0.0
     assert sum_rate(UserGroup(members={0: []}), chans, 1.0) == 0.0
 
@@ -141,9 +157,7 @@ def test_empty_group_has_zero_rate():
 def test_rate_equals_log_sum_of_reported_sinrs():
     rng = np.random.default_rng(5)
     h = rng.normal(size=(2, 6, 4)) + 1j * rng.normal(size=(2, 6, 4))
-    chans = ChannelSet(
-        ids=np.arange(6), cell_of=np.array([0, 0, 0, 1, 1, 1]), h=h
-    )
+    chans = synthetic_chans(h, [0, 0, 0, 1, 1, 1])
     group = UserGroup(members={0: [0, 2], 1: [4, 5]})
     rate, gammas = evaluate_group(group, chans, 0.3)
     assert set(gammas) == {0, 2, 4, 5}
@@ -153,9 +167,7 @@ def test_rate_equals_log_sum_of_reported_sinrs():
 def test_rate_is_bit_identical_under_member_reordering():
     rng = np.random.default_rng(11)
     h = rng.normal(size=(2, 6, 4)) + 1j * rng.normal(size=(2, 6, 4))
-    chans = ChannelSet(
-        ids=np.arange(6), cell_of=np.array([0, 0, 0, 1, 1, 1]), h=h
-    )
+    chans = synthetic_chans(h, [0, 0, 0, 1, 1, 1])
     a = sum_rate(UserGroup(members={0: [2, 0], 1: [5, 3]}), chans, 0.3)
     b = sum_rate(UserGroup(members={0: [0, 2], 1: [3, 5]}), chans, 0.3)
     assert a == b
@@ -165,10 +177,10 @@ def test_cross_cell_interference_lowers_rates():
     h = np.zeros((2, 2, 2), dtype=complex)
     h[0, 0] = [2.0, 0.0]   # user 0 at its BS
     h[1, 1] = [2.0, 0.0]   # user 1 at its BS
-    quiet = ChannelSet(ids=np.arange(2), cell_of=np.array([0, 1]), h=h.copy())
+    quiet = synthetic_chans(h.copy(), [0, 1])
     loud = h.copy()
     loud[0, 1] = [1.5, 0.0]  # user 1 leaks into BS 0
-    noisy = ChannelSet(ids=np.arange(2), cell_of=np.array([0, 1]), h=loud)
+    noisy = synthetic_chans(loud, [0, 1])
     group = UserGroup(members={0: [0], 1: [1]})
     assert sum_rate(group, noisy, 0.5) < sum_rate(group, quiet, 0.5)
 
@@ -177,42 +189,41 @@ def test_cross_cell_interference_lowers_rates():
 
 
 def test_brute_force_with_kbar_equal_to_pool_is_the_full_group():
-    chans = one_cell_chans({1: [1.0, 0.0], 2: [0.0, 2.0]})
+    chans = one_cell_chans([[1.0, 0.0], [0.0, 2.0]])
     group, rate = brute_force_optimum(chans, kbar=2, noise_power=1.0)
-    assert group.members == {0: [1, 2]}
+    assert group.members == {0: [0, 1]}
     assert rate == pytest.approx(
-        sum_rate(UserGroup(members={0: [1, 2]}), chans, 1.0)
+        sum_rate(UserGroup(members={0: [0, 1]}), chans, 1.0)
     )
 
 
 def test_brute_force_singleton_picks_the_better_user():
-    chans = one_cell_chans({1: [1.0, 0.0], 2: [0.0, 3.0]})
+    chans = one_cell_chans([[1.0, 0.0], [0.0, 3.0]])
     group, _ = brute_force_optimum(chans, kbar=1, noise_power=1.0)
-    assert group.members == {0: [2]}
+    assert group.members == {0: [1]}
 
 
 def test_brute_force_beats_greedy_on_a_crafted_instance():
     # Greedy grabs the largest-norm user first and gets stuck with a
     # correlated pair; the optimum is the orthogonal pair.
-    chans = one_cell_chans({1: [1.5, 1.5], 2: [2.0, 0.0], 3: [0.0, 2.0]})
+    chans = one_cell_chans([[1.5, 1.5], [2.0, 0.0], [0.0, 2.0]])
     noise = 1.0
     best, best_rate = brute_force_optimum(chans, kbar=2, noise_power=noise)
     greedy = greedy_schedule(chans, kbar=2, noise_power=noise)
     greedy_rate = sum_rate(greedy, chans, noise)
-    assert best.members == {0: [2, 3]}
-    assert 1 in greedy.members[0]
+    assert best.members == {0: [1, 2]}
+    assert 0 in greedy.members[0]
     assert best_rate > greedy_rate + 0.1
 
 
 def test_brute_force_enumeration_guard():
-    vectors = {i: [float(i), 1.0] for i in range(1, 11)}
-    chans = one_cell_chans(vectors)
+    chans = one_cell_chans([[float(i), 1.0] for i in range(1, 11)])
     with pytest.raises(EnumerationGuardError):
         brute_force_optimum(chans, kbar=5, noise_power=1.0, max_combinations=100)
 
 
 def test_brute_force_rejects_undersized_cells():
-    chans = one_cell_chans({1: [1.0, 0.0]})
+    chans = one_cell_chans([[1.0, 0.0]])
     with pytest.raises(ValueError):
         brute_force_optimum(chans, kbar=2, noise_power=1.0)
 
@@ -317,6 +328,13 @@ def test_run_trial_validates_inputs():
         run_trial(cfg, "sus", trial_seed=-1)
 
 
+def test_trial_channels_require_users_numbered_in_row_order(small_scenario):
+    users = place_users(small_scenario, 0)
+    for bad in (users[1:], [users[1], users[0]] + users[2:], users + [users[0]]):
+        with pytest.raises(ValueError, match="numbered 0..n-1 in order"):
+            trial_channels(small_scenario, bad, 1)
+
+
 def test_algorithms_keep_their_order():
     # The CLI's default CSV rows follow this order.
     assert ALGORITHMS == (
@@ -355,6 +373,9 @@ def test_run_trial_models_robust_mults_at_the_realized_eta():
     (lambda m: m[0].__setitem__(1, m[0][0]), "twice"),
     (lambda m: m[0].__setitem__(1, m[1][0]), "not served by cell 0"),
     (lambda m: m[1].pop(), "cell 1 has 1 users"),
+    # desk_config has users 0..9; neither end may wrap to a real row.
+    (lambda m: m[0].__setitem__(1, -1), "user -1 is not served by cell 0"),
+    (lambda m: m[0].__setitem__(1, 10), "user 10 is not served by cell 0"),
 ])
 def test_run_trial_rejects_invalid_groups(monkeypatch, corrupt, match):
     import ckmsched.experiments as experiments

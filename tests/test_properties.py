@@ -1,0 +1,75 @@
+"""Properties over small desk-sized scenarios, drawn by Hypothesis: user i is
+row i of the trial, and the robust schedulers meet their eta extremes."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ckmsched.experiments import (
+    cached_ckm,
+    cached_scenario,
+    place_users,
+    run_trial,
+    trial_channels,
+)
+from ckmsched.geometry import channel_rows
+from ckmsched.scheduling import fuse_effective_csi
+
+from conftest import desk_config
+
+
+def desk_configs(**fixed):
+    return st.builds(
+        desk_config,
+        placement=st.sampled_from(["uniform", "clustered"]),
+        dynamic_grid_fraction=st.sampled_from([0.0, 0.25, 1.0]),
+        **{k: st.just(v) for k, v in fixed.items()},
+    )
+
+
+trial_seeds = st.integers(0, 10_000)
+
+
+def trial(cfg, seed):
+    scenario = cached_scenario(cfg)
+    users = place_users(scenario, seed)
+    return scenario, users, trial_channels(scenario, users, seed + 1)
+
+
+@given(cfg=desk_configs(), seed=trial_seeds)
+@settings(max_examples=20, deadline=None)
+def test_users_are_numbered_in_row_order(cfg, seed):
+    scenario, users, chans = trial(cfg, seed)
+    n = cfg.n_cells * cfg.users_per_cell
+    assert [u.id for u in users] == list(range(n))
+    assert chans.cell_of.tolist() == [u.cell for u in users]
+    assert chans.grid.tolist() == [u.grid.g for u in users]
+    bss = range(cfg.n_cells)
+    for u in users:
+        # one position at a time, so each row is checked on its own
+        h = channel_rows(scenario, bss, np.array([u.position]), seed + 1)[:, 0]
+        assert h.tobytes() == chans.h[:, u.id].tobytes()
+
+
+@given(cfg=desk_configs(eta=1.0), seed=trial_seeds)
+@settings(max_examples=20, deadline=None)
+def test_robust_on_an_all_reliable_map_is_the_map_only_scheduler(cfg, seed):
+    for first_stage in ("aes", "gis"):
+        robust = run_trial(cfg, f"robust_{first_stage}", seed)
+        baseline = run_trial(cfg, f"two_stage_{first_stage}", seed)
+        assert robust.group.members == baseline.group.members
+        assert robust.group.meta == baseline.group.meta
+        assert repr(robust.sum_rate) == repr(baseline.sum_rate)
+        assert robust.csi_acquisitions == 0
+
+
+@given(cfg=desk_configs(eta=0.0), seed=trial_seeds)
+@settings(max_examples=20, deadline=None)
+def test_fusion_on_an_all_unreliable_map_acquires_every_user(cfg, seed):
+    _, _, chans = trial(cfg, seed)
+    n = cfg.n_cells * cfg.users_per_cell
+    csi = fuse_effective_csi(cached_ckm(cfg), chans)
+    assert csi.acquired == list(range(n))
+    assert np.all(csi.source == 0)
+    for algorithm in ("robust_aes", "robust_gis"):
+        assert run_trial(cfg, algorithm, seed).csi_acquisitions == cfg.n_cells * n
