@@ -18,10 +18,10 @@ from itertools import product
 
 import numpy as np
 
-from .ckm import UsCkm, build_ckm
+from .ckm import UsCkm
 from .errors import ConfigError
 from .evaluation import BRUTE_FORCE_BUDGET, combination_count
-from .experiments import ALGORITHMS, cached_scenario, run_trial
+from .experiments import ALGORITHMS, cached_ckm, cached_scenario, run_trial
 from .geometry import CONFIG_HINTS as _HINTS
 from .geometry import INT_FIELDS as _INT_FIELDS
 from .geometry import ScenarioConfig
@@ -254,15 +254,14 @@ def cmd_build_ckm(config_path: str, out_path: str, export_csv: bool = False,
 
     stream = stream or sys.stdout
     plan = parse_config(config_path)
-    scenario = cached_scenario(plan.base_config)
-    ckm = build_ckm(scenario)
+    ckm = cached_ckm(plan.base_config)
     ckm.save(out_path)
     print(f"wrote {out_path}: {ckm.n_cells} BSs x {ckm.n_grids} grids, "
           f"realized eta {ckm.realized_eta():.4f}", file=stream)
     if export_csv:
         directory = os.path.dirname(os.path.abspath(out_path))
         ckm.export_csv(directory)
-        scenario.export_csv(os.path.join(directory, "scenario.csv"))
+        ckm.scenario.export_csv(os.path.join(directory, "scenario.csv"))
         print(f"exported gain/correlation/scenario CSVs to {directory}", file=stream)
     return 0
 

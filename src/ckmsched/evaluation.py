@@ -390,8 +390,6 @@ def calibrate_noise(scenario: Scenario, target_snr_db: float) -> float:
     gains = []
     for l in range(scenario.config.n_cells):
         grids = scenario.grids_of_cell[l]
-        if len(grids) == 0:
-            continue
         rows = channel_rows(
             scenario, l, scenario.grid_centers[grids], np.zeros(len(grids), dtype=int)
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -124,6 +124,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in sorted(FLOAT_FIELDS):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n_cells < 1:
             raise ConfigError("n_cells must be >= 1")
         if not (1 <= self.kbar <= self.kprime <= self.users_per_cell):
@@ -165,6 +169,12 @@ class ScenarioConfig:
             raise ConfigError("phase_length_m and scatter_range_m must be positive")
         if self.scatter_falloff <= 0:
             raise ConfigError("scatter_falloff must be positive")
+        if self.hotspots_per_cell < 1:
+            raise ConfigError("hotspots_per_cell must be >= 1")
+        if self.shadowing_std_db < 0:
+            raise ConfigError("shadowing_std_db must be >= 0")
+        if self.inter_site_distance_m is not None and self.inter_site_distance_m <= 0:
+            raise ConfigError("inter_site_distance_m must be positive")
 
     @property
     def n_antennas(self) -> int:
@@ -184,6 +194,9 @@ class ScenarioConfig:
 # Each field's type is stated once, in ScenarioConfig's annotations.
 CONFIG_HINTS = get_type_hints(ScenarioConfig)
 INT_FIELDS = frozenset(name for name, kind in CONFIG_HINTS.items() if kind is int)
+FLOAT_FIELDS = frozenset(
+    name for name, kind in CONFIG_HINTS.items() if float in (kind, *get_args(kind))
+)
 
 
 @dataclass
@@ -207,80 +220,60 @@ def _seeded(seed: int, *tags: int) -> np.random.Generator:
 def array_response(
     n_h: int,
     n_v: int,
-    azimuth: float,
-    elevation: float,
+    azimuth,
+    elevation,
     polarization: int,
     wavelength: float,
-    spacing: float | None = None,
 ) -> np.ndarray:
-    """Steering vector of a dual-polarized n_h x n_v planar array.
+    """Steering vectors of a dual-polarized n_h x n_v planar array with
+    elements half a wavelength apart.
 
-    Returns a unit-norm length 2*n_h*n_v vector whose active half is the
-    block of the requested polarization. Element spacing defaults to half
-    the wavelength. Boresight (azimuth=elevation=0) gives co-phased
-    entries.
+    azimuth and elevation are scalars or arrays of one broadcast shape B;
+    the result has shape B + (2*n_h*n_v,). Each vector is unit-norm and its
+    active half is the block of the requested polarization. Boresight
+    (azimuth=elevation=0) gives co-phased entries.
     """
     if polarization not in (0, 1):
         raise ValueError("polarization must be 0 or 1")
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
-    if spacing is None:
-        spacing = 0.5 * wavelength
-    k = 2.0 * math.pi * spacing / wavelength
-    ph = k * np.arange(n_h) * math.sin(azimuth) * math.cos(elevation)
-    pv = k * np.arange(n_v) * math.sin(elevation)
-    block = np.exp(1j * (ph[:, None] + pv[None, :])).ravel() / math.sqrt(n_h * n_v)
-    out = np.zeros(2 * n_h * n_v, dtype=np.complex128)
+    az, el = np.broadcast_arrays(np.asarray(azimuth, dtype=float),
+                                 np.asarray(elevation, dtype=float))
+    k = 2.0 * math.pi * (0.5 * wavelength) / wavelength
+    ph = k * np.arange(n_h) * np.sin(az)[..., None] * np.cos(el)[..., None]
+    pv = k * np.arange(n_v) * np.sin(el)[..., None]
     size = n_h * n_v
-    out[polarization * size : (polarization + 1) * size] = block
+    block = np.exp(1j * (ph[..., :, None] + pv[..., None, :])).reshape(
+        az.shape + (size,)
+    ) / math.sqrt(size)
+    out = np.zeros(az.shape + (2 * size,), dtype=np.complex128)
+    out[..., polarization * size : (polarization + 1) * size] = block
     return out
 
 
 def path_loss_db(
-    distance_3d: float,
+    distance_3d,
     fc: float,
-    bs_height: float,
-    user_height: float,
     exponent: float = 3.0,
     offset_db: float | None = None,
-    ref_distance: float = 1.0,
-) -> float:
-    """Single-slope log-distance path loss in dB.
+):
+    """Single-slope log-distance path loss in dB of a scalar or an array
+    of 3-D distances (a float or an array of the same shape).
 
-    offset_db defaults to the free-space loss at ref_distance for the
-    given carrier. The antenna heights are accepted for interface
-    completeness (a single-slope model does not use them) and validated
-    only.
+    offset_db defaults to the free-space loss at 1 m for the given carrier.
+    Each logarithm is a scalar math.log10, which is not always
+    bit-identical to np.log10.
     """
-    if distance_3d <= 0:
+    d = np.asarray(distance_3d, dtype=float)
+    if not np.all(d > 0):
         raise ValueError("distance_3d must be positive")
     if fc <= 0:
         raise ValueError("fc must be positive")
-    if bs_height <= 0 or user_height <= 0:
-        raise ValueError("antenna heights must be positive")
     if offset_db is None:
-        offset_db = 20.0 * math.log10(4.0 * math.pi * ref_distance * fc / SPEED_OF_LIGHT)
-    return offset_db + 10.0 * exponent * math.log10(distance_3d / ref_distance)
-
-
-def _path_loss_db_many(cfg: ScenarioConfig, distance_3d: np.ndarray) -> np.ndarray:
-    """path_loss_db of every element of an array of 3-D distances.
-
-    Element-wise, because the scalar math.log10 is not always bit-identical
-    to np.log10.
-    """
-    pl = [
-        path_loss_db(
-            d,
-            cfg.fc_hz,
-            cfg.bs_height_m,
-            cfg.user_height_m,
-            exponent=cfg.path_loss_exponent,
-            offset_db=cfg.path_loss_offset_db,
-        )
-        for d in distance_3d.ravel().tolist()
-    ]
-    return np.array(pl).reshape(distance_3d.shape)
+        offset_db = 20.0 * math.log10(4.0 * math.pi * fc / SPEED_OF_LIGHT)
+    logs = np.fromiter(map(math.log10, d.ravel().tolist()), float, d.size)
+    pl = offset_db + 10.0 * exponent * logs.reshape(d.shape)
+    return pl if d.ndim else float(pl)
 
 
 class Scenario:
@@ -313,25 +306,23 @@ class Scenario:
         y1 = float(self.bs_xy[:, 1].max() + radius)
         n_ix = max(1, math.ceil((x1 - x0) / edge - 1e-9))
         n_iy = max(1, math.ceil((y1 - y0) / edge - 1e-9))
-        centers = []
-        serving = []
-        # lattice[iy, ix] is the grid id of lattice square (ix, iy), -1 outside.
+        cx = x0 + (np.arange(n_ix) + 0.5) * edge
+        cy = y0 + (np.arange(n_iy) + 0.5) * edge
+        # d[l, iy, ix] is BS l's distance to the center of lattice square (ix, iy).
+        bx, by = self.bs_xy[:, 0, None, None], self.bs_xy[:, 1, None, None]
+        d = np.hypot(bx - cx, by - cy[:, None])
+        best = np.argmin(d, axis=0)  # argmin keeps the lowest BS id on ties
+        iy, ix = np.nonzero(d.min(axis=0) <= radius + 1e-9)
+        # lattice[iy, ix] is the grid id of lattice square (ix, iy), -1 outside;
+        # grid ids run in row-major lattice order.
         lattice = np.full((n_iy, n_ix), -1, dtype=np.int64)
-        for iy in range(n_iy):
-            cy = y0 + (iy + 0.5) * edge
-            for ix in range(n_ix):
-                cx = x0 + (ix + 0.5) * edge
-                d = np.hypot(self.bs_xy[:, 0] - cx, self.bs_xy[:, 1] - cy)
-                best = int(np.argmin(d))  # argmin keeps the lowest BS id on ties
-                if d[best] <= radius + 1e-9:
-                    lattice[iy, ix] = len(centers)
-                    centers.append((cx, cy))
-                    serving.append(best)
-        if not centers:
+        lattice[iy, ix] = np.arange(len(iy))
+        centers = np.stack([cx[ix], cy[iy]], axis=1)
+        if not len(iy):
             raise GeometryError("no grid center falls inside any cell")
         self.origin = np.array([x0, y0])
-        self.grid_centers = np.array(centers, dtype=float)
-        self.grid_serving = np.array(serving, dtype=np.int64)
+        self.grid_centers = centers
+        self.grid_serving = best[iy, ix]
         self.n_grids = len(centers)
         self._lattice = lattice
         self.grids_of_cell = [
@@ -398,28 +389,32 @@ class Scenario:
         self._dyn_row = np.full(self.n_grids, -1, dtype=np.int64)
         self._dyn_row[dyn_ids] = np.arange(n_dyn)
         # Per-BS mixed steering rows: row c of static_mix[l] is the
-        # polarization-weighted array response toward static cluster c.
+        # polarization-weighted array response toward static cluster c,
+        # dyn_mix[l, a] the rows toward the clusters of dynamic row a.
         L, N = cfg.n_cells, self.n_antennas
-        self.static_mix = np.zeros((L, n_static, N), dtype=np.complex128)
-        for l in range(L):
-            self.static_mix[l] = self._mix_rows(l, static_positions, static_gains)
-        self.dyn_mix = np.zeros((L, n_dyn, d, N), dtype=np.complex128)
-        for l in range(L):
-            for a in range(n_dyn):
-                self.dyn_mix[l, a] = self._mix_rows(l, dyn_pos[a], dyn_gain[a])
+        mix = self._mix_rows(
+            np.concatenate([static_positions, dyn_pos.reshape(-1, 2)]),
+            np.concatenate([static_gains, dyn_gain.reshape(-1, 2)]),
+        )
+        self.static_mix = np.ascontiguousarray(mix[:, :n_static])
+        self.dyn_mix = np.ascontiguousarray(mix[:, n_static:]).reshape(L, n_dyn, d, N)
 
-    def _mix_rows(self, l: int, positions: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    def _mix_rows(self, positions: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        """(L, C, N): gain-weighted dual-polarized steering rows from every BS
+        toward each of C clusters. Angles go through math.atan2 and
+        math.hypot, which np.arctan2 and np.hypot do not always match bit
+        for bit."""
         cfg = self.config
-        rows = np.zeros((positions.shape[0], self.n_antennas), dtype=np.complex128)
-        bs = self.bs_xy[l]
-        for c, p in enumerate(positions):
-            d2 = math.hypot(p[0] - bs[0], p[1] - bs[1])
-            az = math.atan2(p[1] - bs[1], p[0] - bs[0])
-            el = math.atan2(cfg.user_height_m - cfg.bs_height_m, max(d2, 1e-6))
-            a0 = array_response(cfg.n_h, cfg.n_v, az, el, 0, self.wavelength)
-            a1 = array_response(cfg.n_h, cfg.n_v, az, el, 1, self.wavelength)
-            rows[c] = gains[c, 0] * a0 + gains[c, 1] * a1
-        return rows
+        dh = cfg.user_height_m - cfg.bs_height_m
+        angles = [
+            (math.atan2(y - by, x - bx), math.atan2(dh, max(math.hypot(x - bx, y - by), 1e-6)))
+            for bx, by in self.bs_xy.tolist()
+            for x, y in positions.tolist()
+        ]
+        ang = np.array(angles).reshape(cfg.n_cells, len(positions), 2)
+        a0 = array_response(cfg.n_h, cfg.n_v, ang[..., 0], ang[..., 1], 0, self.wavelength)
+        a1 = array_response(cfg.n_h, cfg.n_v, ang[..., 0], ang[..., 1], 1, self.wavelength)
+        return gains[:, 0, None] * a0 + gains[:, 1, None] * a1
 
     def _freeze(self):
         for arr in (
@@ -553,7 +548,7 @@ def channel_rows(
     bs = scenario.bs_xy[bss]
     d2 = np.hypot(pos[None, :, 0] - bs[:, 0, None], pos[None, :, 1] - bs[:, 1, None])
     d3 = np.hypot(d2, cfg.bs_height_m - cfg.user_height_m)
-    pl = _path_loss_db_many(cfg, d3)
+    pl = path_loss_db(d3, cfg.fc_hz, cfg.path_loss_exponent, cfg.path_loss_offset_db)
     amp = 10.0 ** (-(pl + scenario.shadow_db[bss[:, None], gids]) / 20.0)
 
     sp = scenario.scatterers.static_positions
@@ -583,8 +578,8 @@ def channel_rows(
     norms = np.linalg.norm(v, axis=-1)
     if np.any(norms < 1e-250):
         raise ZeroNormError("degenerate small-scale channel (zero cluster sum)")
-    out = v * (amp / norms)[..., None]
-    return out[0] if np.ndim(observing_bs) == 0 else out
+    v *= (amp / norms)[..., None]  # in place: a map survey's v is ~20 MB
+    return v[0] if np.ndim(observing_bs) == 0 else v
 
 
 def sample_grid(scenario: Scenario, observing_bs, grids,

@@ -5,7 +5,9 @@ per-grid map survey through one channel_rows call and scalar statistics
 (np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), per-user
 placement, a scalar grid lookup, per-BS, per-row channel synthesis, and
 the per-user CSI fusion, first-stage, ICCS and SUS loops that read the
-fused full tables one user at a time (user i is row i).
+fused full tables one user at a time (user i is row i), and the scenario's
+nested per-square grid lattice and per-cluster steering rows built from
+one scalar steering vector at a time.
 """
 
 import math
@@ -166,6 +168,75 @@ def locate_reference(scenario, position) -> int | None:
     return squares.get((ix, iy))
 
 
+def lattice_reference(scenario):
+    """grid_centers, grid_serving and the lattice from one np.hypot over the
+    BSs per lattice square, in row-major lattice order."""
+    cfg = scenario.config
+    bs_xy = scenario.bs_xy
+    edge, radius = cfg.grid_edge_m, cfg.cell_radius_m
+    x0 = float(bs_xy[:, 0].min() - radius)
+    y0 = float(bs_xy[:, 1].min() - radius)
+    x1 = float(bs_xy[:, 0].max() + radius)
+    y1 = float(bs_xy[:, 1].max() + radius)
+    n_ix = max(1, math.ceil((x1 - x0) / edge - 1e-9))
+    n_iy = max(1, math.ceil((y1 - y0) / edge - 1e-9))
+    centers, serving = [], []
+    lattice = np.full((n_iy, n_ix), -1, dtype=np.int64)
+    for iy in range(n_iy):
+        cy = y0 + (iy + 0.5) * edge
+        for ix in range(n_ix):
+            cx = x0 + (ix + 0.5) * edge
+            d = np.hypot(bs_xy[:, 0] - cx, bs_xy[:, 1] - cy)
+            best = int(np.argmin(d))
+            if d[best] <= radius + 1e-9:
+                lattice[iy, ix] = len(centers)
+                centers.append((cx, cy))
+                serving.append(best)
+    return (np.array(centers, dtype=float), np.array(serving, dtype=np.int64), lattice)
+
+
+def array_response_reference(n_h, n_v, azimuth: float, elevation: float,
+                             polarization: int, wavelength: float) -> np.ndarray:
+    """One steering vector of the half-wavelength dual-polarized array from
+    scalar math.sin / math.cos."""
+    k = 2.0 * math.pi * (0.5 * wavelength) / wavelength
+    ph = k * np.arange(n_h) * math.sin(azimuth) * math.cos(elevation)
+    pv = k * np.arange(n_v) * math.sin(elevation)
+    block = np.exp(1j * (ph[:, None] + pv[None, :])).ravel() / math.sqrt(n_h * n_v)
+    out = np.zeros(2 * n_h * n_v, dtype=np.complex128)
+    size = n_h * n_v
+    out[polarization * size : (polarization + 1) * size] = block
+    return out
+
+
+def steering_mix_reference(scenario):
+    """static_mix and dyn_mix from two scalar steering vectors per (BS,
+    cluster)."""
+    cfg = scenario.config
+    sf = scenario.scatterers
+
+    def rows(l, positions, gains):
+        out = np.zeros((len(positions), scenario.n_antennas), dtype=np.complex128)
+        bs = scenario.bs_xy[l]
+        for c, p in enumerate(positions):
+            d2 = math.hypot(p[0] - bs[0], p[1] - bs[1])
+            az = math.atan2(p[1] - bs[1], p[0] - bs[0])
+            el = math.atan2(cfg.user_height_m - cfg.bs_height_m, max(d2, 1e-6))
+            a0 = array_response_reference(cfg.n_h, cfg.n_v, az, el, 0, scenario.wavelength)
+            a1 = array_response_reference(cfg.n_h, cfg.n_v, az, el, 1, scenario.wavelength)
+            out[c] = gains[c, 0] * a0 + gains[c, 1] * a1
+        return out
+
+    L = cfg.n_cells
+    static = np.stack([rows(l, sf.static_positions, sf.static_gains) for l in range(L)])
+    dyn = np.zeros((L,) + sf.dynamic_positions.shape[:2] + (scenario.n_antennas,),
+                   dtype=np.complex128)
+    for l in range(L):
+        for a in range(len(sf.dynamic_positions)):
+            dyn[l, a] = rows(l, sf.dynamic_positions[a], sf.dynamic_gains[a])
+    return static, dyn
+
+
 def channel_rows_reference(scenario, observing_bs: int, positions, realizations):
     """channel_rows for one BS: a locate, a path_loss_db call and, in a
     dynamic grid at a nonzero realization, a jitter draw per row."""
@@ -177,8 +248,8 @@ def channel_rows_reference(scenario, observing_bs: int, positions, realizations)
     d2 = np.hypot(pos[:, 0] - bs[0], pos[:, 1] - bs[1])
     d3 = np.hypot(d2, cfg.bs_height_m - cfg.user_height_m)
     pl = np.array([
-        path_loss_db(d, cfg.fc_hz, cfg.bs_height_m, cfg.user_height_m,
-                     exponent=cfg.path_loss_exponent, offset_db=cfg.path_loss_offset_db)
+        path_loss_db(d, cfg.fc_hz, exponent=cfg.path_loss_exponent,
+                     offset_db=cfg.path_loss_offset_db)
         for d in d3
     ])
     amp = 10.0 ** (-(pl + scenario.shadow_db[observing_bs, gids]) / 20.0)

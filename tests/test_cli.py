@@ -333,6 +333,16 @@ def test_main_reports_config_errors_with_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["target_snr_db = nan", "sweep.snr = 10, nan"])
+def test_main_rejects_a_nan_snr_plan_with_exit_2(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, DESK_CFG + f"algorithms = random\n{line}\n")
+    out = tmp_path / "x.csv"
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert "target_snr_db must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -3,9 +3,10 @@
 greedy_schedule and brute_force_optimum rank candidates with the batched
 closed form and confirm picks with evaluate_group; these tests require the
 same members, the same selection metrics and the same repr(sum_rate) as
-scoring every candidate exactly. build_ckm, place_users, multi-BS
-channel_rows, CSI fusion, AES, ICCS and SUS are batched array code; they
-must equal the per-grid, per-user and per-position paths bit for bit.
+scoring every candidate exactly. Scenario construction, build_ckm,
+place_users, multi-BS channel_rows, CSI fusion, AES, ICCS and SUS are
+batched array code; they must equal the per-square, per-cluster, per-grid,
+per-user and per-position paths bit for bit.
 """
 
 import math
@@ -49,10 +50,12 @@ from reference import (
     gis_reference,
     greedy_reference,
     iccs_reference,
+    lattice_reference,
     locate_reference,
     map_survey_reference,
     place_users_reference,
     sinr_reference,
+    steering_mix_reference,
     sus_reference,
 )
 from test_acceptance import table_scale_config
@@ -344,7 +347,29 @@ def test_candidate_rates_match_exact_sum_rates():
             assert math.isclose(score, exact, rel_tol=1e-9)
 
 
-# -- batched map survey, channel synthesis and placement ----------------------
+# -- batched scenario, map survey, channel synthesis and placement -----------
+
+
+@pytest.mark.parametrize("cfg", [
+    desk_config(),
+    table_scale_config(),
+    desk_config(dynamic_grid_fraction=1.0),
+    desk_config(dynamic_grid_fraction=0.0),
+    desk_config(n_cells=1, kbar=1, kprime=2),
+    desk_config(n_cells=5, kbar=1, kprime=2),
+], ids=["desk", "table", "desk_all_dynamic", "desk_static", "one_cell", "five_cells"])
+def test_scenario_matches_the_per_square_and_per_cluster_references(cfg):
+    scenario = build_scenario(cfg)
+    centers, serving, lattice = lattice_reference(scenario)
+    assert scenario.grid_centers.tobytes() == centers.tobytes()
+    assert scenario.grid_serving.tobytes() == serving.tobytes()
+    assert scenario._lattice.tobytes() == lattice.tobytes()
+    assert scenario._lattice.shape == lattice.shape
+    static_mix, dyn_mix = steering_mix_reference(scenario)
+    assert scenario.static_mix.shape == static_mix.shape
+    assert scenario.dyn_mix.shape == dyn_mix.shape
+    assert scenario.static_mix.tobytes() == static_mix.tobytes()
+    assert scenario.dyn_mix.tobytes() == dyn_mix.tobytes()
 
 
 @pytest.mark.parametrize("cfg", [

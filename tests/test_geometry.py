@@ -87,6 +87,20 @@ def test_config_rejects_out_of_range_knobs():
         desk_config(scatter_falloff=0.0)
     with pytest.raises(ConfigError):
         desk_config(placement="hexagonal")
+    for name in ("target_snr_db", "fc_hz", "alpha", "grid_edge_m", "eta",
+                 "inter_site_distance_m", "path_loss_offset_db", "dynamic_gain"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                desk_config(**{name: bad})
+    with pytest.raises(ConfigError, match="hotspots_per_cell"):
+        desk_config(hotspots_per_cell=0)
+    with pytest.raises(ConfigError, match="hotspots_per_cell"):
+        desk_config(hotspots_per_cell=-1)
+    with pytest.raises(ConfigError, match="shadowing_std_db"):
+        desk_config(shadowing_std_db=-0.5)
+    for isd in (0.0, -50.0):
+        with pytest.raises(ConfigError, match="inter_site_distance_m"):
+            desk_config(inter_site_distance_m=isd)
 
 
 # -- array response ----------------------------------------------------
@@ -127,28 +141,68 @@ def test_array_response_always_unit_norm(az, el, n_h, n_v):
     assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
+def test_array_response_of_an_angle_array_equals_its_scalar_calls():
+    rng = np.random.default_rng(1)
+    az = rng.uniform(-math.pi, math.pi, (3, 7))
+    el = rng.uniform(-math.pi / 2, math.pi / 2, (3, 7))
+    for pol in (0, 1):
+        batch = array_response(4, 3, az, el, pol, wavelength=0.05)
+        assert batch.shape == (3, 7, 24)
+        for i, j in np.ndindex(az.shape):
+            one = array_response(4, 3, float(az[i, j]), float(el[i, j]), pol, wavelength=0.05)
+            assert one.shape == (24,)
+            assert batch[i, j].tobytes() == one.tobytes()
+    # Angles broadcast against each other.
+    row = array_response(2, 2, az[0], 0.1, 1, wavelength=0.05)
+    assert row.shape == (7, 8)
+    assert row[3].tobytes() == array_response(2, 2, float(az[0, 3]), 0.1, 1, 0.05).tobytes()
+
+
 # -- path loss ---------------------------------------------------------
 
 
+def test_path_loss_of_a_distance_array_equals_its_scalar_calls():
+    # Both equal the scalar math.log10 formula, which np.log10 does not
+    # always match in the last bit.
+    rng = np.random.default_rng(2)
+    d = rng.uniform(1.0, 2000.0, (4, 250))
+    fspl = 20.0 * math.log10(4.0 * math.pi * 6.7e9 / SPEED_OF_LIGHT)
+    for exponent, offset in ((3.0, None), (3.7, 41.5)):
+        batch = path_loss_db(d, 6.7e9, exponent, offset)
+        assert batch.shape == d.shape
+        scalar = np.array([[path_loss_db(x, 6.7e9, exponent, offset) for x in r]
+                           for r in d.tolist()])
+        want = np.array([[(fspl if offset is None else offset)
+                          + 10.0 * exponent * math.log10(x) for x in r] for r in d.tolist()])
+        assert batch.tobytes() == scalar.tobytes() == want.tobytes()
+    assert isinstance(path_loss_db(120.0, 6.7e9), float)
+    assert path_loss_db(np.empty((0, 3)), 6.7e9).shape == (0, 3)
+
+
 def test_path_loss_monotone_in_distance():
-    p1 = path_loss_db(100.0, 6.7e9, 25.0, 1.5)
-    p2 = path_loss_db(200.0, 6.7e9, 25.0, 1.5)
+    p1 = path_loss_db(100.0, 6.7e9)
+    p2 = path_loss_db(200.0, 6.7e9)
     assert p2 > p1
 
 
 def test_path_loss_decade_step_matches_exponent():
     exp = 3.0
-    d1 = path_loss_db(100.0, 6.7e9, 25.0, 1.5, exponent=exp)
-    d2 = path_loss_db(1000.0, 6.7e9, 25.0, 1.5, exponent=exp)
+    d1 = path_loss_db(100.0, 6.7e9, exponent=exp)
+    d2 = path_loss_db(1000.0, 6.7e9, exponent=exp)
     assert d2 - d1 == pytest.approx(10.0 * exp * math.log10(10.0))
 
 
 def test_path_loss_is_pure_and_rejects_bad_distance():
-    assert path_loss_db(50.0, 6.7e9, 25.0, 1.5) == path_loss_db(50.0, 6.7e9, 25.0, 1.5)
+    assert path_loss_db(50.0, 6.7e9) == path_loss_db(50.0, 6.7e9)
     with pytest.raises(ValueError):
-        path_loss_db(0.0, 6.7e9, 25.0, 1.5)
+        path_loss_db(0.0, 6.7e9)
     with pytest.raises(ValueError):
-        path_loss_db(-3.0, 6.7e9, 25.0, 1.5)
+        path_loss_db(-3.0, 6.7e9)
+    for bad in (0.0, -3.0, np.nan):
+        d = np.full((2, 5), 50.0)
+        d[1, 3] = bad
+        with pytest.raises(ValueError, match="positive"):
+            path_loss_db(d, 6.7e9)
 
 
 # -- scenario layout ---------------------------------------------------
@@ -290,8 +344,7 @@ def test_channel_norm_equals_large_scale_amplitude(small_scenario):
         + (cfg.bs_height_m - cfg.user_height_m) ** 2
     )
     pl = path_loss_db(
-        d3, cfg.fc_hz, cfg.bs_height_m, cfg.user_height_m,
-        exponent=cfg.path_loss_exponent, offset_db=cfg.path_loss_offset_db,
+        d3, cfg.fc_hz, exponent=cfg.path_loss_exponent, offset_db=cfg.path_loss_offset_db,
     )
     amp = 10.0 ** (-(pl + scen.shadow_db[1, g]) / 20.0)
     assert np.linalg.norm(h) == pytest.approx(amp, rel=1e-12)
