@@ -19,6 +19,12 @@ import numpy as np
 from .errors import ZeroNormError
 from .geometry import Scenario, _row_product, check_thresholds, sample_grid
 
+# Grids per block of the build_ckm survey and of the UsCkm.export_csv
+# correlation rows, so their transient arrays do not grow with the grid
+# count: a table-scale survey block (3 BSs x 256 grids x 10 points) is
+# 3.9 MB of samples, a correlation block (256 x 1279 grids) 5 MB.
+GRID_BLOCK = 256
+
 _FORMAT_MAGIC = b"CKMAP"
 _FORMAT_VERSION = 2
 # Stored arrays in file order, with their dtypes.
@@ -150,6 +156,13 @@ class UsCkm:
         """Fraction of (BS, grid) entries classified reliable."""
         return float(np.mean(self.reliable))
 
+    def reclassify(self, scenario: Scenario) -> "UsCkm":
+        """This map's survey arrays, shared and not copied, around
+        `scenario`, thresholded at its config's delta/eta as build_ckm
+        thresholds them."""
+        return _classify(scenario, self.samples_per_grid, self.h_bar,
+                         self.epsilon, self.sigma, None, None)
+
     # -- serialization ------------------------------------------------
 
     def save(self, path):
@@ -208,7 +221,8 @@ class UsCkm:
                     f"{path}: truncated payload: {name} ends at byte {stop} "
                     f"of a {len(data)}-byte file"
                 )
-            arrays[name] = np.frombuffer(data[start:stop], dtype).reshape(shape).copy()
+            arrays[name] = np.frombuffer(
+                data, dtype, math.prod(shape), offset=start).reshape(shape).copy()
             start = stop
         if start != len(data):
             raise ValueError(f"{path}: {len(data) - start} trailing bytes after the payload")
@@ -245,13 +259,15 @@ class UsCkm:
                             int(self.reliable[l, g]),
                         ]
                     )
-            corr = _corr_matrix(self.h_bar[l])
             with open(os.path.join(directory, f"corr_bs{l}.csv"), "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["grid_a", "grid_b", "rho"])
-                for a in range(self.n_grids):
-                    for b in range(a + 1, self.n_grids):
-                        w.writerow([a, b, f"{corr[a, b]:.12e}"])
+                for start in range(0, self.n_grids, GRID_BLOCK):
+                    rows = np.arange(start, min(start + GRID_BLOCK, self.n_grids))
+                    corr = _corr_rows(self.h_bar[l], rows)
+                    for a, vals in zip(rows.tolist(), corr.tolist()):
+                        for b in range(a + 1, self.n_grids):
+                            w.writerow([a, b, f"{vals[b]:.12e}"])
 
 
 def _parse_header(path, blob: bytes) -> dict:
@@ -294,21 +310,45 @@ def build_ckm(
     all-unreliable / all-reliable classifications). With neither set the
     scenario config's delta/eta apply (eta=0.7 as a last resort). A
     negative delta, an eta outside [0, 1] or both set raise ConfigError.
+
+    The survey runs over blocks of GRID_BLOCK grids, so its transient
+    channel samples stay bounded whatever the grid count; every per-grid
+    statistic is a row reduction, so the blocks concatenate to the
+    one-shot survey byte for byte.
     """
-    cfg = scenario.config
     if s is None:
-        s = cfg.samples_per_grid
+        s = scenario.config.samples_per_grid
+    _thresholds(scenario.config, delta, eta)  # reject them before surveying
+    bss = range(scenario.config.n_cells)
+    blocks = []
+    for start in range(0, scenario.n_grids, GRID_BLOCK):
+        grids = np.arange(start, min(start + GRID_BLOCK, scenario.n_grids))
+        samples, centers = sample_grid(scenario, bss, grids, s)
+        blocks.append((
+            statistical_channel(samples),
+            statistical_gain(samples),
+            grid_variance(statistical_correlation(samples, centers[..., None, :])),
+        ))
+        del samples, centers
+    h_bar, epsilon, sigma = (np.concatenate(parts, axis=1) for parts in zip(*blocks))
+    return _classify(scenario, s, h_bar, epsilon, sigma, delta, eta)
+
+
+def _thresholds(cfg, delta, eta) -> tuple[float | None, float | None]:
+    """build_ckm's (delta, eta): the arguments, else the config's, else
+    eta=0.7; ConfigError unless they are valid."""
     if delta is None and eta is None:
         delta, eta = cfg.delta, cfg.eta
         if delta is None and eta is None:
             eta = 0.7
     check_thresholds(delta, eta)
+    return delta, eta
 
-    grids = np.arange(scenario.n_grids)
-    samples, centers = sample_grid(scenario, range(cfg.n_cells), grids, s)
-    h_bar = statistical_channel(samples)
-    epsilon = statistical_gain(samples)
-    sigma = grid_variance(statistical_correlation(samples, centers[..., None, :]))
+
+def _classify(scenario, s, h_bar, epsilon, sigma, delta, eta) -> UsCkm:
+    """The threshold step of build_ckm: the map of survey arrays around
+    `scenario`, with delta and reliable from _thresholds."""
+    delta, eta = _thresholds(scenario.config, delta, eta)
     if eta is not None:
         if eta <= 0.0:
             delta = -np.inf

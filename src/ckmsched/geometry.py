@@ -556,7 +556,10 @@ def channel_rows(
     w = np.exp(2j * math.pi * duc / cfg.phase_length_m) / (
         1.0 + duc / cfg.scatter_range_m
     ) ** cfg.scatter_falloff
-    v = np.stack([_row_product(w, scenario.static_mix[l]) for l in bss])
+    v = np.empty((len(bss), len(pos), scenario.n_antennas), dtype=np.complex128)
+    for j, l in enumerate(bss):
+        v[j] = _row_product(w, scenario.static_mix[l])
+    del w
 
     rows = scenario._dyn_row[gids]
     hit = np.flatnonzero((rows >= 0) & (real != 0))

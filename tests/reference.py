@@ -2,8 +2,9 @@
 checked against: one exact evaluate_group call per candidate group,
 per-user SINRs through the public mmse_receiver / sinr functions, the
 per-grid map survey through one channel_rows call and scalar statistics
-(np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), per-user
-placement, a scalar grid lookup, per-BS, per-row channel synthesis, and
+(np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), the one-shot
+map survey over every grid at once, per-user placement, a scalar grid
+lookup, per-BS, per-row channel synthesis, and
 the per-user CSI fusion, first-stage, ICCS and SUS loops that read the
 fused full tables one user at a time (user i is row i), and the scenario's
 nested per-square grid lattice and per-cluster steering rows built from
@@ -15,10 +16,17 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ckmsched.ckm import _corr_matrix
+from ckmsched.ckm import (
+    _corr_matrix,
+    grid_variance,
+    reliability_indicator,
+    statistical_channel,
+    statistical_correlation,
+    statistical_gain,
+)
 from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr, sum_rate
 from ckmsched.experiments import _TAG_USERS, _rng
-from ckmsched.geometry import Position, _jitter, channel_rows, path_loss_db
+from ckmsched.geometry import Position, _jitter, channel_rows, path_loss_db, sample_grid
 from ckmsched.groups import ActiveSet, SelectionRecord, UserGroup, UserRecord
 from ckmsched.scheduling import EffectiveCsi
 
@@ -118,6 +126,20 @@ def map_survey_reference(scenario, s: int, eta: float):
         [[1 if x <= delta else 0 for x in row] for row in sigma], dtype=np.uint8
     )
     return h_bar, epsilon, sigma, reliable, delta
+
+
+def one_shot_survey_reference(scenario, s: int, eta: float):
+    """h_bar, epsilon, sigma, reliable and delta of build_ckm at a quantile
+    threshold 0 < eta < 1, from one sample_grid call over every grid (the
+    survey before it ran in grid blocks)."""
+    samples, centers = sample_grid(
+        scenario, range(scenario.config.n_cells), np.arange(scenario.n_grids), s
+    )
+    h_bar = statistical_channel(samples)
+    epsilon = statistical_gain(samples)
+    sigma = grid_variance(statistical_correlation(samples, centers[..., None, :]))
+    delta = float(np.quantile(sigma.ravel(), eta, method="lower"))
+    return h_bar, epsilon, sigma, reliability_indicator(sigma, delta), delta
 
 
 def place_users_reference(scenario, trial_seed: int) -> list[UserRecord]:

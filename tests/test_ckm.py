@@ -1,5 +1,7 @@
 """Statistical map ops, map assembly, reliability classification, serialization."""
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ckmsched import UsCkm, build_ckm, build_scenario
+from ckmsched import ckm as ckm_module
 from ckmsched.ckm import (
     _corr_matrix,
     grid_variance,
@@ -377,3 +380,31 @@ def test_export_csv_writes_per_bs_tables(tmp_path, small_ckm):
         table = _corr_matrix(small_ckm.h_bar[l])
         assert corr[1] == f"0,1,{table[0, 1]:.12e}"
         assert corr[-1] == f"{n - 2},{n - 1},{table[n - 2, n - 1]:.12e}"
+
+
+def test_export_csv_corr_rows_equal_the_full_table(tmp_path, small_ckm, monkeypatch):
+    # Rows are written in blocks of GRID_BLOCK; a block size that does
+    # not divide the grid count leaves a short last block.
+    n = small_ckm.n_grids
+    assert n % 7
+    monkeypatch.setattr(ckm_module, "GRID_BLOCK", 7)
+    small_ckm.export_csv(tmp_path)
+    for l in range(small_ckm.n_cells):
+        table = _corr_matrix(small_ckm.h_bar[l])
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["grid_a", "grid_b", "rho"])
+        for a in range(n):
+            for b in range(a + 1, n):
+                w.writerow([a, b, f"{table[a, b]:.12e}"])
+        assert (tmp_path / f"corr_bs{l}.csv").read_bytes() == want.getvalue().encode()
+
+
+def test_loaded_arrays_are_owned_and_aligned(tmp_path, small_ckm):
+    path = tmp_path / "map.ckm"
+    small_ckm.save(path)
+    back = UsCkm.load(path)
+    for name in ("h_bar", "epsilon", "sigma", "reliable"):
+        arr = getattr(back, name)
+        assert arr.flags.owndata and arr.flags.aligned and arr.flags.c_contiguous
+        assert arr.tobytes() == getattr(small_ckm, name).tobytes()

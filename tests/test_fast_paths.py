@@ -6,15 +6,18 @@ same members, the same selection metrics and the same repr(sum_rate) as
 scoring every candidate exactly. Scenario construction, build_ckm,
 place_users, multi-BS channel_rows, CSI fusion, AES, ICCS and SUS are
 batched array code; they must equal the per-square, per-cluster, per-grid,
-per-user and per-position paths bit for bit.
+per-user and per-position paths bit for bit, and the survey in grid blocks
+must equal the one-shot survey.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ckmsched import build_ckm, build_scenario, evaluation, scheduling
+from ckmsched import ckm as ckm_module
 from ckmsched.errors import OutOfClusterError
 from ckmsched.evaluation import (
     brute_force_optimum,
@@ -53,6 +56,7 @@ from reference import (
     lattice_reference,
     locate_reference,
     map_survey_reference,
+    one_shot_survey_reference,
     place_users_reference,
     sinr_reference,
     steering_mix_reference,
@@ -388,6 +392,42 @@ def test_map_survey_matches_the_per_grid_reference(cfg):
     assert ckm.sigma.tobytes() == sigma.tobytes()
     assert np.array_equal(ckm.reliable, reliable)
     assert repr(ckm.delta) == repr(delta)
+
+
+@pytest.mark.parametrize("cfg, block", [
+    (desk_config(), None), (desk_config(), 7), (desk_config(), 1),
+    (table_scale_config(), None), (table_scale_config(), 100), (table_scale_config(), 1),
+], ids=["desk", "desk_block7", "desk_block1", "table", "table_block100", "table_block1"])
+def test_blocked_survey_matches_the_one_shot_survey(cfg, block, monkeypatch):
+    if block is None:
+        block = ckm_module.GRID_BLOCK
+    monkeypatch.setattr(ckm_module, "GRID_BLOCK", block)
+    scenario = build_scenario(cfg)
+    # Blocks larger than one grid leave a short last block.
+    assert block == 1 or scenario.n_grids % block
+    ckm = build_ckm(scenario)
+    h_bar, epsilon, sigma, reliable, delta = one_shot_survey_reference(
+        scenario, cfg.samples_per_grid, cfg.eta
+    )
+    assert ckm.h_bar.tobytes() == h_bar.tobytes()
+    assert ckm.epsilon.tobytes() == epsilon.tobytes()
+    assert ckm.sigma.tobytes() == sigma.tobytes()
+    assert ckm.reliable.tobytes() == reliable.tobytes()
+    assert repr(ckm.delta) == repr(delta)
+
+
+def test_table_scale_survey_memory_is_bounded():
+    # The one-shot survey held every (BS, grid, sample) channel at once and
+    # peaked at about 60 MB of traced allocations for a 2 MB map.
+    scenario = build_scenario(table_scale_config())
+    tracemalloc.start()
+    try:
+        ckm = build_ckm(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ckm.h_bar.nbytes > 1.9e6
+    assert peak < 20e6
 
 
 def test_multi_bs_channel_rows_equal_per_position_channels():

@@ -1,10 +1,16 @@
 """Properties over small desk-sized scenarios, drawn by Hypothesis: user i is
-row i of the trial, and the robust schedulers meet their eta extremes."""
+row i of the trial, the robust schedulers meet their eta extremes, and a map
+survives a save/load round trip."""
+
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckmsched.ckm import UsCkm
 from ckmsched.experiments import (
     cached_ckm,
     cached_scenario,
@@ -73,3 +79,24 @@ def test_fusion_on_an_all_unreliable_map_acquires_every_user(cfg, seed):
     assert np.all(csi.source == 0)
     for algorithm in ("robust_aes", "robust_gis"):
         assert run_trial(cfg, algorithm, seed).csi_acquisitions == cfg.n_cells * n
+
+
+@given(cfg=desk_configs(eta=None), threshold=st.one_of(
+    st.builds(dict, eta=st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+    st.builds(dict, delta=st.sampled_from([0.0, 1e-4, 1.0])),
+))
+@settings(max_examples=20, deadline=None)
+def test_maps_survive_a_save_load_round_trip(cfg, threshold):
+    cfg = replace(cfg, **threshold)
+    ckm = cached_ckm(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.ckm"
+        ckm.save(path)
+        back = UsCkm.load(path, scenario=cached_scenario(cfg))
+        again = Path(tmp) / "again.ckm"
+        back.save(again)
+        assert again.read_bytes() == path.read_bytes()
+    assert back.samples_per_grid == ckm.samples_per_grid
+    assert repr(back.delta) == repr(ckm.delta)
+    for name in ("h_bar", "epsilon", "sigma", "reliable"):
+        assert getattr(back, name).tobytes() == getattr(ckm, name).tobytes()
