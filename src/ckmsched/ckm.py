@@ -282,6 +282,14 @@ def _parse_header(path, blob: bytes) -> dict:
     missing = {"scenario_hash", "samples_per_grid", "delta"} - header.keys()
     if missing:
         raise ValueError(f"{path}: map header lacks {sorted(missing)}")
+    s, delta = header["samples_per_grid"], header["delta"]
+    if type(s) is not int or s < 1:
+        raise ValueError(f"{path}: samples_per_grid {s!r} is not a positive int")
+    # delta is -inf for an eta=0 map, so only NaN is out of range.
+    if type(delta) not in (int, float) or math.isnan(delta):
+        raise ValueError(f"{path}: delta {delta!r} is not a number")
+    if not isinstance(header["scenario_hash"], str):
+        raise ValueError(f"{path}: scenario_hash {header['scenario_hash']!r} is not a string")
     shape = got[0][2] if got else ()
     want = [(name, np.dtype(dtype), shape if name == "h_bar" else shape[:2])
             for name, dtype in _FORMAT_ARRAYS]

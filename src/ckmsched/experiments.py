@@ -6,6 +6,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,15 +21,8 @@ from .evaluation import (
     evaluate_group,
     overhead_counts,
 )
-from .geometry import (
-    GridIndex,
-    Position,
-    Scenario,
-    ScenarioConfig,
-    build_scenario,
-    channel_rows,
-)
-from .groups import UserGroup, UserRecord
+from .geometry import Scenario, ScenarioConfig, build_scenario, channel_rows
+from .groups import UserGroup
 from .scheduling import greedy_schedule, random_schedule, robust_two_stage, sus_schedule
 
 _TAG_USERS = 31
@@ -76,8 +70,19 @@ def _rng(config: ScenarioConfig, tag: int, trial_seed: int) -> np.random.Generat
     )
 
 
+class UserRecord(NamedTuple):
+    """One placed user: id, serving cell, map grid and position."""
+
+    id: int
+    cell: int
+    grid: int
+    x: float
+    y: float
+
+
 def place_users(scenario: Scenario, trial_seed: int) -> list[UserRecord]:
-    """Draw users_per_cell positions per cell inside its coverage grids.
+    """Draw users_per_cell positions per cell inside its coverage grids,
+    one row per user, numbered 0..n-1 cell by cell.
 
     "uniform" picks a grid uniformly; "clustered" concentrates picks
     around a few per-cell hotspot grids.
@@ -120,15 +125,8 @@ def place_users(scenario: Scenario, trial_seed: int) -> list[UserRecord]:
     pos = scenario.grid_centers[gids] + (np.concatenate(offsets) - 0.5) * edge
     located = scenario.locate_many(pos)
     cells = scenario.grid_serving[located]
-    return [
-        UserRecord(
-            id=uid,
-            cell=int(cell),
-            position=Position(x, y),
-            grid=GridIndex(cell=int(cell), g=int(g)),
-        )
-        for uid, ((x, y), cell, g) in enumerate(zip(pos.tolist(), cells, located))
-    ]
+    xs, ys = pos.T.tolist()
+    return list(map(UserRecord, range(len(pos)), cells.tolist(), located.tolist(), xs, ys))
 
 
 def trial_channels(
@@ -136,15 +134,12 @@ def trial_channels(
 ) -> ChannelSet:
     """The trial table: serving cell, grid and true channels toward every BS
     at one realization of users numbered 0..n-1 in order (user i is row i)."""
-    if [u.id for u in users] != list(range(len(users))):
+    ids, cells, grids, xs, ys = zip(*users)
+    if ids != tuple(range(len(ids))):
         raise ValueError("users must be numbered 0..n-1 in order")
-    pos = np.array([u.position for u in users])
-    h = channel_rows(scenario, range(scenario.config.n_cells), pos, realization)
-    return ChannelSet(
-        cell_of=np.array([u.cell for u in users], dtype=np.int64),
-        grid=np.array([u.grid.g for u in users], dtype=np.int64),
-        h=h,
-    )
+    h = channel_rows(scenario, range(scenario.config.n_cells), np.array([xs, ys]).T, realization)
+    return ChannelSet(cell_of=np.array(cells, dtype=np.int64),
+                      grid=np.array(grids, dtype=np.int64), h=h)
 
 
 def validate_group(group: UserGroup, chans: ChannelSet, kbar: int) -> None:

@@ -10,9 +10,9 @@ per-realization jitter inside the grids they are attached to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, get_args, get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -28,18 +28,6 @@ _TAG_DYNAMIC_PLACE = 17
 _TAG_JITTER = 19
 _TAG_SHADOW = 23
 _TAG_SAMPLES = 29
-
-
-class Position(NamedTuple):
-    x: float
-    y: float
-
-
-class GridIndex(NamedTuple):
-    """A coverage grid: serving cell plus cluster-wide grid id."""
-
-    cell: int
-    g: int
 
 
 @lru_cache(maxsize=16)
@@ -205,12 +193,9 @@ class ScattererField:
 
     static_positions: np.ndarray   # (C, 2)
     static_gains: np.ndarray       # (C, 2) complex, one column per polarization
-    static_delays: np.ndarray      # (C,) seconds, cluster to its home BS
     dynamic_grid_ids: np.ndarray   # (A,) sorted grid ids
     dynamic_positions: np.ndarray  # (A, D, 2)
     dynamic_gains: np.ndarray      # (A, D, 2) complex
-    jitter_scale: float
-    affected_grids: frozenset = field(default_factory=frozenset)
 
 
 def _seeded(seed: int, *tags: int) -> np.random.Generator:
@@ -351,14 +336,6 @@ class Scenario:
         static_gains = (
             rng.standard_normal((n_static, 2)) + 1j * rng.standard_normal((n_static, 2))
         ) / math.sqrt(2.0)
-        home = np.repeat(np.arange(cfg.n_cells), cfg.static_clusters_per_cell)
-        static_delays = (
-            np.hypot(
-                static_positions[:, 0] - self.bs_xy[home, 0],
-                static_positions[:, 1] - self.bs_xy[home, 1],
-            )
-            / SPEED_OF_LIGHT
-        )
 
         n_dyn = int(round(cfg.dynamic_grid_fraction * self.n_grids))
         pick = _seeded(cfg.rng_seed, _TAG_DYNAMIC_PICK)
@@ -378,12 +355,9 @@ class Scenario:
         self.scatterers = ScattererField(
             static_positions=static_positions,
             static_gains=static_gains,
-            static_delays=static_delays,
             dynamic_grid_ids=dyn_ids,
             dynamic_positions=dyn_pos,
             dynamic_gains=dyn_gain,
-            jitter_scale=cfg.dynamic_jitter_scale,
-            affected_grids=frozenset(int(g) for g in dyn_ids),
         )
         # _dyn_row[g] is grid g's row in the dynamic-cluster arrays, -1 if static.
         self._dyn_row = np.full(self.n_grids, -1, dtype=np.int64)
@@ -432,10 +406,10 @@ class Scenario:
 
     # -- queries ------------------------------------------------------
 
-    def locate(self, position) -> GridIndex:
-        """Map a position to its grid (half-open square convention)."""
-        g = int(self.locate_many([position[0], position[1]])[0])
-        return GridIndex(cell=int(self.grid_serving[g]), g=g)
+    def locate(self, position) -> int:
+        """Grid id of a position (half-open square convention); its serving
+        cell is grid_serving[g]."""
+        return int(self.locate_many([position[0], position[1]])[0])
 
     def locate_many(self, positions) -> np.ndarray:
         """Grid ids of an (n, 2) batch of positions (half-open squares).
@@ -481,7 +455,7 @@ class Scenario:
                         f"{self.grid_centers[g, 0]:.6f}",
                         f"{self.grid_centers[g, 1]:.6f}",
                         int(self.grid_serving[g]),
-                        int(g in self.scatterers.affected_grids),
+                        int(self._dyn_row[g] >= 0),
                     ]
                 )
 
@@ -508,7 +482,7 @@ def _jitter(scenario: Scenario, gid: int, realization: int) -> np.ndarray:
     d = scenario.config.dynamic_clusters_per_grid
     rng = _seeded(scenario.config.rng_seed, _TAG_JITTER, int(gid), int(realization))
     z = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
-    return scenario.scatterers.jitter_scale * z
+    return scenario.config.dynamic_jitter_scale * z
 
 
 def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared fixtures: small scenarios and maps reused across test modules."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ def small_ckm(small_scenario):
 @pytest.fixture(scope="session")
 def static_scenario():
     return build_scenario(desk_config(dynamic_grid_fraction=0.0))
+
+
+def save_with_header(ckm, path, **changes):
+    """Save ckm to path with these header keys replaced."""
+    ckm.save(path)
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[7:15], "little")
+    header = json.loads(data[15:15 + hlen])
+    header.update(changes)
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(data[:7] + len(blob).to_bytes(8, "little") + blob + data[15 + hlen:])
 
 
 def rng(seed=0):

@@ -25,9 +25,9 @@ from ckmsched.ckm import (
     statistical_gain,
 )
 from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr, sum_rate
-from ckmsched.experiments import _TAG_USERS, _rng
-from ckmsched.geometry import Position, _jitter, channel_rows, path_loss_db, sample_grid
-from ckmsched.groups import ActiveSet, SelectionRecord, UserGroup, UserRecord
+from ckmsched.experiments import _TAG_USERS, UserRecord, _rng
+from ckmsched.geometry import _jitter, channel_rows, path_loss_db, sample_grid
+from ckmsched.groups import ActiveSet, SelectionRecord, UserGroup
 from ckmsched.scheduling import EffectiveCsi
 
 
@@ -169,8 +169,8 @@ def place_users_reference(scenario, trial_seed: int) -> list[UserRecord]:
             pos = scenario.grid_centers[g] + (rng.random(2) - 0.5) * edge
             grid = scenario.locate(pos)
             users.append(UserRecord(
-                id=uid, cell=grid.cell,
-                position=Position(float(pos[0]), float(pos[1])), grid=grid,
+                id=uid, cell=int(scenario.grid_serving[grid]), grid=grid,
+                x=float(pos[0]), y=float(pos[1]),
             ))
             uid += 1
     return users
@@ -265,7 +265,7 @@ def channel_rows_reference(scenario, observing_bs: int, positions, realizations)
     cfg = scenario.config
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     real = np.broadcast_to(np.asarray(realizations, dtype=np.int64), (pos.shape[0],))
-    gids = np.array([scenario.locate(p).g for p in pos], dtype=np.int64)
+    gids = np.array([scenario.locate(p) for p in pos], dtype=np.int64)
     bs = scenario.bs_xy[observing_bs]
     d2 = np.hypot(pos[:, 0] - bs[0], pos[:, 1] - bs[1])
     d3 = np.hypot(d2, cfg.bs_height_m - cfg.user_height_m)

@@ -23,7 +23,7 @@ from ckmsched.ckm import (
 )
 from ckmsched.errors import ConfigError, ZeroNormError
 
-from conftest import desk_config
+from conftest import desk_config, save_with_header
 
 
 def complex_vectors(n, count):
@@ -365,6 +365,33 @@ def test_load_rejects_header_arrays_that_do_not_describe_a_map(tmp_path, small_c
                          + data[15 + hlen:])
         with pytest.raises(ValueError, match="describe a map|malformed"):
             UsCkm.load(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("samples_per_grid", -3),
+    ("samples_per_grid", 0),
+    ("samples_per_grid", 2.0),
+    ("samples_per_grid", True),
+    ("delta", None),
+    ("delta", float("nan")),
+    ("delta", "0.1"),
+    ("delta", False),
+    ("scenario_hash", 7),
+    ("scenario_hash", None),
+])
+def test_load_rejects_header_values_that_do_not_describe_a_map(tmp_path, small_ckm, key, value):
+    path = tmp_path / "map.ckm"
+    save_with_header(small_ckm, path, **{key: value})
+    with pytest.raises(ValueError) as err:
+        UsCkm.load(path)
+    assert str(err.value).startswith(f"{path}: {key} ")
+
+
+@pytest.mark.parametrize("delta", [-math.inf, math.inf])
+def test_load_accepts_an_infinite_delta(tmp_path, small_ckm, delta):
+    path = tmp_path / "map.ckm"
+    save_with_header(small_ckm, path, delta=delta)
+    assert UsCkm.load(path).delta == delta
 
 
 def test_export_csv_writes_per_bs_tables(tmp_path, small_ckm):

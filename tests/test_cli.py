@@ -19,7 +19,7 @@ from ckmsched.cli import (
 from ckmsched.errors import ConfigError
 from ckmsched.geometry import ScenarioConfig
 
-from conftest import desk_config
+from conftest import desk_config, save_with_header
 
 DESK_CFG = """\
 n_cells = 2
@@ -401,6 +401,13 @@ def test_inspect_rejects_non_map_files(tmp_path, capsys):
     code = main(["inspect-ckm", str(junk)])
     assert code == 2
     assert "not a channel map" in capsys.readouterr().err
+
+
+def test_inspect_rejects_a_map_header_without_delta(tmp_path, capsys, small_ckm):
+    path = tmp_path / "map.ckm"
+    save_with_header(small_ckm, path, delta=None)
+    assert main(["inspect-ckm", str(path)]) == 2
+    assert f"{path}: delta None is not a number" in capsys.readouterr().err
 
 
 def test_plan_dataclass_sweep_grid_is_the_cartesian_product():

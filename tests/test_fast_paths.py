@@ -475,7 +475,7 @@ def test_locate_and_locate_many_match_the_scalar_lookup():
     outside = [i for i, g in enumerate(want) if g is None]
     assert len(inside) > 100 and len(outside) > 50
     assert scen.locate_many(pts[inside]).tolist() == [want[i] for i in inside]
-    assert [scen.locate(pts[i]).g for i in inside] == [want[i] for i in inside]
+    assert [scen.locate(pts[i]) for i in inside] == [want[i] for i in inside]
     for i in outside:
         p = pts[i]
         with pytest.raises(OutOfClusterError, match=f"{p[0]:.2f}, {p[1]:.2f}"):

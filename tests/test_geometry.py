@@ -16,7 +16,6 @@ from ckmsched import ScenarioConfig, build_scenario
 from ckmsched.errors import ConfigError, GeometryError, OutOfClusterError
 from ckmsched.geometry import (
     SPEED_OF_LIGHT,
-    Position,
     _halton_prefix,
     array_response,
     channel_rows,
@@ -259,21 +258,19 @@ def test_dynamic_grid_count_tracks_requested_fraction(small_scenario):
 
 def test_locate_grid_center_returns_that_grid(small_scenario):
     g = 5
-    idx = small_scenario.locate(small_scenario.grid_centers[g])
-    assert idx.g == g
-    assert idx.cell == int(small_scenario.grid_serving[g])
+    g_found = small_scenario.locate(small_scenario.grid_centers[g])
+    assert type(g_found) is int and g_found == g
 
 
 def test_locate_uses_half_open_grid_squares(small_scenario):
     scen = small_scenario
     edge = scen.config.grid_edge_m
-    # Grid directly at BS 0: its right neighbor exists inside coverage.
-    g = scen.locate(scen.bs_xy[0]).g
+    # Grid directly at BS 0: its right neighbor exists inside coverage and,
+    # as grid ids run in row-major lattice order, is grid g + 1.
+    g = scen.locate(scen.bs_xy[0])
     c = scen.grid_centers[g]
-    inside = scen.locate((c[0] + edge / 2 - 1e-6, c[1]))
-    boundary = scen.locate((c[0] + edge / 2, c[1]))
-    assert inside.g == g
-    assert boundary.g != g
+    assert scen.locate((c[0] + edge / 2 - 1e-6, c[1])) == g
+    assert scen.locate((c[0] + edge / 2, c[1])) == g + 1
 
 
 def test_locate_rejects_positions_outside_coverage(small_scenario):
@@ -444,6 +441,11 @@ def test_scenario_export_lists_every_grid(tmp_path, small_scenario):
     lines = out.read_text().splitlines()
     assert lines[0] == "grid_id,center_x,center_y,serving_bs,dynamic"
     assert len(lines) == 1 + small_scenario.n_grids
+    dynamic = set(small_scenario.scatterers.dynamic_grid_ids.tolist())
+    assert 0 < len(dynamic) < small_scenario.n_grids
+    assert [line.split(",")[-1] for line in lines[1:]] == [
+        str(int(g in dynamic)) for g in range(small_scenario.n_grids)
+    ]
 
 
 def test_configs_are_immutable():

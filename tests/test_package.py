@@ -1,9 +1,48 @@
-"""The package's public surface."""
+"""The package's public surface, including what the benchmark reaches into."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
 
 import ckmsched
+from ckmsched.experiments import cached_scenario, place_users, trial_channels
+
+from conftest import desk_config
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_resolves_once():
     assert len(ckmsched.__all__) == len(set(ckmsched.__all__))
     missing = [name for name in ckmsched.__all__ if not hasattr(ckmsched, name)]
     assert missing == []
+
+
+def test_every_benchmark_tracer_target_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod_name, attr, _, _ in tracer.TARGETS:
+        module = importlib.import_module(f"ckmsched.{mod_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(module, cls_name, object))
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []
+
+
+@pytest.mark.parametrize("placement", ["uniform", "clustered"])
+def test_benchmark_gate_reads_the_serving_cell_of_each_row(placement):
+    scenario = cached_scenario(desk_config(placement=placement))
+    for seed in range(5):
+        users = place_users(scenario, seed)
+        gate = {u.id: u.cell for u in users}
+        chans = trial_channels(scenario, users, 1)
+        assert gate == dict(enumerate(chans.cell_of.tolist()))
+        assert chans.cell_of.tolist() == scenario.grid_serving[chans.grid].tolist()

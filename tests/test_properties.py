@@ -49,11 +49,11 @@ def test_users_are_numbered_in_row_order(cfg, seed):
     n = cfg.n_cells * cfg.users_per_cell
     assert [u.id for u in users] == list(range(n))
     assert chans.cell_of.tolist() == [u.cell for u in users]
-    assert chans.grid.tolist() == [u.grid.g for u in users]
+    assert chans.grid.tolist() == [u.grid for u in users]
     bss = range(cfg.n_cells)
     for u in users:
         # one position at a time, so each row is checked on its own
-        h = channel_rows(scenario, bss, np.array([u.position]), seed + 1)[:, 0]
+        h = channel_rows(scenario, bss, np.array([(u.x, u.y)]), seed + 1)[:, 0]
         assert h.tobytes() == chans.h[:, u.id].tobytes()
 
 

@@ -347,8 +347,8 @@ def test_fuse_keeps_map_statistics_when_every_grid_is_reliable(static_scenario):
     assert np.all(csi.source == 1)
     for u in users:
         for l in range(ckm.n_cells):
-            assert csi.gain[l, u.id] == ckm.epsilon[l, u.grid.g]
-            assert np.array_equal(csi.vectors[l, u.id], ckm.h_bar[l, u.grid.g])
+            assert csi.gain[l, u.id] == ckm.epsilon[l, u.grid]
+            assert np.array_equal(csi.vectors[l, u.id], ckm.h_bar[l, u.grid])
 
 
 def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario):
@@ -387,7 +387,7 @@ def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
         assert csi.corr[l].shape == (len(served), len(users))
         assert np.allclose(csi.corr[l], expect[served])
     assert csi.source[0, csi.acquired[0]] == 0
-    grids = [u.grid.g for u in users]
+    grids = [u.grid for u in users]
     assert np.array_equal(csi.source == 0, small_ckm.reliable[:, grids] == 0)
 
 
@@ -479,17 +479,3 @@ def test_robust_rejects_unknown_first_stage(small_scenario, small_ckm):
     chans = trial_channels(small_scenario, place_users(small_scenario, 0), 1)
     with pytest.raises(ValueError, match="first stage"):
         robust_two_stage(small_ckm, chans, 4, 2, 0.5, first_stage="best")
-
-
-def test_group_export_lists_each_member_once(tmp_path, static_scenario):
-    ckm = build_ckm(static_scenario, delta=1.0)
-    cfg = static_scenario.config
-    chans = trial_channels(static_scenario, place_users(static_scenario, 3), 4)
-    group, _ = robust_two_stage(
-        ckm, chans, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="scsi"
-    )
-    out = tmp_path / "group.csv"
-    group.export_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "cell,slot,user_id,metric,csi_source"
-    assert len(lines) == 1 + group.size()
