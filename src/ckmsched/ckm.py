@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ZeroNormError
-from .geometry import Scenario, _row_product, check_thresholds, sample_grid
+from .geometry import Scenario, _row_product, check_thresholds, sample_grid, scenario_key
 
 # Grids per block of the build_ckm survey and of the UsCkm.export_csv
 # correlation rows, so their transient arrays do not grow with the grid
@@ -156,12 +156,12 @@ class UsCkm:
         """Fraction of (BS, grid) entries classified reliable."""
         return float(np.mean(self.reliable))
 
-    def reclassify(self, scenario: Scenario) -> "UsCkm":
-        """This map's survey arrays, shared and not copied, around
-        `scenario`, thresholded at its config's delta/eta as build_ckm
+    def reclassify(self, delta: float | None, eta: float | None) -> "UsCkm":
+        """This map's survey arrays, shared and not copied, thresholded at
+        delta/eta as build_ckm(self.scenario, delta=delta, eta=eta)
         thresholds them."""
-        return _classify(scenario, self.samples_per_grid, self.h_bar,
-                         self.epsilon, self.sigma, None, None)
+        return _classify(self.scenario, self.samples_per_grid, self.h_bar,
+                         self.epsilon, self.sigma, delta, eta)
 
     # -- serialization ------------------------------------------------
 
@@ -260,14 +260,16 @@ class UsCkm:
                         ]
                     )
             with open(os.path.join(directory, f"corr_bs{l}.csv"), "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["grid_a", "grid_b", "rho"])
+                # The lines csv.writer would write, one write per block.
+                fh.write("grid_a,grid_b,rho\r\n")
                 for start in range(0, self.n_grids, GRID_BLOCK):
                     rows = np.arange(start, min(start + GRID_BLOCK, self.n_grids))
                     corr = _corr_rows(self.h_bar[l], rows)
-                    for a, vals in zip(rows.tolist(), corr.tolist()):
-                        for b in range(a + 1, self.n_grids):
-                            w.writerow([a, b, f"{vals[b]:.12e}"])
+                    fh.write("".join(
+                        f"{a},{b},{v:.12e}\r\n"
+                        for a, vals in zip(rows.tolist(), corr.tolist())
+                        for b, v in enumerate(vals[a + 1:], a + 1)
+                    ))
 
 
 def _parse_header(path, blob: bytes) -> dict:
@@ -300,8 +302,9 @@ def _parse_header(path, blob: bytes) -> dict:
 
 
 def scenario_hash(scenario: Scenario) -> str:
-    """Stable digest of the scenario configuration."""
-    return hashlib.sha256(repr(scenario.config).encode()).hexdigest()
+    """Stable digest of the scenario's key: a map loads for every config
+    of the scenario_key it was surveyed under."""
+    return hashlib.sha256(repr(scenario_key(scenario.config)).encode()).hexdigest()
 
 
 def build_ckm(

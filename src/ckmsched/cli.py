@@ -116,6 +116,7 @@ def parse_config(path: str) -> ExperimentPlan:
     trials = 10
     output = None
     sweeps: list[tuple[str, tuple[float, ...]]] = []
+    seen: dict[str, int] = {}
     try:
         lines = open(path).read().splitlines()
     except OSError as e:
@@ -127,6 +128,9 @@ def parse_config(path: str) -> ExperimentPlan:
         if "=" not in text:
             raise ConfigError(f"{path}:{ln}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"{path}:{ln}: key {key!r} repeats line {seen[key]}")
+        seen[key] = ln
         if key == "algorithms":
             algorithms = tuple(a.strip() for a in raw.split(",") if a.strip())
         elif key == "trials":
@@ -197,7 +201,10 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
 
     Returns nonzero iff any trial errored; rows for failed trials carry
     nan sum_rate so the row count stays |algorithms| x |grid| x trials.
+    Raises ValueError for threads < 1.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     stream = stream or sys.stdout
     jobs = []
     for point in plan.sweep_points():
@@ -205,17 +212,18 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
         for algorithm in plan.algorithms:
             for t in range(plan.trials):
                 jobs.append((cfg, algorithm, t))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_job, jobs, chunksize=max(1, plan.trials)))
-    else:
-        results = [_job(j) for j in jobs]
 
     errors = 0
     sums: dict[str, list[float]] = {}
+    # Opened before any trial runs, so an unwritable path fails at once.
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
+        if threads > 1:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(_job, jobs, chunksize=max(1, plan.trials)))
+        else:
+            results = map(_job, jobs)
         for (cfg, algorithm, t), res in zip(jobs, results):
             rate, csi, info, mults, wall, err = res
             if err is not None:

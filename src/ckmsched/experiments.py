@@ -4,7 +4,6 @@ evaluation together."""
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -21,7 +20,7 @@ from .evaluation import (
     evaluate_group,
     overhead_counts,
 )
-from .geometry import Scenario, ScenarioConfig, build_scenario, channel_rows
+from .geometry import Scenario, ScenarioConfig, build_scenario, channel_rows, scenario_key
 from .groups import UserGroup
 from .scheduling import greedy_schedule, random_schedule, robust_two_stage, sus_schedule
 
@@ -31,32 +30,22 @@ _TAG_RANDOM_PICK = 41
 
 @lru_cache(maxsize=8)
 def cached_scenario(config: ScenarioConfig) -> Scenario:
-    return build_scenario(config)
-
-
-# Fields that neither Scenario nor the map survey reads, each reset to a
-# fixed valid value in the survey key: configs that differ only in these
-# share one survey.
-_SURVEY_FREE = dict(target_snr_db=0.0, kbar=1, kprime=1, alpha=1.0,
-                    placement="uniform", hotspots_per_cell=1, delta=None, eta=None)
-
-
-def survey_key(config: ScenarioConfig) -> ScenarioConfig:
-    """The config cached_ckm caches the survey of config under."""
-    return replace(config, **_SURVEY_FREE)
-
-
-@lru_cache(maxsize=8)
-def _cached_survey(key: ScenarioConfig) -> UsCkm:
-    return build_ckm(cached_scenario(key))
+    """The one scenario of scenario_key(config), shared by every config of
+    that key."""
+    key = scenario_key(config)
+    return build_scenario(key) if config == key else cached_scenario(key)
 
 
 @lru_cache(maxsize=8)
 def cached_ckm(config: ScenarioConfig) -> UsCkm:
-    """The map of config: the survey of its key, shared read-only with every
-    config of the same key, around cached_scenario(config) and thresholded
-    at config's delta/eta. Byte-identical to build_ckm(build_scenario(config))."""
-    return _cached_survey(survey_key(config)).reclassify(cached_scenario(config))
+    """The map of config: the survey of scenario_key(config), built once and
+    shared read-only by every config of that key, thresholded at config's
+    delta/eta. Its arrays equal build_ckm(build_scenario(config))'s byte for
+    byte."""
+    key = scenario_key(config)
+    if config == key:
+        return build_ckm(cached_scenario(key))
+    return cached_ckm(key).reclassify(config.delta, config.eta)
 
 
 @lru_cache(maxsize=64)

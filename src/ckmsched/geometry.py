@@ -10,7 +10,7 @@ per-realization jitter inside the grids they are attached to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import get_args, get_type_hints
 
@@ -177,6 +177,15 @@ class ScenarioConfig:
         if self.inter_site_distance_m is not None:
             return self.inter_site_distance_m
         return math.sqrt(3.0) * self.cell_radius_m
+
+
+def scenario_key(config: ScenarioConfig) -> ScenarioConfig:
+    """config with the fields that only the schedulers, the noise
+    calibration and the reliability threshold read reset to fixed valid
+    values. Scenario, the map survey and place_users read none of them, so
+    configs of one key share one scenario, one survey and one map hash."""
+    return replace(config, target_snr_db=0.0, kbar=1, kprime=1, alpha=1.0,
+                   delta=None, eta=None)
 
 
 # Each field's type is stated once, in ScenarioConfig's annotations.

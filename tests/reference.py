@@ -3,21 +3,25 @@ checked against: one exact evaluate_group call per candidate group,
 per-user SINRs through the public mmse_receiver / sinr functions, the
 per-grid map survey through one channel_rows call and scalar statistics
 (np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), the one-shot
-map survey over every grid at once, per-user placement, a scalar grid
-lookup, per-BS, per-row channel synthesis, and
-the per-user CSI fusion, first-stage, ICCS and SUS loops that read the
+map survey over every grid at once, one csv.writer row per exported
+correlation pair, per-user placement, a scalar grid lookup, per-BS,
+per-row channel synthesis, and the per-user CSI fusion, first-stage, ICCS and SUS loops that read the
 fused full tables one user at a time (user i is row i), and the scenario's
 nested per-square grid lattice and per-cluster steering rows built from
 one scalar steering vector at a time.
 """
 
+import csv
+import io
 import math
 from itertools import combinations, product
 
 import numpy as np
 
+from ckmsched import ckm as ckm_module
 from ckmsched.ckm import (
     _corr_matrix,
+    _corr_rows,
     grid_variance,
     reliability_indicator,
     statistical_channel,
@@ -140,6 +144,21 @@ def one_shot_survey_reference(scenario, s: int, eta: float):
     sigma = grid_variance(statistical_correlation(samples, centers[..., None, :]))
     delta = float(np.quantile(sigma.ravel(), eta, method="lower"))
     return h_bar, epsilon, sigma, reliability_indicator(sigma, delta), delta
+
+
+def corr_csv_reference(ckm, l: int) -> bytes:
+    """corr_bs{l}.csv of UsCkm.export_csv with one csv.writer row per grid
+    pair, over the same blocks of ckm_module.GRID_BLOCK rows."""
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(["grid_a", "grid_b", "rho"])
+    for start in range(0, ckm.n_grids, ckm_module.GRID_BLOCK):
+        rows = np.arange(start, min(start + ckm_module.GRID_BLOCK, ckm.n_grids))
+        corr = _corr_rows(ckm.h_bar[l], rows)
+        for a, vals in zip(rows.tolist(), corr.tolist()):
+            for b in range(a + 1, ckm.n_grids):
+                w.writerow([a, b, f"{vals[b]:.12e}"])
+    return out.getvalue().encode()
 
 
 def place_users_reference(scenario, trial_seed: int) -> list[UserRecord]:

@@ -125,6 +125,21 @@ def test_parse_rejects_bad_plan_values(tmp_path):
         parse_config(str(tmp_path / "missing.cfg"))
 
 
+@pytest.mark.parametrize("key, first, second", [
+    ("kbar", "2", "1"), ("trials", "2", "3"), ("algorithms", "random", "sus"),
+    ("sweep.snr", "0, 10", "20, 30"),
+])
+def test_parse_rejects_repeated_keys(tmp_path, capsys, key, first, second):
+    text = f"{key} = {first}\n# a comment line\n{key} = {second}\n"
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match=rf"plan\.cfg:3: key '{key}' repeats line 1"):
+        parse_config(path)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert "repeats line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_brute_force_guard_blocks_large_scenarios(tmp_path):
     path = write_cfg(tmp_path, "algorithms = brute_force\n")
     with pytest.raises(ConfigError, match="shrink the scenario"):
@@ -156,7 +171,7 @@ def test_parse_rejects_non_integral_counts(tmp_path):
     with pytest.raises(ConfigError, match=r"plan\.cfg:\d+: key 'trials' needs an integer"):
         parse_config(write_cfg(tmp_path, DESK_CFG + "trials = 2.5\n"))
     with pytest.raises(ConfigError, match="key 'kbar' needs an integer"):
-        parse_config(write_cfg(tmp_path, DESK_CFG + "kbar = 1.5\n"))
+        parse_config(write_cfg(tmp_path, DESK_CFG.replace("kbar = 2\n", "kbar = 1.5\n")))
     for dim in ("kprime", "kbar", "samples"):
         text = DESK_CFG + f"sweep.{dim} = 3.9, 4\n"
         with pytest.raises(ConfigError, match=f"sweep '{dim}' needs integers, got 3.9"):
@@ -326,6 +341,25 @@ def test_main_applies_the_brute_force_budget_to_an_algorithm_override(
     assert not out.exists()
 
 
+def test_main_run_fails_before_any_trial_on_an_unwritable_out(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("ckmsched.cli.run_trial", lambda *args: calls.append(args))
+    cfg = write_cfg(tmp_path, DESK_CFG + "algorithms = random\ntrials = 3\n")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_main_rejects_threads_below_one(tmp_path, capsys, threads):
+    cfg = write_cfg(tmp_path, DESK_CFG + "algorithms = random\ntrials = 1\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_reports_config_errors_with_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bogus = 1\n")
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")])
@@ -335,7 +369,8 @@ def test_main_reports_config_errors_with_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["target_snr_db = nan", "sweep.snr = 10, nan"])
 def test_main_rejects_a_nan_snr_plan_with_exit_2(tmp_path, capsys, line):
-    cfg = write_cfg(tmp_path, DESK_CFG + f"algorithms = random\n{line}\n")
+    text = DESK_CFG.replace("target_snr_db = 20\n", "")
+    cfg = write_cfg(tmp_path, text + f"algorithms = random\n{line}\n")
     out = tmp_path / "x.csv"
     code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == 2
@@ -388,11 +423,27 @@ def test_inspect_rejects_mismatched_scenario(tmp_path, capsys):
     cfg = write_cfg(tmp_path, STATIC_CFG)
     map_path = tmp_path / "map.ckm"
     assert main(["build-ckm", "--config", cfg, "--out", str(map_path)]) == 0
-    other = write_cfg(tmp_path, STATIC_CFG + "rng_seed = 9\n", name="other.cfg")
+    other = write_cfg(tmp_path, STATIC_CFG.replace("rng_seed = 7\n", "rng_seed = 9\n"),
+                      name="other.cfg")
     code = main(["inspect-ckm", str(map_path), "--config", other])
     err = capsys.readouterr().err
     assert code == 2
     assert "different scenario" in err
+
+
+def test_a_map_serves_every_snr_of_its_scenario(tmp_path, capsys):
+    # The SNR target calibrates noise and does not enter the map, so the
+    # map of one plan is byte-identical at any SNR and loads for all.
+    maps = []
+    for snr in ("20", "30"):
+        cfg = write_cfg(tmp_path, STATIC_CFG.replace("target_snr_db = 20\n",
+                                                     f"target_snr_db = {snr}\n"),
+                        name=f"snr{snr}.cfg")
+        maps.append(tmp_path / f"snr{snr}.ckm")
+        assert main(["build-ckm", "--config", cfg, "--out", str(maps[-1])]) == 0
+    assert maps[0].read_bytes() == maps[1].read_bytes()
+    assert main(["inspect-ckm", str(maps[0]), "--config", str(tmp_path / "snr30.cfg")]) == 0
+    assert "realized eta" in capsys.readouterr().out
 
 
 def test_inspect_rejects_non_map_files(tmp_path, capsys):

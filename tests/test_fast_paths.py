@@ -6,8 +6,9 @@ same members, the same selection metrics and the same repr(sum_rate) as
 scoring every candidate exactly. Scenario construction, build_ckm,
 place_users, multi-BS channel_rows, CSI fusion, AES, ICCS and SUS are
 batched array code; they must equal the per-square, per-cluster, per-grid,
-per-user and per-position paths bit for bit, and the survey in grid blocks
-must equal the one-shot survey.
+per-user and per-position paths bit for bit, the survey in grid blocks
+must equal the one-shot survey, and the bulk correlation CSV must equal one
+csv.writer row per pair.
 """
 
 import math
@@ -49,6 +50,7 @@ from reference import (
     aes_reference,
     brute_force_reference,
     channel_rows_reference,
+    corr_csv_reference,
     fuse_reference,
     gis_reference,
     greedy_reference,
@@ -414,6 +416,18 @@ def test_blocked_survey_matches_the_one_shot_survey(cfg, block, monkeypatch):
     assert ckm.sigma.tobytes() == sigma.tobytes()
     assert ckm.reliable.tobytes() == reliable.tobytes()
     assert repr(ckm.delta) == repr(delta)
+
+
+@pytest.mark.parametrize("block", [None, 7, 1], ids=["default", "block7", "block1"])
+def test_export_csv_matches_the_per_pair_writer(block, small_ckm, tmp_path, monkeypatch):
+    if block is not None:
+        # A block size that does not divide the grid count leaves a short
+        # last block; one-grid blocks take the one-row product path.
+        assert block == 1 or small_ckm.n_grids % block
+        monkeypatch.setattr(ckm_module, "GRID_BLOCK", block)
+    small_ckm.export_csv(tmp_path)
+    for l in range(small_ckm.n_cells):
+        assert (tmp_path / f"corr_bs{l}.csv").read_bytes() == corr_csv_reference(small_ckm, l)
 
 
 def test_table_scale_survey_memory_is_bounded():

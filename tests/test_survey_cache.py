@@ -1,30 +1,45 @@
-"""The map survey cache: configs that differ only in fields neither the
-scenario nor the survey reads share one survey, and each still gets the map
+"""One key per geometry: configs that differ only in fields that the
+scenario, the map survey and user placement do not read share one
+scenario, one survey and one map hash, and each still gets the map
 build_ckm would give it."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from ckmsched import build_ckm, build_scenario, experiments
-from ckmsched.experiments import cached_ckm, survey_key
+from ckmsched.experiments import cached_ckm, cached_scenario, place_users, trial_channels
+from ckmsched.geometry import scenario_key
 
 from conftest import desk_config
 
 SURVEY_ARRAYS = ("h_bar", "epsilon", "sigma")
 
-# One other valid value per field that survey_key resets.
-OTHER_VALUES = dict(target_snr_db=5.0, kbar=1, kprime=5, alpha=0.9,
-                    placement="clustered", hotspots_per_cell=3, delta=0.01, eta=0.4)
+# One other valid value per field that scenario_key resets, differing from
+# both base_config's value and the key's.
+OTHER_VALUES = dict(target_snr_db=5.0, kbar=3, kprime=5, alpha=0.9, delta=0.01, eta=0.4)
 
 
 def base_config(**overrides):
     return desk_config(**{"eta": None, **overrides})
 
 
+def scenario_arrays(scenario) -> dict[str, bytes]:
+    """Every array a Scenario holds, its scatterer field's included."""
+    named = dict(vars(scenario))
+    named.update((f"scatterers.{k}", v) for k, v in vars(scenario.scatterers).items())
+    named.update((f"grids_of_cell[{l}]", g) for l, g in enumerate(scenario.grids_of_cell))
+    return {k: v.tobytes() for k, v in named.items() if isinstance(v, np.ndarray)}
+
+
 def test_other_values_cover_every_reset_field():
-    assert set(OTHER_VALUES) == set(experiments._SURVEY_FREE)
+    reset = set()
+    for cleared in ("delta", "eta"):  # the two may not both be set
+        cfg = base_config(**{**OTHER_VALUES, cleared: None})
+        key = scenario_key(cfg)
+        reset |= {f.name for f in fields(cfg) if getattr(key, f.name) != getattr(cfg, f.name)}
+    assert reset == set(OTHER_VALUES)
     cfg = base_config()
     assert all(getattr(cfg, k) != v for k, v in OTHER_VALUES.items())
 
@@ -33,37 +48,50 @@ def test_other_values_cover_every_reset_field():
 def test_reset_fields_leave_the_survey_unchanged(field):
     cfg = base_config()
     other = replace(cfg, **{field: OTHER_VALUES[field]})
-    assert survey_key(other) == survey_key(cfg)
-    want = build_ckm(build_scenario(cfg))
-    got = build_ckm(build_scenario(other))
+    assert scenario_key(other) == scenario_key(cfg)
+    want, got = build_scenario(cfg), build_scenario(other)
+    assert scenario_arrays(got) == scenario_arrays(want)
+    want_map, got_map = build_ckm(want), build_ckm(got)
     for name in SURVEY_ARRAYS:
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert getattr(got_map, name).tobytes() == getattr(want_map, name).tobytes()
+    for seed in (0, 1):
+        users = place_users(got, seed)
+        assert users == place_users(want, seed)
+        a, b = trial_channels(got, users, seed + 1), trial_channels(want, users, seed + 1)
+        for name in ("cell_of", "grid", "h"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 @pytest.mark.parametrize("field, value", [
     ("rng_seed", 8), ("grid_edge_m", 12.0), ("samples_per_grid", 4),
-    ("dynamic_grid_fraction", 0.5),
+    ("dynamic_grid_fraction", 0.5), ("placement", "clustered"),
+    ("hotspots_per_cell", 3), ("users_per_cell", 4),
 ])
 def test_survey_fields_give_a_new_key(field, value):
     cfg = base_config()
-    assert survey_key(replace(cfg, **{field: value})) != survey_key(cfg)
+    assert scenario_key(replace(cfg, **{field: value})) != scenario_key(cfg)
 
 
 def test_snr_points_share_one_survey(monkeypatch):
-    builds = []
-    inner = experiments.build_ckm
+    scenarios, surveys = [], []
 
-    def counted(scenario, *args, **kwargs):
-        builds.append(scenario.config)
-        return inner(scenario, *args, **kwargs)
+    def counted(calls, inner):
+        def wrapper(arg, *args, **kwargs):
+            calls.append(arg)
+            return inner(arg, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(experiments, "build_ckm", counted)
-    # A seed no other test uses, so the survey is not cached yet.
+    monkeypatch.setattr(experiments, "build_scenario",
+                        counted(scenarios, experiments.build_scenario))
+    monkeypatch.setattr(experiments, "build_ckm", counted(surveys, experiments.build_ckm))
+    # A seed no other test uses, so nothing of this key is cached yet.
     configs = [base_config(rng_seed=913, target_snr_db=snr) for snr in (0.0, 10.0, 20.0)]
     maps = [cached_ckm(cfg) for cfg in configs]
-    assert builds == [survey_key(configs[0])]
+    key = scenario_key(configs[0])
+    assert scenarios == [key]
+    assert [s.config for s in surveys] == [key]
     for cfg, ckm in zip(configs, maps):
-        assert ckm.scenario.config == cfg
+        assert ckm.scenario is cached_scenario(cfg) is maps[0].scenario
     assert np.shares_memory(maps[0].h_bar, maps[1].h_bar)
     assert np.shares_memory(maps[1].sigma, maps[2].sigma)
 
@@ -72,7 +100,7 @@ def test_snr_points_share_one_survey(monkeypatch):
 def test_cached_map_equals_a_fresh_build(eta, tmp_path):
     cfg = base_config(eta=eta, dynamic_grid_fraction=0.5)
     got, want = cached_ckm(cfg), build_ckm(build_scenario(cfg))
-    assert got.scenario.config == cfg
+    assert got.scenario.config == scenario_key(cfg)
     for name in (*SURVEY_ARRAYS, "reliable"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert repr(got.delta) == repr(want.delta)
