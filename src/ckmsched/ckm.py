@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from .errors import ZeroNormError
-from .geometry import Scenario, _row_product, check_thresholds, sample_grid, scenario_key
+from .geometry import (Scenario, ScenarioConfig, _row_product, check_thresholds,
+                       sample_grid, scenario_key)
 
 # Grids per block of the build_ckm survey and of the UsCkm.export_csv
 # correlation rows, so their transient arrays do not grow with the grid
@@ -131,10 +132,11 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class UsCkm:
-    """Channel knowledge map over a scenario's grid partition."""
+    """Channel knowledge map over a scenario's grid partition, identified
+    by the scenario_hash of the config it was surveyed under."""
 
-    def __init__(self, scenario, s, delta, h_bar, epsilon, sigma, reliable):
-        self.scenario = scenario
+    def __init__(self, scenario_hash, s, delta, h_bar, epsilon, sigma, reliable):
+        self.scenario_hash = scenario_hash
         self.samples_per_grid = int(s)
         self.delta = float(delta)
         self.h_bar = h_bar        # (L, G, N) complex
@@ -158,9 +160,9 @@ class UsCkm:
 
     def reclassify(self, delta: float | None, eta: float | None) -> "UsCkm":
         """This map's survey arrays, shared and not copied, thresholded at
-        delta/eta as build_ckm(self.scenario, delta=delta, eta=eta)
-        thresholds them."""
-        return _classify(self.scenario, self.samples_per_grid, self.h_bar,
+        delta/eta as build_ckm(scenario, delta=delta, eta=eta) thresholds
+        them; with neither set, at eta=0.7."""
+        return _classify(self.scenario_hash, self.samples_per_grid, self.h_bar,
                          self.epsilon, self.sigma, delta, eta)
 
     # -- serialization ------------------------------------------------
@@ -168,7 +170,7 @@ class UsCkm:
     def save(self, path):
         header = {
             "version": _FORMAT_VERSION,
-            "scenario_hash": scenario_hash(self.scenario),
+            "scenario_hash": self.scenario_hash,
             "samples_per_grid": self.samples_per_grid,
             "delta": self.delta,
             "arrays": [],
@@ -190,9 +192,10 @@ class UsCkm:
                 fh.write(chunk)
 
     @classmethod
-    def load(cls, path, scenario=None) -> "UsCkm":
+    def load(cls, path, config: ScenarioConfig | None = None) -> "UsCkm":
         """Read a map file, rejecting other formats, a header whose arrays
-        do not describe a map, and a payload of the wrong length."""
+        do not describe a map, a payload of the wrong length and, when a
+        config is given, a map surveyed under another scenario key."""
         with open(path, "rb") as fh:
             data = fh.read()
         head = len(_FORMAT_MAGIC) + 10
@@ -210,7 +213,7 @@ class UsCkm:
         if len(data) < start:
             raise ValueError(f"{path}: truncated header")
         header = _parse_header(path, data[head:start])
-        if scenario is not None and header["scenario_hash"] != scenario_hash(scenario):
+        if config is not None and header["scenario_hash"] != scenario_hash(config):
             raise ValueError(f"{path}: map was built for a different scenario")
         arrays = {}
         for desc, (name, dtype) in zip(header["arrays"], _FORMAT_ARRAYS):
@@ -227,7 +230,7 @@ class UsCkm:
         if start != len(data):
             raise ValueError(f"{path}: {len(data) - start} trailing bytes after the payload")
         return cls(
-            scenario,
+            header["scenario_hash"],
             header["samples_per_grid"],
             header["delta"],
             arrays["h_bar"],
@@ -236,12 +239,16 @@ class UsCkm:
             arrays["reliable"],
         )
 
-    def export_csv(self, directory):
-        """Per-BS gains.csv plus the upper triangle of each corr table."""
+    def export_csv(self, directory, scenario: Scenario):
+        """Per-BS gains.csv, with the grid centers of scenario, plus the
+        upper triangle of each corr table. ValueError unless scenario has
+        this map's scenario key."""
         import csv
         import os
 
-        centers = self.scenario.grid_centers
+        if scenario_hash(scenario.config) != self.scenario_hash:
+            raise ValueError("export_csv needs a scenario of the map's scenario key")
+        centers = scenario.grid_centers
         for l in range(self.n_cells):
             with open(os.path.join(directory, f"gains_bs{l}.csv"), "w", newline="") as fh:
                 w = csv.writer(fh)
@@ -301,10 +308,10 @@ def _parse_header(path, blob: bytes) -> dict:
     return header
 
 
-def scenario_hash(scenario: Scenario) -> str:
-    """Stable digest of the scenario's key: a map loads for every config
-    of the scenario_key it was surveyed under."""
-    return hashlib.sha256(repr(scenario_key(scenario.config)).encode()).hexdigest()
+def scenario_hash(config: ScenarioConfig) -> str:
+    """Stable digest of the config's key: a map loads for every config of
+    the scenario_key it was surveyed under."""
+    return hashlib.sha256(repr(scenario_key(config)).encode()).hexdigest()
 
 
 def build_ckm(
@@ -327,10 +334,13 @@ def build_ckm(
     statistic is a row reduction, so the blocks concatenate to the
     one-shot survey byte for byte.
     """
+    cfg = scenario.config
     if s is None:
-        s = scenario.config.samples_per_grid
-    _thresholds(scenario.config, delta, eta)  # reject them before surveying
-    bss = range(scenario.config.n_cells)
+        s = cfg.samples_per_grid
+    if delta is None and eta is None:
+        delta, eta = cfg.delta, cfg.eta
+    _thresholds(delta, eta)  # reject them before surveying
+    bss = range(cfg.n_cells)
     blocks = []
     for start in range(0, scenario.n_grids, GRID_BLOCK):
         grids = np.arange(start, min(start + GRID_BLOCK, scenario.n_grids))
@@ -342,24 +352,22 @@ def build_ckm(
         ))
         del samples, centers
     h_bar, epsilon, sigma = (np.concatenate(parts, axis=1) for parts in zip(*blocks))
-    return _classify(scenario, s, h_bar, epsilon, sigma, delta, eta)
+    return _classify(scenario_hash(cfg), s, h_bar, epsilon, sigma, delta, eta)
 
 
-def _thresholds(cfg, delta, eta) -> tuple[float | None, float | None]:
-    """build_ckm's (delta, eta): the arguments, else the config's, else
-    eta=0.7; ConfigError unless they are valid."""
+def _thresholds(delta, eta) -> tuple[float | None, float | None]:
+    """(delta, eta), or eta=0.7 when neither is set; ConfigError unless
+    they are valid."""
     if delta is None and eta is None:
-        delta, eta = cfg.delta, cfg.eta
-        if delta is None and eta is None:
-            eta = 0.7
+        eta = 0.7
     check_thresholds(delta, eta)
     return delta, eta
 
 
-def _classify(scenario, s, h_bar, epsilon, sigma, delta, eta) -> UsCkm:
-    """The threshold step of build_ckm: the map of survey arrays around
-    `scenario`, with delta and reliable from _thresholds."""
-    delta, eta = _thresholds(scenario.config, delta, eta)
+def _classify(key_hash, s, h_bar, epsilon, sigma, delta, eta) -> UsCkm:
+    """The threshold step of build_ckm: the map of survey arrays with the
+    scenario hash key_hash, and delta and reliable from _thresholds."""
+    delta, eta = _thresholds(delta, eta)
     if eta is not None:
         if eta <= 0.0:
             delta = -np.inf
@@ -367,5 +375,5 @@ def _classify(scenario, s, h_bar, epsilon, sigma, delta, eta) -> UsCkm:
             delta = float(sigma.max())
         else:
             delta = float(np.quantile(sigma.ravel(), eta, method="lower"))
-    return UsCkm(scenario, s, delta, h_bar, epsilon, sigma,
+    return UsCkm(key_hash, s, delta, h_bar, epsilon, sigma,
                  reliability_indicator(sigma, delta))

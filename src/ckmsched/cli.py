@@ -268,20 +268,20 @@ def cmd_build_ckm(config_path: str, out_path: str, export_csv: bool = False,
           f"realized eta {ckm.realized_eta():.4f}", file=stream)
     if export_csv:
         directory = os.path.dirname(os.path.abspath(out_path))
-        ckm.export_csv(directory)
-        ckm.scenario.export_csv(os.path.join(directory, "scenario.csv"))
+        scenario = cached_scenario(plan.base_config)
+        ckm.export_csv(directory, scenario)
+        scenario.export_csv(os.path.join(directory, "scenario.csv"))
         print(f"exported gain/correlation/scenario CSVs to {directory}", file=stream)
     return 0
 
 
 def cmd_inspect_ckm(map_path: str, config_path: str | None = None,
                     stream=None) -> int:
-    """Print grid counts, realized reliability, and table percentiles."""
+    """Print grid counts, realized reliability, and table percentiles;
+    with a config, first check that the map has its scenario hash."""
     stream = stream or sys.stdout
-    scenario = None
-    if config_path is not None:
-        scenario = cached_scenario(parse_config(config_path).base_config)
-    ckm = UsCkm.load(map_path, scenario=scenario)
+    config = None if config_path is None else parse_config(config_path).base_config
+    ckm = UsCkm.load(map_path, config=config)
     sig = ckm.sigma.ravel()
     eps = ckm.epsilon.ravel()
     print(f"map {map_path}", file=stream)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -387,6 +388,13 @@ def calibrate_noise(scenario: Scenario, target_snr_db: float) -> float:
     center toward its serving BS (realization 0), so the calibration is
     a deterministic function of the scenario.
     """
+    return _median_center_gain(scenario) / 10.0 ** (target_snr_db / 10.0)
+
+
+@lru_cache(maxsize=8)
+def _median_center_gain(scenario: Scenario) -> float:
+    """Median grid-center gain of calibrate_noise, once per scenario object
+    (Scenario hashes by identity), so an SNR sweep synthesizes it once."""
     gains = []
     for l in range(scenario.config.n_cells):
         grids = scenario.grids_of_cell[l]
@@ -394,8 +402,7 @@ def calibrate_noise(scenario: Scenario, target_snr_db: float) -> float:
             scenario, l, scenario.grid_centers[grids], np.zeros(len(grids), dtype=int)
         )
         gains.append(np.sum(np.abs(rows) ** 2, axis=1))
-    med = float(np.median(np.concatenate(gains)))
-    return med / 10.0 ** (target_snr_db / 10.0)
+    return float(np.median(np.concatenate(gains)))
 
 
 @dataclass(slots=True)

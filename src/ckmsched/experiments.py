@@ -48,11 +48,6 @@ def cached_ckm(config: ScenarioConfig) -> UsCkm:
     return cached_ckm(key).reclassify(config.delta, config.eta)
 
 
-@lru_cache(maxsize=64)
-def cached_noise(config: ScenarioConfig) -> float:
-    return calibrate_noise(cached_scenario(config), config.target_snr_db)
-
-
 def _rng(config: ScenarioConfig, tag: int, trial_seed: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([config.rng_seed, tag, int(trial_seed)])
@@ -197,7 +192,7 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     if trial_seed < 0:
         raise ValueError("trial_seed must be >= 0")
     scenario = cached_scenario(config)
-    noise = cached_noise(config)
+    noise = calibrate_noise(scenario, config.target_snr_db)
     chans = trial_channels(scenario, place_users(scenario, trial_seed), int(trial_seed) + 1)
 
     t0 = time.perf_counter()

@@ -19,6 +19,10 @@ import numpy as np
 from .errors import ConfigError, GeometryError, OutOfClusterError, ZeroNormError
 
 SPEED_OF_LIGHT = 299792458.0
+# Carrier frequency. It enters only the free-space loss at 1 m, a factor
+# common to every channel, which the target-SNR noise calibration divides
+# out of every SINR; so it is a constant and not a config field.
+FC_HZ = 6.7e9
 
 # Seed-stream tags so every random ingredient draws from its own
 # SeedSequence and stays independent of the others.
@@ -79,7 +83,6 @@ class ScenarioConfig:
     kprime: int = 20
     n_h: int = 4
     n_v: int = 4
-    fc_hz: float = 6.7e9
     bs_height_m: float = 25.0
     user_height_m: float = 1.5
     cell_radius_m: float = 250.0
@@ -94,12 +97,10 @@ class ScenarioConfig:
     # Propagation / scatterer model knobs.
     inter_site_distance_m: float | None = None
     path_loss_exponent: float = 3.0
-    path_loss_offset_db: float | None = None
     shadowing_std_db: float = 4.0
     static_clusters_per_cell: int = 12
     dynamic_clusters_per_grid: int = 2
     dynamic_gain: float = 0.35
-    dynamic_jitter_scale: float = 1.0
     phase_length_m: float = 60.0
     scatter_range_m: float = 80.0
     scatter_falloff: float = 2.0
@@ -141,8 +142,8 @@ class ScenarioConfig:
         check_thresholds(self.delta, self.eta)
         if not (0.0 <= self.dynamic_grid_fraction <= 1.0):
             raise ConfigError("dynamic_grid_fraction must lie in [0, 1]")
-        if self.fc_hz <= 0 or self.cell_radius_m <= 0:
-            raise ConfigError("fc_hz and cell_radius_m must be positive")
+        if self.cell_radius_m <= 0:
+            raise ConfigError("cell_radius_m must be positive")
         if self.bs_height_m <= 0 or self.user_height_m <= 0:
             raise ConfigError("antenna heights must be positive")
         if self.rng_seed < 0:
@@ -167,10 +168,6 @@ class ScenarioConfig:
     @property
     def n_antennas(self) -> int:
         return 2 * self.n_h * self.n_v
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.fc_hz
 
     @property
     def isd_m(self) -> float:
@@ -211,14 +208,7 @@ def _seeded(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
-def array_response(
-    n_h: int,
-    n_v: int,
-    azimuth,
-    elevation,
-    polarization: int,
-    wavelength: float,
-) -> np.ndarray:
+def array_response(n_h: int, n_v: int, azimuth, elevation, polarization: int) -> np.ndarray:
     """Steering vectors of a dual-polarized n_h x n_v planar array with
     elements half a wavelength apart.
 
@@ -229,13 +219,11 @@ def array_response(
     """
     if polarization not in (0, 1):
         raise ValueError("polarization must be 0 or 1")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
     az, el = np.broadcast_arrays(np.asarray(azimuth, dtype=float),
                                  np.asarray(elevation, dtype=float))
-    k = 2.0 * math.pi * (0.5 * wavelength) / wavelength
-    ph = k * np.arange(n_h) * np.sin(az)[..., None] * np.cos(el)[..., None]
-    pv = k * np.arange(n_v) * np.sin(el)[..., None]
+    # The phase step 2*pi*spacing/wavelength is pi at half-wavelength spacing.
+    ph = math.pi * np.arange(n_h) * np.sin(az)[..., None] * np.cos(el)[..., None]
+    pv = math.pi * np.arange(n_v) * np.sin(el)[..., None]
     size = n_h * n_v
     block = np.exp(1j * (ph[..., :, None] + pv[..., None, :])).reshape(
         az.shape + (size,)
@@ -245,28 +233,20 @@ def array_response(
     return out
 
 
-def path_loss_db(
-    distance_3d,
-    fc: float,
-    exponent: float = 3.0,
-    offset_db: float | None = None,
-):
+def path_loss_db(distance_3d, fc: float, exponent: float = 3.0):
     """Single-slope log-distance path loss in dB of a scalar or an array
-    of 3-D distances (a float or an array of the same shape).
-
-    offset_db defaults to the free-space loss at 1 m for the given carrier.
-    Each logarithm is a scalar math.log10, which is not always
-    bit-identical to np.log10.
+    of 3-D distances (a float or an array of the same shape), anchored at
+    the free-space loss at 1 m for the carrier fc. Each logarithm is a
+    scalar math.log10, which is not always bit-identical to np.log10.
     """
     d = np.asarray(distance_3d, dtype=float)
     if not np.all(d > 0):
         raise ValueError("distance_3d must be positive")
     if fc <= 0:
         raise ValueError("fc must be positive")
-    if offset_db is None:
-        offset_db = 20.0 * math.log10(4.0 * math.pi * fc / SPEED_OF_LIGHT)
+    loss_1m = 20.0 * math.log10(4.0 * math.pi * fc / SPEED_OF_LIGHT)
     logs = np.fromiter(map(math.log10, d.ravel().tolist()), float, d.size)
-    pl = offset_db + 10.0 * exponent * logs.reshape(d.shape)
+    pl = loss_1m + 10.0 * exponent * logs.reshape(d.shape)
     return pl if d.ndim else float(pl)
 
 
@@ -276,7 +256,6 @@ class Scenario:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.n_antennas = config.n_antennas
-        self.wavelength = config.wavelength_m
         self.bs_xy = _bs_layout(config)
         self._build_grids()
         self._build_scatterers()
@@ -395,8 +374,8 @@ class Scenario:
             for x, y in positions.tolist()
         ]
         ang = np.array(angles).reshape(cfg.n_cells, len(positions), 2)
-        a0 = array_response(cfg.n_h, cfg.n_v, ang[..., 0], ang[..., 1], 0, self.wavelength)
-        a1 = array_response(cfg.n_h, cfg.n_v, ang[..., 0], ang[..., 1], 1, self.wavelength)
+        a0 = array_response(cfg.n_h, cfg.n_v, ang[..., 0], ang[..., 1], 0)
+        a1 = array_response(cfg.n_h, cfg.n_v, ang[..., 0], ang[..., 1], 1)
         return gains[:, 0, None] * a0 + gains[:, 1, None] * a1
 
     def _freeze(self):
@@ -486,12 +465,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
 
 def _jitter(scenario: Scenario, gid: int, realization: int) -> np.ndarray:
-    """Complex jitter for the dynamic clusters of a grid at a nonzero
-    realization (realization 0 is the jitter-free reference state)."""
+    """Unit-variance complex jitter for the dynamic clusters of a grid at a
+    nonzero realization (realization 0 is the jitter-free reference state);
+    dynamic_gain already scales the clusters it multiplies."""
     d = scenario.config.dynamic_clusters_per_grid
     rng = _seeded(scenario.config.rng_seed, _TAG_JITTER, int(gid), int(realization))
-    z = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
-    return scenario.config.dynamic_jitter_scale * z
+    return (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
 
 
 def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -531,7 +510,7 @@ def channel_rows(
     bs = scenario.bs_xy[bss]
     d2 = np.hypot(pos[None, :, 0] - bs[:, 0, None], pos[None, :, 1] - bs[:, 1, None])
     d3 = np.hypot(d2, cfg.bs_height_m - cfg.user_height_m)
-    pl = path_loss_db(d3, cfg.fc_hz, cfg.path_loss_exponent, cfg.path_loss_offset_db)
+    pl = path_loss_db(d3, FC_HZ, cfg.path_loss_exponent)
     amp = 10.0 ** (-(pl + scenario.shadow_db[bss[:, None], gids]) / 20.0)
 
     sp = scenario.scatterers.static_positions

@@ -30,7 +30,7 @@ from ckmsched.ckm import (
 )
 from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr, sum_rate
 from ckmsched.experiments import _TAG_USERS, UserRecord, _rng
-from ckmsched.geometry import _jitter, channel_rows, path_loss_db, sample_grid
+from ckmsched.geometry import FC_HZ, _jitter, channel_rows, path_loss_db, sample_grid
 from ckmsched.groups import ActiveSet, SelectionRecord, UserGroup
 from ckmsched.scheduling import EffectiveCsi
 
@@ -237,10 +237,10 @@ def lattice_reference(scenario):
 
 
 def array_response_reference(n_h, n_v, azimuth: float, elevation: float,
-                             polarization: int, wavelength: float) -> np.ndarray:
+                             polarization: int) -> np.ndarray:
     """One steering vector of the half-wavelength dual-polarized array from
     scalar math.sin / math.cos."""
-    k = 2.0 * math.pi * (0.5 * wavelength) / wavelength
+    k = math.pi  # 2*pi * spacing / wavelength at half-wavelength spacing
     ph = k * np.arange(n_h) * math.sin(azimuth) * math.cos(elevation)
     pv = k * np.arange(n_v) * math.sin(elevation)
     block = np.exp(1j * (ph[:, None] + pv[None, :])).ravel() / math.sqrt(n_h * n_v)
@@ -263,8 +263,8 @@ def steering_mix_reference(scenario):
             d2 = math.hypot(p[0] - bs[0], p[1] - bs[1])
             az = math.atan2(p[1] - bs[1], p[0] - bs[0])
             el = math.atan2(cfg.user_height_m - cfg.bs_height_m, max(d2, 1e-6))
-            a0 = array_response_reference(cfg.n_h, cfg.n_v, az, el, 0, scenario.wavelength)
-            a1 = array_response_reference(cfg.n_h, cfg.n_v, az, el, 1, scenario.wavelength)
+            a0 = array_response_reference(cfg.n_h, cfg.n_v, az, el, 0)
+            a1 = array_response_reference(cfg.n_h, cfg.n_v, az, el, 1)
             out[c] = gains[c, 0] * a0 + gains[c, 1] * a1
         return out
 
@@ -288,11 +288,7 @@ def channel_rows_reference(scenario, observing_bs: int, positions, realizations)
     bs = scenario.bs_xy[observing_bs]
     d2 = np.hypot(pos[:, 0] - bs[0], pos[:, 1] - bs[1])
     d3 = np.hypot(d2, cfg.bs_height_m - cfg.user_height_m)
-    pl = np.array([
-        path_loss_db(d, cfg.fc_hz, exponent=cfg.path_loss_exponent,
-                     offset_db=cfg.path_loss_offset_db)
-        for d in d3
-    ])
+    pl = np.array([path_loss_db(d, FC_HZ, exponent=cfg.path_loss_exponent) for d in d3])
     amp = 10.0 ** (-(pl + scenario.shadow_db[observing_bs, gids]) / 20.0)
     sp = scenario.scatterers.static_positions
     duc = np.hypot(pos[:, 0, None] - sp[None, :, 0], pos[:, 1, None] - sp[None, :, 1])

@@ -17,6 +17,7 @@ from ckmsched.ckm import (
     _corr_matrix,
     grid_variance,
     reliability_indicator,
+    scenario_hash,
     statistical_channel,
     statistical_correlation,
     statistical_gain,
@@ -294,7 +295,8 @@ def test_absolute_delta_covering_all_sigma_is_fully_reliable(small_scenario):
 def test_save_load_round_trip(tmp_path, small_scenario, small_ckm):
     path = tmp_path / "map.ckm"
     small_ckm.save(path)
-    back = UsCkm.load(path, scenario=small_scenario)
+    back = UsCkm.load(path, config=small_scenario.config)
+    assert back.scenario_hash == small_ckm.scenario_hash
     assert back.samples_per_grid == small_ckm.samples_per_grid
     assert back.delta == small_ckm.delta
     for name in ("h_bar", "epsilon", "sigma", "reliable"):
@@ -312,9 +314,8 @@ def test_saves_are_bit_identical(tmp_path, small_ckm):
 def test_load_verifies_scenario_hash(tmp_path, small_ckm):
     path = tmp_path / "map.ckm"
     small_ckm.save(path)
-    other = build_scenario(desk_config(rng_seed=8))
     with pytest.raises(ValueError, match="different scenario"):
-        UsCkm.load(path, scenario=other)
+        UsCkm.load(path, config=desk_config(rng_seed=8))
 
 
 def test_load_rejects_foreign_files(tmp_path):
@@ -394,8 +395,8 @@ def test_load_accepts_an_infinite_delta(tmp_path, small_ckm, delta):
     assert UsCkm.load(path).delta == delta
 
 
-def test_export_csv_writes_per_bs_tables(tmp_path, small_ckm):
-    small_ckm.export_csv(tmp_path)
+def test_export_csv_writes_per_bs_tables(tmp_path, small_scenario, small_ckm):
+    small_ckm.export_csv(tmp_path, small_scenario)
     for l in range(small_ckm.n_cells):
         gains = (tmp_path / f"gains_bs{l}.csv").read_text().splitlines()
         corr = (tmp_path / f"corr_bs{l}.csv").read_text().splitlines()
@@ -409,13 +410,14 @@ def test_export_csv_writes_per_bs_tables(tmp_path, small_ckm):
         assert corr[-1] == f"{n - 2},{n - 1},{table[n - 2, n - 1]:.12e}"
 
 
-def test_export_csv_corr_rows_equal_the_full_table(tmp_path, small_ckm, monkeypatch):
+def test_export_csv_corr_rows_equal_the_full_table(tmp_path, small_scenario, small_ckm,
+                                                    monkeypatch):
     # Rows are written in blocks of GRID_BLOCK; a block size that does
     # not divide the grid count leaves a short last block.
     n = small_ckm.n_grids
     assert n % 7
     monkeypatch.setattr(ckm_module, "GRID_BLOCK", 7)
-    small_ckm.export_csv(tmp_path)
+    small_ckm.export_csv(tmp_path, small_scenario)
     for l in range(small_ckm.n_cells):
         table = _corr_matrix(small_ckm.h_bar[l])
         want = io.StringIO(newline="")
@@ -435,3 +437,53 @@ def test_loaded_arrays_are_owned_and_aligned(tmp_path, small_ckm):
         arr = getattr(back, name)
         assert arr.flags.owndata and arr.flags.aligned and arr.flags.c_contiguous
         assert arr.tobytes() == getattr(small_ckm, name).tobytes()
+
+
+# -- a map loaded without a config ------------------------------------------
+
+
+def test_a_map_loaded_without_a_config_resaves_to_the_same_bytes(tmp_path, small_ckm):
+    path, data = saved_map(tmp_path, small_ckm)
+    back = UsCkm.load(path)
+    assert not hasattr(back, "scenario")
+    assert back.scenario_hash == small_ckm.scenario_hash == scenario_hash(desk_config())
+    again = tmp_path / "again.ckm"
+    back.save(again)
+    assert again.read_bytes() == data
+
+
+@pytest.mark.parametrize("delta, eta", [
+    (None, 0.0), (None, 0.4), (None, 1.0), (0.0, None), (1e-4, None),
+    # Neither set: the eta=0.7 fallback.
+    (None, None),
+])
+def test_a_loaded_map_reclassifies_as_build_ckm(tmp_path, small_scenario, small_ckm,
+                                               delta, eta):
+    path, _ = saved_map(tmp_path, small_ckm)
+    got = UsCkm.load(path).reclassify(delta, eta)
+    unset = delta is None and eta is None
+    want = build_ckm(small_scenario, delta=delta, eta=0.7 if unset else eta)
+    for name in ("h_bar", "epsilon", "sigma", "reliable"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert repr(got.delta) == repr(want.delta)
+    got.save(tmp_path / "got.ckm")
+    want.save(tmp_path / "want.ckm")
+    assert (tmp_path / "got.ckm").read_bytes() == (tmp_path / "want.ckm").read_bytes()
+
+
+def test_a_loaded_map_exports_with_a_scenario_of_its_key_only(tmp_path, small_scenario,
+                                                              small_ckm):
+    path, _ = saved_map(tmp_path, small_ckm)
+    back = UsCkm.load(path)
+    (tmp_path / "got").mkdir()
+    (tmp_path / "want").mkdir()
+    # The SNR target is not part of the scenario key.
+    back.export_csv(tmp_path / "got",
+                    build_scenario(replace(small_scenario.config, target_snr_db=5.0)))
+    small_ckm.export_csv(tmp_path / "want", small_scenario)
+    names = sorted(p.name for p in (tmp_path / "want").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "got").iterdir())
+    for name in names:
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    with pytest.raises(ValueError, match="scenario key"):
+        back.export_csv(tmp_path / "got", build_scenario(desk_config(rng_seed=8)))

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from ckmsched import build_ckm, build_scenario, experiments, geometry
 from ckmsched.cli import (
     _INT_FIELDS,
     _OPTIONAL_FIELDS,
@@ -60,7 +61,6 @@ def test_empty_config_yields_stock_defaults(tmp_path):
     assert cfg.users_per_cell == 50
     assert cfg.n_antennas == 32
     assert cfg.kprime == 20
-    assert cfg.fc_hz == 6.7e9
     assert cfg.bs_height_m == 25.0
     assert cfg.user_height_m == 1.5
     assert plan.algorithms == DEFAULT_ALGORITHMS
@@ -188,9 +188,7 @@ def test_field_kinds_follow_the_config_annotations():
         "dynamic_clusters_per_grid", "hotspots_per_cell",
     }
     assert _STR_FIELDS == {"placement"}
-    assert _OPTIONAL_FIELDS == {
-        "delta", "eta", "inter_site_distance_m", "path_loss_offset_db"
-    }
+    assert _OPTIONAL_FIELDS == {"delta", "eta", "inter_site_distance_m"}
     assert {SWEEP_DIMS[d] for d in ("kprime", "kbar", "samples")} <= _INT_FIELDS
 
 
@@ -367,6 +365,18 @@ def test_main_reports_config_errors_with_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["fc_hz", "path_loss_offset_db", "dynamic_jitter_scale"])
+def test_main_rejects_a_removed_scenario_key_with_exit_2(tmp_path, capsys, key):
+    # These scaled every channel alike, which the SNR calibration cancels,
+    # so they were removed; a plan that still sets one fails loudly.
+    cfg = write_cfg(tmp_path, DESK_CFG + f"{key} = 1\n")
+    line = len(DESK_CFG.splitlines()) + 1
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert f"plan.cfg:{line}: unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["target_snr_db = nan", "sweep.snr = 10, nan"])
 def test_main_rejects_a_nan_snr_plan_with_exit_2(tmp_path, capsys, line):
     text = DESK_CFG.replace("target_snr_db = 20\n", "")
@@ -444,6 +454,25 @@ def test_a_map_serves_every_snr_of_its_scenario(tmp_path, capsys):
     assert maps[0].read_bytes() == maps[1].read_bytes()
     assert main(["inspect-ckm", str(maps[0]), "--config", str(tmp_path / "snr30.cfg")]) == 0
     assert "realized eta" in capsys.readouterr().out
+
+
+def test_inspect_with_a_config_builds_no_scenario(tmp_path, capsys, monkeypatch):
+    # A key no other test uses, so no cache holds its scenario.
+    text = STATIC_CFG.replace("rng_seed = 7\n", "rng_seed = 4242\n")
+    cfg = write_cfg(tmp_path, text)
+    map_path = tmp_path / "map.ckm"
+    build_ckm(build_scenario(parse_config(cfg).base_config)).save(map_path)
+    built = []
+
+    def counted(config):
+        built.append(config)
+        return build_scenario(config)
+
+    monkeypatch.setattr(geometry, "build_scenario", counted)
+    monkeypatch.setattr(experiments, "build_scenario", counted)
+    assert main(["inspect-ckm", str(map_path), "--config", cfg]) == 0
+    assert "realized eta" in capsys.readouterr().out
+    assert built == []
 
 
 def test_inspect_rejects_non_map_files(tmp_path, capsys):

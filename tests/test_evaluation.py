@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ckmsched import build_scenario, evaluation
 from ckmsched.errors import EnumerationGuardError, ScheduleError
 from ckmsched.evaluation import (
     OverheadModel,
@@ -300,6 +301,26 @@ def test_calibrated_noise_scales_with_target(static_scenario):
     n0 = calibrate_noise(static_scenario, 0.0)
     n10 = calibrate_noise(static_scenario, 10.0)
     assert n10 == pytest.approx(n0 / 10.0)
+
+
+def test_noise_calibration_synthesizes_the_grid_centers_once_per_scenario(monkeypatch):
+    # A fresh scenario object, so no cached median applies to it yet.
+    scenario = build_scenario(desk_config(rng_seed=4343))
+    snrs = (0.0, 10.0, 20.0, 30.0)
+    gains = [np.sum(np.abs(channel_rows(scenario, l, scenario.grid_centers[grids],
+                                        np.zeros(len(grids), dtype=int))) ** 2, axis=1)
+             for l, grids in enumerate(scenario.grids_of_cell)]
+    med = float(np.median(np.concatenate(gains)))
+    calls = []
+
+    def counted(scenario, observing_bs, *args):
+        calls.append(observing_bs)
+        return channel_rows(scenario, observing_bs, *args)
+
+    monkeypatch.setattr(evaluation, "channel_rows", counted)
+    noise = [calibrate_noise(scenario, snr) for snr in snrs]
+    assert calls == list(range(scenario.config.n_cells))
+    assert noise == [med / 10.0 ** (snr / 10.0) for snr in snrs]
 
 
 # -- trial runner ------------------------------------------------------------------------

@@ -22,13 +22,13 @@ from ckmsched import ckm as ckm_module
 from ckmsched.errors import OutOfClusterError
 from ckmsched.evaluation import (
     brute_force_optimum,
+    calibrate_noise,
     candidate_rates,
     evaluate_group,
     sum_rate,
 )
 from ckmsched.experiments import (
     cached_ckm,
-    cached_noise,
     cached_scenario,
     place_users,
     trial_channels,
@@ -71,7 +71,7 @@ def trial_instance(cfg, seed):
     """The channels and noise power run_trial uses for (cfg, seed)."""
     scenario = cached_scenario(cfg)
     users = place_users(scenario, seed)
-    return trial_channels(scenario, users, seed + 1), cached_noise(cfg)
+    return trial_channels(scenario, users, seed + 1), calibrate_noise(scenario, cfg.target_snr_db)
 
 
 def assert_same_greedy(chans, kbar, noise):
@@ -419,13 +419,14 @@ def test_blocked_survey_matches_the_one_shot_survey(cfg, block, monkeypatch):
 
 
 @pytest.mark.parametrize("block", [None, 7, 1], ids=["default", "block7", "block1"])
-def test_export_csv_matches_the_per_pair_writer(block, small_ckm, tmp_path, monkeypatch):
+def test_export_csv_matches_the_per_pair_writer(block, small_scenario, small_ckm, tmp_path,
+                                                monkeypatch):
     if block is not None:
         # A block size that does not divide the grid count leaves a short
         # last block; one-grid blocks take the one-row product path.
         assert block == 1 or small_ckm.n_grids % block
         monkeypatch.setattr(ckm_module, "GRID_BLOCK", block)
-    small_ckm.export_csv(tmp_path)
+    small_ckm.export_csv(tmp_path, small_scenario)
     for l in range(small_ckm.n_cells):
         assert (tmp_path / f"corr_bs{l}.csv").read_bytes() == corr_csv_reference(small_ckm, l)
 

@@ -15,6 +15,7 @@ from scipy.stats import qmc
 from ckmsched import ScenarioConfig, build_scenario
 from ckmsched.errors import ConfigError, GeometryError, OutOfClusterError
 from ckmsched.geometry import (
+    FC_HZ,
     SPEED_OF_LIGHT,
     _halton_prefix,
     array_response,
@@ -32,7 +33,7 @@ from conftest import desk_config
 def test_config_defaults_expose_array_and_layout_properties():
     cfg = ScenarioConfig()
     assert cfg.n_antennas == 2 * cfg.n_h * cfg.n_v == 32
-    assert cfg.wavelength_m == pytest.approx(SPEED_OF_LIGHT / 6.7e9)
+    assert len(dataclasses.fields(cfg)) == 28
     assert cfg.isd_m == pytest.approx(math.sqrt(3.0) * cfg.cell_radius_m)
 
 
@@ -86,8 +87,8 @@ def test_config_rejects_out_of_range_knobs():
         desk_config(scatter_falloff=0.0)
     with pytest.raises(ConfigError):
         desk_config(placement="hexagonal")
-    for name in ("target_snr_db", "fc_hz", "alpha", "grid_edge_m", "eta",
-                 "inter_site_distance_m", "path_loss_offset_db", "dynamic_gain"):
+    for name in ("target_snr_db", "cell_radius_m", "alpha", "grid_edge_m", "eta",
+                 "inter_site_distance_m", "path_loss_exponent", "dynamic_gain"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
                 desk_config(**{name: bad})
@@ -106,7 +107,7 @@ def test_config_rejects_out_of_range_knobs():
 
 
 def test_array_response_boresight_is_cophased_unit_norm():
-    v = array_response(4, 4, 0.0, 0.0, 0, wavelength=0.05)
+    v = array_response(4, 4, 0.0, 0.0, 0)
     block = v[:16]
     assert np.allclose(block, block[0])
     assert np.count_nonzero(v[16:]) == 0
@@ -114,14 +115,14 @@ def test_array_response_boresight_is_cophased_unit_norm():
 
 
 def test_array_response_distinct_azimuths_not_collinear():
-    a = array_response(4, 1, 0.0, 0.0, 0, wavelength=0.05)
-    b = array_response(4, 1, math.pi / 3, 0.0, 0, wavelength=0.05)
+    a = array_response(4, 1, 0.0, 0.0, 0)
+    b = array_response(4, 1, math.pi / 3, 0.0, 0)
     assert abs(np.vdot(a, b)) < 1.0 - 1e-6
 
 
 def test_array_response_minimal_array_uses_one_block_per_polarization():
     for pol in (0, 1):
-        v = array_response(1, 1, 0.3, -0.2, pol, wavelength=0.05)
+        v = array_response(1, 1, 0.3, -0.2, pol)
         assert v.shape == (2,)
         assert v[pol] != 0
         assert v[1 - pol] == 0
@@ -135,7 +136,7 @@ def test_array_response_minimal_array_uses_one_block_per_polarization():
 )
 @settings(max_examples=60, deadline=None)
 def test_array_response_always_unit_norm(az, el, n_h, n_v):
-    v = array_response(n_h, n_v, az, el, 0, wavelength=0.05)
+    v = array_response(n_h, n_v, az, el, 0)
     assert v.shape == (2 * n_h * n_v,)
     assert np.linalg.norm(v) == pytest.approx(1.0)
 
@@ -145,16 +146,24 @@ def test_array_response_of_an_angle_array_equals_its_scalar_calls():
     az = rng.uniform(-math.pi, math.pi, (3, 7))
     el = rng.uniform(-math.pi / 2, math.pi / 2, (3, 7))
     for pol in (0, 1):
-        batch = array_response(4, 3, az, el, pol, wavelength=0.05)
+        batch = array_response(4, 3, az, el, pol)
         assert batch.shape == (3, 7, 24)
         for i, j in np.ndindex(az.shape):
-            one = array_response(4, 3, float(az[i, j]), float(el[i, j]), pol, wavelength=0.05)
+            one = array_response(4, 3, float(az[i, j]), float(el[i, j]), pol)
             assert one.shape == (24,)
             assert batch[i, j].tobytes() == one.tobytes()
     # Angles broadcast against each other.
-    row = array_response(2, 2, az[0], 0.1, 1, wavelength=0.05)
+    row = array_response(2, 2, az[0], 0.1, 1)
     assert row.shape == (7, 8)
-    assert row[3].tobytes() == array_response(2, 2, float(az[0, 3]), 0.1, 1, 0.05).tobytes()
+    assert row[3].tobytes() == array_response(2, 2, float(az[0, 3]), 0.1, 1).tobytes()
+
+
+def test_half_wavelength_phase_step_is_pi_at_any_carrier():
+    # array_response takes no wavelength: 2*pi*(wavelength/2)/wavelength
+    # rounds to math.pi exactly, so dropping it moves no bit.
+    for fc in (FC_HZ, 3.5e9, 28e9, 1e9, 60e9):
+        wavelength = SPEED_OF_LIGHT / fc
+        assert 2.0 * math.pi * (0.5 * wavelength) / wavelength == math.pi
 
 
 # -- path loss ---------------------------------------------------------
@@ -165,14 +174,13 @@ def test_path_loss_of_a_distance_array_equals_its_scalar_calls():
     # always match in the last bit.
     rng = np.random.default_rng(2)
     d = rng.uniform(1.0, 2000.0, (4, 250))
-    fspl = 20.0 * math.log10(4.0 * math.pi * 6.7e9 / SPEED_OF_LIGHT)
-    for exponent, offset in ((3.0, None), (3.7, 41.5)):
-        batch = path_loss_db(d, 6.7e9, exponent, offset)
+    for fc, exponent in ((6.7e9, 3.0), (28e9, 3.7)):
+        fspl = 20.0 * math.log10(4.0 * math.pi * fc / SPEED_OF_LIGHT)
+        batch = path_loss_db(d, fc, exponent)
         assert batch.shape == d.shape
-        scalar = np.array([[path_loss_db(x, 6.7e9, exponent, offset) for x in r]
-                           for r in d.tolist()])
-        want = np.array([[(fspl if offset is None else offset)
-                          + 10.0 * exponent * math.log10(x) for x in r] for r in d.tolist()])
+        scalar = np.array([[path_loss_db(x, fc, exponent) for x in r] for r in d.tolist()])
+        want = np.array([[fspl + 10.0 * exponent * math.log10(x) for x in r]
+                         for r in d.tolist()])
         assert batch.tobytes() == scalar.tobytes() == want.tobytes()
     assert isinstance(path_loss_db(120.0, 6.7e9), float)
     assert path_loss_db(np.empty((0, 3)), 6.7e9).shape == (0, 3)
@@ -340,9 +348,7 @@ def test_channel_norm_equals_large_scale_amplitude(small_scenario):
         + (pos[1] - bs[1]) ** 2
         + (cfg.bs_height_m - cfg.user_height_m) ** 2
     )
-    pl = path_loss_db(
-        d3, cfg.fc_hz, exponent=cfg.path_loss_exponent, offset_db=cfg.path_loss_offset_db,
-    )
+    pl = path_loss_db(d3, FC_HZ, exponent=cfg.path_loss_exponent)
     amp = 10.0 ** (-(pl + scen.shadow_db[1, g]) / 20.0)
     assert np.linalg.norm(h) == pytest.approx(amp, rel=1e-12)
 

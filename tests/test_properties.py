@@ -92,7 +92,7 @@ def test_maps_survive_a_save_load_round_trip(cfg, threshold):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "map.ckm"
         ckm.save(path)
-        back = UsCkm.load(path, scenario=cached_scenario(cfg))
+        back = UsCkm.load(path, config=cfg)
         again = Path(tmp) / "again.ckm"
         back.save(again)
         assert again.read_bytes() == path.read_bytes()

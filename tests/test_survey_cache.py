@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ckmsched import build_ckm, build_scenario, experiments
+from ckmsched.ckm import scenario_hash
 from ckmsched.experiments import cached_ckm, cached_scenario, place_users, trial_channels
 from ckmsched.geometry import scenario_key
 
@@ -91,7 +92,8 @@ def test_snr_points_share_one_survey(monkeypatch):
     assert scenarios == [key]
     assert [s.config for s in surveys] == [key]
     for cfg, ckm in zip(configs, maps):
-        assert ckm.scenario is cached_scenario(cfg) is maps[0].scenario
+        assert cached_scenario(cfg) is cached_scenario(configs[0])
+        assert ckm.scenario_hash == scenario_hash(cfg) == maps[0].scenario_hash
     assert np.shares_memory(maps[0].h_bar, maps[1].h_bar)
     assert np.shares_memory(maps[1].sigma, maps[2].sigma)
 
@@ -100,7 +102,7 @@ def test_snr_points_share_one_survey(monkeypatch):
 def test_cached_map_equals_a_fresh_build(eta, tmp_path):
     cfg = base_config(eta=eta, dynamic_grid_fraction=0.5)
     got, want = cached_ckm(cfg), build_ckm(build_scenario(cfg))
-    assert got.scenario.config == scenario_key(cfg)
+    assert got.scenario_hash == want.scenario_hash == scenario_hash(scenario_key(cfg))
     for name in (*SURVEY_ARRAYS, "reliable"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert repr(got.delta) == repr(want.delta)
