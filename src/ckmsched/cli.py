@@ -8,6 +8,7 @@ sweep.<dim> lists.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 import traceback
@@ -21,7 +22,7 @@ import numpy as np
 from .ckm import UsCkm
 from .errors import ConfigError
 from .evaluation import BRUTE_FORCE_BUDGET, combination_count
-from .experiments import ALGORITHMS, cached_ckm, cached_scenario, run_trial
+from .experiments import ALGORITHMS, MAP_ALGORITHMS, cached_ckm, cached_scenario, run_trial
 from .geometry import CONFIG_HINTS as _HINTS
 from .geometry import INT_FIELDS as _INT_FIELDS
 from .geometry import ScenarioConfig
@@ -206,12 +207,9 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     stream = stream or sys.stdout
-    jobs = []
-    for point in plan.sweep_points():
-        cfg = plan.config_at(point)
-        for algorithm in plan.algorithms:
-            for t in range(plan.trials):
-                jobs.append((cfg, algorithm, t))
+    configs = [plan.config_at(point) for point in plan.sweep_points()]
+    jobs = [(cfg, algorithm, t)
+            for cfg in configs for algorithm in plan.algorithms for t in range(plan.trials)]
 
     errors = 0
     sums: dict[str, list[float]] = {}
@@ -220,6 +218,14 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         if threads > 1:
+            # Forked workers inherit the parent's caches: build each sweep
+            # point's scenario and map once here, not once per worker. A
+            # point that cannot be built fails in its trials, as when serial.
+            needs_map = not set(plan.algorithms).isdisjoint(MAP_ALGORITHMS)
+            warm = cached_ckm if needs_map else cached_scenario
+            for cfg in configs:
+                with contextlib.suppress(Exception):
+                    warm(cfg)
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(_job, jobs, chunksize=max(1, plan.trials)))
         else:

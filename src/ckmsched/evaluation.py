@@ -276,7 +276,7 @@ def brute_force_optimum(
     counts. Combinations are ranked in closed form, _BLOCK at a time, and
     the pick is confirmed with evaluate_group (exact_pick), so ties keep the
     lexicographically lowest selection. The winner's exact evaluation also
-    fills its SelectionRecords.
+    fills its SelectionRecords and its evaluation.
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
@@ -321,6 +321,7 @@ def brute_force_optimum(
         for cell in cells
         for slot, uid in enumerate(best.members[cell])
     ]
+    best.evaluation = (rate, gammas)
     return best, float(rate)
 
 

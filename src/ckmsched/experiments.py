@@ -179,6 +179,8 @@ _SCHEDULERS = {
         brute_force_optimum(chans, config.kbar, noise)[0], None),
 }
 ALGORITHMS = tuple(_SCHEDULERS)
+# The schedulers that read the map.
+MAP_ALGORITHMS = ("two_stage_aes", "two_stage_gis", "robust_aes", "robust_gis")
 
 
 def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> ScheduleResult:
@@ -200,7 +202,9 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     validate_group(group, chans, config.kbar)
-    rate, gammas = evaluate_group(group, chans, noise)
+    # greedy and brute force hand back the exact evaluation of their group;
+    # evaluate_group is order-canonical, so it equals a fresh one.
+    rate, gammas = group.evaluation or evaluate_group(group, chans, noise)
     eta = config.eta
     if eta is None and counters is not None:
         # Only the map-driven schedulers report counters, and they have

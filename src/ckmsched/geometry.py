@@ -208,6 +208,135 @@ def _seeded(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
+# numpy.random.SeedSequence's entropy hash (numpy/random/bit_generator.pyx),
+# which NumPy's stream-compatibility policy (NEP 19) keeps fixed. _seed_words
+# runs it over a whole batch of keys as a few uint32 array operations in
+# place of one Python-level SeedSequence per key; uint32 arrays wrap
+# silently where uint32 scalars would warn.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(count, 1) uint32: init * mult**i mod 2**32, the running multiplier of
+    one SeedSequence hash after i steps."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _pool_constants(steps: int) -> np.ndarray:
+    """Multipliers of the pool hash, which takes 4 steps to fill the 4-word
+    pool, 12 to mix it, then 4 per entropy word beyond the pool."""
+    return _hash_constants(0x43B0D7E5, 0x931E8875, steps + 1)
+
+
+_POOL_CONST = _pool_constants(16)
+# Mixing round src takes one step for each other pool word, in order. The
+# rows below hold every pool word's step; row src's is a placeholder whose
+# result the round discards.
+_ROUND_STEPS = [np.array([4 + 3 * src + d - (d >= src) for d in range(4)]) for src in range(4)]
+_ROUND_CONST = [(_POOL_CONST[s], _POOL_CONST[s + 1]) for s in _ROUND_STEPS]
+# generate_state(4, np.uint64) hashes 8 words, cycling over the pool, with
+# a second multiplier.
+_OUT_CONST = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_OUT_WORDS = np.tile(np.arange(4), 2)
+
+
+def _hashmix(value, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    out = (value ^ xor) * mul
+    return out ^ (out >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> _SHIFT)
+
+
+def _int_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian 32-bit
+    words, one zero word for 0."""
+    if value < 0:
+        raise ValueError(f"seed keys must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _entropy_words(seed: int, tag: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, W) uint32 entropy words of [seed, tag, *keys[i]] per row, zero
+    past each row's own count (SeedSequence hashes a zero word in place of
+    a missing pool word), and the (m,) word counts."""
+    prefix = _int_words(int(seed)) + _int_words(int(tag))
+    m, k = keys.shape
+    high = keys >> 32
+    if not high.any():  # one word per key: the common case
+        words = np.zeros((m, max(4, len(prefix) + k)), dtype=np.uint32)
+        words[:, :len(prefix)] = prefix
+        words[:, len(prefix):len(prefix) + k] = keys
+        return words, np.full(m, len(prefix) + k)
+    rows = [prefix + [w for v in row for w in _int_words(v)] for row in keys.tolist()]
+    count = np.array([len(row) for row in rows])
+    words = np.zeros((m, max(4, int(count.max()))), dtype=np.uint32)
+    for i, row in enumerate(rows):
+        words[i, :len(row)] = row
+    return words, count
+
+
+def _seed_words(seed: int, tag: int, keys) -> np.ndarray:
+    """(m, 4) uint64: SeedSequence([seed, tag, *keys[i]]).generate_state(4,
+    np.uint64) for every row of keys, an (m, k) array of non-negative
+    integers below 2**63 (an (m,) array is m one-integer keys)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim == 1:
+        keys = keys[:, None]
+    words, count = _entropy_words(seed, tag, keys)
+    pool = _hashmix(words[:, :4].T, _POOL_CONST[:4], _POOL_CONST[1:5])  # (4, m)
+    for src, (xor, mul) in enumerate(_ROUND_CONST):
+        mixed = _mix(pool, _hashmix(pool[src], xor, mul))
+        mixed[src] = pool[src]
+        pool = mixed
+    longest = int(count.max()) if len(count) else 0
+    if longest > 4:  # entropy past the pool is mixed into every pool word
+        const = _pool_constants(4 * longest)
+        for extra in range(4, longest):
+            sel = count > extra
+            step = 4 * extra
+            pool[:, sel] = _mix(pool[:, sel], _hashmix(words[sel, extra], const[step:step + 4],
+                                                       const[step + 1:step + 5]))
+    out = _hashmix(pool[_OUT_WORDS], _OUT_CONST[:8], _OUT_CONST[1:])  # (8, m)
+    # Consecutive little-endian word pairs are the uint64 state words.
+    out = np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+    return out.astype(np.uint64, copy=False)
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands a bit generator precomputed
+    generate_state(4, np.uint64) words; PCG64 asks for exactly those."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("only the 4 uint64 words of PCG64 are precomputed")
+        return self.words
+
+
+def _streams(seed: int, tag: int, keys):
+    """One Generator per row of keys (as in _seed_words) that draws exactly
+    what _seeded(seed, tag, *row) draws: PCG64 seeds itself from the row's
+    precomputed words, with no SeedSequence."""
+    for words in _seed_words(seed, tag, keys):
+        yield np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
 def array_response(n_h: int, n_v: int, azimuth, elevation, polarization: int) -> np.ndarray:
     """Steering vectors of a dual-polarized n_h x n_v planar array with
     elements half a wavelength apart.
@@ -329,17 +458,15 @@ class Scenario:
         pick = _seeded(cfg.rng_seed, _TAG_DYNAMIC_PICK)
         dyn_ids = np.sort(pick.choice(self.n_grids, size=n_dyn, replace=False))
         d = cfg.dynamic_clusters_per_grid
-        dyn_pos = np.zeros((n_dyn, d, 2))
-        dyn_gain = np.zeros((n_dyn, d, 2), dtype=np.complex128)
-        for a, gid in enumerate(dyn_ids):
-            grng = _seeded(cfg.rng_seed, _TAG_DYNAMIC_PLACE, int(gid))
-            offs = (grng.random((d, 2)) - 0.5) * cfg.grid_edge_m
-            dyn_pos[a] = self.grid_centers[gid] + offs
-            dyn_gain[a] = (
-                cfg.dynamic_gain
-                * (grng.standard_normal((d, 2)) + 1j * grng.standard_normal((d, 2)))
-                / math.sqrt(2.0)
-            )
+        # Each dynamic grid's own stream draws its (d, 2) offsets, then the
+        # real and the imaginary (d, 2) gain parts.
+        u = np.empty((n_dyn, d, 2))
+        z = np.empty((n_dyn, 2, d, 2))
+        for a, grng in enumerate(_streams(cfg.rng_seed, _TAG_DYNAMIC_PLACE, dyn_ids)):
+            grng.random(out=u[a])
+            grng.standard_normal(out=z[a])
+        dyn_pos = self.grid_centers[dyn_ids][:, None, :] + (u - 0.5) * cfg.grid_edge_m
+        dyn_gain = cfg.dynamic_gain * (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
         self.scatterers = ScattererField(
             static_positions=static_positions,
             static_gains=static_gains,
@@ -464,13 +591,17 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     return Scenario(config)
 
 
-def _jitter(scenario: Scenario, gid: int, realization: int) -> np.ndarray:
-    """Unit-variance complex jitter for the dynamic clusters of a grid at a
-    nonzero realization (realization 0 is the jitter-free reference state);
-    dynamic_gain already scales the clusters it multiplies."""
+def _jitter(scenario: Scenario, pairs) -> np.ndarray:
+    """(m, D) unit-variance complex jitter of the dynamic clusters of each
+    (grid, nonzero realization) pair of an (m, 2) array (realization 0 is
+    the jitter-free reference state); dynamic_gain already scales the
+    clusters it multiplies. Each pair draws its real then its imaginary
+    parts from its own stream, so its jitter is the same in any batch."""
     d = scenario.config.dynamic_clusters_per_grid
-    rng = _seeded(scenario.config.rng_seed, _TAG_JITTER, int(gid), int(realization))
-    return (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
+    z = np.empty((len(pairs), 2 * d))
+    for row, rng in zip(z, _streams(scenario.config.rng_seed, _TAG_JITTER, pairs)):
+        rng.standard_normal(out=row)
+    return (z[:, :d] + 1j * z[:, d:]) / math.sqrt(2.0)
 
 
 def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -527,8 +658,9 @@ def channel_rows(
     hit = np.flatnonzero((rows >= 0) & (real != 0))
     if hit.size:
         pairs = list(zip(gids[hit].tolist(), real[hit].tolist()))
-        drawn = {pair: _jitter(scenario, *pair) for pair in set(pairs)}
-        zeta = np.array([drawn[pair] for pair in pairs])             # (m, D)
+        unique = list(set(pairs))
+        row_of = {pair: i for i, pair in enumerate(unique)}
+        zeta = _jitter(scenario, np.array(unique))[[row_of[p] for p in pairs]]  # (m, D)
         a = rows[hit]
         dp = scenario.scatterers.dynamic_positions[a]                # (m, D, 2)
         dud = np.hypot(pos[hit, 0, None] - dp[:, :, 0], pos[hit, 1, None] - dp[:, :, 1])

@@ -323,6 +323,7 @@ def greedy_schedule(chans, kbar: int, noise_power: float) -> UserGroup:
     members: dict[int, list[int]] = {l: [] for l in cells}
     remaining = {l: sorted(bycell[l]) for l in cells}
     meta: list[SelectionRecord] = []
+    best = None
     for slot in range(kbar):
         for l in cells:
             pool = remaining[l]
@@ -335,11 +336,12 @@ def greedy_schedule(chans, kbar: int, noise_power: float) -> UserGroup:
                 )
 
             scores = evaluation.candidate_rates(chans, members, l, pool, noise_power)
-            j, (rate, _) = evaluation.exact_pick(scores, len(pool), evaluate_with)
+            j, best = evaluation.exact_pick(scores, len(pool), evaluate_with)
             uid = pool.pop(j)
             members[l].append(uid)
-            meta.append(SelectionRecord(uid, l, slot, rate, "icsi"))
-    return UserGroup(members=members, meta=meta)
+            meta.append(SelectionRecord(uid, l, slot, best[0], "icsi"))
+    # The last pick completed the group and was evaluated exactly.
+    return UserGroup(members=members, meta=meta, evaluation=best)
 
 
 def random_schedule(ids_by_cell: dict, kbar: int, seed: int) -> UserGroup:

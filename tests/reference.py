@@ -5,10 +5,12 @@ per-grid map survey through one channel_rows call and scalar statistics
 (np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), the one-shot
 map survey over every grid at once, one csv.writer row per exported
 correlation pair, per-user placement, a scalar grid lookup, per-BS,
-per-row channel synthesis, and the per-user CSI fusion, first-stage, ICCS and SUS loops that read the
-fused full tables one user at a time (user i is row i), and the scenario's
-nested per-square grid lattice and per-cluster steering rows built from
-one scalar steering vector at a time.
+per-row channel synthesis, one SeedSequence-seeded stream per jitter
+(grid, realization) pair and per dynamic grid's clusters, and the per-user
+CSI fusion, first-stage, ICCS and SUS loops that read the fused full tables
+one user at a time (user i is row i), and the scenario's nested per-square
+grid lattice and per-cluster steering rows built from one scalar steering
+vector at a time.
 """
 
 import csv
@@ -30,7 +32,15 @@ from ckmsched.ckm import (
 )
 from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr, sum_rate
 from ckmsched.experiments import _TAG_USERS, UserRecord, _rng
-from ckmsched.geometry import FC_HZ, _jitter, channel_rows, path_loss_db, sample_grid
+from ckmsched.geometry import (
+    _TAG_DYNAMIC_PLACE,
+    _TAG_JITTER,
+    FC_HZ,
+    _seeded,
+    channel_rows,
+    path_loss_db,
+    sample_grid,
+)
 from ckmsched.groups import ActiveSet, SelectionRecord, UserGroup
 from ckmsched.scheduling import EffectiveCsi
 
@@ -278,6 +288,35 @@ def steering_mix_reference(scenario):
     return static, dyn
 
 
+def jitter_reference(scenario, gid: int, realization: int) -> np.ndarray:
+    """One (grid, realization) pair's dynamic-cluster jitter from its own
+    SeedSequence-seeded stream: D real parts, then D imaginary parts."""
+    d = scenario.config.dynamic_clusters_per_grid
+    rng = _seeded(scenario.config.rng_seed, _TAG_JITTER, int(gid), int(realization))
+    return (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
+
+
+def dynamic_clusters_reference(scenario):
+    """dynamic_positions and dynamic_gains with one SeedSequence-seeded
+    stream per dynamic grid: its (D, 2) offsets, then the real and the
+    imaginary (D, 2) gain parts."""
+    cfg = scenario.config
+    ids = scenario.scatterers.dynamic_grid_ids
+    d = cfg.dynamic_clusters_per_grid
+    dyn_pos = np.zeros((len(ids), d, 2))
+    dyn_gain = np.zeros((len(ids), d, 2), dtype=np.complex128)
+    for a, gid in enumerate(ids):
+        grng = _seeded(cfg.rng_seed, _TAG_DYNAMIC_PLACE, int(gid))
+        offs = (grng.random((d, 2)) - 0.5) * cfg.grid_edge_m
+        dyn_pos[a] = scenario.grid_centers[gid] + offs
+        dyn_gain[a] = (
+            cfg.dynamic_gain
+            * (grng.standard_normal((d, 2)) + 1j * grng.standard_normal((d, 2)))
+            / math.sqrt(2.0)
+        )
+    return dyn_pos, dyn_gain
+
+
 def channel_rows_reference(scenario, observing_bs: int, positions, realizations):
     """channel_rows for one BS: a locate, a path_loss_db call and, in a
     dynamic grid at a nonzero realization, a jitter draw per row."""
@@ -301,7 +340,7 @@ def channel_rows_reference(scenario, observing_bs: int, positions, realizations)
         a = dyn_row.get(int(gid))
         if a is None or real[i] == 0:
             continue
-        zeta = _jitter(scenario, int(gid), int(real[i]))
+        zeta = jitter_reference(scenario, int(gid), int(real[i]))
         dp = scenario.scatterers.dynamic_positions[a]
         dud = np.hypot(pos[i, 0] - dp[:, 0], pos[i, 1] - dp[:, 1])
         dw = (

@@ -1,6 +1,7 @@
 """Config parsing, experiment runner, map build/inspect commands."""
 
 import io
+import os
 
 import pytest
 
@@ -306,6 +307,38 @@ def test_main_run_with_two_worker_processes_writes_the_serial_bytes(tmp_path, ca
     assert main(["run", "--config", cfg, "--out", str(serial)]) == 0
     assert main(["run", "--config", cfg, "--out", str(pooled), "--threads", "2"]) == 0
     capsys.readouterr()
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_worker_pool_surveys_each_map_once_in_the_parent(tmp_path, monkeypatch):
+    # Forked workers inherit the map the parent built before the pool; a
+    # worker that surveyed again would record its own pid.
+    log = tmp_path / "surveys.txt"
+    survey = experiments.build_ckm
+
+    def logged(scenario, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return survey(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_ckm", logged)
+    experiments.cached_ckm.cache_clear()
+    experiments.cached_scenario.cache_clear()
+    text = DESK_CFG + "algorithms = robust_gis, greedy\ntrials = 3\nsweep.snr = 10, 20\n"
+    code, out, _ = run_plan(tmp_path, text, threads=2)
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 3
+    assert log.read_text().split() == [str(os.getpid())]
+
+
+def test_worker_pool_reports_a_point_that_cannot_be_built_like_the_serial_run(tmp_path):
+    # 60 m grids leave too few grids per cell for 5 users: that point's
+    # trials fail in the workers and keep their rows.
+    text = DESK_CFG + "algorithms = robust_aes, sus\ntrials = 2\nsweep.grid_edge = 15, 60\n"
+    serial_code, serial, serial_log = run_plan(tmp_path, text, out_name="serial.csv")
+    pooled_code, pooled, pooled_log = run_plan(tmp_path, text, out_name="pooled.csv", threads=2)
+    assert serial_code == pooled_code == 1
+    assert "4 trial(s) errored" in serial_log and "4 trial(s) errored" in pooled_log
     assert pooled.read_bytes() == serial.read_bytes()
 
 

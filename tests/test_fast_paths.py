@@ -6,18 +6,20 @@ same members, the same selection metrics and the same repr(sum_rate) as
 scoring every candidate exactly. Scenario construction, build_ckm,
 place_users, multi-BS channel_rows, CSI fusion, AES, ICCS and SUS are
 batched array code; they must equal the per-square, per-cluster, per-grid,
-per-user and per-position paths bit for bit, the survey in grid blocks
+per-user and per-position paths bit for bit, the batch-seeded random
+streams must equal one SeedSequence per key, the survey in grid blocks
 must equal the one-shot survey, and the bulk correlation CSV must equal one
 csv.writer row per pair.
 """
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from ckmsched import build_ckm, build_scenario, evaluation, scheduling
+from ckmsched import build_ckm, build_scenario, evaluation, experiments, scheduling
 from ckmsched import ckm as ckm_module
 from ckmsched.errors import OutOfClusterError
 from ckmsched.evaluation import (
@@ -31,9 +33,10 @@ from ckmsched.experiments import (
     cached_ckm,
     cached_scenario,
     place_users,
+    run_trial,
     trial_channels,
 )
-from ckmsched.geometry import channel_rows
+from ckmsched.geometry import _TAG_JITTER, _seed_words, _seeded, _streams, channel_rows
 from ckmsched.groups import UserGroup
 from ckmsched.scheduling import (
     EffectiveCsi,
@@ -51,6 +54,7 @@ from reference import (
     brute_force_reference,
     channel_rows_reference,
     corr_csv_reference,
+    dynamic_clusters_reference,
     fuse_reference,
     gis_reference,
     greedy_reference,
@@ -298,6 +302,29 @@ def test_brute_force_breaks_exact_ties_by_lowest_selection(exact_calls):
     assert assert_same_brute_force(chans, 1, 0.5).members == group.members
 
 
+def test_run_trial_reuses_the_exact_evaluation_of_greedy_and_brute_force(monkeypatch):
+    # Both schedulers hand back evaluate_group's result for their group, so
+    # run_trial does not evaluate it again; the other schedulers still do.
+    cfg = desk_config()
+    fresh = {}
+    for algorithm in ("greedy", "brute_force"):
+        for seed in range(5):
+            fresh[algorithm, seed] = run_trial(cfg, algorithm, seed)
+            chans, noise = trial_instance(cfg, seed)
+            rate, gammas = evaluate_group(fresh[algorithm, seed].group, chans, noise)
+            assert repr(fresh[algorithm, seed].sum_rate) == repr(rate)
+            assert list(fresh[algorithm, seed].per_user_sinr.items()) == list(gammas.items())
+
+    def refused(*args):
+        raise AssertionError("evaluated again")
+
+    monkeypatch.setattr(experiments, "evaluate_group", refused)
+    for (algorithm, seed), result in fresh.items():
+        assert run_trial(cfg, algorithm, seed) == result
+    with pytest.raises(AssertionError, match="evaluated again"):
+        run_trial(cfg, "sus", 0)
+
+
 def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
     # At SINR ~1e9 the closed form's 1 - a loses too many digits to rank.
     chans = synthetic_chans(
@@ -510,3 +537,84 @@ def test_place_users_matches_the_per_user_reference(cfg, seeds):
     scenario = cached_scenario(cfg)
     for seed in seeds:
         assert place_users(scenario, seed) == place_users_reference(scenario, seed)
+
+
+# -- batch-seeded random streams ----------------------------------------------
+
+# Entropy values at the SeedSequence word boundaries.
+EDGE_VALUES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1]
+
+
+def seed_key_batches():
+    """(seed, tag, keys) batches: single keys, duplicates, mixed word counts
+    and seeds beyond 64 bits."""
+    rng = np.random.default_rng(11)
+    wide = rng.integers(0, 2**62, (40, 2)) >> rng.integers(0, 62, (40, 2))
+    edges = np.array([(a, b) for a in EDGE_VALUES for b in EDGE_VALUES])
+    yield 0, 0, np.array([[0, 0]])
+    yield 7, _TAG_JITTER, np.array([[3, 1]])
+    yield 7, _TAG_JITTER, np.array([[3, 1], [5, 2], [3, 1], [3, 1]])
+    yield 2**32 - 1, 17, np.array([4, 9, 4])
+    for seed in (0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 5):
+        yield seed, _TAG_JITTER, wide
+        yield seed, 2**32, edges
+
+
+def test_seed_words_and_streams_equal_one_seed_sequence_per_key():
+    for seed, tag, keys in seed_key_batches():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # uint32 scalar overflow warns
+            words = _seed_words(seed, tag, keys)
+            draws = [(g.standard_normal(5).tobytes(), g.random(3).tobytes())
+                     for g in _streams(seed, tag, keys)]
+        rows = np.asarray(keys).reshape(len(keys), -1).tolist()
+        assert words.shape == (len(rows), 4) and words.dtype == np.uint64
+        for row, got, drawn in zip(rows, words, draws, strict=True):
+            key = [seed, tag, *row]
+            want = np.random.SeedSequence(key).generate_state(4, np.uint64)
+            assert got.tobytes() == want.tobytes(), key
+            ref = _seeded(*key)
+            assert drawn == (ref.standard_normal(5).tobytes(), ref.random(3).tobytes()), key
+
+
+def test_streams_reject_negative_keys_like_seed_sequence():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence([0, 19, -1])
+    with pytest.raises(ValueError, match="non-negative"):
+        _seed_words(0, 19, np.array([[3, -1]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        _seed_words(-1, 19, np.array([[3, 1]]))
+
+
+def test_empty_key_batches_give_no_streams():
+    assert _seed_words(0, 19, np.zeros((0, 2), dtype=np.int64)).shape == (0, 4)
+    assert list(_streams(0, 19, np.zeros(0, dtype=np.int64))) == []
+    scen = build_scenario(desk_config(dynamic_grid_fraction=0.0))
+    assert scen.scatterers.dynamic_positions.shape == (0, 2, 2)
+
+
+def test_channel_rows_beyond_32_bit_realizations_match_the_reference():
+    # Realizations at and past 2**32 take two entropy words each, so one
+    # batch mixes keys of different lengths.
+    scen = build_scenario(desk_config(dynamic_grid_fraction=1.0))
+    gids = np.repeat(np.arange(scen.n_grids), 2)
+    reals = np.resize([2**32 - 1, 2**32, 2**33 + 7, 2**62 + 1, 1, 2**32], len(gids))
+    pos = scen.grid_centers[gids]
+    rows = channel_rows(scen, range(scen.config.n_cells), pos, reals)
+    for l in range(scen.config.n_cells):
+        ref = channel_rows_reference(scen, l, pos, reals)
+        assert ref.tobytes() == rows[l].tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    desk_config(),
+    desk_config(dynamic_grid_fraction=1.0, rng_seed=2**40 + 1),
+    desk_config(dynamic_clusters_per_grid=3, rng_seed=2**64 + 3),
+    table_scale_config(),
+], ids=["desk", "desk_all_dynamic_wide_seed", "three_clusters_wide_seed", "table"])
+def test_dynamic_clusters_match_one_stream_per_grid(cfg):
+    scenario = build_scenario(cfg)
+    positions, gains = dynamic_clusters_reference(scenario)
+    assert len(scenario.scatterers.dynamic_grid_ids) > 0
+    assert scenario.scatterers.dynamic_positions.tobytes() == positions.tobytes()
+    assert scenario.scatterers.dynamic_gains.tobytes() == gains.tobytes()

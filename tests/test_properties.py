@@ -1,7 +1,9 @@
 """Properties over small desk-sized scenarios, drawn by Hypothesis: user i is
-row i of the trial, the robust schedulers meet their eta extremes, and a map
-survives a save/load round trip."""
+row i of the trial, the robust schedulers meet their eta extremes, a map
+survives a save/load round trip, the rate of a group does not depend on
+member order, and brute force is at least every scheduler."""
 
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,13 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckmsched.ckm import UsCkm
+from ckmsched.evaluation import brute_force_optimum, calibrate_noise, evaluate_group
 from ckmsched.experiments import (
+    _SCHEDULERS,
     cached_ckm,
     cached_scenario,
     place_users,
     run_trial,
     trial_channels,
+    validate_group,
 )
+from ckmsched.groups import UserGroup
 from ckmsched.geometry import channel_rows
 from ckmsched.scheduling import fuse_effective_csi
 
@@ -100,3 +106,31 @@ def test_maps_survive_a_save_load_round_trip(cfg, threshold):
     assert repr(back.delta) == repr(ckm.delta)
     for name in ("h_bar", "epsilon", "sigma", "reliable"):
         assert getattr(back, name).tobytes() == getattr(ckm, name).tobytes()
+
+
+@given(cfg=desk_configs(), seed=trial_seeds, data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_the_rate_does_not_depend_on_member_order(cfg, seed, data):
+    scenario, _, chans = trial(cfg, seed)
+    noise = calibrate_noise(scenario, cfg.target_snr_db)
+    members = {l: data.draw(st.permutations(ids))[:cfg.kbar]
+               for l, ids in chans.ids_by_cell().items()}
+    cells = data.draw(st.permutations(sorted(members)))
+    shuffled = {l: data.draw(st.permutations(members[l])) for l in cells}
+    rate, gammas = evaluate_group(UserGroup(members=members), chans, noise)
+    again, regammas = evaluate_group(UserGroup(members=shuffled), chans, noise)
+    assert repr(again) == repr(rate)
+    assert list(regammas.items()) == list(gammas.items())
+
+
+@given(cfg=desk_configs(), seed=trial_seeds)
+@settings(max_examples=10, deadline=None)
+def test_brute_force_is_at_least_every_scheduler_on_the_same_instance(cfg, seed):
+    scenario, _, chans = trial(cfg, seed)
+    noise = calibrate_noise(scenario, cfg.target_snr_db)
+    _, best = brute_force_optimum(chans, cfg.kbar, noise)
+    for name, schedule in _SCHEDULERS.items():
+        group, _ = schedule(cfg, seed, chans, noise)
+        validate_group(group, chans, cfg.kbar)
+        rate, _ = evaluate_group(group, chans, noise)
+        assert math.isfinite(rate) and rate <= best, name
