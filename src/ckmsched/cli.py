@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import multiprocessing
 import sys
 import traceback
 import typing
@@ -25,7 +26,7 @@ from .evaluation import BRUTE_FORCE_BUDGET, combination_count
 from .experiments import ALGORITHMS, MAP_ALGORITHMS, cached_ckm, cached_scenario, run_trial
 from .geometry import CONFIG_HINTS as _HINTS
 from .geometry import INT_FIELDS as _INT_FIELDS
-from .geometry import ScenarioConfig
+from .geometry import ScenarioConfig, scenario_key
 
 SWEEP_DIMS = {
     "snr": "target_snr_db",
@@ -196,6 +197,22 @@ def _job(args):
                 (f"{type(e).__name__}: {e}", traceback.format_exc()))
 
 
+def _warm_shared_key(algorithms, configs) -> None:
+    """Build the scenario, and the map when a map-driven algorithm runs, of
+    the one scenario key that every config shares, so that forked workers
+    inherit it instead of each building its own. Each worker's cache miss on
+    a config reads the key first, so the key stays the most recently used
+    entry and is never evicted. Plans over several keys are left to the
+    workers, which build different keys side by side. A key that cannot be
+    built fails in its trials, as when serial."""
+    keys = {scenario_key(cfg) for cfg in configs}
+    if len(keys) != 1:
+        return
+    warm = cached_ckm if set(MAP_ALGORITHMS).intersection(algorithms) else cached_scenario
+    with contextlib.suppress(Exception):
+        warm(keys.pop())
+
+
 def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
             timing: bool = False, stream=None) -> int:
     """Execute the plan, appending one CSV row per (point, algorithm, trial).
@@ -218,15 +235,10 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         if threads > 1:
-            # Forked workers inherit the parent's caches: build each sweep
-            # point's scenario and map once here, not once per worker. A
-            # point that cannot be built fails in its trials, as when serial.
-            needs_map = not set(plan.algorithms).isdisjoint(MAP_ALGORITHMS)
-            warm = cached_ckm if needs_map else cached_scenario
-            for cfg in configs:
-                with contextlib.suppress(Exception):
-                    warm(cfg)
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            context = multiprocessing.get_context()
+            if context.get_start_method() == "fork":
+                _warm_shared_key(plan.algorithms, configs)
+            with ProcessPoolExecutor(max_workers=threads, mp_context=context) as pool:
                 results = list(pool.map(_job, jobs, chunksize=max(1, plan.trials)))
         else:
             results = map(_job, jobs)

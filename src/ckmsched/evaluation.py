@@ -269,14 +269,15 @@ def brute_force_optimum(
     kbar: int,
     noise_power: float,
     max_combinations: int = BRUTE_FORCE_BUDGET,
-) -> tuple[UserGroup, float]:
+) -> tuple[UserGroup, float, dict[int, float]]:
     """Exhaustive search over all per-cell kbar-subsets.
 
     Guarded by max_combinations on the product of per-cell subset
     counts. Combinations are ranked in closed form, _BLOCK at a time, and
     the pick is confirmed with evaluate_group (exact_pick), so ties keep the
     lexicographically lowest selection. The winner's exact evaluation also
-    fills its SelectionRecords and its evaluation.
+    fills its SelectionRecords. Returns (group, rate, gammas) as
+    evaluate_group gives them for the group.
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
@@ -321,8 +322,7 @@ def brute_force_optimum(
         for cell in cells
         for slot, uid in enumerate(best.members[cell])
     ]
-    best.evaluation = (rate, gammas)
-    return best, float(rate)
+    return best, float(rate), gammas
 
 
 @dataclass

@@ -146,41 +146,56 @@ def validate_group(group: UserGroup, chans: ChannelSet, kbar: int) -> None:
 
 
 # Every scheduler takes (config, trial_seed, chans, noise) and returns
-# (group, counters): the map-driven ones return the event counters of
-# robust_two_stage, the others None, and their counters come from the closed
-# forms of overhead_counts. Entries look the schedulers up as module globals
-# at call time, so a wrapper installed on this module sees every call.
+# (group, counters, evaluation): the map-driven ones return the event
+# counters of robust_two_stage, the others None, and their counters come from
+# the closed forms of overhead_counts. evaluation is the (rate, gammas) of
+# evaluate_group on the group when the scheduler has computed it exactly,
+# else None. Entries look the schedulers up as module globals at call time,
+# so a wrapper installed on this module sees every call.
+def _greedy(config, trial_seed, chans, noise):
+    group, rate, gammas = greedy_schedule(chans, config.kbar, noise)
+    return group, None, (rate, gammas)
+
+
 def _random(config, trial_seed, chans, noise):
     seed = int(_rng(config, _TAG_RANDOM_PICK, trial_seed).integers(2**63))
-    return random_schedule(chans.ids_by_cell(), config.kbar, seed), None
+    return random_schedule(chans.ids_by_cell(), config.kbar, seed), None, None
+
+
+def _sus(config, trial_seed, chans, noise):
+    return sus_schedule(chans, config.kbar, config.alpha), None, None
 
 
 def _two_stage(first_stage: str, csi_mode: str):
     def schedule(config, trial_seed, chans, noise):
-        return robust_two_stage(
+        group, counters = robust_two_stage(
             cached_ckm(config), chans, config.kprime, config.kbar, config.alpha,
             first_stage=first_stage, csi_mode=csi_mode,
         )
+        return group, counters, None
 
+    schedule.reads_map = True
     return schedule
 
 
+def _brute_force(config, trial_seed, chans, noise):
+    group, rate, gammas = brute_force_optimum(chans, config.kbar, noise)
+    return group, None, (rate, gammas)
+
+
 _SCHEDULERS = {
-    "greedy": lambda config, trial_seed, chans, noise: (
-        greedy_schedule(chans, config.kbar, noise), None),
+    "greedy": _greedy,
     "random": _random,
-    "sus": lambda config, trial_seed, chans, noise: (
-        sus_schedule(chans, config.kbar, config.alpha), None),
+    "sus": _sus,
     "two_stage_aes": _two_stage("aes", "scsi"),
     "two_stage_gis": _two_stage("gis", "scsi"),
     "robust_aes": _two_stage("aes", "auto"),
     "robust_gis": _two_stage("gis", "auto"),
-    "brute_force": lambda config, trial_seed, chans, noise: (
-        brute_force_optimum(chans, config.kbar, noise)[0], None),
+    "brute_force": _brute_force,
 }
 ALGORITHMS = tuple(_SCHEDULERS)
-# The schedulers that read the map.
-MAP_ALGORITHMS = ("two_stage_aes", "two_stage_gis", "robust_aes", "robust_gis")
+# The schedulers that read the map: the two-stage entries.
+MAP_ALGORITHMS = tuple(a for a, f in _SCHEDULERS.items() if getattr(f, "reads_map", False))
 
 
 def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> ScheduleResult:
@@ -198,13 +213,13 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     chans = trial_channels(scenario, place_users(scenario, trial_seed), int(trial_seed) + 1)
 
     t0 = time.perf_counter()
-    group, counters = _SCHEDULERS[algorithm](config, trial_seed, chans, noise)
+    group, counters, evaluation = _SCHEDULERS[algorithm](config, trial_seed, chans, noise)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     validate_group(group, chans, config.kbar)
-    # greedy and brute force hand back the exact evaluation of their group;
-    # evaluate_group is order-canonical, so it equals a fresh one.
-    rate, gammas = group.evaluation or evaluate_group(group, chans, noise)
+    # evaluate_group is order-canonical, so the evaluation greedy and brute
+    # force hand back equals a fresh one.
+    rate, gammas = evaluation or evaluate_group(group, chans, noise)
     eta = config.eta
     if eta is None and counters is not None:
         # Only the map-driven schedulers report counters, and they have

@@ -27,17 +27,10 @@ class SelectionRecord:
 
 @dataclass(slots=True)
 class UserGroup:
-    """Scheduled users per cell plus selection-order metadata.
-
-    evaluation is the (sum rate, per-user SINR) that evaluate_group gives
-    these members on the channels and noise the scheduler ran on, when the
-    scheduler has already computed it exactly; None otherwise.
-    """
+    """Scheduled users per cell plus selection-order metadata."""
 
     members: dict[int, list[int]]
     meta: list[SelectionRecord] = field(default_factory=list)
-    evaluation: tuple[float, dict[int, float]] | None = field(
-        default=None, compare=False, repr=False)
 
     def all_users(self) -> list[int]:
         out: list[int] = []

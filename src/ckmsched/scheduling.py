@@ -307,13 +307,16 @@ def sus_schedule(chans, kbar: int, alpha: float) -> UserGroup:
     return UserGroup(members=members, meta=meta)
 
 
-def greedy_schedule(chans, kbar: int, noise_power: float) -> UserGroup:
+def greedy_schedule(
+    chans, kbar: int, noise_power: float
+) -> tuple[UserGroup, float, dict[int, float]]:
     """Exact greedy sum-rate maximization with full true CSI.
 
     Cells take turns; each addition maximizes the genie-evaluated MMSE
     sum rate of the partial group. Candidates are ranked in closed form and
     the pick is confirmed with the exact evaluator (evaluation.exact_pick),
-    so ties go to the lowest id.
+    so ties go to the lowest id. Returns (group, rate, gammas): the last
+    pick's exact evaluation is evaluate_group's of the whole group.
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
@@ -323,7 +326,7 @@ def greedy_schedule(chans, kbar: int, noise_power: float) -> UserGroup:
     members: dict[int, list[int]] = {l: [] for l in cells}
     remaining = {l: sorted(bycell[l]) for l in cells}
     meta: list[SelectionRecord] = []
-    best = None
+    best = (0.0, {})
     for slot in range(kbar):
         for l in cells:
             pool = remaining[l]
@@ -340,8 +343,7 @@ def greedy_schedule(chans, kbar: int, noise_power: float) -> UserGroup:
             uid = pool.pop(j)
             members[l].append(uid)
             meta.append(SelectionRecord(uid, l, slot, best[0], "icsi"))
-    # The last pick completed the group and was evaluated exactly.
-    return UserGroup(members=members, meta=meta, evaluation=best)
+    return UserGroup(members=members, meta=meta), *best
 
 
 def random_schedule(ids_by_cell: dict, kbar: int, seed: int) -> UserGroup:

@@ -1,11 +1,13 @@
 """Config parsing, experiment runner, map build/inspect commands."""
 
 import io
+import multiprocessing
 import os
+import types
 
 import pytest
 
-from ckmsched import build_ckm, build_scenario, experiments, geometry
+from ckmsched import build_ckm, build_scenario, cli, experiments, geometry
 from ckmsched.cli import (
     _INT_FIELDS,
     _OPTIONAL_FIELDS,
@@ -310,9 +312,10 @@ def test_main_run_with_two_worker_processes_writes_the_serial_bytes(tmp_path, ca
     assert pooled.read_bytes() == serial.read_bytes()
 
 
-def test_worker_pool_surveys_each_map_once_in_the_parent(tmp_path, monkeypatch):
-    # Forked workers inherit the map the parent built before the pool; a
-    # worker that surveyed again would record its own pid.
+@pytest.fixture
+def survey_pids(tmp_path, monkeypatch):
+    """The pid of every map survey run_trial starts, read back from a file
+    that forked workers append to as well."""
     log = tmp_path / "surveys.txt"
     survey = experiments.build_ckm
 
@@ -324,21 +327,64 @@ def test_worker_pool_surveys_each_map_once_in_the_parent(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "build_ckm", logged)
     experiments.cached_ckm.cache_clear()
     experiments.cached_scenario.cache_clear()
+    return lambda: log.read_text().split() if log.exists() else []
+
+
+def test_worker_pool_surveys_a_shared_map_once_in_the_parent(tmp_path, survey_pids):
+    # An SNR sweep keeps one scenario key: forked workers inherit the map
+    # the parent built before the pool, so no worker surveys it again.
     text = DESK_CFG + "algorithms = robust_gis, greedy\ntrials = 3\nsweep.snr = 10, 20\n"
     code, out, _ = run_plan(tmp_path, text, threads=2)
     assert code == 0
     assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 3
-    assert log.read_text().split() == [str(os.getpid())]
+    assert survey_pids() == [str(os.getpid())]
 
 
-def test_worker_pool_reports_a_point_that_cannot_be_built_like_the_serial_run(tmp_path):
+def test_worker_pool_leaves_maps_of_several_keys_to_the_workers(tmp_path, survey_pids):
+    # samples_per_grid is part of the key: the parent builds nothing, and the
+    # workers survey each key themselves.
+    text = DESK_CFG + "algorithms = robust_gis, robust_aes\ntrials = 2\nsweep.samples = 4, 5\n"
+    serial_code, serial, _ = run_plan(tmp_path, text, out_name="serial.csv")
+    serial_surveys = len(survey_pids())
+    experiments.cached_ckm.cache_clear()
+    experiments.cached_scenario.cache_clear()
+    pooled_code, pooled, _ = run_plan(tmp_path, text, out_name="pooled.csv", threads=2)
+    assert serial_code == pooled_code == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+    pooled_pids = survey_pids()[serial_surveys:]
+    assert serial_surveys == 2 and len(pooled_pids) >= 2
+    assert str(os.getpid()) not in pooled_pids
+
+
+def test_worker_pool_builds_nothing_in_the_parent_without_fork(tmp_path, survey_pids, monkeypatch):
+    # Spawned workers start from a fresh import and could not inherit a map
+    # built here, so the parent does not survey; the bytes stay the serial ones.
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(cli, "multiprocessing", types.SimpleNamespace(get_context=lambda: spawn))
+    text = DESK_CFG + "algorithms = robust_gis\ntrials = 2\nsweep.snr = 10, 20\n"
+    pooled_code, pooled, _ = run_plan(tmp_path, text, out_name="pooled.csv", threads=2)
+    assert survey_pids() == []
+    serial_code, serial, _ = run_plan(tmp_path, text, out_name="serial.csv")
+    assert serial_code == pooled_code == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("text, failed", [
     # 60 m grids leave too few grids per cell for 5 users: that point's
     # trials fail in the workers and keep their rows.
-    text = DESK_CFG + "algorithms = robust_aes, sus\ntrials = 2\nsweep.grid_edge = 15, 60\n"
+    (DESK_CFG + "sweep.grid_edge = 15, 60\n", 4),
+    # The one shared key cannot be built: the parent's attempt fails
+    # quietly, and every trial fails in the workers.
+    (DESK_CFG.replace("grid_edge_m = 15", "grid_edge_m = 60") + "sweep.snr = 10, 20\n", 8),
+])
+def test_worker_pool_reports_a_point_that_cannot_be_built_like_the_serial_run(
+        tmp_path, text, failed):
+    text += "algorithms = robust_aes, sus\ntrials = 2\n"
     serial_code, serial, serial_log = run_plan(tmp_path, text, out_name="serial.csv")
     pooled_code, pooled, pooled_log = run_plan(tmp_path, text, out_name="pooled.csv", threads=2)
     assert serial_code == pooled_code == 1
-    assert "4 trial(s) errored" in serial_log and "4 trial(s) errored" in pooled_log
+    assert f"{failed} trial(s) errored" in serial_log
+    assert f"{failed} trial(s) errored" in pooled_log
     assert pooled.read_bytes() == serial.read_bytes()
 
 

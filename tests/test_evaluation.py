@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ckmsched import build_scenario, evaluation
+from ckmsched import build_scenario, evaluation, experiments
 from ckmsched.errors import EnumerationGuardError, ScheduleError
 from ckmsched.evaluation import (
     OverheadModel,
@@ -21,6 +21,7 @@ from ckmsched.evaluation import (
 )
 from ckmsched.experiments import (
     ALGORITHMS,
+    MAP_ALGORITHMS,
     cached_ckm,
     place_users,
     run_trial,
@@ -191,7 +192,7 @@ def test_cross_cell_interference_lowers_rates():
 
 def test_brute_force_with_kbar_equal_to_pool_is_the_full_group():
     chans = one_cell_chans([[1.0, 0.0], [0.0, 2.0]])
-    group, rate = brute_force_optimum(chans, kbar=2, noise_power=1.0)
+    group, rate, _ = brute_force_optimum(chans, kbar=2, noise_power=1.0)
     assert group.members == {0: [0, 1]}
     assert rate == pytest.approx(
         sum_rate(UserGroup(members={0: [0, 1]}), chans, 1.0)
@@ -200,7 +201,7 @@ def test_brute_force_with_kbar_equal_to_pool_is_the_full_group():
 
 def test_brute_force_singleton_picks_the_better_user():
     chans = one_cell_chans([[1.0, 0.0], [0.0, 3.0]])
-    group, _ = brute_force_optimum(chans, kbar=1, noise_power=1.0)
+    group, _, _ = brute_force_optimum(chans, kbar=1, noise_power=1.0)
     assert group.members == {0: [1]}
 
 
@@ -209,8 +210,8 @@ def test_brute_force_beats_greedy_on_a_crafted_instance():
     # correlated pair; the optimum is the orthogonal pair.
     chans = one_cell_chans([[1.5, 1.5], [2.0, 0.0], [0.0, 2.0]])
     noise = 1.0
-    best, best_rate = brute_force_optimum(chans, kbar=2, noise_power=noise)
-    greedy = greedy_schedule(chans, kbar=2, noise_power=noise)
+    best, best_rate, _ = brute_force_optimum(chans, kbar=2, noise_power=noise)
+    greedy, _, _ = greedy_schedule(chans, kbar=2, noise_power=noise)
     greedy_rate = sum_rate(greedy, chans, noise)
     assert best.members == {0: [1, 2]}
     assert 0 in greedy.members[0]
@@ -362,6 +363,18 @@ def test_algorithms_keep_their_order():
         "greedy", "random", "sus", "two_stage_aes", "two_stage_gis",
         "robust_aes", "robust_gis", "brute_force",
     )
+
+
+def test_map_algorithms_are_the_schedulers_that_read_the_map(monkeypatch):
+    # run --threads builds the map ahead of the pool only for these.
+    cfg = desk_config()
+    readers = set()
+    monkeypatch.setattr(experiments, "cached_ckm", lambda config: readers.add(algorithm)
+                        or cached_ckm(config))
+    for algorithm in ALGORITHMS:
+        run_trial(cfg, algorithm, 0)
+    assert set(MAP_ALGORITHMS) == readers
+    assert MAP_ALGORITHMS == ("two_stage_aes", "two_stage_gis", "robust_aes", "robust_gis")
 
 
 def trial_model(cfg, algorithm, eta=None):

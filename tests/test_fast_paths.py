@@ -79,9 +79,10 @@ def trial_instance(cfg, seed):
 
 
 def assert_same_greedy(chans, kbar, noise):
-    fast = greedy_schedule(chans, kbar, noise)
+    fast, rate, gammas = greedy_schedule(chans, kbar, noise)
     slow = greedy_reference(chans, kbar, noise)
     assert fast.members == slow.members
+    assert_exact_evaluation(fast, rate, gammas, chans, noise)
     assert [(m.user, m.cell, m.slot, m.metric) for m in fast.meta] == [
         (m.user, m.cell, m.slot, m.metric) for m in slow.meta
     ]
@@ -90,11 +91,19 @@ def assert_same_greedy(chans, kbar, noise):
 
 
 def assert_same_brute_force(chans, kbar, noise):
-    group, rate = brute_force_optimum(chans, kbar, noise)
+    group, rate, gammas = brute_force_optimum(chans, kbar, noise)
     ref_group, ref_rate = brute_force_reference(chans, kbar, noise)
     assert group.members == ref_group.members
     assert repr(rate) == repr(ref_rate)
+    assert_exact_evaluation(group, rate, gammas, chans, noise)
     return group
+
+
+def assert_exact_evaluation(group, rate, gammas, chans, noise):
+    # What a scheduler hands back is evaluate_group's result for its group.
+    fresh_rate, fresh_gammas = evaluate_group(group, chans, noise)
+    assert repr(rate) == repr(fresh_rate)
+    assert list(gammas.items()) == list(fresh_gammas.items())
 
 
 def random_chans(rng, users_per_cell, n_cells, n_antennas):
@@ -277,7 +286,7 @@ def duplicated_chans():
 
 def test_greedy_breaks_exact_ties_by_lowest_id(exact_calls):
     chans = duplicated_chans()
-    group = greedy_schedule(chans, 2, 0.5)
+    group, _, _ = greedy_schedule(chans, 2, 0.5)
     # the first pick was confirmed by re-scoring both tied candidates
     assert len(exact_calls) >= 2
     assert {exact_calls[0].members[0][0], exact_calls[1].members[0][0]} == {1, 2}
@@ -290,7 +299,7 @@ def test_greedy_breaks_exact_ties_by_lowest_id(exact_calls):
 
 def test_brute_force_breaks_exact_ties_by_lowest_selection(exact_calls):
     chans = duplicated_chans()
-    group, rate = brute_force_optimum(chans, 1, 0.5)
+    group, rate, _ = brute_force_optimum(chans, 1, 0.5)
     # the tied candidates were evaluated exactly, and the winner only once
     assert len(exact_calls) >= 2
     assert [g.members for g in exact_calls].count(group.members) == 1
@@ -332,7 +341,7 @@ def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
     )
     noise = 1e-9
     assert candidate_rates(chans, {0: []}, 0, [0, 1, 2, 3], noise) is None
-    group = greedy_schedule(chans, 2, noise)
+    group, _, _ = greedy_schedule(chans, 2, noise)
     # every candidate of both slots was scored exactly by the scheduler
     assert len(exact_calls) >= 4 + 3
     exact_calls.clear()

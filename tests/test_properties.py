@@ -128,9 +128,9 @@ def test_the_rate_does_not_depend_on_member_order(cfg, seed, data):
 def test_brute_force_is_at_least_every_scheduler_on_the_same_instance(cfg, seed):
     scenario, _, chans = trial(cfg, seed)
     noise = calibrate_noise(scenario, cfg.target_snr_db)
-    _, best = brute_force_optimum(chans, cfg.kbar, noise)
+    _, best, _ = brute_force_optimum(chans, cfg.kbar, noise)
     for name, schedule in _SCHEDULERS.items():
-        group, _ = schedule(cfg, seed, chans, noise)
+        group, _, _ = schedule(cfg, seed, chans, noise)
         validate_group(group, chans, cfg.kbar)
         rate, _ = evaluate_group(group, chans, noise)
         assert math.isfinite(rate) and rate <= best, name

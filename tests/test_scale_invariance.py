@@ -32,7 +32,7 @@ def scaled_map(ckm: UsCkm, c: float) -> UsCkm:
 def schedules(cfg, ckm, chans, noise):
     """Every scheduler's group on one trial, by name."""
     groups = {
-        "greedy": greedy_schedule(chans, cfg.kbar, noise),
+        "greedy": greedy_schedule(chans, cfg.kbar, noise)[0],
         "sus": sus_schedule(chans, cfg.kbar, cfg.alpha),
         "random": random_schedule(chans.ids_by_cell(), cfg.kbar, 5),
         "brute_force": brute_force_optimum(chans, cfg.kbar, noise)[0],

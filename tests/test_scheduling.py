@@ -289,7 +289,7 @@ def test_sus_handles_multiple_cells_independently():
 
 def test_greedy_single_slot_without_interference_takes_top_gain():
     chans = serving_chans({0: [[2.0, 0.0], [0.0, 1.0], [1.0, 0.0]]})
-    group = greedy_schedule(chans, kbar=1, noise_power=1.0)
+    group, _, _ = greedy_schedule(chans, kbar=1, noise_power=1.0)
     assert group.members == {0: [0]}
 
 
@@ -299,7 +299,7 @@ def test_greedy_fills_every_cell_with_kbar_distinct_users():
     cells = np.array([0] * 4 + [1] * 4)
     h = rng.normal(size=(2, n, 4)) + 1j * rng.normal(size=(2, n, 4))
     chans = synthetic_chans(h, cells)
-    group = greedy_schedule(chans, kbar=2, noise_power=0.5)
+    group, _, _ = greedy_schedule(chans, kbar=2, noise_power=0.5)
     assert sorted(group.members) == [0, 1]
     for cell, picks in group.members.items():
         assert len(picks) == 2
