@@ -230,7 +230,9 @@ def _block_rates(
     """
     eye = noise_power * np.eye(h.shape[2])
     total = np.zeros(len(rows))
-    for c in np.unique(serving):
+    # A set, not np.unique: the first np.unique of a process imports
+    # numpy.ma.
+    for c in sorted(set(serving.tolist())):
         s = h[c][rows]                                    # (B, M, N)
         d = s[:, serving == c]                            # (B, k, N)
         x = np.linalg.solve(s.transpose(0, 2, 1) @ s.conj() + eye,
@@ -403,7 +405,18 @@ def _median_center_gain(scenario: Scenario) -> float:
             scenario, l, scenario.grid_centers[grids], np.zeros(len(grids), dtype=int)
         )
         gains.append(np.sum(np.abs(rows) ** 2, axis=1))
-    return float(np.median(np.concatenate(gains)))
+    return _median(np.concatenate(gains))
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values, bit for bit: the mean of the middle
+    order statistics of the partition np.median makes (the last kth, -1,
+    is its NaN check's). That NaN check imports numpy.ma on its first call
+    in a process; this does not."""
+    half = len(values) // 2
+    middle = [half] if len(values) % 2 else [half - 1, half]
+    part = np.partition(values, [*middle, -1])
+    return float(np.mean(part[middle[0]:half + 1]))
 
 
 @dataclass(slots=True)

@@ -31,12 +31,3 @@ class UserGroup:
 
     members: dict[int, list[int]]
     meta: list[SelectionRecord] = field(default_factory=list)
-
-    def all_users(self) -> list[int]:
-        out: list[int] = []
-        for cell in sorted(self.members):
-            out.extend(self.members[cell])
-        return out
-
-    def size(self) -> int:
-        return sum(len(v) for v in self.members.values())

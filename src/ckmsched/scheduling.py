@@ -98,7 +98,12 @@ def fuse_effective_csi(ckm: UsCkm, chans, mode: str = "auto") -> EffectiveCsi:
         gain[:, acq] = np.where(sub, np.sum(np.abs(h) ** 2, axis=-1), gain[:, acq])
     served = tuple(np.flatnonzero(chans.cell_of == l) for l in range(L))
     corr = tuple(_corr_rows(v, rows) for v, rows in zip(vectors, served))
-    return EffectiveCsi(vectors, gain, corr, served, (~need).astype(np.uint8), acq.tolist())
+    source = (~need).astype(np.uint8)
+    # Read-only, as UsCkm's arrays are: schedulers of one trial share a
+    # fusion.
+    for arr in (vectors, gain, source, *corr, *served):
+        arr.setflags(write=False)
+    return EffectiveCsi(vectors, gain, corr, served, source, acq.tolist())
 
 
 def residual_metric(gain, correlations):
@@ -365,33 +370,31 @@ def random_schedule(ids_by_cell: dict, kbar: int, seed: int) -> UserGroup:
 
 
 def robust_two_stage(
-    ckm: UsCkm,
+    csi: EffectiveCsi,
     chans,
     kprime: int,
     kbar: int,
     alpha: float,
     first_stage: str = "aes",
-    csi_mode: str = "auto",
 ) -> tuple[UserGroup, dict[str, int]]:
-    """Fused-CSI two-stage pipeline over the trial's ChannelSet, with
-    overhead counters.
+    """Two-stage pipeline on the trial's fused CSI (fuse_effective_csi of
+    the map and chans), with overhead counters.
 
-    csi_mode "auto" is the robust scheduler (the true channels of chans
-    substituted in unreliable grids), "scsi" the map-only two-stage
-    baseline. Counters record actual events: L acquisitions per user whose
-    grid needed true CSI; candidate locations plus, per unreliable
-    candidate, one gain and L^2 correlation uploads.
+    Fused in mode "auto", it is the robust scheduler (the true channels of
+    chans substituted in unreliable grids); in mode "scsi", the map-only
+    two-stage baseline. Counters record actual events: L acquisitions per
+    user whose grid needed true CSI; candidate locations plus, per
+    unreliable candidate, one gain and L^2 correlation uploads.
     """
     if first_stage not in ("aes", "gis"):
         raise ValueError(f"unknown first stage {first_stage!r}")
-    csi = fuse_effective_csi(ckm, chans, mode=csi_mode)
     active_sets = [
         aes_select(ids, csi, l, kprime, alpha) if first_stage == "aes"
         else gis_select(ids, csi, l, kprime)
         for l, ids in chans.ids_by_cell().items()
     ]
     group = iccs_schedule(active_sets, csi, kbar)
-    L = ckm.n_cells
+    L = chans.n_cells
     candidates = {k for a in active_sets for k in a.members}
     return group, {
         "csi_acquisitions": L * len(csi.acquired),

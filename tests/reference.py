@@ -93,7 +93,7 @@ def brute_force_reference(chans, kbar: int, noise_power: float):
 
 def sinr_reference(group: UserGroup, chans, noise_power: float) -> dict[int, float]:
     """Per-user SINR with one mmse_receiver solve per scheduled user."""
-    everyone = group.all_users()
+    everyone = [u for cell in sorted(group.members) for u in group.members[cell]]
     out = {}
     for cell, served in group.members.items():
         for uid in served:

@@ -339,7 +339,7 @@ def test_run_trial_is_reproducible():
     a = run_trial(cfg, "robust_aes", trial_seed=3)
     b = run_trial(cfg, "robust_aes", trial_seed=3)
     assert a == b
-    assert a.group.size() == cfg.n_cells * cfg.kbar
+    assert sum(map(len, a.group.members.values())) == cfg.n_cells * cfg.kbar
 
 
 def test_run_trial_validates_inputs():
@@ -348,6 +348,16 @@ def test_run_trial_validates_inputs():
         run_trial(cfg, "magic", trial_seed=0)
     with pytest.raises(ValueError, match="trial_seed"):
         run_trial(cfg, "sus", trial_seed=-1)
+
+
+def test_run_trial_rejects_seeds_whose_realization_overflows_int64():
+    # Trial seed s draws its channels at realization s + 1, an int64.
+    cfg = desk_config()
+    for algorithm in ("greedy", "robust_aes"):
+        assert math.isfinite(run_trial(cfg, algorithm, 2**63 - 2).sum_rate)
+        for seed in (2**63 - 1, 2**64):
+            with pytest.raises(ValueError, match=str(2**63 - 2)):
+                run_trial(cfg, algorithm, seed)
 
 
 def test_trial_channels_require_users_numbered_in_row_order(small_scenario):

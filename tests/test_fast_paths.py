@@ -8,8 +8,9 @@ place_users, multi-BS channel_rows, CSI fusion, AES, ICCS and SUS are
 batched array code; they must equal the per-square, per-cluster, per-grid,
 per-user and per-position paths bit for bit, the batch-seeded random
 streams must equal one SeedSequence per key, the survey in grid blocks
-must equal the one-shot survey, and the bulk correlation CSV must equal one
-csv.writer row per pair.
+must equal the one-shot survey, the bulk correlation CSV must equal one
+csv.writer row per pair, and a two-stage trial on run_trial's shared fusion
+must equal one on a fresh fusion, whatever ran before it.
 """
 
 import math
@@ -45,6 +46,7 @@ from ckmsched.scheduling import (
     gis_select,
     greedy_schedule,
     iccs_schedule,
+    robust_two_stage,
     sus_schedule,
 )
 
@@ -334,6 +336,89 @@ def test_run_trial_reuses_the_exact_evaluation_of_greedy_and_brute_force(monkeyp
         run_trial(cfg, "sus", 0)
 
 
+# First stage and fusion mode of each two-stage algorithm.
+TWO_STAGE = {
+    "two_stage_aes": ("aes", "scsi"),
+    "two_stage_gis": ("gis", "scsi"),
+    "robust_aes": ("aes", "auto"),
+    "robust_gis": ("gis", "auto"),
+}
+
+
+def assert_fresh_two_stage(result, cfg, seed):
+    """result equals a fresh fusion and two-stage run on (cfg, seed): members,
+    selection records, repr(sum_rate) and counters."""
+    first_stage, mode = TWO_STAGE[result.algorithm]
+    chans, noise = trial_instance(cfg, seed)
+    group, counters = robust_two_stage(
+        fuse_effective_csi(cached_ckm(cfg), chans, mode), chans,
+        cfg.kprime, cfg.kbar, cfg.alpha, first_stage=first_stage,
+    )
+    assert_same_group(result.group, group, chans, noise)
+    assert repr(result.sum_rate) == repr(sum_rate(group, chans, noise))
+    assert (result.csi_acquisitions, result.info_exchange) == (
+        counters["csi_acquisitions"], counters["info_exchange"])
+
+
+@pytest.mark.parametrize("cfg", [
+    desk_config(),
+    table_scale_config(users_per_cell=200, kprime=40, placement="uniform"),
+], ids=["desk", "dense"])
+def test_two_stage_trials_equal_a_fresh_fusion_after_any_scheduler(cfg, monkeypatch):
+    seed = 2
+    before = [None, *experiments.ALGORITHMS]
+    if cfg.users_per_cell > 5:
+        before.remove("brute_force")  # beyond its enumeration budget
+    for algorithm in TWO_STAGE:
+        for earlier in before:
+            monkeypatch.setattr(experiments, "_last_fusion", (None, None))
+            if earlier is not None:
+                run_trial(cfg, earlier, seed)
+            assert_fresh_two_stage(run_trial(cfg, algorithm, seed), cfg, seed)
+
+
+@pytest.mark.parametrize("other", [dict(eta=0.0), dict(eta=None, delta=0.0)],
+                         ids=["eta", "delta"])
+def test_configs_that_differ_in_a_threshold_fuse_apart(other):
+    cfg = desk_config(dynamic_grid_fraction=1.0)
+    cfg2 = desk_config(dynamic_grid_fraction=1.0, **other)
+    chans, _ = trial_instance(cfg, 0)
+    first = experiments.fused_csi(cfg, 0, chans, "auto")
+    second = experiments.fused_csi(cfg2, 0, chans, "auto")
+    assert first is not second
+    assert first.acquired != second.acquired
+    for c in (cfg, cfg2, cfg):
+        assert_fresh_two_stage(run_trial(c, "robust_gis", 0), c, 0)
+
+
+def test_memoized_fusion_is_read_only():
+    cfg = desk_config()
+    chans, _ = trial_instance(cfg, 1)
+    csi = experiments.fused_csi(cfg, 1, chans, "auto")
+    for arr in (csi.vectors, csi.gain, csi.source, *csi.corr, *csi.corr_ids):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+
+def test_two_stage_schedulers_of_one_seed_share_a_fusion(monkeypatch):
+    calls = []
+
+    def counted(ckm, chans, mode):
+        calls.append(mode)
+        return fuse_effective_csi(ckm, chans, mode)
+
+    monkeypatch.setattr(experiments, "_last_fusion", (None, None))
+    monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
+    cfg = desk_config()
+    for algorithm in ("two_stage_aes", "two_stage_gis"):
+        run_trial(cfg, algorithm, 4)
+    assert calls == ["scsi"]
+    for algorithm in ("robust_aes", "robust_gis", "two_stage_aes"):
+        run_trial(cfg, algorithm, 4)
+    run_trial(cfg, "two_stage_aes", 5)
+    assert calls == ["scsi", "auto", "scsi", "scsi"]
+
+
 def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
     # At SINR ~1e9 the closed form's 1 - a loses too many digits to rank.
     chans = synthetic_chans(
@@ -362,7 +447,7 @@ def test_closed_form_sinr_matches_mmse_receiver_and_sinr():
         group = UserGroup(members={0: [0, 1, 2, 3][:k], 1: [4, 5, 6, 7][:k]})
         ref = sinr_reference(group, chans, noise)
         _, gammas = evaluate_group(group, chans, noise)
-        everyone = group.all_users()
+        everyone = [u for cell in sorted(group.members) for u in group.members[cell]]
         for cell, served in group.members.items():
             s = chans.h[cell, everyone]
             r_inv = np.linalg.inv(s.T @ s.conj() + noise * np.eye(n_ant))

@@ -1,7 +1,11 @@
-"""The package's public surface, including what the benchmark reaches into."""
+"""The package's public surface, including what the benchmark reaches into,
+and what a cold process imports."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,29 @@ def test_benchmark_gate_reads_the_serving_cell_of_each_row(placement):
         chans = trial_channels(scenario, users, 1)
         assert gate == dict(enumerate(chans.cell_of.tolist()))
         assert chans.cell_of.tolist() == scenario.grid_serving[chans.grid].tolist()
+
+
+def cold_modules(code: str) -> str:
+    """Last line printed by code run in a fresh interpreter that imports
+    ckmsched from this checkout and conftest from the tests."""
+    path = [str(Path(ckmsched.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_trials_do_not_import_numpy_ma():
+    # numpy.ma costs a cold process 12-17 ms, loaded by the first
+    # np.median or np.unique.
+    if cold_modules("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("import numpy already loads numpy.ma")
+    loaded = cold_modules(
+        "import sys\n"
+        "from conftest import desk_config\n"
+        "from ckmsched.experiments import ALGORITHMS, run_trial\n"
+        "for algorithm in ALGORITHMS:\n"
+        "    run_trial(desk_config(), algorithm, 0)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert loaded == "False"

@@ -1,7 +1,8 @@
 """Properties over small desk-sized scenarios, drawn by Hypothesis: user i is
 row i of the trial, the robust schedulers meet their eta extremes, a map
 survives a save/load round trip, the rate of a group does not depend on
-member order, and brute force is at least every scheduler."""
+member order, brute force is at least every scheduler, and the noise
+calibration's median is np.median's."""
 
 import math
 import tempfile
@@ -9,11 +10,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckmsched.ckm import UsCkm
-from ckmsched.evaluation import brute_force_optimum, calibrate_noise, evaluate_group
+from ckmsched.evaluation import _median, brute_force_optimum, calibrate_noise, evaluate_group
 from ckmsched.experiments import (
     _SCHEDULERS,
     cached_ckm,
@@ -134,3 +135,21 @@ def test_brute_force_is_at_least_every_scheduler_on_the_same_instance(cfg, seed)
         validate_group(group, chans, cfg.kbar)
         rate, _ = evaluate_group(group, chans, noise)
         assert math.isfinite(rate) and rate <= best, name
+
+
+# Few distinct values, so ties are common; bounded so no mean of two overflows.
+median_values = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 3.0]),
+              st.floats(-1e300, 1e300, allow_nan=False)),
+    min_size=1, max_size=40,
+)
+
+
+@given(values=median_values)
+@example(values=[7.0])
+@example(values=[1.0, 2.0])
+@example(values=[2.0, 2.0, 1.0, 2.0])
+@settings(max_examples=300, deadline=None)
+def test_calibration_median_equals_np_median(values):
+    arr = np.array(values)
+    assert np.float64(_median(arr)).tobytes() == np.median(arr).tobytes()

@@ -13,7 +13,13 @@ import pytest
 from ckmsched.ckm import UsCkm
 from ckmsched.evaluation import ChannelSet, brute_force_optimum, calibrate_noise, evaluate_group
 from ckmsched.experiments import cached_ckm, cached_scenario, place_users, trial_channels
-from ckmsched.scheduling import greedy_schedule, random_schedule, robust_two_stage, sus_schedule
+from ckmsched.scheduling import (
+    fuse_effective_csi,
+    greedy_schedule,
+    random_schedule,
+    robust_two_stage,
+    sus_schedule,
+)
 
 from conftest import desk_config
 
@@ -40,8 +46,8 @@ def schedules(cfg, ckm, chans, noise):
     for first_stage in ("aes", "gis"):
         for csi_mode in ("scsi", "auto"):
             groups[f"{first_stage}/{csi_mode}"] = robust_two_stage(
-                ckm, chans, cfg.kprime, cfg.kbar, cfg.alpha,
-                first_stage=first_stage, csi_mode=csi_mode)[0]
+                fuse_effective_csi(ckm, chans, mode=csi_mode), chans,
+                cfg.kprime, cfg.kbar, cfg.alpha, first_stage=first_stage)[0]
     return groups
 
 

@@ -434,10 +434,10 @@ def test_robust_on_fully_reliable_map_equals_map_only_pipeline(static_scenario):
     cfg = static_scenario.config
     chans = trial_channels(static_scenario, place_users(static_scenario, 3), 4)
     robust, rc = robust_two_stage(
-        ckm, chans, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="auto"
+        fuse_effective_csi(ckm, chans, mode="auto"), chans, cfg.kprime, cfg.kbar, cfg.alpha
     )
     baseline, bc = robust_two_stage(
-        ckm, chans, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="scsi"
+        fuse_effective_csi(ckm, chans, mode="scsi"), chans, cfg.kprime, cfg.kbar, cfg.alpha
     )
     assert robust.members == baseline.members
     assert rc == bc == {
@@ -451,14 +451,14 @@ def test_robust_on_fully_unreliable_map_acquires_everyone(small_scenario):
     cfg = small_scenario.config
     chans = trial_channels(small_scenario, place_users(small_scenario, 5), realization=6)
     group, counters = robust_two_stage(
-        ckm, chans, cfg.kprime, cfg.kbar, cfg.alpha, csi_mode="auto"
+        fuse_effective_csi(ckm, chans, mode="auto"), chans, cfg.kprime, cfg.kbar, cfg.alpha
     )
     L = cfg.n_cells
     total_users = L * cfg.users_per_cell
     candidates = L * cfg.kprime
     assert counters["csi_acquisitions"] == L * total_users
     assert counters["info_exchange"] == candidates + candidates * (1 + L**2)
-    assert group.size() == L * cfg.kbar
+    assert sum(map(len, group.members.values())) == L * cfg.kbar
 
 
 def test_robust_pipeline_is_deterministic(small_scenario, small_ckm):
@@ -468,8 +468,8 @@ def test_robust_pipeline_is_deterministic(small_scenario, small_ckm):
         users = place_users(small_scenario, 7)
         chans = trial_channels(small_scenario, users, realization=8)
         group, _ = robust_two_stage(
-            small_ckm, chans, cfg.kprime, cfg.kbar, cfg.alpha,
-            first_stage="gis", csi_mode="auto",
+            fuse_effective_csi(small_ckm, chans, mode="auto"), chans,
+            cfg.kprime, cfg.kbar, cfg.alpha, first_stage="gis",
         )
         runs.append(group.members)
     assert runs[0] == runs[1]
@@ -478,4 +478,5 @@ def test_robust_pipeline_is_deterministic(small_scenario, small_ckm):
 def test_robust_rejects_unknown_first_stage(small_scenario, small_ckm):
     chans = trial_channels(small_scenario, place_users(small_scenario, 0), 1)
     with pytest.raises(ValueError, match="first stage"):
-        robust_two_stage(small_ckm, chans, 4, 2, 0.5, first_stage="best")
+        robust_two_stage(fuse_effective_csi(small_ckm, chans), chans, 4, 2, 0.5,
+                         first_stage="best")
