@@ -331,8 +331,9 @@ def build_ckm(
 
     The survey runs over blocks of GRID_BLOCK grids, so its transient
     channel samples stay bounded whatever the grid count; every per-grid
-    statistic is a row reduction, so the blocks concatenate to the
-    one-shot survey byte for byte.
+    statistic is a row reduction, taken on one BS slice of a block at a
+    time, so the slices and blocks concatenate to the one-shot survey byte
+    for byte.
     """
     cfg = scenario.config
     if s is None:
@@ -345,12 +346,13 @@ def build_ckm(
     for start in range(0, scenario.n_grids, GRID_BLOCK):
         grids = np.arange(start, min(start + GRID_BLOCK, scenario.n_grids))
         samples, centers = sample_grid(scenario, bss, grids, s)
-        blocks.append((
-            statistical_channel(samples),
-            statistical_gain(samples),
-            grid_variance(statistical_correlation(samples, centers[..., None, :])),
-        ))
-        del samples, centers
+        # One BS slice at a time, so each statistic's temporaries span one
+        # BS's share of the block.
+        stats = [(statistical_channel(x), statistical_gain(x),
+                  grid_variance(statistical_correlation(x, c[:, None, :])))
+                 for x, c in zip(samples, centers)]
+        blocks.append([np.stack(parts) for parts in zip(*stats)])
+        del samples, centers, stats
     h_bar, epsilon, sigma = (np.concatenate(parts, axis=1) for parts in zip(*blocks))
     return _classify(scenario_hash(cfg), s, h_bar, epsilon, sigma, delta, eta)
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import multiprocessing
 import sys
 import traceback
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -213,6 +214,18 @@ def _warm_shared_key(algorithms, configs) -> None:
         warm(keys.pop())
 
 
+def _plan_order(plan: ExperimentPlan, configs, results):
+    """(config, algorithm, seed, result) in plan order (point, algorithm,
+    seed) from results in cmd_run's seed-major order, reading one sweep
+    point's results at a time."""
+    width = len(plan.algorithms)
+    for cfg in configs:
+        done = list(islice(results, plan.trials * width))
+        for a, algorithm in enumerate(plan.algorithms):
+            for t in range(plan.trials):
+                yield cfg, algorithm, t, done[t * width + a]
+
+
 def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
             timing: bool = False, stream=None) -> int:
     """Execute the plan, appending one CSV row per (point, algorithm, trial).
@@ -225,8 +238,10 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
         raise ValueError(f"threads must be >= 1, got {threads}")
     stream = stream or sys.stdout
     configs = [plan.config_at(point) for point in plan.sweep_points()]
+    # Seed-major within each sweep point, so the schedulers of one seed run
+    # back to back and share its fusion (experiments.fused_csi).
     jobs = [(cfg, algorithm, t)
-            for cfg in configs for algorithm in plan.algorithms for t in range(plan.trials)]
+            for cfg in configs for t in range(plan.trials) for algorithm in plan.algorithms]
 
     errors = 0
     sums: dict[str, list[float]] = {}
@@ -239,10 +254,11 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
             if context.get_start_method() == "fork":
                 _warm_shared_key(plan.algorithms, configs)
             with ProcessPoolExecutor(max_workers=threads, mp_context=context) as pool:
-                results = list(pool.map(_job, jobs, chunksize=max(1, plan.trials)))
+                # One chunk per (point, seed), covering every algorithm.
+                results = list(pool.map(_job, jobs, chunksize=max(1, len(plan.algorithms))))
         else:
             results = map(_job, jobs)
-        for (cfg, algorithm, t), res in zip(jobs, results):
+        for cfg, algorithm, t, res in _plan_order(plan, configs, iter(results)):
             rate, csi, info, mults, wall, err = res
             if err is not None:
                 errors += 1
@@ -293,6 +309,28 @@ def cmd_build_ckm(config_path: str, out_path: str, export_csv: bool = False,
     return 0
 
 
+def _percentiles(values: np.ndarray, qs) -> list[float]:
+    """np.percentile(values, qs) of a 1-D array, linear method, bit for bit,
+    without the np.unique call through which np.percentile imports numpy.ma
+    into a cold process: the same partition with the same kth list, then the
+    same interpolation. (A full sort would order tied signed zeros
+    differently.)"""
+    n = len(values)
+    at = [(n - 1) * (q / 100) for q in qs]
+    # A virtual index at or past the last element reads that element (-1).
+    lo = [math.floor(x) if x < n - 1 else -1 for x in at]
+    hi = [i + 1 if i >= 0 else -1 for i in lo]
+    part = np.partition(values, sorted({0, -1, *lo, *hi}))
+    if math.isnan(part[-1]):  # a NaN sorts last, and every percentile is it
+        return [float(part[-1])] * len(qs)
+    out = []
+    for x, i, j in zip(at, lo, hi):
+        a, b, t = float(part[i]), float(part[j]), x - i
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
 def cmd_inspect_ckm(map_path: str, config_path: str | None = None,
                     stream=None) -> int:
     """Print grid counts, realized reliability, and table percentiles;
@@ -309,7 +347,7 @@ def cmd_inspect_ckm(map_path: str, config_path: str | None = None,
     print(f"  delta              {ckm.delta:.6e}", file=stream)
     print(f"  realized eta       {ckm.realized_eta():.4f}", file=stream)
     for name, v in (("sigma", sig), ("epsilon", eps)):
-        q = np.percentile(v, [0, 25, 50, 75, 100])
+        q = _percentiles(v, [0, 25, 50, 75, 100])
         print(
             f"  {name:8s} min {q[0]:.3e}  p25 {q[1]:.3e}  median {q[2]:.3e}  "
             f"p75 {q[3]:.3e}  max {q[4]:.3e}",

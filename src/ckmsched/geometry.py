@@ -646,12 +646,24 @@ def channel_rows(
 
     sp = scenario.scatterers.static_positions
     duc = np.hypot(pos[:, 0, None] - sp[None, :, 0], pos[:, 1, None] - sp[None, :, 1])
-    w = np.exp(2j * math.pi * duc / cfg.phase_length_m) / (
-        1.0 + duc / cfg.scatter_range_m
-    ) ** cfg.scatter_falloff
+    # exp(2j*pi*duc/L) / (1 + duc/R)**f computed into one complex array: the
+    # phase is rounded as numpy's complex multiply by 2j*pi and its division
+    # by L + 0j round it (real part 0.0), and the falloff overwrites duc.
+    w = np.zeros(duc.shape, dtype=np.complex128)
+    np.multiply(duc, 2.0 * math.pi, out=w.imag)
+    w.imag *= 1.0 / cfg.phase_length_m
+    np.exp(w, out=w)
+    duc /= cfg.scatter_range_m
+    duc += 1.0
+    duc **= cfg.scatter_falloff
+    w /= duc
+    del duc
     v = np.empty((len(bss), len(pos), scenario.n_antennas), dtype=np.complex128)
     for j, l in enumerate(bss):
-        v[j] = _row_product(w, scenario.static_mix[l])
+        if len(w) == 1:
+            v[j] = _row_product(w, scenario.static_mix[l])
+        else:
+            np.matmul(w, scenario.static_mix[l], out=v[j])
     del w
 
     rows = scenario._dyn_row[gids]
@@ -672,10 +684,17 @@ def channel_rows(
         for j, l in enumerate(bss):
             v[j, hit] += (dw @ scenario.dyn_mix[l, a])[:, 0]
 
-    norms = np.linalg.norm(v, axis=-1)
+    # np.linalg.norm(v, axis=-1), one BS at a time: the square roots of the
+    # row sums of (conj(v) * v).real.
+    norms = np.empty(v.shape[:2])
+    scratch = np.empty(v.shape[1:], dtype=np.complex128)
+    for j, vj in enumerate(v):
+        np.multiply(np.conjugate(vj, out=scratch), vj, out=scratch)
+        np.sqrt(scratch.real.sum(axis=-1), out=norms[j])
+    del scratch
     if np.any(norms < 1e-250):
         raise ZeroNormError("degenerate small-scale channel (zero cluster sum)")
-    v *= (amp / norms)[..., None]  # in place: a map survey's v is ~20 MB
+    v *= (amp / norms)[..., None]  # in place: a survey block's v is ~4 MB
     return v[0] if np.ndim(observing_bs) == 0 else v
 
 

@@ -198,11 +198,16 @@ def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> A
     run = m.sum(axis=1)
     band = _GIS_BAND * max(1.0, float(run.max(initial=0.0)))
     alive = np.ones(len(ids), dtype=bool)
+    # Row j of columns is column j of m, so each deletion reads one
+    # contiguous row.
+    columns = np.ascontiguousarray(m.T)
     for _ in range(len(ids) - kprime):
-        near = np.flatnonzero(run >= run.max() - band)
-        worst = int(near[0]) if len(near) == 1 else _gis_confirm(m, near, alive)
+        worst = int(run.argmax())
+        near = run >= run[worst] - band
+        if np.count_nonzero(near) > 1:
+            worst = _gis_confirm(m, np.flatnonzero(near), alive)
         alive[worst] = False
-        run -= m[:, worst]
+        run -= columns[worst]
         run[worst] = -np.inf
     return ActiveSet(cell=observing_bs, members=ids[alive].tolist())
 

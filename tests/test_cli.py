@@ -238,6 +238,35 @@ def test_rerun_is_byte_identical_without_timing(tmp_path):
     assert set(wall) == {"0"}
 
 
+def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch):
+    # Within a sweep point every algorithm runs on seed t before any runs on
+    # t + 1, so robust_gis reuses the auto fusion robust_aes made for its
+    # seed; the rows still come out point by point, algorithm-major.
+    calls, trials = [], []
+    fuse, run = experiments.fuse_effective_csi, cli.run_trial
+
+    def counted_fusion(ckm, chans, mode):
+        calls.append(mode)
+        return fuse(ckm, chans, mode)
+
+    def logged_trial(config, algorithm, trial_seed):
+        trials.append((config.target_snr_db, algorithm, trial_seed))
+        return run(config, algorithm, trial_seed)
+
+    monkeypatch.setattr(experiments, "_last_fusion", (None, None))
+    monkeypatch.setattr(experiments, "fuse_effective_csi", counted_fusion)
+    monkeypatch.setattr(cli, "run_trial", logged_trial)
+    algorithms = ("two_stage_aes", "robust_aes", "robust_gis")
+    text = DESK_CFG + f"algorithms = {', '.join(algorithms)}\ntrials = 3\nsweep.snr = 10, 20\n"
+    code, out, _ = run_plan(tmp_path, text)
+    assert code == 0
+    assert trials == [(snr, a, t) for snr in (10, 20) for t in range(3) for a in algorithms]
+    assert calls == ["scsi", "auto"] * 6
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [(float(r[1]), r[0], int(r[8])) for r in rows] == [
+        (snr, a, t) for snr in (10, 20) for a in algorithms for t in range(3)]
+
+
 def test_timing_mode_records_nonzero_wall_times(tmp_path):
     text = DESK_CFG + "algorithms = sus\ntrials = 1\n"
     _, out, _ = run_plan(tmp_path, text, timing=True)

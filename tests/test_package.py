@@ -76,3 +76,20 @@ def test_trials_do_not_import_numpy_ma():
         "print('numpy.ma' in sys.modules)\n"
     )
     assert loaded == "False"
+
+
+def test_inspect_ckm_does_not_import_numpy_ma(small_ckm, tmp_path):
+    # np.percentile loads numpy.ma through np.unique; inspect-ckm prints
+    # the same percentiles without it.
+    if cold_modules("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("import numpy already loads numpy.ma")
+    path = tmp_path / "desk.ckm"
+    small_ckm.save(path)
+    loaded = cold_modules(
+        "import contextlib, io, sys\n"
+        "from ckmsched.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['inspect-ckm', {str(path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert loaded == "False"

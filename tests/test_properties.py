@@ -2,7 +2,8 @@
 row i of the trial, the robust schedulers meet their eta extremes, a map
 survives a save/load round trip, the rate of a group does not depend on
 member order, brute force is at least every scheduler, and the noise
-calibration's median is np.median's."""
+calibration's median is np.median's and inspect-ckm's percentiles are
+np.percentile's."""
 
 import math
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckmsched.ckm import UsCkm
+from ckmsched.cli import _percentiles
 from ckmsched.evaluation import _median, brute_force_optimum, calibrate_noise, evaluate_group
 from ckmsched.experiments import (
     _SCHEDULERS,
@@ -153,3 +155,24 @@ median_values = st.lists(
 def test_calibration_median_equals_np_median(values):
     arr = np.array(values)
     assert np.float64(_median(arr)).tobytes() == np.median(arr).tobytes()
+
+
+# Ties and both signed zeros are common; bounded so no difference of two
+# overflows.
+percentile_values = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+              st.floats(-1e300, 1e300, allow_nan=False)),
+    min_size=1, max_size=50,
+)
+
+
+@given(values=percentile_values)
+@example(values=[-0.0])
+@example(values=[0.0, -0.0])
+@example(values=[-0.0, 0.0, -0.0, 1.0, -0.0])
+@settings(max_examples=300, deadline=None)
+def test_inspect_percentiles_equal_np_percentile(values):
+    arr = np.array(values)
+    qs = [0, 25, 50, 75, 100]
+    got = np.array(_percentiles(arr, qs))
+    assert got.tobytes() == np.percentile(arr, qs).tobytes()
