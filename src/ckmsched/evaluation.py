@@ -7,6 +7,7 @@ consumed, the resulting group is scored with the true channels.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
@@ -26,18 +27,61 @@ class ChannelSet:
 
     cell_of[i] is user i's serving cell, grid[i] the map grid of its
     position, and h[l, i] its true channel toward BS l.
+
+    Rows are synthesized on demand when synthesize is given: h is then the
+    (L, n, N) buffer they fill, and synthesize(ids) returns the
+    (L, len(ids), N) rows of those users. rows(ids) synthesizes the missing
+    rows among ids in one call and keeps them; reading h synthesizes every
+    missing row in one call and returns the complete array, so no reader
+    sees an unfilled row. A set built without synthesize has every row.
+    shape and n_cells never synthesize.
     """
 
     cell_of: np.ndarray   # (n,)
     grid: np.ndarray      # (n,)
     h: np.ndarray         # (L, n, N) complex
+    synthesize: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self._rows = self.h
+        self.shape = self.h.shape
+        if self.synthesize is not None:
+            # Hidden until every row is filled; __getattr__ fills them.
+            del self.h
+            self._missing = np.ones(len(self.cell_of), dtype=bool)
+
+    def __getattr__(self, name):
+        if name != "h":
+            raise AttributeError(name)
+        self._fill(np.flatnonzero(self._missing))
+        return self.h
 
     @property
     def n_cells(self) -> int:
-        return self.h.shape[0]
+        return self.shape[0]
 
     def ids_by_cell(self) -> dict[int, list[int]]:
         return {l: np.flatnonzero(self.cell_of == l).tolist() for l in range(self.n_cells)}
+
+    def rows(self, ids) -> np.ndarray:
+        """(L, len(ids), N): the true channels of these users toward every
+        BS. ValueError, with nothing synthesized, for an id that is not a
+        row."""
+        _require_rows(self, ids)
+        if self.synthesize is not None:
+            self._fill(ids)
+        return self._rows[:, ids]
+
+    def _fill(self, ids) -> None:
+        # Each missing row once, however often ids repeats it.
+        want = np.zeros_like(self._missing)
+        want[ids] = True
+        need = np.flatnonzero(want & self._missing)
+        if need.size:
+            self._rows[:, need] = self.synthesize(need)
+            self._missing[need] = False
+            if not self._missing.any():
+                self.h, self.synthesize = self._rows, None
 
 
 def _require_rows(chans: ChannelSet, ids) -> None:
@@ -120,15 +164,14 @@ def evaluate_group(
     if not sched:
         return 0.0, {}
     ids = [uid for _, uid in sched]
-    _require_rows(chans, ids)
-    rows = np.array(ids)
+    seen = chans.rows(ids)  # (L, m, N), all scheduled users seen at each BS
     gammas: dict[int, float] = {}
     total = 0.0
     for cell in sorted(group.members):
         served = sorted(group.members[cell])
         if not served:
             continue
-        s = chans.h[cell][rows]  # (m, N), all scheduled users seen at this BS
+        s = seen[cell]
         n = s.shape[1]
         cov = s.T @ s.conj() + noise_power * np.eye(n, dtype=np.complex128)
         local = [sched.index((cell, uid)) for uid in served]
@@ -144,11 +187,6 @@ def evaluate_group(
             gammas[uid] = g
             total += math.log2(1.0 + g)
     return total, gammas
-
-
-def sum_rate(group: UserGroup, chans: ChannelSet, noise_power: float) -> float:
-    """Sum of log2(1+SINR) over all scheduled users; empty group gives 0."""
-    return evaluate_group(group, chans, noise_power)[0]
 
 
 # Closed-form scores only rank candidates; every pick is confirmed with

@@ -124,13 +124,27 @@ def trial_channels(
     scenario: Scenario, users: list[UserRecord], realization: int
 ) -> ChannelSet:
     """The trial table: serving cell, grid and true channels toward every BS
-    at one realization of users numbered 0..n-1 in order (user i is row i)."""
+    at one realization of users numbered 0..n-1 in order (user i is row i).
+
+    No channel is synthesized here: the set synthesizes the rows a reader
+    asks for (ChannelSet.rows, or all of them on reading h), each request
+    in one channel_rows call over those users' positions. channel_rows is
+    per position, so every row equals that of one call over all users.
+    """
     ids, cells, grids, xs, ys = zip(*users)
     if ids != tuple(range(len(ids))):
         raise ValueError("users must be numbered 0..n-1 in order")
-    h = channel_rows(scenario, range(scenario.config.n_cells), np.array([xs, ys]).T, realization)
-    return ChannelSet(cell_of=np.array(cells, dtype=np.int64),
-                      grid=np.array(grids, dtype=np.int64), h=h)
+    bss = range(scenario.config.n_cells)
+    pos = np.array([xs, ys]).T
+
+    def synthesize(rows: np.ndarray) -> np.ndarray:
+        return channel_rows(scenario, bss, pos[rows], realization)
+
+    return ChannelSet(
+        cell_of=np.array(cells, dtype=np.int64), grid=np.array(grids, dtype=np.int64),
+        h=np.empty((len(bss), len(pos), scenario.n_antennas), dtype=np.complex128),
+        synthesize=synthesize,
+    )
 
 
 def validate_group(group: UserGroup, chans: ChannelSet, kbar: int) -> None:

@@ -77,22 +77,23 @@ def fuse_effective_csi(ckm: UsCkm, chans, mode: str = "auto") -> EffectiveCsi:
     ChannelSet: map statistics at each user's grid, with user i in column i.
 
     mode "auto" substitutes the true channels of chans exactly where the
-    user's grid is unreliable for an observing BS; "scsi" keeps map
-    statistics everywhere. Each BS gets the correlation rows of the users
+    user's grid is unreliable for an observing BS, and reads the rows of
+    those users only (chans.rows); "scsi" keeps map statistics everywhere
+    and reads no channel. Each BS gets the correlation rows of the users
     it serves against all users, one (n_l, N) @ (N, n) product, never the
     full n x n table.
     """
     if mode not in ("auto", "scsi"):
         raise ValueError(f"unknown fusion mode {mode!r}")
     L, _, nant = ckm.h_bar.shape
-    if chans.h.ndim != 3 or chans.h.shape[0] != L or chans.h.shape[2] != nant:
+    if len(chans.shape) != 3 or chans.shape[0] != L or chans.shape[2] != nant:
         raise ValueError(f"chans.h must hold one row per observing BS of {nant} antennas")
     vectors = ckm.h_bar[:, chans.grid]
     gain = ckm.epsilon[:, chans.grid]
     need = (ckm.reliable[:, chans.grid] == 0) & (mode == "auto")
     acq = np.flatnonzero(need.any(axis=0))
     if len(acq):
-        h = chans.h[:, acq]
+        h = chans.rows(acq)
         sub = need[:, acq]
         vectors[:, acq] = np.where(sub[..., None], h, vectors[:, acq])
         gain[:, acq] = np.where(sub, np.sum(np.abs(h) ** 2, axis=-1), gain[:, acq])

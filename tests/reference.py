@@ -30,7 +30,7 @@ from ckmsched.ckm import (
     statistical_correlation,
     statistical_gain,
 )
-from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr, sum_rate
+from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr
 from ckmsched.experiments import _TAG_USERS, UserRecord, _rng
 from ckmsched.geometry import (
     _TAG_DYNAMIC_PLACE,
@@ -67,7 +67,7 @@ def greedy_reference(chans, kbar: int, noise_power: float) -> UserGroup:
             for uid in remaining[l]:
                 trial = {c: list(v) for c, v in members.items()}
                 trial[l].append(uid)
-                rates.append(sum_rate(UserGroup(members=trial), chans, noise_power))
+                rates.append(evaluate_group(UserGroup(members=trial), chans, noise_power)[0])
             j = first_max(rates)
             uid = remaining[l].pop(j)
             members[l].append(uid)
@@ -84,7 +84,7 @@ def brute_force_reference(chans, kbar: int, noise_power: float):
     best = None
     for pick in product(*(combinations(bycell[l], kbar) for l in cells)):
         group = UserGroup(members={l: list(p) for l, p in zip(cells, pick)})
-        rate = sum_rate(group, chans, noise_power)
+        rate = evaluate_group(group, chans, noise_power)[0]
         if rate > best_rate:
             best_rate, best = rate, group
     rate, _ = evaluate_group(best, chans, noise_power)

@@ -17,7 +17,6 @@ from ckmsched.evaluation import (
     mmse_receiver,
     overhead_counts,
     sinr,
-    sum_rate,
 )
 from ckmsched.experiments import (
     ALGORITHMS,
@@ -133,8 +132,8 @@ def test_unit_gain_single_user_at_unit_noise_rates_one_bit():
 
 def test_orthogonal_pair_doubles_the_single_user_rate():
     chans = one_cell_chans([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    solo = sum_rate(UserGroup(members={0: [0]}), chans, 0.7)
-    pair = sum_rate(UserGroup(members={0: [0, 1]}), chans, 0.7)
+    solo = evaluate_group(UserGroup(members={0: [0]}), chans, 0.7)[0]
+    pair = evaluate_group(UserGroup(members={0: [0, 1]}), chans, 0.7)[0]
     assert pair == pytest.approx(2.0 * solo)
 
 
@@ -152,8 +151,8 @@ def test_evaluation_rejects_ids_without_a_channel_row():
 
 def test_empty_group_has_zero_rate():
     chans = one_cell_chans([[1.0, 0.0]])
-    assert sum_rate(UserGroup(members={}), chans, 1.0) == 0.0
-    assert sum_rate(UserGroup(members={0: []}), chans, 1.0) == 0.0
+    assert evaluate_group(UserGroup(members={}), chans, 1.0)[0] == 0.0
+    assert evaluate_group(UserGroup(members={0: []}), chans, 1.0)[0] == 0.0
 
 
 def test_rate_equals_log_sum_of_reported_sinrs():
@@ -170,8 +169,8 @@ def test_rate_is_bit_identical_under_member_reordering():
     rng = np.random.default_rng(11)
     h = rng.normal(size=(2, 6, 4)) + 1j * rng.normal(size=(2, 6, 4))
     chans = synthetic_chans(h, [0, 0, 0, 1, 1, 1])
-    a = sum_rate(UserGroup(members={0: [2, 0], 1: [5, 3]}), chans, 0.3)
-    b = sum_rate(UserGroup(members={0: [0, 2], 1: [3, 5]}), chans, 0.3)
+    a = evaluate_group(UserGroup(members={0: [2, 0], 1: [5, 3]}), chans, 0.3)[0]
+    b = evaluate_group(UserGroup(members={0: [0, 2], 1: [3, 5]}), chans, 0.3)[0]
     assert a == b
 
 
@@ -184,7 +183,7 @@ def test_cross_cell_interference_lowers_rates():
     loud[0, 1] = [1.5, 0.0]  # user 1 leaks into BS 0
     noisy = synthetic_chans(loud, [0, 1])
     group = UserGroup(members={0: [0], 1: [1]})
-    assert sum_rate(group, noisy, 0.5) < sum_rate(group, quiet, 0.5)
+    assert evaluate_group(group, noisy, 0.5)[0] < evaluate_group(group, quiet, 0.5)[0]
 
 
 # -- exhaustive oracle -----------------------------------------------------------
@@ -195,7 +194,7 @@ def test_brute_force_with_kbar_equal_to_pool_is_the_full_group():
     group, rate, _ = brute_force_optimum(chans, kbar=2, noise_power=1.0)
     assert group.members == {0: [0, 1]}
     assert rate == pytest.approx(
-        sum_rate(UserGroup(members={0: [0, 1]}), chans, 1.0)
+        evaluate_group(UserGroup(members={0: [0, 1]}), chans, 1.0)[0]
     )
 
 
@@ -212,7 +211,7 @@ def test_brute_force_beats_greedy_on_a_crafted_instance():
     noise = 1.0
     best, best_rate, _ = brute_force_optimum(chans, kbar=2, noise_power=noise)
     greedy, _, _ = greedy_schedule(chans, kbar=2, noise_power=noise)
-    greedy_rate = sum_rate(greedy, chans, noise)
+    greedy_rate = evaluate_group(greedy, chans, noise)[0]
     assert best.members == {0: [1, 2]}
     assert 0 in greedy.members[0]
     assert best_rate > greedy_rate + 0.1

@@ -9,8 +9,9 @@ batched array code; they must equal the per-square, per-cluster, per-grid,
 per-user and per-position paths bit for bit, the batch-seeded random
 streams must equal one SeedSequence per key, the survey in grid blocks
 must equal the one-shot survey, the bulk correlation CSV must equal one
-csv.writer row per pair, and a two-stage trial on run_trial's shared fusion
-must equal one on a fresh fusion, whatever ran before it.
+csv.writer row per pair, a two-stage trial on run_trial's shared fusion
+must equal one on a fresh fusion, whatever ran before it, and channel rows
+synthesized on demand must equal one call over every user.
 """
 
 import math
@@ -19,6 +20,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckmsched import build_ckm, build_scenario, evaluation, experiments, scheduling
 from ckmsched import ckm as ckm_module
@@ -28,7 +31,6 @@ from ckmsched.evaluation import (
     calibrate_noise,
     candidate_rates,
     evaluate_group,
-    sum_rate,
 )
 from ckmsched.experiments import (
     cached_ckm,
@@ -88,7 +90,8 @@ def assert_same_greedy(chans, kbar, noise):
     assert [(m.user, m.cell, m.slot, m.metric) for m in fast.meta] == [
         (m.user, m.cell, m.slot, m.metric) for m in slow.meta
     ]
-    assert repr(sum_rate(fast, chans, noise)) == repr(sum_rate(slow, chans, noise))
+    assert (repr(evaluate_group(fast, chans, noise)[0])
+            == repr(evaluate_group(slow, chans, noise)[0]))
     return fast
 
 
@@ -118,7 +121,7 @@ def random_chans(rng, users_per_cell, n_cells, n_antennas):
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Count exact evaluate_group evaluations (sum_rate included).
+    """Count exact evaluate_group evaluations.
 
     The references and assert_same_* score through evaluate_group too, so a
     test reads the list right after the fast scheduler returns and clears it
@@ -172,7 +175,8 @@ def assert_same_group(fast, slow, chans, noise):
     assert [(m.user, m.cell, m.slot, repr(m.metric), m.source) for m in fast.meta] == [
         (m.user, m.cell, m.slot, repr(m.metric), m.source) for m in slow.meta
     ]
-    assert repr(sum_rate(fast, chans, noise)) == repr(sum_rate(slow, chans, noise))
+    assert (repr(evaluate_group(fast, chans, noise)[0])
+            == repr(evaluate_group(slow, chans, noise)[0]))
 
 
 def assert_same_fusion(fast, slow, ids_by_cell):
@@ -355,7 +359,7 @@ def assert_fresh_two_stage(result, cfg, seed):
         cfg.kprime, cfg.kbar, cfg.alpha, first_stage=first_stage,
     )
     assert_same_group(result.group, group, chans, noise)
-    assert repr(result.sum_rate) == repr(sum_rate(group, chans, noise))
+    assert repr(result.sum_rate) == repr(evaluate_group(group, chans, noise)[0])
     assert (result.csi_acquisitions, result.info_exchange) == (
         counters["csi_acquisitions"], counters["info_exchange"])
 
@@ -470,7 +474,7 @@ def test_candidate_rates_match_exact_sum_rates():
         for score, uid in zip(fast, pool):
             trial = {c: list(v) for c, v in members.items()}
             trial[cell].append(uid)
-            exact = sum_rate(UserGroup(members=trial), chans, noise)
+            exact = evaluate_group(UserGroup(members=trial), chans, noise)[0]
             assert math.isclose(score, exact, rel_tol=1e-9)
 
 
@@ -617,6 +621,93 @@ def test_multi_bs_channel_rows_equal_per_position_channels():
             assert pair[0].tobytes() == rows[j, i].tobytes()
             one = channel_rows(scen, l, pos[i], reals[i])[0]
             assert one.tobytes() == rows[j, i].tobytes()
+
+
+DENSE = table_scale_config(users_per_cell=200, kprime=40, placement="uniform")
+LAZY_CONFIGS = {"desk": desk_config(), "table": table_scale_config(), "dense": DENSE}
+
+
+def lazy_instance(cfg, seed, realization):
+    """trial_channels of (cfg, seed) with a log of every id it synthesizes,
+    and the rows of one eager channel_rows call over all its users."""
+    scenario = cached_scenario(cfg)
+    users = place_users(scenario, seed)
+    pos = np.array([[u.x, u.y] for u in users])
+    eager = channel_rows(scenario, range(cfg.n_cells), pos, realization)
+    chans = trial_channels(scenario, users, realization)
+    synthesized = []
+    inner = chans.synthesize
+    chans.synthesize = lambda ids: synthesized.extend(ids.tolist()) or inner(ids)
+    return chans, eager, synthesized
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rows_filled_on_demand_equal_one_eager_call(data):
+    # Random subsets in random order, then every row at once: each request
+    # returns the eager call's rows, and each row is synthesized once.
+    cfg = LAZY_CONFIGS[data.draw(st.sampled_from(sorted(LAZY_CONFIGS)), label="config")]
+    chans, eager, synthesized = lazy_instance(
+        cfg, data.draw(st.integers(0, 3), label="seed"),
+        data.draw(st.integers(0, 3), label="realization"))
+    n = len(chans.cell_of)
+    asked = set()
+    for ids in data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=20), max_size=6),
+                         label="requests"):
+        assert chans.rows(ids).tobytes() == eager[:, ids].tobytes()
+        asked.update(ids)
+        assert sorted(synthesized) == sorted(asked)
+    assert chans.h.tobytes() == eager.tobytes()
+    assert sorted(synthesized) == list(range(n))
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CONFIGS))
+def test_rows_of_no_one_one_user_and_repeated_users_equal_one_eager_call(name):
+    chans, eager, synthesized = lazy_instance(LAZY_CONFIGS[name], 1, 2)
+    n = len(chans.cell_of)
+    for ids in ([], [n - 1], [3, 3], [0, 5, 0, n - 1, 5]):
+        assert chans.rows(ids).tobytes() == eager[:, ids].tobytes()
+    assert synthesized == [n - 1, 3, 0, 5]
+    # Unfilled rows sit behind the wrapped negative ids.
+    for bad in ([-2], [n], [4, 1 - n], [2, n + 7]):
+        with pytest.raises(ValueError, match="has no channel row"):
+            chans.rows(bad)
+    assert chans.shape == eager.shape and chans.n_cells == len(eager)
+    assert synthesized == [n - 1, 3, 0, 5]
+    assert chans.h.tobytes() == eager.tobytes()
+    assert sorted(synthesized) == list(range(n))
+
+
+def test_each_algorithm_synthesizes_only_the_rows_it_reads(monkeypatch):
+    # Seed-major on one dense seed: the map-driven and random schedulers
+    # synthesize the scheduled users (the first robust_* of the seed also
+    # the users fusion acquires), the full-CSI ones every user in one call.
+    calls = []
+
+    def counted(scenario, bss, positions, realizations):
+        calls.append(len(positions))
+        return channel_rows(scenario, bss, positions, realizations)
+
+    monkeypatch.setattr(experiments, "channel_rows", counted)
+    monkeypatch.setattr(experiments, "_last_fusion", (None, None))
+    for cfg, algorithms in (
+        (DENSE, ("two_stage_aes", "two_stage_gis", "robust_aes", "robust_gis", "random",
+                 "sus", "greedy")),
+        (desk_config(), ("brute_force",)),
+    ):
+        n = cfg.n_cells * cfg.users_per_cell
+        scheduled = cfg.n_cells * cfg.kbar
+        for algorithm in algorithms:
+            calls.clear()
+            result = run_trial(cfg, algorithm, 0)
+            if algorithm == "robust_aes":
+                acquired = set(experiments._last_fusion[1].acquired)
+                late = set(result.per_user_sinr) - acquired
+                assert calls == [k for k in (len(acquired), len(late)) if k]
+            elif algorithm in ("sus", "greedy", "brute_force"):
+                assert calls == [n]
+            else:
+                assert calls == [scheduled]
 
 
 def test_locate_and_locate_many_match_the_scalar_lookup():
