@@ -112,11 +112,6 @@ def _corr_rows(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return corr
 
 
-def _corr_matrix(vectors: np.ndarray) -> np.ndarray:
-    """|normalized Gram matrix| with unit diagonal, clipped to [0, 1]."""
-    return _corr_rows(vectors, np.arange(len(vectors)))
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row along the last axis, summed as the 1-D
     np.linalg.norm sums it (real and imaginary dot products)."""
@@ -303,7 +298,7 @@ def _parse_header(path, blob: bytes) -> dict:
     want = [(name, np.dtype(dtype), shape if name == "h_bar" else shape[:2])
             for name, dtype in _FORMAT_ARRAYS]
     if (got != want or len(shape) != 3
-            or not all(isinstance(n, int) and n >= 0 for n in shape)):
+            or not all(isinstance(n, int) and n >= 1 for n in shape)):
         raise ValueError(f"{path}: header arrays {got} do not describe a map")
     return header
 
@@ -340,7 +335,7 @@ def build_ckm(
         s = cfg.samples_per_grid
     if delta is None and eta is None:
         delta, eta = cfg.delta, cfg.eta
-    _thresholds(delta, eta)  # reject them before surveying
+    check_thresholds(delta, eta)  # reject them before surveying
     bss = range(cfg.n_cells)
     blocks = []
     for start in range(0, scenario.n_grids, GRID_BLOCK):
@@ -357,19 +352,13 @@ def build_ckm(
     return _classify(scenario_hash(cfg), s, h_bar, epsilon, sigma, delta, eta)
 
 
-def _thresholds(delta, eta) -> tuple[float | None, float | None]:
-    """(delta, eta), or eta=0.7 when neither is set; ConfigError unless
-    they are valid."""
+def _classify(key_hash, s, h_bar, epsilon, sigma, delta, eta) -> UsCkm:
+    """The threshold step of build_ckm: the map of survey arrays with the
+    scenario hash key_hash, thresholded at delta, or at the eta-quantile
+    (eta=0.7 when neither is set); ConfigError unless they are valid."""
     if delta is None and eta is None:
         eta = 0.7
     check_thresholds(delta, eta)
-    return delta, eta
-
-
-def _classify(key_hash, s, h_bar, epsilon, sigma, delta, eta) -> UsCkm:
-    """The threshold step of build_ckm: the map of survey arrays with the
-    scenario hash key_hash, and delta and reliable from _thresholds."""
-    delta, eta = _thresholds(delta, eta)
     if eta is not None:
         if eta <= 0.0:
             delta = -np.inf

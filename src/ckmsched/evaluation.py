@@ -26,35 +26,30 @@ class ChannelSet:
     """The trial's users: user i is row i of every array.
 
     cell_of[i] is user i's serving cell, grid[i] the map grid of its
-    position, and h[l, i] its true channel toward BS l.
-
-    Rows are synthesized on demand when synthesize is given: h is then the
-    (L, n, N) buffer they fill, and synthesize(ids) returns the
-    (L, len(ids), N) rows of those users. rows(ids) synthesizes the missing
-    rows among ids in one call and keeps them; reading h synthesizes every
-    missing row in one call and returns the complete array, so no reader
-    sees an unfilled row. A set built without synthesize has every row.
-    shape and n_cells never synthesize.
+    position, and h[l, i] its true channel toward BS l, an (L, n, N) =
+    shape array whose rows are synthesized on demand: synthesize(ids)
+    returns the (L, len(ids), N) rows of those users. rows(ids) synthesizes
+    the missing rows among ids in one call and keeps them; reading h
+    synthesizes every missing row in one call and returns the complete
+    buffer, so no reader sees an unfilled row. shape and n_cells never
+    synthesize.
     """
 
     cell_of: np.ndarray   # (n,)
     grid: np.ndarray      # (n,)
-    h: np.ndarray         # (L, n, N) complex
-    synthesize: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    shape: tuple          # (L, n, N)
+    synthesize: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        self._rows = self.h
-        self.shape = self.h.shape
-        if self.synthesize is not None:
-            # Hidden until every row is filled; __getattr__ fills them.
-            del self.h
-            self._missing = np.ones(len(self.cell_of), dtype=bool)
+        self._rows = np.empty(self.shape, dtype=np.complex128)
+        self._missing = np.ones(len(self.cell_of), dtype=bool)
+        self._complete = False
 
-    def __getattr__(self, name):
-        if name != "h":
-            raise AttributeError(name)
-        self._fill(np.flatnonzero(self._missing))
-        return self.h
+    @property
+    def h(self) -> np.ndarray:
+        if not self._complete:
+            self._fill(np.flatnonzero(self._missing))
+        return self._rows
 
     @property
     def n_cells(self) -> int:
@@ -68,7 +63,7 @@ class ChannelSet:
         BS. ValueError, with nothing synthesized, for an id that is not a
         row."""
         _require_rows(self, ids)
-        if self.synthesize is not None:
+        if not self._complete:
             self._fill(ids)
         return self._rows[:, ids]
 
@@ -80,8 +75,7 @@ class ChannelSet:
         if need.size:
             self._rows[:, need] = self.synthesize(need)
             self._missing[need] = False
-            if not self._missing.any():
-                self.h, self.synthesize = self._rows, None
+            self._complete = not self._missing.any()
 
 
 def _require_rows(chans: ChannelSet, ids) -> None:

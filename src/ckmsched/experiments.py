@@ -20,7 +20,8 @@ from .evaluation import (
     evaluate_group,
     overhead_counts,
 )
-from .geometry import Scenario, ScenarioConfig, build_scenario, channel_rows, scenario_key
+from .geometry import (_TAG_RANDOM_PICK, _TAG_USERS, Scenario, ScenarioConfig, _seeded,
+                       build_scenario, channel_rows, scenario_key)
 from .groups import UserGroup
 from .scheduling import (
     EffectiveCsi,
@@ -30,10 +31,6 @@ from .scheduling import (
     robust_two_stage,
     sus_schedule,
 )
-
-_TAG_USERS = 31
-_TAG_RANDOM_PICK = 41
-
 
 @lru_cache(maxsize=8)
 def cached_scenario(config: ScenarioConfig) -> Scenario:
@@ -55,12 +52,6 @@ def cached_ckm(config: ScenarioConfig) -> UsCkm:
     return cached_ckm(key).reclassify(config.delta, config.eta)
 
 
-def _rng(config: ScenarioConfig, tag: int, trial_seed: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([config.rng_seed, tag, int(trial_seed)])
-    )
-
-
 class UserRecord(NamedTuple):
     """One placed user: id, serving cell, map grid and position."""
 
@@ -79,7 +70,7 @@ def place_users(scenario: Scenario, trial_seed: int) -> list[UserRecord]:
     around a few per-cell hotspot grids.
     """
     cfg = scenario.config
-    rng = _rng(cfg, _TAG_USERS, trial_seed)
+    rng = _seeded(cfg.rng_seed, _TAG_USERS, trial_seed)
     edge = cfg.grid_edge_m
     K = cfg.users_per_cell
     picks, offsets = [], []
@@ -142,8 +133,7 @@ def trial_channels(
 
     return ChannelSet(
         cell_of=np.array(cells, dtype=np.int64), grid=np.array(grids, dtype=np.int64),
-        h=np.empty((len(bss), len(pos), scenario.n_antennas), dtype=np.complex128),
-        synthesize=synthesize,
+        shape=(len(bss), len(pos), scenario.n_antennas), synthesize=synthesize,
     )
 
 
@@ -179,7 +169,7 @@ def _greedy(config, trial_seed, chans, noise):
 
 
 def _random(config, trial_seed, chans, noise):
-    seed = int(_rng(config, _TAG_RANDOM_PICK, trial_seed).integers(2**63))
+    seed = int(_seeded(config.rng_seed, _TAG_RANDOM_PICK, trial_seed).integers(2**63))
     return random_schedule(chans.ids_by_cell(), config.kbar, seed), None, None
 
 
@@ -216,7 +206,7 @@ def fused_csi(config: ScenarioConfig, trial_seed: int, chans, mode: str) -> Effe
 def _two_stage(first_stage: str, csi_mode: str):
     def schedule(config, trial_seed, chans, noise):
         group, counters = robust_two_stage(
-            fused_csi(config, trial_seed, chans, csi_mode), chans,
+            fused_csi(config, trial_seed, chans, csi_mode),
             config.kprime, config.kbar, config.alpha, first_stage=first_stage,
         )
         return group, counters, None

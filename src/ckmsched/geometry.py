@@ -24,14 +24,18 @@ SPEED_OF_LIGHT = 299792458.0
 # out of every SINR; so it is a constant and not a config field.
 FC_HZ = 6.7e9
 
-# Seed-stream tags so every random ingredient draws from its own
-# SeedSequence and stays independent of the others.
+# Seed-stream tags, one per random ingredient of the scenario and of a
+# trial, so each draws from its own SeedSequence (_seeded) and stays
+# independent of the others.
 _TAG_STATIC = 11
 _TAG_DYNAMIC_PICK = 13
 _TAG_DYNAMIC_PLACE = 17
 _TAG_JITTER = 19
 _TAG_SHADOW = 23
 _TAG_SAMPLES = 29
+_TAG_USERS = 31
+_TAG_RANDOM_GROUP = 37
+_TAG_RANDOM_PICK = 41
 
 
 @lru_cache(maxsize=16)

@@ -19,6 +19,7 @@ import numpy as np
 from . import evaluation
 from .ckm import UsCkm, _corr_rows, _dots, _row_norms
 from .errors import ScheduleError
+from .geometry import _TAG_RANDOM_GROUP, _seeded
 from .groups import ActiveSet, SelectionRecord, UserGroup
 
 
@@ -33,7 +34,6 @@ class EffectiveCsi:
     corr_ids[l][i] (ascending; fusion gives BS l the users it serves).
     """
 
-    vectors: np.ndarray | None        # (L, n, N) fused channel vectors
     gain: np.ndarray                  # (L, n)
     corr: tuple[np.ndarray, ...]      # per BS l: (n_l, n)
     corr_ids: tuple[np.ndarray, ...]  # per BS l: (n_l,) ids of corr[l]'s rows
@@ -50,26 +50,6 @@ class EffectiveCsi:
             unknown = sorted(set(ids.tolist()) - set(table.tolist()))
             raise ScheduleError(f"no correlation row at BS {bs} for user ids {unknown}")
         return rows
-
-    @classmethod
-    def from_tables(cls, gain, corr, vectors=None, source=None):
-        """Synthetic construction from full tables (tests, studies): gain
-        (L, n) and corr (L, n, n) with entries in [0, 1], so every user has
-        a row at every BS."""
-        gain = np.asarray(gain, dtype=float)
-        corr = np.asarray(corr, dtype=float)
-        L, n = len(gain), gain.shape[-1]
-        if gain.shape != (L, n) or corr.shape != (L, n, n):
-            raise ValueError(
-                f"need gain (L, {n}) and corr (L, {n}, {n}) tables, "
-                f"got {gain.shape} and {corr.shape}"
-            )
-        if not np.all((corr >= 0.0) & (corr <= 1.0)):
-            raise ValueError("corr entries must lie in [0, 1]")
-        if source is None:
-            source = np.ones(gain.shape, dtype=np.uint8)
-        ids = np.arange(n)
-        return cls(vectors, gain, tuple(corr), (ids,) * L, np.asarray(source, dtype=np.uint8))
 
 
 def fuse_effective_csi(ckm: UsCkm, chans, mode: str = "auto") -> EffectiveCsi:
@@ -102,9 +82,9 @@ def fuse_effective_csi(ckm: UsCkm, chans, mode: str = "auto") -> EffectiveCsi:
     source = (~need).astype(np.uint8)
     # Read-only, as UsCkm's arrays are: schedulers of one trial share a
     # fusion.
-    for arr in (vectors, gain, source, *corr, *served):
+    for arr in (gain, source, *corr, *served):
         arr.setflags(write=False)
-    return EffectiveCsi(vectors, gain, corr, served, source, acq.tolist())
+    return EffectiveCsi(gain, corr, served, source, acq.tolist())
 
 
 def residual_metric(gain, correlations):
@@ -359,7 +339,7 @@ def greedy_schedule(
 
 def random_schedule(ids_by_cell: dict, kbar: int, seed: int) -> UserGroup:
     """Uniform random kbar-subset per cell, deterministic in the seed."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 37]))
+    rng = _seeded(seed, _TAG_RANDOM_GROUP)
     members: dict[int, list[int]] = {}
     meta: list[SelectionRecord] = []
     for cell in sorted(ids_by_cell):
@@ -377,17 +357,17 @@ def random_schedule(ids_by_cell: dict, kbar: int, seed: int) -> UserGroup:
 
 def robust_two_stage(
     csi: EffectiveCsi,
-    chans,
     kprime: int,
     kbar: int,
     alpha: float,
     first_stage: str = "aes",
 ) -> tuple[UserGroup, dict[str, int]]:
-    """Two-stage pipeline on the trial's fused CSI (fuse_effective_csi of
-    the map and chans), with overhead counters.
+    """Two-stage pipeline on the trial's fused CSI (fuse_effective_csi),
+    with overhead counters. BS l's pool is csi.corr_ids[l], the users it
+    serves.
 
-    Fused in mode "auto", it is the robust scheduler (the true channels of
-    chans substituted in unreliable grids); in mode "scsi", the map-only
+    Fused in mode "auto", it is the robust scheduler (true channels
+    substituted in unreliable grids); in mode "scsi", the map-only
     two-stage baseline. Counters record actual events: L acquisitions per
     user whose grid needed true CSI; candidate locations plus, per
     unreliable candidate, one gain and L^2 correlation uploads.
@@ -397,10 +377,10 @@ def robust_two_stage(
     active_sets = [
         aes_select(ids, csi, l, kprime, alpha) if first_stage == "aes"
         else gis_select(ids, csi, l, kprime)
-        for l, ids in chans.ids_by_cell().items()
+        for l, ids in enumerate(csi.corr_ids)
     ]
     group = iccs_schedule(active_sets, csi, kbar)
-    L = chans.n_cells
+    L = len(csi.corr_ids)
     candidates = {k for a in active_sets for k in a.members}
     return group, {
         "csi_acquisitions": L * len(csi.acquired),

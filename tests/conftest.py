@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ckmsched import ScenarioConfig, build_ckm, build_scenario
+from ckmsched import ScenarioConfig, UsCkm, build_ckm, build_scenario
 from ckmsched.evaluation import ChannelSet
+from ckmsched.scheduling import EffectiveCsi
 
 
 def desk_config(**overrides):
@@ -39,8 +40,21 @@ def synthetic_chans(h, cell_of):
     """ChannelSet of channels h (L, n, N): user i is row i, serves in
     cell_of[i] and stands in grid 0."""
     cell_of = np.asarray(cell_of, dtype=np.int64)
+    h = np.asarray(h, dtype=np.complex128)
     return ChannelSet(cell_of=cell_of, grid=np.zeros(len(cell_of), dtype=np.int64),
-                      h=np.asarray(h, dtype=np.complex128))
+                      shape=h.shape, synthesize=lambda ids: h[:, ids])
+
+
+def csi_from_tables(gain, corr, source=None):
+    """EffectiveCsi of full tables, gain (L, n) and corr (L, n, n), in which
+    every user has a correlation row at every BS; source defaults to map
+    statistics everywhere."""
+    gain = np.asarray(gain, dtype=float)
+    L, n = gain.shape
+    if source is None:
+        source = np.ones((L, n), dtype=np.uint8)
+    return EffectiveCsi(gain, tuple(np.asarray(corr, dtype=float)), (np.arange(n),) * L,
+                        np.asarray(source, dtype=np.uint8))
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +80,13 @@ def save_with_header(ckm, path, **changes):
     header.update(changes)
     blob = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(data[:7] + len(blob).to_bytes(8, "little") + blob + data[15 + hlen:])
+
+
+def save_map_of_shape(path, shape):
+    """Save a zero map whose h_bar has this (L, G, N) shape."""
+    L, G, _ = shape
+    UsCkm("0" * 64, 1, 0.0, np.zeros(shape, dtype=np.complex128), np.zeros((L, G)),
+          np.zeros((L, G)), np.zeros((L, G), dtype=np.uint8)).save(path)
 
 
 def rng(seed=0):

@@ -22,7 +22,6 @@ import numpy as np
 
 from ckmsched import ckm as ckm_module
 from ckmsched.ckm import (
-    _corr_matrix,
     _corr_rows,
     grid_variance,
     reliability_indicator,
@@ -31,10 +30,11 @@ from ckmsched.ckm import (
     statistical_gain,
 )
 from ckmsched.evaluation import evaluate_group, mmse_receiver, sinr
-from ckmsched.experiments import _TAG_USERS, UserRecord, _rng
+from ckmsched.experiments import UserRecord
 from ckmsched.geometry import (
     _TAG_DYNAMIC_PLACE,
     _TAG_JITTER,
+    _TAG_USERS,
     FC_HZ,
     _seeded,
     channel_rows,
@@ -43,6 +43,14 @@ from ckmsched.geometry import (
 )
 from ckmsched.groups import ActiveSet, SelectionRecord, UserGroup
 from ckmsched.scheduling import EffectiveCsi
+
+from conftest import csi_from_tables
+
+
+def corr_matrix(vectors: np.ndarray) -> np.ndarray:
+    """|normalized Gram matrix| of vectors (n, N) with unit diagonal,
+    clipped to [0, 1]: every row of _corr_rows at once."""
+    return _corr_rows(vectors, np.arange(len(vectors)))
 
 
 def first_max(scores) -> int:
@@ -175,7 +183,7 @@ def place_users_reference(scenario, trial_seed: int) -> list[UserRecord]:
     """place_users with one rng.choice, one offset draw and one locate per
     user."""
     cfg = scenario.config
-    rng = _rng(cfg, _TAG_USERS, trial_seed)
+    rng = _seeded(cfg.rng_seed, _TAG_USERS, trial_seed)
     edge = cfg.grid_edge_m
     users = []
     uid = 0
@@ -376,8 +384,8 @@ def fuse_reference(ckm, chans, mode: str = "auto") -> EffectiveCsi:
                 gain[l, i] = float(ckm.epsilon[l, g])
     corr = np.zeros((L, n, n))
     for l in range(L):
-        corr[l] = _corr_matrix(vectors[l])
-    csi = EffectiveCsi.from_tables(gain, corr, vectors, source)
+        corr[l] = corr_matrix(vectors[l])
+    csi = csi_from_tables(gain, corr, source)
     csi.acquired = acquired
     return csi
 

@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 from ckmsched import UsCkm, build_ckm, build_scenario
 from ckmsched import ckm as ckm_module
 from ckmsched.ckm import (
-    _corr_matrix,
     grid_variance,
     reliability_indicator,
     scenario_hash,
@@ -24,7 +23,8 @@ from ckmsched.ckm import (
 )
 from ckmsched.errors import ConfigError, ZeroNormError
 
-from conftest import desk_config, save_with_header
+from conftest import desk_config, save_map_of_shape, save_with_header
+from reference import corr_matrix
 
 
 def complex_vectors(n, count):
@@ -187,7 +187,7 @@ def test_map_arrays_are_read_only(small_ckm):
 
 def test_corr_tables_are_symmetric_unit_diagonal(small_ckm):
     for l in range(small_ckm.n_cells):
-        c = _corr_matrix(small_ckm.h_bar[l])
+        c = corr_matrix(small_ckm.h_bar[l])
         assert c.shape == (small_ckm.n_grids, small_ckm.n_grids)
         assert np.array_equal(c, c.T)
         assert np.all(np.diag(c) == 1.0)
@@ -221,7 +221,7 @@ def test_single_grid_map_is_degenerate():
     )
     ckm = build_ckm(build_scenario(cfg))
     assert ckm.n_grids == 1
-    assert _corr_matrix(ckm.h_bar[0]).tolist() == [[1.0]]
+    assert corr_matrix(ckm.h_bar[0]).tolist() == [[1.0]]
 
 
 def test_build_ckm_rejects_an_empty_survey(small_scenario):
@@ -366,6 +366,13 @@ def test_load_rejects_header_arrays_that_do_not_describe_a_map(tmp_path, small_c
                          + data[15 + hlen:])
         with pytest.raises(ValueError, match="describe a map|malformed"):
             UsCkm.load(path)
+    # every dimension of a map holds at least one entry
+    for shape in ((0, 5, 8), (2, 0, 8), (2, 5, 0)):
+        save_map_of_shape(path, shape)
+        with pytest.raises(ValueError) as err:
+            UsCkm.load(path)
+        assert str(err.value).startswith(f"{path}: header arrays")
+        assert str(err.value).endswith("do not describe a map")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -405,7 +412,7 @@ def test_export_csv_writes_per_bs_tables(tmp_path, small_scenario, small_ckm):
         assert corr[0] == "grid_a,grid_b,rho"
         n = small_ckm.n_grids
         assert len(corr) == 1 + n * (n - 1) // 2
-        table = _corr_matrix(small_ckm.h_bar[l])
+        table = corr_matrix(small_ckm.h_bar[l])
         assert corr[1] == f"0,1,{table[0, 1]:.12e}"
         assert corr[-1] == f"{n - 2},{n - 1},{table[n - 2, n - 1]:.12e}"
 
@@ -419,7 +426,7 @@ def test_export_csv_corr_rows_equal_the_full_table(tmp_path, small_scenario, sma
     monkeypatch.setattr(ckm_module, "GRID_BLOCK", 7)
     small_ckm.export_csv(tmp_path, small_scenario)
     for l in range(small_ckm.n_cells):
-        table = _corr_matrix(small_ckm.h_bar[l])
+        table = corr_matrix(small_ckm.h_bar[l])
         want = io.StringIO(newline="")
         w = csv.writer(want)
         w.writerow(["grid_a", "grid_b", "rho"])

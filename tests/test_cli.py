@@ -23,7 +23,7 @@ from ckmsched.cli import (
 from ckmsched.errors import ConfigError
 from ckmsched.geometry import ScenarioConfig
 
-from conftest import desk_config, save_with_header
+from conftest import desk_config, save_map_of_shape, save_with_header
 
 DESK_CFG = """\
 n_cells = 2
@@ -596,6 +596,13 @@ def test_inspect_rejects_a_map_header_without_delta(tmp_path, capsys, small_ckm)
     save_with_header(small_ckm, path, delta=None)
     assert main(["inspect-ckm", str(path)]) == 2
     assert f"{path}: delta None is not a number" in capsys.readouterr().err
+
+
+def test_inspect_rejects_a_map_without_grids(tmp_path, capsys):
+    path = tmp_path / "map.ckm"
+    save_map_of_shape(path, (2, 0, 8))
+    assert main(["inspect-ckm", str(path)]) == 2
+    assert "do not describe a map" in capsys.readouterr().err
 
 
 def test_plan_dataclass_sweep_grid_is_the_cartesian_product():

@@ -42,7 +42,6 @@ from ckmsched.experiments import (
 from ckmsched.geometry import _TAG_JITTER, _seed_words, _seeded, _streams, channel_rows
 from ckmsched.groups import UserGroup
 from ckmsched.scheduling import (
-    EffectiveCsi,
     aes_select,
     fuse_effective_csi,
     gis_select,
@@ -52,7 +51,7 @@ from ckmsched.scheduling import (
     sus_schedule,
 )
 
-from conftest import desk_config, synthetic_chans
+from conftest import csi_from_tables, desk_config, synthetic_chans
 from reference import (
     aes_reference,
     brute_force_reference,
@@ -182,7 +181,7 @@ def assert_same_group(fast, slow, chans, noise):
 def assert_same_fusion(fast, slow, ids_by_cell):
     """Fused CSI equal to the per-user reference byte for byte; each BS
     holds the rows of its own users, equal to the rows of the full table."""
-    for name in ("vectors", "gain", "source"):
+    for name in ("gain", "source"):
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
     assert fast.acquired == slow.acquired
     for l, ids in enumerate(ids_by_cell):
@@ -270,7 +269,7 @@ def test_gis_band_confirmation_matches_the_reference_on_ties(gis_bands, jitter):
     for _ in range(40):
         pairs = rng.choice(n, size=(6, 2), replace=False)
         table = tied_table(rng, n, pairs, jitter)
-        csi = EffectiveCsi.from_tables([np.ones(n)], [table])
+        csi = csi_from_tables([np.ones(n)], [table])
         for kprime in (1, 5, 12):
             assert (gis_select(ids, csi, 0, kprime).members
                     == gis_reference(ids, csi, 0, kprime).members)
@@ -355,7 +354,7 @@ def assert_fresh_two_stage(result, cfg, seed):
     first_stage, mode = TWO_STAGE[result.algorithm]
     chans, noise = trial_instance(cfg, seed)
     group, counters = robust_two_stage(
-        fuse_effective_csi(cached_ckm(cfg), chans, mode), chans,
+        fuse_effective_csi(cached_ckm(cfg), chans, mode),
         cfg.kprime, cfg.kbar, cfg.alpha, first_stage=first_stage,
     )
     assert_same_group(result.group, group, chans, noise)
@@ -399,7 +398,7 @@ def test_memoized_fusion_is_read_only():
     cfg = desk_config()
     chans, _ = trial_instance(cfg, 1)
     csi = experiments.fused_csi(cfg, 1, chans, "auto")
-    for arr in (csi.vectors, csi.gain, csi.source, *csi.corr, *csi.corr_ids):
+    for arr in (csi.gain, csi.source, *csi.corr, *csi.corr_ids):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
 

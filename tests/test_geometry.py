@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from ckmsched import ScenarioConfig, build_scenario
+from ckmsched import ScenarioConfig, build_scenario, geometry
 from ckmsched.errors import ConfigError, GeometryError, OutOfClusterError
 from ckmsched.geometry import (
     FC_HZ,
@@ -458,3 +458,9 @@ def test_configs_are_immutable():
     cfg = desk_config()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.kbar = 3
+
+
+def test_every_seed_stream_tag_is_distinct():
+    tags = {name: value for name, value in vars(geometry).items() if name.startswith("_TAG_")}
+    assert len(tags) >= 9
+    assert len(set(tags.values())) == len(tags), tags

@@ -27,7 +27,9 @@ SCALES = (1e-3, 1e3)
 
 
 def scaled_chans(chans: ChannelSet, c: float) -> ChannelSet:
-    return ChannelSet(cell_of=chans.cell_of, grid=chans.grid, h=chans.h * c)
+    h = chans.h * c
+    return ChannelSet(cell_of=chans.cell_of, grid=chans.grid, shape=h.shape,
+                      synthesize=lambda ids: h[:, ids])
 
 
 def scaled_map(ckm: UsCkm, c: float) -> UsCkm:
@@ -46,7 +48,7 @@ def schedules(cfg, ckm, chans, noise):
     for first_stage in ("aes", "gis"):
         for csi_mode in ("scsi", "auto"):
             groups[f"{first_stage}/{csi_mode}"] = robust_two_stage(
-                fuse_effective_csi(ckm, chans, mode=csi_mode), chans,
+                fuse_effective_csi(ckm, chans, mode=csi_mode),
                 cfg.kprime, cfg.kbar, cfg.alpha, first_stage=first_stage)[0]
     return groups
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from ckmsched import build_ckm
+from ckmsched.ckm import _corr_rows
 from ckmsched.errors import ScheduleError
 from ckmsched.experiments import place_users, trial_channels
 from ckmsched.groups import ActiveSet
 from ckmsched.scheduling import (
-    EffectiveCsi,
     aes_select,
     fuse_effective_csi,
     gis_select,
@@ -23,7 +23,7 @@ from ckmsched.scheduling import (
     sus_schedule,
 )
 
-from conftest import synthetic_chans
+from conftest import csi_from_tables, synthetic_chans
 
 
 def corr_from_pairs(n, pairs):
@@ -36,7 +36,7 @@ def corr_from_pairs(n, pairs):
 
 def csi_one_cell(gains, pairs):
     """One-BS fused CSI: user i has gain gains[i]."""
-    return EffectiveCsi.from_tables([gains], [corr_from_pairs(len(gains), pairs)])
+    return csi_from_tables([gains], [corr_from_pairs(len(gains), pairs)])
 
 
 # -- residual metric -----------------------------------------------------
@@ -111,7 +111,7 @@ def test_aes_non_fallback_members_stay_below_alpha(seed):
     corr = np.abs(unit @ unit.conj().T)
     np.fill_diagonal(corr, 1.0)
     gains = rng.uniform(1.0, 10.0, size=n)
-    csi = EffectiveCsi.from_tables([gains], [corr])
+    csi = csi_from_tables([gains], [corr])
     out = aes_select(range(n), csi, 0, kprime=5, alpha=alpha)
     kept = [u for u in out.members if u not in out.fallback]
     for i, a in enumerate(kept):
@@ -151,7 +151,7 @@ def test_gis_is_input_order_invariant(seed):
     corr = np.abs(unit @ unit.conj().T)
     np.fill_diagonal(corr, 1.0)
     ids = list(range(n))
-    csi = EffectiveCsi.from_tables([rng.uniform(1, 5, n)], [corr])
+    csi = csi_from_tables([rng.uniform(1, 5, n)], [corr])
     ref = gis_select(ids, csi, 0, kprime=4).members
     shuffled = list(ids)
     rng.shuffle(shuffled)
@@ -181,7 +181,7 @@ def test_iccs_discount_overrides_raw_gain_across_cells():
         corr_from_pairs(3, {}),
         corr_from_pairs(3, {(1, 0): 1.0, (2, 0): 0.0, (1, 2): 0.3}),
     ])
-    csi = EffectiveCsi.from_tables(gain, corr)
+    csi = csi_from_tables(gain, corr)
     sets = [ActiveSet(cell=0, members=[0]), ActiveSet(cell=1, members=[1, 2])]
     group = iccs_schedule(sets, csi, kbar=1)
     assert group.members == {0: [0], 1: [2]}
@@ -193,7 +193,7 @@ def test_iccs_zero_cross_correlation_reduces_to_per_cell_top_gain():
     gain = np.array([[3.0, 5.0, 4.0, 0.0, 0.0, 0.0],
                      [0.0, 0.0, 0.0, 1.0, 9.0, 2.0]])
     corr = np.stack([np.eye(6), np.eye(6)])
-    csi = EffectiveCsi.from_tables(gain, corr)
+    csi = csi_from_tables(gain, corr)
     sets = [ActiveSet(0, [0, 1, 2]), ActiveSet(1, [3, 4, 5])]
     group = iccs_schedule(sets, csi, kbar=2)
     assert group.members == {0: [1, 2], 1: [4, 5]}
@@ -345,10 +345,11 @@ def test_fuse_keeps_map_statistics_when_every_grid_is_reliable(static_scenario):
     csi = fuse_effective_csi(ckm, trial_channels(static_scenario, users, 1), mode="auto")
     assert csi.acquired == []
     assert np.all(csi.source == 1)
-    for u in users:
-        for l in range(ckm.n_cells):
-            assert csi.gain[l, u.id] == ckm.epsilon[l, u.grid]
-            assert np.array_equal(csi.vectors[l, u.id], ckm.h_bar[l, u.grid])
+    grids = [u.grid for u in users]
+    for l in range(ckm.n_cells):
+        assert np.array_equal(csi.gain[l], ckm.epsilon[l, grids])
+        # the correlations of the map's mean channels at the users' grids
+        assert np.array_equal(csi.corr[l], _corr_rows(ckm.h_bar[l, grids], csi.corr_ids[l]))
 
 
 def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario):
@@ -358,11 +359,10 @@ def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario):
     csi = fuse_effective_csi(ckm, chans, mode="auto")
     assert csi.acquired == list(range(len(users)))
     assert np.all(csi.source == 0)
-    for i in range(len(users)):
-        for l in range(ckm.n_cells):
-            h = chans.h[l, i]
-            assert np.array_equal(csi.vectors[l, i], h)
-            assert csi.gain[l, i] == pytest.approx(np.sum(np.abs(h) ** 2))
+    for l in range(ckm.n_cells):
+        h = chans.h[l]
+        assert csi.gain[l] == pytest.approx(np.sum(np.abs(h) ** 2, axis=1))
+        assert np.array_equal(csi.corr[l], _corr_rows(h, csi.corr_ids[l]))
 
 
 def test_fuse_scsi_mode_never_acquires(small_scenario):
@@ -377,8 +377,11 @@ def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
     users = place_users(small_scenario, 4)
     chans = trial_channels(small_scenario, users, realization=5)
     csi = fuse_effective_csi(small_ckm, chans, mode="auto")
+    grids = [u.grid for u in users]
     for l in range(small_ckm.n_cells):
-        unit = csi.vectors[l] / np.linalg.norm(csi.vectors[l], axis=1)[:, None]
+        # map mean channels where fusion kept the map, true channels elsewhere
+        fused = np.where(csi.source[l, :, None] == 1, small_ckm.h_bar[l, grids], chans.h[l])
+        unit = fused / np.linalg.norm(fused, axis=1)[:, None]
         expect = np.abs(unit @ unit.conj().T)
         np.fill_diagonal(expect, 1.0)
         # BS l holds the rows of the users it serves, against every user
@@ -387,7 +390,6 @@ def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
         assert csi.corr[l].shape == (len(served), len(users))
         assert np.allclose(csi.corr[l], expect[served])
     assert csi.source[0, csi.acquired[0]] == 0
-    grids = [u.grid for u in users]
     assert np.array_equal(csi.source == 0, small_ckm.reliable[:, grids] == 0)
 
 
@@ -395,25 +397,16 @@ def test_fuse_validates_provider_shape(small_scenario):
     ckm = build_ckm(small_scenario, eta=0.0)
     users = place_users(small_scenario, 1)
     chans = trial_channels(small_scenario, users, realization=2)
-    for h in (chans.h[:1], chans.h[..., :3], chans.h[0]):
-        bad = dataclasses.replace(chans, h=h)
+    L, n, N = chans.shape
+    for shape in ((1, n, N), (L, n, 3), (n, N)):
+        bad = dataclasses.replace(chans, shape=shape)
         for mode in ("auto", "scsi"):
             with pytest.raises(ValueError, match="one row per"):
                 fuse_effective_csi(ckm, bad, mode=mode)
 
 
-def test_from_tables_rejects_tables_that_do_not_cover_every_user():
-    gain = [[1.0, 2.0, 3.0]]
-    for corr in ([np.eye(2)], np.eye(3), [np.eye(3)[:2]], [np.eye(3)] * 2):
-        with pytest.raises(ValueError, match="corr"):
-            EffectiveCsi.from_tables(gain, corr)
-    with pytest.raises(ValueError, match="gain"):
-        EffectiveCsi.from_tables([1.0, 2.0, 3.0], [np.eye(3)])
-    # gis_select's band bound needs correlations in [0, 1]
-    for rho in (-0.1, 1.5):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            EffectiveCsi.from_tables(gain, [corr_from_pairs(3, {(0, 1): rho})])
-    csi = EffectiveCsi.from_tables(gain, [np.eye(3)])
+def test_corr_rows_rejects_ids_the_bs_does_not_serve():
+    csi = csi_from_tables([[1.0, 2.0, 3.0]], [np.eye(3)])
     assert csi.corr_rows(0, [2, 0]).tolist() == [2, 0]
     with pytest.raises(ScheduleError, match="BS 0"):
         csi.corr_rows(0, [3])
@@ -434,10 +427,10 @@ def test_robust_on_fully_reliable_map_equals_map_only_pipeline(static_scenario):
     cfg = static_scenario.config
     chans = trial_channels(static_scenario, place_users(static_scenario, 3), 4)
     robust, rc = robust_two_stage(
-        fuse_effective_csi(ckm, chans, mode="auto"), chans, cfg.kprime, cfg.kbar, cfg.alpha
+        fuse_effective_csi(ckm, chans, mode="auto"), cfg.kprime, cfg.kbar, cfg.alpha
     )
     baseline, bc = robust_two_stage(
-        fuse_effective_csi(ckm, chans, mode="scsi"), chans, cfg.kprime, cfg.kbar, cfg.alpha
+        fuse_effective_csi(ckm, chans, mode="scsi"), cfg.kprime, cfg.kbar, cfg.alpha
     )
     assert robust.members == baseline.members
     assert rc == bc == {
@@ -451,7 +444,7 @@ def test_robust_on_fully_unreliable_map_acquires_everyone(small_scenario):
     cfg = small_scenario.config
     chans = trial_channels(small_scenario, place_users(small_scenario, 5), realization=6)
     group, counters = robust_two_stage(
-        fuse_effective_csi(ckm, chans, mode="auto"), chans, cfg.kprime, cfg.kbar, cfg.alpha
+        fuse_effective_csi(ckm, chans, mode="auto"), cfg.kprime, cfg.kbar, cfg.alpha
     )
     L = cfg.n_cells
     total_users = L * cfg.users_per_cell
@@ -468,7 +461,7 @@ def test_robust_pipeline_is_deterministic(small_scenario, small_ckm):
         users = place_users(small_scenario, 7)
         chans = trial_channels(small_scenario, users, realization=8)
         group, _ = robust_two_stage(
-            fuse_effective_csi(small_ckm, chans, mode="auto"), chans,
+            fuse_effective_csi(small_ckm, chans, mode="auto"),
             cfg.kprime, cfg.kbar, cfg.alpha, first_stage="gis",
         )
         runs.append(group.members)
@@ -478,5 +471,5 @@ def test_robust_pipeline_is_deterministic(small_scenario, small_ckm):
 def test_robust_rejects_unknown_first_stage(small_scenario, small_ckm):
     chans = trial_channels(small_scenario, place_users(small_scenario, 0), 1)
     with pytest.raises(ValueError, match="first stage"):
-        robust_two_stage(fuse_effective_csi(small_ckm, chans), chans, 4, 2, 0.5,
+        robust_two_stage(fuse_effective_csi(small_ckm, chans), 4, 2, 0.5,
                          first_stage="best")
