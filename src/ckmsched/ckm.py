@@ -189,8 +189,9 @@ class UsCkm:
     @classmethod
     def load(cls, path, config: ScenarioConfig | None = None) -> "UsCkm":
         """Read a map file, rejecting other formats, a header whose arrays
-        do not describe a map, a payload of the wrong length and, when a
-        config is given, a map surveyed under another scenario key."""
+        do not describe a map, a payload of the wrong length or with values
+        no survey writes and, when a config is given, a map surveyed under
+        another scenario key."""
         with open(path, "rb") as fh:
             data = fh.read()
         head = len(_FORMAT_MAGIC) + 10
@@ -224,6 +225,7 @@ class UsCkm:
             start = stop
         if start != len(data):
             raise ValueError(f"{path}: {len(data) - start} trailing bytes after the payload")
+        _check_payload(path, arrays)
         return cls(
             header["scenario_hash"],
             header["samples_per_grid"],
@@ -301,6 +303,20 @@ def _parse_header(path, blob: bytes) -> dict:
             or not all(isinstance(n, int) and n >= 1 for n in shape)):
         raise ValueError(f"{path}: header arrays {got} do not describe a map")
     return header
+
+
+def _check_payload(path, arrays: dict) -> None:
+    """Reject a non-finite h_bar, a negative or non-finite epsilon or sigma
+    and a reliable flag other than 0 or 1. reliable is not checked against
+    sigma <= delta, so a map may be re-thresholded by rewriting delta."""
+    if not np.isfinite(arrays["h_bar"]).all():
+        raise ValueError(f"{path}: h_bar holds a non-finite value")
+    for name in ("epsilon", "sigma"):
+        values = arrays[name]
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ValueError(f"{path}: {name} holds a negative or non-finite value")
+    if (arrays["reliable"] > 1).any():
+        raise ValueError(f"{path}: reliable holds a value other than 0 or 1")
 
 
 def scenario_hash(config: ScenarioConfig) -> str:

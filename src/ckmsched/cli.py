@@ -78,9 +78,11 @@ class ExperimentPlan:
         return replace(self.base_config, **kw) if kw else self.base_config
 
     def validate(self, source: str) -> None:
-        """Reject unknown algorithms, an invalid config at any sweep point
-        and a brute-force enumeration beyond BRUTE_FORCE_BUDGET; source
-        prefixes the error messages."""
+        """Reject an empty algorithm list, unknown algorithms, an invalid
+        config at any sweep point and a brute-force enumeration beyond
+        BRUTE_FORCE_BUDGET; source prefixes the error messages."""
+        if not self.algorithms:
+            raise ConfigError(f"{source}: no algorithms to run")
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ConfigError(f"{source}: unknown algorithms {bad}")
@@ -93,6 +95,11 @@ class ExperimentPlan:
                         f"{source}: brute_force would enumerate {combos} combinations "
                         f"(budget {BRUTE_FORCE_BUDGET}); shrink the scenario"
                     )
+
+
+def _split_algorithms(raw: str) -> tuple[str, ...]:
+    """The names in a comma list, stripped, with empty items dropped."""
+    return tuple(name for name in (a.strip() for a in raw.split(",")) if name)
 
 
 def _coerce(key: str, raw: str, line_no: int, path: str):
@@ -135,7 +142,7 @@ def parse_config(path: str) -> ExperimentPlan:
             raise ConfigError(f"{path}:{ln}: key {key!r} repeats line {seen[key]}")
         seen[key] = ln
         if key == "algorithms":
-            algorithms = tuple(a.strip() for a in raw.split(",") if a.strip())
+            algorithms = _split_algorithms(raw)
         elif key == "trials":
             trials = _coerce("trials", raw, ln, path)
             if trials < 1:
@@ -392,8 +399,8 @@ def main(argv=None) -> int:
             plan = parse_config(args.config)
             if args.seed is not None:
                 plan.base_config = replace(plan.base_config, rng_seed=args.seed)
-            if args.algorithms:
-                plan.algorithms = tuple(a.strip() for a in args.algorithms.split(","))
+            if args.algorithms is not None:
+                plan.algorithms = _split_algorithms(args.algorithms)
             plan.validate(args.config)
             out = args.out or plan.output or "results.csv"
             return cmd_run(plan, out, threads=args.threads, timing=args.timing)

@@ -231,13 +231,8 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)[:, None]
 
 
-def _pool_constants(steps: int) -> np.ndarray:
-    """Multipliers of the pool hash, which takes 4 steps to fill the 4-word
-    pool, 12 to mix it, then 4 per entropy word beyond the pool."""
-    return _hash_constants(0x43B0D7E5, 0x931E8875, steps + 1)
-
-
-_POOL_CONST = _pool_constants(16)
+# The pool hash takes 4 steps to fill the 4-word pool and 12 to mix it.
+_POOL_CONST = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
 # Mixing round src takes one step for each other pool word, in order. The
 # rows below hold every pool word's step; row src's is a placeholder whose
 # result the round discards.
@@ -259,63 +254,42 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> _SHIFT)
 
 
-def _int_words(value: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: little-endian 32-bit
-    words, one zero word for 0."""
-    if value < 0:
-        raise ValueError(f"seed keys must be non-negative, got {value}")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _entropy_words(seed: int, tag: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, W) uint32 entropy words of [seed, tag, *keys[i]] per row, zero
-    past each row's own count (SeedSequence hashes a zero word in place of
-    a missing pool word), and the (m,) word counts."""
-    prefix = _int_words(int(seed)) + _int_words(int(tag))
-    m, k = keys.shape
-    high = keys >> 32
-    if not high.any():  # one word per key: the common case
-        words = np.zeros((m, max(4, len(prefix) + k)), dtype=np.uint32)
-        words[:, :len(prefix)] = prefix
-        words[:, len(prefix):len(prefix) + k] = keys
-        return words, np.full(m, len(prefix) + k)
-    rows = [prefix + [w for v in row for w in _int_words(v)] for row in keys.tolist()]
-    count = np.array([len(row) for row in rows])
-    words = np.zeros((m, max(4, int(count.max()))), dtype=np.uint32)
-    for i, row in enumerate(rows):
-        words[i, :len(row)] = row
-    return words, count
-
-
 def _seed_words(seed: int, tag: int, keys) -> np.ndarray:
     """(m, 4) uint64: SeedSequence([seed, tag, *keys[i]]).generate_state(4,
     np.uint64) for every row of keys, an (m, k) array of non-negative
-    integers below 2**63 (an (m,) array is m one-integer keys)."""
+    integers below 2**63 (an (m,) array is m one-integer keys).
+
+    When seed, tag and every key are one 32-bit word each and there are at
+    most 4 of them, the entropy fits the pool, and SeedSequence hashes a
+    zero word for each missing one; such rows are hashed as one batch. Every
+    other row is seeded by SeedSequence itself."""
+    seed, tag = int(seed), int(tag)
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim == 1:
         keys = keys[:, None]
-    words, count = _entropy_words(seed, tag, keys)
-    pool = _hashmix(words[:, :4].T, _POOL_CONST[:4], _POOL_CONST[1:5])  # (4, m)
-    for src, (xor, mul) in enumerate(_ROUND_CONST):
-        mixed = _mix(pool, _hashmix(pool[src], xor, mul))
-        mixed[src] = pool[src]
-        pool = mixed
-    longest = int(count.max()) if len(count) else 0
-    if longest > 4:  # entropy past the pool is mixed into every pool word
-        const = _pool_constants(4 * longest)
-        for extra in range(4, longest):
-            sel = count > extra
-            step = 4 * extra
-            pool[:, sel] = _mix(pool[:, sel], _hashmix(words[sel, extra], const[step:step + 4],
-                                                       const[step + 1:step + 5]))
-    out = _hashmix(pool[_OUT_WORDS], _OUT_CONST[:8], _OUT_CONST[1:])  # (8, m)
-    # Consecutive little-endian word pairs are the uint64 state words.
-    out = np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
-    return out.astype(np.uint64, copy=False)
+    if seed < 0 or tag < 0 or (keys < 0).any():
+        raise ValueError("seed keys must be non-negative")
+    m, k = keys.shape
+    if seed <= _MASK32 and tag <= _MASK32 and k <= 2:
+        # Keys above 32 bits wrap in this cast; their rows are redone below.
+        words = np.zeros((4, m), dtype=np.uint32)
+        words[0], words[1], words[2:2 + k] = seed, tag, keys.T
+        pool = _hashmix(words, _POOL_CONST[:4], _POOL_CONST[1:5])
+        for src, (xor, mul) in enumerate(_ROUND_CONST):
+            mixed = _mix(pool, _hashmix(pool[src], xor, mul))
+            mixed[src] = pool[src]
+            pool = mixed
+        out = _hashmix(pool[_OUT_WORDS], _OUT_CONST[:8], _OUT_CONST[1:])  # (8, m)
+        # Consecutive little-endian word pairs are the uint64 state words.
+        out = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+        wide = np.flatnonzero((keys > _MASK32).any(axis=1))
+    else:
+        out = np.empty((m, 4), dtype=np.uint64)
+        wide = range(m)
+    for i in wide:
+        entropy = np.random.SeedSequence([seed, tag, *keys[i].tolist()])
+        out[i] = entropy.generate_state(4, np.uint64)
+    return out
 
 
 class _StateWords(np.random.bit_generator.ISeedSequence):
@@ -336,7 +310,7 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
 def _streams(seed: int, tag: int, keys):
     """One Generator per row of keys (as in _seed_words) that draws exactly
     what _seeded(seed, tag, *row) draws: PCG64 seeds itself from the row's
-    precomputed words, with no SeedSequence."""
+    precomputed words."""
     for words in _seed_words(seed, tag, keys):
         yield np.random.Generator(np.random.PCG64(_StateWords(words)))
 

@@ -402,6 +402,27 @@ def test_load_accepts_an_infinite_delta(tmp_path, small_ckm, delta):
     assert UsCkm.load(path).delta == delta
 
 
+@pytest.mark.parametrize("name, index, value", [
+    ("h_bar", (0, 1, 2), complex(math.nan, 0.0)),
+    ("h_bar", (1, 0, 0), complex(0.0, math.inf)),
+    ("epsilon", (0, 1), math.nan),
+    ("epsilon", (1, 0), -1e-9),
+    ("sigma", (1, 2), -1.0),
+    ("sigma", (0, 0), math.inf),
+    ("reliable", (0, 0), 7),
+    ("reliable", (1, 1), 2),
+])
+def test_load_rejects_payload_values_no_survey_writes(tmp_path, small_ckm, name, index, value):
+    arrays = {n: getattr(small_ckm, n).copy() for n in ("h_bar", "epsilon", "sigma", "reliable")}
+    arrays[name][index] = value
+    path = tmp_path / "map.ckm"
+    UsCkm(small_ckm.scenario_hash, small_ckm.samples_per_grid, small_ckm.delta,
+          **arrays).save(path)
+    with pytest.raises(ValueError) as err:
+        UsCkm.load(path)
+    assert str(err.value).startswith(f"{path}: {name} ")
+
+
 def test_export_csv_writes_per_bs_tables(tmp_path, small_scenario, small_ckm):
     small_ckm.export_csv(tmp_path, small_scenario)
     for l in range(small_ckm.n_cells):

@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from ckmsched import build_ckm, build_scenario, cli, experiments, geometry
+from ckmsched import UsCkm, build_ckm, build_scenario, cli, experiments, geometry
 from ckmsched.cli import (
     _INT_FIELDS,
     _OPTIONAL_FIELDS,
@@ -434,6 +434,35 @@ def test_main_rejects_unknown_algorithm_override(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_splits_an_algorithm_override_like_the_plan_file(tmp_path, capsys):
+    # A trailing comma leaves an empty item, which both the plan line and
+    # --algorithms drop.
+    cfg = write_cfg(tmp_path, DESK_CFG + "trials = 2\n")
+    plain, comma = tmp_path / "plain.csv", tmp_path / "comma.csv"
+    assert main(["run", "--config", cfg, "--out", str(plain), "--algorithms", "greedy"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(comma), "--algorithms", "greedy,"]) == 0
+    capsys.readouterr()
+    assert comma.read_bytes() == plain.read_bytes()
+    listed = write_cfg(tmp_path, DESK_CFG + "algorithms = greedy,\ntrials = 2\n", "listed.cfg")
+    assert parse_config(listed).algorithms == ("greedy",)
+
+
+def test_parse_rejects_an_empty_algorithm_list(tmp_path):
+    for line in ("algorithms =\n", "algorithms = , ,\n"):
+        with pytest.raises(ConfigError, match="no algorithms to run"):
+            parse_config(write_cfg(tmp_path, DESK_CFG + line))
+
+
+@pytest.mark.parametrize("names", ["", " , "])
+def test_main_rejects_an_empty_algorithm_override(tmp_path, capsys, names):
+    cfg = write_cfg(tmp_path, DESK_CFG + "trials = 2\n")
+    out = tmp_path / "x.csv"
+    code = main(["run", "--config", cfg, "--out", str(out), "--algorithms", names])
+    assert code == 2
+    assert "no algorithms to run" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_applies_the_brute_force_budget_to_an_algorithm_override(
     tmp_path, capsys
 ):
@@ -603,6 +632,18 @@ def test_inspect_rejects_a_map_without_grids(tmp_path, capsys):
     save_map_of_shape(path, (2, 0, 8))
     assert main(["inspect-ckm", str(path)]) == 2
     assert "do not describe a map" in capsys.readouterr().err
+
+
+def test_inspect_rejects_a_map_with_values_no_survey_writes(tmp_path, capsys, small_ckm):
+    reliable = small_ckm.reliable.copy()
+    reliable[0, 0] = 7
+    path = tmp_path / "map.ckm"
+    UsCkm(small_ckm.scenario_hash, small_ckm.samples_per_grid, small_ckm.delta,
+          small_ckm.h_bar, small_ckm.epsilon, small_ckm.sigma, reliable).save(path)
+    assert main(["inspect-ckm", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: reliable holds a value other than 0 or 1" in err
+    assert "Traceback" not in err
 
 
 def test_plan_dataclass_sweep_grid_is_the_cartesian_product():

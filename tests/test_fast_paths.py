@@ -754,18 +754,23 @@ EDGE_VALUES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1]
 
 
 def seed_key_batches():
-    """(seed, tag, keys) batches: single keys, duplicates, mixed word counts
-    and seeds beyond 64 bits."""
+    """(seed, tag, keys) batches: single keys, duplicates, mixed word counts,
+    three keys a row (more entropy words than the 4-word pool) and seeds
+    beyond 64 bits."""
     rng = np.random.default_rng(11)
     wide = rng.integers(0, 2**62, (40, 2)) >> rng.integers(0, 62, (40, 2))
     edges = np.array([(a, b) for a in EDGE_VALUES for b in EDGE_VALUES])
+    triples = np.array([(a, b, c) for a in EDGE_VALUES[:4] for b in EDGE_VALUES[2:]
+                        for c in (0, 2**32 - 1, 2**32)])
     yield 0, 0, np.array([[0, 0]])
     yield 7, _TAG_JITTER, np.array([[3, 1]])
     yield 7, _TAG_JITTER, np.array([[3, 1], [5, 2], [3, 1], [3, 1]])
     yield 2**32 - 1, 17, np.array([4, 9, 4])
+    yield 7, _TAG_JITTER, np.array([[3, 1, 4], [2**32 - 1, 0, 2**32 - 1]])
     for seed in (0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 5):
         yield seed, _TAG_JITTER, wide
         yield seed, 2**32, edges
+        yield seed, _TAG_JITTER, triples
 
 
 def test_seed_words_and_streams_equal_one_seed_sequence_per_key():
@@ -783,6 +788,25 @@ def test_seed_words_and_streams_equal_one_seed_sequence_per_key():
             assert got.tobytes() == want.tobytes(), key
             ref = _seeded(*key)
             assert drawn == (ref.standard_normal(5).tobytes(), ref.random(3).tobytes()), key
+
+
+def test_one_word_keys_are_hashed_without_a_seed_sequence(monkeypatch):
+    # The scenario, the survey and the trials draw only keys, seeds and tags
+    # below 2**32: such batches stay on the array hash.
+    small = np.array([(a, b) for a in EDGE_VALUES[:3] for b in EDGE_VALUES[:3]])
+    batches = [(0, 0, np.array([[0, 0]])), (7, _TAG_JITTER, np.array([3, 9, 3])),
+               (2**32 - 1, 2**32 - 1, small)]
+    want = [[np.random.SeedSequence([seed, tag, *row]).generate_state(4, np.uint64).tobytes()
+             for row in keys.reshape(len(keys), -1).tolist()] for seed, tag, keys in batches]
+    scen = build_scenario(desk_config(dynamic_grid_fraction=1.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SeedSequence constructed for one-word keys")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    for (seed, tag, keys), rows in zip(batches, want):
+        assert [w.tobytes() for w in _seed_words(seed, tag, keys)] == rows
+    channel_rows(scen, [0, 1], scen.grid_centers[:8], np.arange(1, 9))
 
 
 def test_streams_reject_negative_keys_like_seed_sequence():
