@@ -186,7 +186,7 @@ def evaluate_group(
 # Closed-form scores only rank candidates; every pick is confirmed with
 # evaluate_group. _SCORE_BAND must exceed twice the scores' relative error;
 # _MIN_RESIDUAL keeps that error far below it by refusing 1 - a_k terms
-# that the subtraction leaves with too few correct digits.
+# too small to keep enough correct digits.
 _SCORE_BAND = 1e-9
 _MIN_RESIDUAL = 1e-6
 # Combinations scored per batched solve: bounds brute-force memory.
@@ -204,53 +204,89 @@ def _rate_terms(one_minus_a: np.ndarray) -> np.ndarray | None:
     """log2(1 + gamma_k) = -log2(1 - a_k), where a_k = h_k^H R^-1 h_k and R
     holds noise plus every scheduled user, so gamma_k = a_k / (1 - a_k).
 
-    None when any 1 - a_k is non-finite or at most _MIN_RESIDUAL: there the
-    subtraction loses too many digits to rank, and callers score exactly.
+    None when any 1 - a_k is non-finite or at most _MIN_RESIDUAL: there too
+    few of its digits are correct to rank, and callers score exactly.
     """
     if not np.all(np.isfinite(one_minus_a)) or np.any(one_minus_a <= _MIN_RESIDUAL):
         return None
     return -np.log2(one_minus_a)
 
 
-def candidate_rates(
-    chans: ChannelSet,
-    members: dict[int, list[int]],
-    cell: int,
-    candidates: list[int],
-    noise_power: float,
-) -> np.ndarray | None:
-    """Closed-form sum rates of `members` with each candidate added to `cell`.
+class PartialGroup:
+    """A group that users join one at a time, with its MMSE state at every
+    BS, for scoring the next addition in closed form (candidate_rates).
 
-    At BS c, R_c = noise I + sum of h h^H over the partial group. Adding
-    user u (Sherman-Morrison) lowers each served a_k by
-    |h_k^H R_c^-1 h_u|^2 / (1 + b_u), b_u = h_u^H R_c^-1 h_u, and u itself
-    gets gamma_u = b_u at its serving BS. None when the closed form cannot
-    be trusted (see _rate_terms).
+    members[c] lists BS c's users in the order they joined. At BS c,
+    R_c = noise I + the sum of h h^H over every member's channel toward c;
+    r_inv[c] is R_c^-1 and resid[c] holds 1 - a_k of members[c], where
+    a_k = h_k^H R_c^-1 h_k and gamma_k = a_k / (1 - a_k).
     """
-    _require_rows(chans, chain(candidates, *members.values()))
-    rows = {c: np.array(members[c], dtype=np.int64) for c in sorted(members)}
-    placed = np.concatenate(list(rows.values()))
-    cand = np.array(candidates, dtype=np.int64)
-    eye = noise_power * np.eye(chans.h.shape[2])
-    total = np.zeros(len(cand))
-    for c, served in rows.items():
-        if not served.size and c != cell:
-            continue
-        s = chans.h[c][placed]
-        r_inv = np.linalg.inv(s.T @ s.conj() + eye)
-        g = chans.h[c][cand]
-        v = r_inv @ g.T                                   # (N, u): R_c^-1 h_u
-        b = np.einsum("un,nu->u", g.conj(), v).real
-        d = chans.h[c][served]
-        a = np.einsum("kn,nk->k", d.conj(), r_inv @ d.T).real
-        one_minus_a = (1.0 - a)[:, None] + np.abs(d.conj() @ v) ** 2 / (1.0 + b)
-        if c == cell:
-            one_minus_a = np.vstack([one_minus_a, 1.0 / (1.0 + b)])
-        terms = _rate_terms(one_minus_a)
-        if terms is None:
-            return None
-        total += terms.sum(axis=0)
-    return total
+
+    def __init__(self, chans: ChannelSet, noise_power: float):
+        self.chans = chans
+        self.noise_power = noise_power
+        self.members: dict[int, list[int]] = {c: [] for c in range(chans.n_cells)}
+        self.resid = {c: np.empty(0) for c in self.members}
+        self.r_inv = self._invert(list(self.members))
+
+    def _invert(self, bss) -> np.ndarray:
+        """(len(bss), N, N): R_c^-1 at each BS c of bss, inverted from the
+        members' rows."""
+        placed = list(chain.from_iterable(self.members.values()))
+        s = self.chans.h[:, placed][bss]                 # (B, m, N)
+        eye = self.noise_power * np.eye(self.chans.shape[2])
+        return np.linalg.inv(s.transpose(0, 2, 1) @ s.conj() + eye)
+
+    def add(self, cell: int, uid: int) -> None:
+        """User uid joins cell's members.
+
+        At each BS c (Sherman-Morrison), v = R_c^-1 h_u and b = h_u^H v:
+        every member's 1 - a_k gains |h_k^H v|^2 / (1 + b), a sum of
+        positive terms that keeps its digits; u's own is 1 / (1 + b); and
+        R_c^-1 loses v v^H / (1 + b). That step shrinks R_c^-1 by 1 + b
+        along h_u, so where 1 / (1 + b) is at most _MIN_RESIDUAL, the cut
+        below which _rate_terms refuses to score, R_c^-1 is inverted again
+        from the members' rows instead.
+        """
+        _require_rows(self.chans, [uid])
+        rows = self.chans.h
+        h = rows[:, uid]                                 # (L, N)
+        v = self.r_inv @ h[:, :, None]                   # (L, N, 1)
+        keep = 1.0 / (1.0 + np.einsum("ln,ln->l", h.conj(), v[:, :, 0]).real)
+        for c, served in self.members.items():
+            if served:
+                cross = rows[c][served].conj() @ v[c, :, 0]
+                self.resid[c] = self.resid[c] + np.abs(cross) ** 2 * keep[c]
+        self.members[cell].append(uid)
+        self.resid[cell] = np.append(self.resid[cell], keep[cell])
+        self.r_inv -= (v * keep[:, None, None]) @ v.conj().transpose(0, 2, 1)
+        lost = np.flatnonzero(~(keep > _MIN_RESIDUAL))
+        if lost.size:
+            self.r_inv[lost] = self._invert(lost)
+
+
+def candidate_rates(
+    group: PartialGroup, cell: int, candidates: list[int]
+) -> np.ndarray | None:
+    """Closed-form sum rates of `group` with each candidate added to `cell`.
+
+    Adding user u at BS c (Sherman-Morrison) raises each served 1 - a_k by
+    |h_k^H R_c^-1 h_u|^2 / (1 + b_u), b_u = h_u^H R_c^-1 h_u, and u itself
+    gets gamma_u = b_u at its serving BS; group holds R_c^-1 and every
+    1 - a_k. None when the closed form cannot be trusted (see _rate_terms).
+    """
+    _require_rows(group.chans, candidates)
+    rows = group.chans.h
+    g = rows[:, candidates]                               # (L, u, N)
+    v = group.r_inv @ g.transpose(0, 2, 1)                # (L, N, u): R_c^-1 h_u
+    b = np.einsum("lun,lnu->lu", g.conj(), v).real
+    one_minus_a = [1.0 / (1.0 + b[cell:cell + 1])]        # u's own, (1, u)
+    for c, served in group.members.items():
+        if served:
+            cross = rows[c][served].conj() @ v[c]         # (k, u): h_k^H R_c^-1 h_u
+            one_minus_a.append(group.resid[c][:, None] + np.abs(cross) ** 2 / (1.0 + b[c]))
+    terms = _rate_terms(np.vstack(one_minus_a))
+    return None if terms is None else terms.sum(axis=0)
 
 
 def _block_rates(

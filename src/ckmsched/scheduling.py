@@ -304,17 +304,23 @@ def greedy_schedule(
     """Exact greedy sum-rate maximization with full true CSI.
 
     Cells take turns; each addition maximizes the genie-evaluated MMSE
-    sum rate of the partial group. Candidates are ranked in closed form and
-    the pick is confirmed with the exact evaluator (evaluation.exact_pick),
-    so ties go to the lowest id. Returns (group, rate, gammas): the last
-    pick's exact evaluation is evaluate_group's of the whole group.
+    sum rate of the partial group. Candidates are ranked in closed form
+    (evaluation.candidate_rates) on an evaluation.PartialGroup: one R_c^-1
+    per BS, inverted once and then updated by a rank-one step per pick
+    (inverted again where that step would lose too many digits). No
+    inverse outlives the call. Each pick is confirmed with the exact
+    evaluator (evaluation.exact_pick), so ties go to the lowest id, and
+    its SelectionRecord.metric is the exact sum rate of the partial group.
+    Returns (group, rate, gammas): the last pick's exact evaluation is
+    evaluate_group's of the whole group.
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
     for l in cells:
         if len(bycell[l]) < kbar:
             raise ScheduleError(f"cell {l} has {len(bycell[l])} < kbar={kbar} users")
-    members: dict[int, list[int]] = {l: [] for l in cells}
+    partial = evaluation.PartialGroup(chans, noise_power)
+    members = partial.members
     remaining = {l: sorted(bycell[l]) for l in cells}
     meta: list[SelectionRecord] = []
     best = (0.0, {})
@@ -329,11 +335,11 @@ def greedy_schedule(
                     UserGroup(members=trial), chans, noise_power
                 )
 
-            scores = evaluation.candidate_rates(chans, members, l, pool, noise_power)
+            scores = evaluation.candidate_rates(partial, l, pool)
             j, best = evaluation.exact_pick(scores, len(pool), evaluate_with)
             uid = pool.pop(j)
-            members[l].append(uid)
             meta.append(SelectionRecord(uid, l, slot, best[0], "icsi"))
+            partial.add(l, uid)
     return UserGroup(members=members, meta=meta), *best
 
 

@@ -9,6 +9,7 @@ from ckmsched import build_scenario, evaluation, experiments
 from ckmsched.errors import EnumerationGuardError, ScheduleError
 from ckmsched.evaluation import (
     OverheadModel,
+    PartialGroup,
     ScheduleResult,
     brute_force_optimum,
     calibrate_noise,
@@ -144,9 +145,9 @@ def test_evaluation_rejects_ids_without_a_channel_row():
         with pytest.raises(ValueError, match=f"user {uid} has no channel row"):
             evaluate_group(UserGroup(members={0: [0, uid]}), chans, 1.0)
         with pytest.raises(ValueError, match=f"user {uid} has no channel row"):
-            candidate_rates(chans, {0: [0]}, 0, [uid], 1.0)
+            candidate_rates(PartialGroup(chans, 1.0), 0, [0, uid])
         with pytest.raises(ValueError, match=f"user {uid} has no channel row"):
-            candidate_rates(chans, {0: [uid]}, 0, [0], 1.0)
+            PartialGroup(chans, 1.0).add(0, uid)
 
 
 def test_empty_group_has_zero_rate():

@@ -27,6 +27,7 @@ from ckmsched import build_ckm, build_scenario, evaluation, experiments, schedul
 from ckmsched import ckm as ckm_module
 from ckmsched.errors import OutOfClusterError
 from ckmsched.evaluation import (
+    PartialGroup,
     brute_force_optimum,
     calibrate_noise,
     candidate_rates,
@@ -169,6 +170,16 @@ def test_greedy_matches_the_reference_at_table_scale():
         assert_same_greedy(chans, cfg.kbar, noise)
 
 
+@pytest.mark.parametrize("snr_db", [50.0, 70.0])
+def test_greedy_matches_the_reference_at_high_snr(snr_db):
+    # Here a rank-one inverse update keeps the fewest correct digits.
+    for cfg, seeds in ((table_scale_config(target_snr_db=snr_db), range(3)),
+                       (desk_config(target_snr_db=snr_db), range(40))):
+        for seed in seeds:
+            chans, noise = trial_instance(cfg, seed)
+            assert_same_greedy(chans, cfg.kbar, noise)
+
+
 def assert_same_group(fast, slow, chans, noise):
     assert fast.members == slow.members
     assert [(m.user, m.cell, m.slot, repr(m.metric), m.source) for m in fast.meta] == [
@@ -302,6 +313,49 @@ def test_greedy_breaks_exact_ties_by_lowest_id(exact_calls):
     assert 2 not in group.members[0]
 
 
+def test_inverse_update_guard_inverts_again_at_high_snr(monkeypatch):
+    reinverted = []
+    invert = PartialGroup._invert
+
+    def counted(self, bss):
+        if any(self.members.values()):
+            reinverted.append(len(bss))
+        return invert(self, bss)
+
+    monkeypatch.setattr(PartialGroup, "_invert", counted)
+    cfg = table_scale_config(target_snr_db=70.0)
+    chans, noise = trial_instance(cfg, 0)
+    group, _, _ = greedy_schedule(chans, cfg.kbar, noise)
+    assert reinverted
+    assert group.members == greedy_reference(chans, cfg.kbar, noise).members
+
+
+def partial_group(chans, members, noise):
+    group = PartialGroup(chans, noise)
+    for cell, served in members.items():
+        for uid in served:
+            group.add(cell, uid)
+    return group
+
+
+def test_partial_group_updates_match_a_fresh_inversion_and_evaluation():
+    rng = np.random.default_rng(6)
+    for noise in (0.05, 1.0):
+        chans = random_chans(rng, 4, 3, 5)
+        group = PartialGroup(chans, noise)
+        for uid in (0, 5, 9, 1, 11):
+            group.add(int(chans.cell_of[uid]), uid)
+            placed = [u for served in group.members.values() for u in served]
+            for c in range(3):
+                s = chans.h[c, placed]
+                fresh = np.linalg.inv(s.T @ s.conj() + noise * np.eye(5))
+                assert np.allclose(group.r_inv[c], fresh, rtol=1e-12, atol=1e-12 / noise)
+            _, gammas = evaluate_group(UserGroup(members=group.members), chans, noise)
+            for c, served in group.members.items():
+                want = [1.0 / (1.0 + gammas[u]) for u in served]
+                assert np.allclose(group.resid[c], want, rtol=1e-12, atol=0.0)
+
+
 def test_brute_force_breaks_exact_ties_by_lowest_selection(exact_calls):
     chans = duplicated_chans()
     group, rate, _ = brute_force_optimum(chans, 1, 0.5)
@@ -428,7 +482,7 @@ def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
         [[[1.0, 0.1], [0.2, 1.0], [0.7, 0.7], [1.0, -0.3]]], [0, 0, 0, 0]
     )
     noise = 1e-9
-    assert candidate_rates(chans, {0: []}, 0, [0, 1, 2, 3], noise) is None
+    assert candidate_rates(PartialGroup(chans, noise), 0, [0, 1, 2, 3]) is None
     group, _, _ = greedy_schedule(chans, 2, noise)
     # every candidate of both slots was scored exactly by the scheduler
     assert len(exact_calls) >= 4 + 3
@@ -469,7 +523,7 @@ def test_candidate_rates_match_exact_sum_rates():
         members = {0: [0], 1: [5, 6], 2: []}
         cell = int(rng.integers(0, 3))
         pool = [u for u in range(5 * cell, 5 * cell + 5) if u not in members[cell]]
-        fast = candidate_rates(chans, members, cell, pool, noise)
+        fast = candidate_rates(partial_group(chans, members, noise), cell, pool)
         for score, uid in zip(fast, pool):
             trial = {c: list(v) for c, v in members.items()}
             trial[cell].append(uid)
