@@ -149,33 +149,32 @@ def evaluate_group(
     interference at every BS; each BS solves one MMSE system per served
     user against the full scheduled set.
     """
-    # Canonical (cell, id) order so the rate is bit-identical for any
-    # member ordering of the same group.
-    sched: list[tuple[int, int]] = []
-    for cell in sorted(group.members):
-        for uid in sorted(group.members[cell]):
-            sched.append((cell, uid))
-    if not sched:
+    # Canonical order, cell by cell and ascending ids within a cell, so the
+    # rate is bit-identical for any member ordering of the same group; cell
+    # c's users are the slice start:stop of the scheduled ids.
+    cells = sorted(group.members)
+    served_by = [sorted(group.members[cell]) for cell in cells]
+    ids = [uid for served in served_by for uid in served]
+    if not ids:
         return 0.0, {}
-    ids = [uid for _, uid in sched]
     seen = chans.rows(ids)  # (L, m, N), all scheduled users seen at each BS
     gammas: dict[int, float] = {}
     total = 0.0
-    for cell in sorted(group.members):
-        served = sorted(group.members[cell])
+    stop = 0
+    for cell, served in zip(cells, served_by):
+        start, stop = stop, stop + len(served)
         if not served:
             continue
         s = seen[cell]
         n = s.shape[1]
         cov = s.T @ s.conj() + noise_power * np.eye(n, dtype=np.complex128)
-        local = [sched.index((cell, uid)) for uid in served]
-        d = s[local].T  # (N, served)
+        d = s[start:stop].T  # (N, served)
         w = np.linalg.solve(cov, d)
         cross = w.conj().T @ s.T  # (served, m): cross[j, i] = w_j^H h_i
         p = np.abs(cross) ** 2
         wn2 = np.sum(np.abs(w) ** 2, axis=0)
         for j, uid in enumerate(served):
-            num = p[j, local[j]]
+            num = p[j, start + j]
             den = p[j].sum() - num + noise_power * wn2[j]
             g = float(num / den)
             gammas[uid] = g

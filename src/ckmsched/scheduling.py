@@ -27,29 +27,29 @@ from .groups import ActiveSet, SelectionRecord, UserGroup
 class EffectiveCsi:
     """Fused gains/correlations consumed by the two-stage schedulers.
 
-    User i is column i of gain, source and every corr[l] (row i of the
-    trial's ChannelSet). source is 1 where the map statistics were kept and
-    0 where true channels were substituted. corr[l] holds only the
-    correlation rows the schedulers read at BS l: row i belongs to user
-    corr_ids[l][i] (ascending; fusion gives BS l the users it serves).
+    User i is column i of gain and source and row i of corr and cell_of
+    (row i of the trial's ChannelSet). source is 1 where the map statistics
+    were kept and 0 where true channels were substituted. Row i of corr
+    holds user i's correlations against every user as seen by its serving
+    BS cell_of[i]; the stages read BS l's rows only for users it serves.
     """
 
-    gain: np.ndarray                  # (L, n)
-    corr: tuple[np.ndarray, ...]      # per BS l: (n_l, n)
-    corr_ids: tuple[np.ndarray, ...]  # per BS l: (n_l,) ids of corr[l]'s rows
-    source: np.ndarray                # (L, n) uint8
+    gain: np.ndarray     # (L, n)
+    corr: np.ndarray     # (n, n): row i at BS cell_of[i]
+    cell_of: np.ndarray  # (n,) serving BS of each user
+    source: np.ndarray   # (L, n) uint8
     acquired: list[int] = field(default_factory=list)
 
-    def corr_rows(self, bs: int, ids) -> np.ndarray:
-        """Row of corr[bs] of each user id; ScheduleError for an id that BS
-        bs does not serve."""
-        table = self.corr_ids[bs]
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = table.searchsorted(ids)
-        if ids.size and (not table.size or (table.take(rows, mode="clip") != ids).any()):
-            unknown = sorted(set(ids.tolist()) - set(table.tolist()))
-            raise ScheduleError(f"no correlation row at BS {bs} for user ids {unknown}")
-        return rows
+
+def _served_ids(csi: EffectiveCsi, bs: int, ids) -> np.ndarray:
+    """ids in ascending order; ScheduleError for an id that BS bs does not
+    serve, so that no id (-1 and n included) reads another BS's row."""
+    ids = np.sort(np.asarray(ids, dtype=np.int64))
+    cell_of = csi.cell_of
+    if ids.size and (ids[0] < 0 or ids[-1] >= len(cell_of) or (cell_of[ids] != bs).any()):
+        unknown = {k for k in ids.tolist() if not 0 <= k < len(cell_of) or cell_of[k] != bs}
+        raise ScheduleError(f"no correlation row at BS {bs} for user ids {sorted(unknown)}")
+    return ids
 
 
 def fuse_effective_csi(ckm: UsCkm, chans, mode: str = "auto") -> EffectiveCsi:
@@ -59,9 +59,9 @@ def fuse_effective_csi(ckm: UsCkm, chans, mode: str = "auto") -> EffectiveCsi:
     mode "auto" substitutes the true channels of chans exactly where the
     user's grid is unreliable for an observing BS, and reads the rows of
     those users only (chans.rows); "scsi" keeps map statistics everywhere
-    and reads no channel. Each BS gets the correlation rows of the users
-    it serves against all users, one (n_l, N) @ (N, n) product, never the
-    full n x n table.
+    and reads no channel. Each BS computes the correlation rows of the
+    users it serves against all users, one (n_l, N) @ (N, n) product, and
+    writes them into those users' rows of corr.
     """
     if mode not in ("auto", "scsi"):
         raise ValueError(f"unknown fusion mode {mode!r}")
@@ -77,14 +77,18 @@ def fuse_effective_csi(ckm: UsCkm, chans, mode: str = "auto") -> EffectiveCsi:
         sub = need[:, acq]
         vectors[:, acq] = np.where(sub[..., None], h, vectors[:, acq])
         gain[:, acq] = np.where(sub, np.sum(np.abs(h) ** 2, axis=-1), gain[:, acq])
-    served = tuple(np.flatnonzero(chans.cell_of == l) for l in range(L))
-    corr = tuple(_corr_rows(v, rows) for v, rows in zip(vectors, served))
+    cell_of = chans.cell_of.copy()
+    # Every user is served by one of the L BSs, so every row is written.
+    corr = np.empty((len(cell_of), len(cell_of)))
+    for l in range(L):
+        served = np.flatnonzero(cell_of == l)
+        corr[served] = _corr_rows(vectors[l], served)
     source = (~need).astype(np.uint8)
     # Read-only, as UsCkm's arrays are: schedulers of one trial share a
     # fusion.
-    for arr in (gain, source, *corr, *served):
+    for arr in (gain, corr, cell_of, source):
         arr.setflags(write=False)
-    return EffectiveCsi(gain, corr, served, source, acq.tolist())
+    return EffectiveCsi(gain, corr, cell_of, source, acq.tolist())
 
 
 def residual_metric(gain, correlations):
@@ -115,12 +119,10 @@ def aes_select(
     slots are refilled with the highest-gain pruned users and flagged as
     fallback.
     """
-    ids = np.sort(np.asarray(cell_ids, dtype=np.int64))
+    ids = _served_ids(csi, observing_bs, cell_ids)
     if len(ids) < kprime:
         raise ScheduleError(f"cell pool of {len(ids)} users cannot fill kprime={kprime}")
-    corr_rows = csi.corr_rows(observing_bs, ids)
     gain = csi.gain[observing_bs, ids]
-    corr = csi.corr[observing_bs]
     # Descending gain, ties to the lowest id: the next pick is always the
     # first user of this order still in the pool.
     order = np.lexsort((ids, -gain))
@@ -134,7 +136,7 @@ def aes_select(
             continue
         pool[pick] = False
         selected.append(pick)
-        drop = pool & (corr[corr_rows, ids[pick]] > alpha)
+        drop = pool & (csi.corr[ids, ids[pick]] > alpha)
         pruned |= drop
         pool &= ~drop
     fallback = order[pruned[order]][: kprime - len(selected)]
@@ -172,10 +174,10 @@ def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> A
     as L * K^3 multiplications (overhead_counts); that is the paper's
     figure, not this code's cost.
     """
-    ids = np.array(sorted(int(k) for k in cell_ids), dtype=np.int64)
+    ids = _served_ids(csi, observing_bs, cell_ids)
     if len(ids) < kprime:
         raise ScheduleError(f"cell pool of {len(ids)} users cannot fill kprime={kprime}")
-    m = csi.corr[observing_bs][np.ix_(csi.corr_rows(observing_bs, ids), ids)]
+    m = csi.corr[np.ix_(ids, ids)]
     run = m.sum(axis=1)
     band = _GIS_BAND * max(1.0, float(run.max(initial=0.0)))
     alive = np.ones(len(ids), dtype=bool)
@@ -219,26 +221,22 @@ def iccs_schedule(
             raise ScheduleError(
                 f"active set of cell {a.cell} has {len(a.members)} < kbar={kbar} users"
             )
-    pools = {a.cell: sorted(a.members) for a in sets}
-    pool_corr_rows = {
-        cell: csi.corr_rows(cell, ids).tolist() for cell, ids in pools.items()
-    }
+    pools = {a.cell: _served_ids(csi, a.cell, a.members).tolist() for a in sets}
     members: dict[int, list[int]] = {a.cell: [] for a in sets}
     meta: list[SelectionRecord] = []
     placed: list[int] = []
     for slot in range(kbar):
         for a in sets:
             cell = a.cell
-            pool, corr_rows = pools[cell], pool_corr_rows[cell]
+            pool = pools[cell]
             # The load against every placed user is recomputed in placement
             # order every slot: a running sum would round differently from
-            # numpy's pairwise sum.
-            corr = (csi.corr[cell][np.ix_(corr_rows, placed)] if placed
-                    else np.zeros((len(pool), 0)))
+            # numpy's pairwise sum. Two takes gather the (pool, placed) block
+            # as np.ix_ would, C-contiguous, at a fraction of its fixed cost.
+            corr = csi.corr.take(pool, axis=0).take(placed, axis=1)
             mu = residual_metric(csi.gain[cell, pool], corr)
             j = int(np.argmax(mu))
             uid = pool.pop(j)
-            corr_rows.pop(j)
             members[cell].append(uid)
             placed.append(uid)
             source = "scsi" if csi.source[cell, uid] else "icsi"
@@ -369,8 +367,8 @@ def robust_two_stage(
     first_stage: str = "aes",
 ) -> tuple[UserGroup, dict[str, int]]:
     """Two-stage pipeline on the trial's fused CSI (fuse_effective_csi),
-    with overhead counters. BS l's pool is csi.corr_ids[l], the users it
-    serves.
+    with overhead counters. BS l's pool is the users it serves
+    (csi.cell_of == l).
 
     Fused in mode "auto", it is the robust scheduler (true channels
     substituted in unreliable grids); in mode "scsi", the map-only
@@ -380,13 +378,14 @@ def robust_two_stage(
     """
     if first_stage not in ("aes", "gis"):
         raise ValueError(f"unknown first stage {first_stage!r}")
+    L = len(csi.gain)
+    pools = [np.flatnonzero(csi.cell_of == l) for l in range(L)]
     active_sets = [
         aes_select(ids, csi, l, kprime, alpha) if first_stage == "aes"
         else gis_select(ids, csi, l, kprime)
-        for l, ids in enumerate(csi.corr_ids)
+        for l, ids in enumerate(pools)
     ]
     group = iccs_schedule(active_sets, csi, kbar)
-    L = len(csi.corr_ids)
     candidates = {k for a in active_sets for k in a.members}
     return group, {
         "csi_acquisitions": L * len(csi.acquired),

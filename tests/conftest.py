@@ -45,16 +45,17 @@ def synthetic_chans(h, cell_of):
                       shape=h.shape, synthesize=lambda ids: h[:, ids])
 
 
-def csi_from_tables(gain, corr, source=None):
-    """EffectiveCsi of full tables, gain (L, n) and corr (L, n, n), in which
-    every user has a correlation row at every BS; source defaults to map
-    statistics everywhere."""
+def csi_from_tables(gain, corr, source=None, cell_of=None):
+    """EffectiveCsi of full tables, gain (L, n) and corr (L, n, n): user i
+    serves at BS cell_of[i] (BS 0 by default) and keeps its row of that BS's
+    table; source defaults to map statistics everywhere."""
     gain = np.asarray(gain, dtype=float)
     L, n = gain.shape
     if source is None:
         source = np.ones((L, n), dtype=np.uint8)
-    return EffectiveCsi(gain, tuple(np.asarray(corr, dtype=float)), (np.arange(n),) * L,
-                        np.asarray(source, dtype=np.uint8))
+    cell_of = np.zeros(n, dtype=np.int64) if cell_of is None else np.asarray(cell_of, np.int64)
+    corr = np.asarray(corr, dtype=float)[cell_of, np.arange(n)]
+    return EffectiveCsi(gain, corr, cell_of, np.asarray(source, dtype=np.uint8))
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ map survey over every grid at once, one csv.writer row per exported
 correlation pair, per-user placement, a scalar grid lookup, per-BS,
 per-row channel synthesis, one SeedSequence-seeded stream per jitter
 (grid, realization) pair and per dynamic grid's clusters, and the per-user
-CSI fusion, first-stage, ICCS and SUS loops that read the fused full tables
-one user at a time (user i is row i), and the scenario's nested per-square
+CSI fusion, first-stage, ICCS and SUS loops that read the fused table one
+user at a time (user i is row i), and the scenario's nested per-square
 grid lattice and per-cluster steering rows built from one scalar steering
 vector at a time.
 """
@@ -362,7 +362,9 @@ def channel_rows_reference(scenario, observing_bs: int, positions, realizations)
 
 def fuse_reference(ckm, chans, mode: str = "auto") -> EffectiveCsi:
     """fuse_effective_csi with one pass per (user, BS): the user's true
-    channel rows are fetched when any of its BSs sees an unreliable grid."""
+    channel rows are fetched when any of its BSs sees an unreliable grid.
+    Each BS's full table is computed, and user i keeps row i of its serving
+    BS's table."""
     L, n, nant = ckm.n_cells, len(chans.grid), ckm.h_bar.shape[2]
     vectors = np.zeros((L, n, nant), dtype=np.complex128)
     gain = np.zeros((L, n))
@@ -385,7 +387,7 @@ def fuse_reference(ckm, chans, mode: str = "auto") -> EffectiveCsi:
     corr = np.zeros((L, n, n))
     for l in range(L):
         corr[l] = corr_matrix(vectors[l])
-    csi = csi_from_tables(gain, corr, source)
+    csi = csi_from_tables(gain, corr, source, chans.cell_of)
     csi.acquired = acquired
     return csi
 
@@ -404,7 +406,7 @@ def aes_reference(cell_ids, csi, observing_bs: int, kprime: int, alpha: float):
         selected.append(pick)
         if len(selected) < kprime:
             drop = [k for k in pool
-                    if float(csi.corr[observing_bs][k, pick]) > alpha]
+                    if float(csi.corr[k, pick]) > alpha]
             pruned.extend(drop)
             pool = [k for k in pool if k not in drop]
     fallback = []
@@ -417,7 +419,7 @@ def aes_reference(cell_ids, csi, observing_bs: int, kprime: int, alpha: float):
 def gis_reference(cell_ids, csi, observing_bs: int, kprime: int) -> ActiveSet:
     """gis_select re-summing the whole alive sub-table for every deletion."""
     ids = sorted(int(k) for k in cell_ids)
-    m = csi.corr[observing_bs][np.ix_(ids, ids)]
+    m = csi.corr[np.ix_(ids, ids)]
     active = list(range(len(ids)))
     while len(active) > kprime:
         z = m[np.ix_(active, active)].sum(axis=1) - 1.0
@@ -437,7 +439,7 @@ def iccs_reference(active_sets, csi, kbar: int) -> UserGroup:
             cell = a.cell
             rows = np.array(pools[cell])
             if placed:
-                load = np.sum(csi.corr[cell][np.ix_(rows, placed)] ** 2, axis=1)
+                load = np.sum(csi.corr[np.ix_(rows, placed)] ** 2, axis=1)
             else:
                 load = np.zeros(len(rows))
             mu = np.sqrt(csi.gain[cell, rows] * np.clip(1.0 - load, 0.0, None))

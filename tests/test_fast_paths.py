@@ -14,6 +14,7 @@ must equal one on a fresh fusion, whatever ran before it, and channel rows
 synthesized on demand must equal one call over every user.
 """
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -189,41 +190,35 @@ def assert_same_group(fast, slow, chans, noise):
             == repr(evaluate_group(slow, chans, noise)[0]))
 
 
-def assert_same_fusion(fast, slow, ids_by_cell):
-    """Fused CSI equal to the per-user reference byte for byte; each BS
-    holds the rows of its own users, equal to the rows of the full table."""
-    for name in ("gain", "source"):
+def assert_same_fusion(fast, slow):
+    """Fused CSI equal to the per-user reference byte for byte: row i of
+    corr equals row i of the full table of user i's serving BS."""
+    for name in ("gain", "corr", "cell_of", "source"):
+        assert getattr(fast, name).shape == getattr(slow, name).shape, name
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
     assert fast.acquired == slow.acquired
-    for l, ids in enumerate(ids_by_cell):
-        assert fast.corr_ids[l].tolist() == ids
-        assert fast.corr[l].tobytes() == slow.corr[l][ids].tobytes()
 
 
 def test_one_user_cells_fuse_like_the_full_tables():
     # a one-row block would go through gemv and round differently
     cfg = desk_config(users_per_cell=1, kbar=1, kprime=1)
     for seed in range(10):
-        users = place_users(cached_scenario(cfg), seed)
         chans, _ = trial_instance(cfg, seed)
-        ids = [[u.id for u in users if u.cell == l] for l in range(cfg.n_cells)]
         assert_same_fusion(fuse_effective_csi(cached_ckm(cfg), chans),
-                           fuse_reference(cached_ckm(cfg), chans), ids)
+                           fuse_reference(cached_ckm(cfg), chans))
 
 
-def two_stage_and_sus_fallbacks(cfg, seed):
-    """Check fusion (both modes), AES, GIS, ICCS on AES and GIS sets, and SUS
+def two_stage_fallbacks(cfg, ckm, chans, noise):
+    """Check fusion (both modes), AES, GIS and ICCS on AES and GIS sets
     against the per-user references on one trial; returns the number of AES
-    fallback users and SUS fallback picks."""
-    users = place_users(cached_scenario(cfg), seed)
-    chans, noise = trial_instance(cfg, seed)
+    fallback users."""
     cells = range(cfg.n_cells)
-    ids = [[u.id for u in users if u.cell == l] for l in cells]
+    ids = [np.flatnonzero(chans.cell_of == l).tolist() for l in cells]
     aes_fallbacks = 0
     for mode in ("auto", "scsi"):
-        fast = fuse_effective_csi(cached_ckm(cfg), chans, mode=mode)
-        slow = fuse_reference(cached_ckm(cfg), chans, mode=mode)
-        assert_same_fusion(fast, slow, ids)
+        fast = fuse_effective_csi(ckm, chans, mode=mode)
+        slow = fuse_reference(ckm, chans, mode=mode)
+        assert_same_fusion(fast, slow)
         aes = [aes_select(ids[l], fast, l, cfg.kprime, cfg.alpha) for l in cells]
         for l, a in zip(cells, aes):
             ref = aes_reference(ids[l], slow, l, cfg.kprime, cfg.alpha)
@@ -235,6 +230,15 @@ def two_stage_and_sus_fallbacks(cfg, seed):
         for sets in (aes, gis):
             assert_same_group(iccs_schedule(sets, fast, cfg.kbar),
                               iccs_reference(sets, slow, cfg.kbar), chans, noise)
+    return aes_fallbacks
+
+
+def two_stage_and_sus_fallbacks(cfg, seed):
+    """two_stage_fallbacks on the trial of (cfg, seed), and SUS against its
+    reference; returns the number of AES fallback users and SUS fallback
+    picks."""
+    chans, noise = trial_instance(cfg, seed)
+    aes_fallbacks = two_stage_fallbacks(cfg, cached_ckm(cfg), chans, noise)
     sus = sus_schedule(chans, cfg.kbar, cfg.alpha)
     assert_same_group(sus, sus_reference(chans, cfg.kbar, cfg.alpha), chans, noise)
     return aes_fallbacks, sum(m.source == "fallback" for m in sus.meta)
@@ -256,6 +260,19 @@ def test_two_stage_and_sus_match_the_per_user_references(
     assert (sus > 0) == sus_refills
     # users sharing a grid tie in GIS, so some bands hold several rows
     assert gis_bands and min(gis_bands) > 1
+
+
+def test_interleaved_cells_fuse_and_schedule_like_the_references():
+    # Placement numbers users cell by cell. Here user i serves in cell
+    # i % 2, so fusion writes each BS's rows into a non-contiguous row set.
+    cfg = desk_config()
+    for seed in range(20):
+        chans, noise = trial_instance(cfg, seed)
+        perm = np.arange(len(chans.cell_of)).reshape(cfg.n_cells, -1).T.ravel()
+        mixed = dataclasses.replace(synthetic_chans(chans.h[:, perm], chans.cell_of[perm]),
+                                    grid=chans.grid[perm])
+        assert mixed.cell_of.tolist() == [0, 1] * cfg.users_per_cell
+        two_stage_fallbacks(cfg, cached_ckm(cfg), mixed, noise)
 
 
 def tied_table(rng, n, pairs, jitter):
@@ -452,7 +469,7 @@ def test_memoized_fusion_is_read_only():
     cfg = desk_config()
     chans, _ = trial_instance(cfg, 1)
     csi = experiments.fused_csi(cfg, 1, chans, "auto")
-    for arr in (csi.gain, csi.source, *csi.corr, *csi.corr_ids):
+    for arr in (csi.gain, csi.corr, csi.cell_of, csi.source):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
 
@@ -513,6 +530,24 @@ def test_closed_form_sinr_matches_mmse_receiver_and_sinr():
                 a = np.vdot(h, r_inv @ h).real
                 assert a / (1.0 - a) == pytest.approx(ref[uid], rel=1e-9)
                 assert gammas[uid] == pytest.approx(ref[uid], rel=1e-9)
+
+
+@pytest.mark.parametrize("snr_db", [20.0, 30.0])
+def test_greedy_scores_lie_inside_half_the_band_of_their_exact_rates(snr_db):
+    # exact_pick confirms only the band around the top score, which is safe
+    # while every score errs by less than half the band's width.
+    cfg = table_scale_config(target_snr_db=snr_db)
+    for seed in range(3):
+        chans, noise = trial_instance(cfg, seed)
+        group, _, _ = greedy_schedule(chans, cfg.kbar, noise)
+        partial = PartialGroup(chans, noise)
+        for pick in group.meta:
+            pool = [u for u in chans.ids_by_cell()[pick.cell]
+                    if u not in partial.members[pick.cell]]
+            score = candidate_rates(partial, pick.cell, pool)[pool.index(pick.user)]
+            partial.add(pick.cell, pick.user)
+            exact = evaluate_group(UserGroup(members=partial.members), chans, noise)[0]
+            assert abs(score - exact) <= evaluation._SCORE_BAND / 2 * exact
 
 
 def test_candidate_rates_match_exact_sum_rates():

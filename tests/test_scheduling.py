@@ -116,7 +116,7 @@ def test_aes_non_fallback_members_stay_below_alpha(seed):
     kept = [u for u in out.members if u not in out.fallback]
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
-            assert csi.corr[0][a, b] <= alpha
+            assert csi.corr[a, b] <= alpha
 
 
 # -- first stage: iterative deletion ---------------------------------------
@@ -181,7 +181,7 @@ def test_iccs_discount_overrides_raw_gain_across_cells():
         corr_from_pairs(3, {}),
         corr_from_pairs(3, {(1, 0): 1.0, (2, 0): 0.0, (1, 2): 0.3}),
     ])
-    csi = csi_from_tables(gain, corr)
+    csi = csi_from_tables(gain, corr, cell_of=[0, 1, 1])
     sets = [ActiveSet(cell=0, members=[0]), ActiveSet(cell=1, members=[1, 2])]
     group = iccs_schedule(sets, csi, kbar=1)
     assert group.members == {0: [0], 1: [2]}
@@ -193,7 +193,7 @@ def test_iccs_zero_cross_correlation_reduces_to_per_cell_top_gain():
     gain = np.array([[3.0, 5.0, 4.0, 0.0, 0.0, 0.0],
                      [0.0, 0.0, 0.0, 1.0, 9.0, 2.0]])
     corr = np.stack([np.eye(6), np.eye(6)])
-    csi = csi_from_tables(gain, corr)
+    csi = csi_from_tables(gain, corr, cell_of=[0, 0, 0, 1, 1, 1])
     sets = [ActiveSet(0, [0, 1, 2]), ActiveSet(1, [3, 4, 5])]
     group = iccs_schedule(sets, csi, kbar=2)
     assert group.members == {0: [1, 2], 1: [4, 5]}
@@ -206,8 +206,8 @@ def test_iccs_rejects_active_set_smaller_than_kbar():
 
 
 def test_stages_reject_ids_their_bs_does_not_serve(small_scenario, small_ckm):
-    # User i is column i of the fused tables, so only BS l's correlation
-    # rows tell whether BS l serves an id; -1 and n must not wrap.
+    # User i is row i of the fused table, so only cell_of tells whether
+    # BS l serves an id and may read its row; -1 and n must not wrap.
     chans = trial_channels(small_scenario, place_users(small_scenario, 1), 2)
     csi = fuse_effective_csi(small_ckm, chans, mode="scsi")
     bycell = chans.ids_by_cell()
@@ -349,7 +349,8 @@ def test_fuse_keeps_map_statistics_when_every_grid_is_reliable(static_scenario):
     for l in range(ckm.n_cells):
         assert np.array_equal(csi.gain[l], ckm.epsilon[l, grids])
         # the correlations of the map's mean channels at the users' grids
-        assert np.array_equal(csi.corr[l], _corr_rows(ckm.h_bar[l, grids], csi.corr_ids[l]))
+        served = np.flatnonzero(csi.cell_of == l)
+        assert np.array_equal(csi.corr[served], _corr_rows(ckm.h_bar[l, grids], served))
 
 
 def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario):
@@ -362,7 +363,8 @@ def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario):
     for l in range(ckm.n_cells):
         h = chans.h[l]
         assert csi.gain[l] == pytest.approx(np.sum(np.abs(h) ** 2, axis=1))
-        assert np.array_equal(csi.corr[l], _corr_rows(h, csi.corr_ids[l]))
+        served = np.flatnonzero(csi.cell_of == l)
+        assert np.array_equal(csi.corr[served], _corr_rows(h, served))
 
 
 def test_fuse_scsi_mode_never_acquires(small_scenario):
@@ -378,17 +380,17 @@ def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
     chans = trial_channels(small_scenario, users, realization=5)
     csi = fuse_effective_csi(small_ckm, chans, mode="auto")
     grids = [u.grid for u in users]
+    # row i belongs to user i's serving BS
+    assert csi.cell_of.tolist() == [u.cell for u in users]
+    assert csi.corr.shape == (len(users), len(users))
     for l in range(small_ckm.n_cells):
         # map mean channels where fusion kept the map, true channels elsewhere
         fused = np.where(csi.source[l, :, None] == 1, small_ckm.h_bar[l, grids], chans.h[l])
         unit = fused / np.linalg.norm(fused, axis=1)[:, None]
         expect = np.abs(unit @ unit.conj().T)
         np.fill_diagonal(expect, 1.0)
-        # BS l holds the rows of the users it serves, against every user
         served = [u.id for u in users if u.cell == l]
-        assert csi.corr_ids[l].tolist() == served
-        assert csi.corr[l].shape == (len(served), len(users))
-        assert np.allclose(csi.corr[l], expect[served])
+        assert np.allclose(csi.corr[served], expect[served])
     assert csi.source[0, csi.acquired[0]] == 0
     assert np.array_equal(csi.source == 0, small_ckm.reliable[:, grids] == 0)
 
@@ -403,13 +405,6 @@ def test_fuse_validates_provider_shape(small_scenario):
         for mode in ("auto", "scsi"):
             with pytest.raises(ValueError, match="one row per"):
                 fuse_effective_csi(ckm, bad, mode=mode)
-
-
-def test_corr_rows_rejects_ids_the_bs_does_not_serve():
-    csi = csi_from_tables([[1.0, 2.0, 3.0]], [np.eye(3)])
-    assert csi.corr_rows(0, [2, 0]).tolist() == [2, 0]
-    with pytest.raises(ScheduleError, match="BS 0"):
-        csi.corr_rows(0, [3])
 
 
 def test_fuse_rejects_unknown_mode(static_scenario):
