@@ -2,10 +2,11 @@
 correlations, and per-grid reliability classification.
 
 For every observing BS and every coverage grid the map stores the mean
-sampled channel, the mean channel gain, the variance of the
-sample-to-center correlations, and a reliability flag (variance at or
-below a threshold). Cross-grid correlations are the normalized inner
-products of the mean channels; they are computed on demand, not stored.
+sampled channel, the mean channel gain and the variance of the
+sample-to-center correlations, plus one threshold on that variance. The
+reliability flag (variance at or below the threshold) and the cross-grid
+correlations (normalized inner products of the mean channels) are computed
+from these, not stored.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from .geometry import (Scenario, ScenarioConfig, _row_product, check_thresholds,
 GRID_BLOCK = 256
 
 _FORMAT_MAGIC = b"CKMAP"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 # Stored arrays in file order, with their dtypes.
 _FORMAT_ARRAYS = (
     ("h_bar", np.complex128),
     ("epsilon", np.float64),
     ("sigma", np.float64),
-    ("reliable", np.uint8),
 )
 
 
@@ -128,17 +128,19 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class UsCkm:
     """Channel knowledge map over a scenario's grid partition, identified
-    by the scenario_hash of the config it was surveyed under."""
+    by the scenario_hash of the config it was surveyed under. Its
+    reliability flag is derived from sigma and delta, so it always agrees
+    with them."""
 
-    def __init__(self, scenario_hash, s, delta, h_bar, epsilon, sigma, reliable):
+    def __init__(self, scenario_hash, s, delta, h_bar, epsilon, sigma):
         self.scenario_hash = scenario_hash
         self.samples_per_grid = int(s)
         self.delta = float(delta)
         self.h_bar = h_bar        # (L, G, N) complex
         self.epsilon = epsilon    # (L, G)
         self.sigma = sigma        # (L, G)
-        self.reliable = reliable  # (L, G) uint8
-        for arr in (h_bar, epsilon, sigma, reliable):
+        self.reliable = reliability_indicator(sigma, self.delta)  # (L, G) uint8
+        for arr in (h_bar, epsilon, sigma, self.reliable):
             arr.setflags(write=False)
 
     @property
@@ -155,8 +157,8 @@ class UsCkm:
 
     def reclassify(self, delta: float | None, eta: float | None) -> "UsCkm":
         """This map's survey arrays, shared and not copied, thresholded at
-        delta/eta as build_ckm(scenario, delta=delta, eta=eta) thresholds
-        them; with neither set, at eta=0.7."""
+        delta/eta as build_ckm thresholds them at its config's delta/eta;
+        with neither set, at eta=0.7."""
         return _classify(self.scenario_hash, self.samples_per_grid, self.h_bar,
                          self.epsilon, self.sigma, delta, eta)
 
@@ -171,12 +173,15 @@ class UsCkm:
             "arrays": [],
         }
         payload = []
+        digest = hashlib.sha256()
         for name, _ in _FORMAT_ARRAYS:
             arr = np.ascontiguousarray(getattr(self, name))
             header["arrays"].append(
                 {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
             )
             payload.append(arr.tobytes())
+            digest.update(payload[-1])
+        header["payload_sha256"] = digest.hexdigest()
         blob = json.dumps(header, sort_keys=True).encode()
         with open(path, "wb") as fh:
             fh.write(_FORMAT_MAGIC)
@@ -189,19 +194,19 @@ class UsCkm:
     @classmethod
     def load(cls, path, config: ScenarioConfig | None = None) -> "UsCkm":
         """Read a map file, rejecting other formats, a header whose arrays
-        do not describe a map, a payload of the wrong length or with values
-        no survey writes and, when a config is given, a map surveyed under
-        another scenario key."""
+        do not describe a map, a payload of the wrong length, with another
+        checksum or with values no survey writes and, when a config is
+        given, a map surveyed under another scenario key."""
         with open(path, "rb") as fh:
             data = fh.read()
         head = len(_FORMAT_MAGIC) + 10
         if data[: len(_FORMAT_MAGIC)] != _FORMAT_MAGIC:
             raise ValueError(f"{path}: not a channel map file")
         version = int.from_bytes(data[len(_FORMAT_MAGIC) : head - 8], "little")
-        if version == 1:
+        if version < _FORMAT_VERSION:
             raise ValueError(
-                f"{path}: map format v1 stored a correlation table that is no "
-                "longer read; rebuild the map with `ckmsched build-ckm`"
+                f"{path}: map format v{version} predates v{_FORMAT_VERSION}; "
+                "rebuild the map with `ckmsched build-ckm`"
             )
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
@@ -211,6 +216,7 @@ class UsCkm:
         header = _parse_header(path, data[head:start])
         if config is not None and header["scenario_hash"] != scenario_hash(config):
             raise ValueError(f"{path}: map was built for a different scenario")
+        payload_start = start
         arrays = {}
         for desc, (name, dtype) in zip(header["arrays"], _FORMAT_ARRAYS):
             shape = tuple(desc["shape"])
@@ -225,6 +231,9 @@ class UsCkm:
             start = stop
         if start != len(data):
             raise ValueError(f"{path}: {len(data) - start} trailing bytes after the payload")
+        digest = hashlib.sha256(memoryview(data)[payload_start:]).hexdigest()
+        if digest != header["payload_sha256"]:
+            raise ValueError(f"{path}: payload does not match its checksum")
         _check_payload(path, arrays)
         return cls(
             header["scenario_hash"],
@@ -233,7 +242,6 @@ class UsCkm:
             arrays["h_bar"],
             arrays["epsilon"],
             arrays["sigma"],
-            arrays["reliable"],
         )
 
     def export_csv(self, directory, scenario: Scenario):
@@ -277,15 +285,16 @@ class UsCkm:
 
 
 def _parse_header(path, blob: bytes) -> dict:
-    """Decode a v2 header and check that its arrays are h_bar (L, G, N) and
-    epsilon, sigma, reliable (L, G), in file order with the stored dtypes."""
+    """Decode a v3 header and check that its arrays are h_bar (L, G, N) and
+    epsilon, sigma (L, G), in file order with the stored dtypes."""
     try:
         header = json.loads(blob.decode())
         got = [(d["name"], np.dtype(d["dtype"]), tuple(d["shape"]))
                for d in header["arrays"]]
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed map header ({exc!r})") from None
-    missing = {"scenario_hash", "samples_per_grid", "delta"} - header.keys()
+    missing = ({"scenario_hash", "samples_per_grid", "delta", "payload_sha256"}
+               - header.keys())
     if missing:
         raise ValueError(f"{path}: map header lacks {sorted(missing)}")
     s, delta = header["samples_per_grid"], header["delta"]
@@ -306,17 +315,15 @@ def _parse_header(path, blob: bytes) -> dict:
 
 
 def _check_payload(path, arrays: dict) -> None:
-    """Reject a non-finite h_bar, a negative or non-finite epsilon or sigma
-    and a reliable flag other than 0 or 1. reliable is not checked against
-    sigma <= delta, so a map may be re-thresholded by rewriting delta."""
+    """Reject a non-finite h_bar and a negative or non-finite epsilon or
+    sigma. The reliability flag is derived from sigma and delta on load, so
+    a map may be re-thresholded by rewriting delta."""
     if not np.isfinite(arrays["h_bar"]).all():
         raise ValueError(f"{path}: h_bar holds a non-finite value")
     for name in ("epsilon", "sigma"):
         values = arrays[name]
         if not (np.isfinite(values) & (values >= 0)).all():
             raise ValueError(f"{path}: {name} holds a negative or non-finite value")
-    if (arrays["reliable"] > 1).any():
-        raise ValueError(f"{path}: reliable holds a value other than 0 or 1")
 
 
 def scenario_hash(config: ScenarioConfig) -> str:
@@ -325,20 +332,14 @@ def scenario_hash(config: ScenarioConfig) -> str:
     return hashlib.sha256(repr(scenario_key(config)).encode()).hexdigest()
 
 
-def build_ckm(
-    scenario: Scenario,
-    s: int | None = None,
-    delta: float | None = None,
-    eta: float | None = None,
-) -> UsCkm:
-    """Survey every (observing BS, grid) pair and assemble the map.
+def build_ckm(scenario: Scenario) -> UsCkm:
+    """Survey every (observing BS, grid) pair at the config's
+    samples_per_grid and assemble the map.
 
-    s defaults to the scenario's samples_per_grid. The reliability
-    threshold is either the absolute delta or, when eta is given, the
-    eta-quantile of all correlation variances (eta=0 and eta=1 force
-    all-unreliable / all-reliable classifications). With neither set the
-    scenario config's delta/eta apply (eta=0.7 as a last resort). A
-    negative delta, an eta outside [0, 1] or both set raise ConfigError.
+    The reliability threshold is the config's absolute delta or, when its
+    eta is set, the eta-quantile of all correlation variances (eta=0 and
+    eta=1 force all-unreliable / all-reliable classifications); with
+    neither set, eta=0.7. UsCkm.reclassify applies any other threshold.
 
     The survey runs over blocks of GRID_BLOCK grids, so its transient
     channel samples stay bounded whatever the grid count; every per-grid
@@ -347,11 +348,7 @@ def build_ckm(
     for byte.
     """
     cfg = scenario.config
-    if s is None:
-        s = cfg.samples_per_grid
-    if delta is None and eta is None:
-        delta, eta = cfg.delta, cfg.eta
-    check_thresholds(delta, eta)  # reject them before surveying
+    s = cfg.samples_per_grid
     bss = range(cfg.n_cells)
     blocks = []
     for start in range(0, scenario.n_grids, GRID_BLOCK):
@@ -365,7 +362,7 @@ def build_ckm(
         blocks.append([np.stack(parts) for parts in zip(*stats)])
         del samples, centers, stats
     h_bar, epsilon, sigma = (np.concatenate(parts, axis=1) for parts in zip(*blocks))
-    return _classify(scenario_hash(cfg), s, h_bar, epsilon, sigma, delta, eta)
+    return _classify(scenario_hash(cfg), s, h_bar, epsilon, sigma, cfg.delta, cfg.eta)
 
 
 def _classify(key_hash, s, h_bar, epsilon, sigma, delta, eta) -> UsCkm:
@@ -382,5 +379,4 @@ def _classify(key_hash, s, h_bar, epsilon, sigma, delta, eta) -> UsCkm:
             delta = float(sigma.max())
         else:
             delta = float(np.quantile(sigma.ravel(), eta, method="lower"))
-    return UsCkm(key_hash, s, delta, h_bar, epsilon, sigma,
-                 reliability_indicator(sigma, delta))
+    return UsCkm(key_hash, s, delta, h_bar, epsilon, sigma)

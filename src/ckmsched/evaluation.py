@@ -14,7 +14,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import EnumerationGuardError
+from .errors import EnumerationGuardError, ScheduleError
 from .geometry import Scenario, channel_rows
 from .groups import SelectionRecord, UserGroup
 
@@ -334,29 +334,27 @@ def exact_pick(scores: np.ndarray | None, count: int, evaluate) -> tuple[int, tu
 
 
 def brute_force_optimum(
-    chans: ChannelSet,
-    kbar: int,
-    noise_power: float,
-    max_combinations: int = BRUTE_FORCE_BUDGET,
+    chans: ChannelSet, kbar: int, noise_power: float
 ) -> tuple[UserGroup, float, dict[int, float]]:
     """Exhaustive search over all per-cell kbar-subsets.
 
-    Guarded by max_combinations on the product of per-cell subset
-    counts. Combinations are ranked in closed form, _BLOCK at a time, and
-    the pick is confirmed with evaluate_group (exact_pick), so ties keep the
-    lexicographically lowest selection. The winner's exact evaluation also
-    fills its SelectionRecords. Returns (group, rate, gammas) as
-    evaluate_group gives them for the group.
+    ScheduleError for a cell with fewer than kbar users, and
+    EnumerationGuardError when the product of per-cell subset counts
+    exceeds BRUTE_FORCE_BUDGET. Combinations are ranked in closed form,
+    _BLOCK at a time, and the pick is confirmed with evaluate_group
+    (exact_pick), so ties keep the lexicographically lowest selection. The
+    winner's exact evaluation also fills its SelectionRecords. Returns
+    (group, rate, gammas) as evaluate_group gives them for the group.
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
     for l in cells:
         if len(bycell[l]) < kbar:
-            raise ValueError(f"cell {l} has fewer than kbar={kbar} users")
+            raise ScheduleError(f"cell {l} has {len(bycell[l])} < kbar={kbar} users")
     n_combos = combination_count([len(bycell[l]) for l in cells], kbar)
-    if n_combos > max_combinations:
+    if n_combos > BRUTE_FORCE_BUDGET:
         raise EnumerationGuardError(
-            f"{n_combos} combinations exceed the budget of {max_combinations}"
+            f"{n_combos} combinations exceed the budget of {BRUTE_FORCE_BUDGET}"
         )
     # User ids of every kbar-subset per cell, in lexicographic order;
     # combination i of the product is np.unravel_index(i, shape).

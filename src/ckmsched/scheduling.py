@@ -177,7 +177,7 @@ def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> A
     ids = _served_ids(csi, observing_bs, cell_ids)
     if len(ids) < kprime:
         raise ScheduleError(f"cell pool of {len(ids)} users cannot fill kprime={kprime}")
-    m = csi.corr[np.ix_(ids, ids)]
+    m = csi.corr.take(ids, axis=0).take(ids, axis=1)
     run = m.sum(axis=1)
     band = _GIS_BAND * max(1.0, float(run.max(initial=0.0)))
     alive = np.ones(len(ids), dtype=bool)

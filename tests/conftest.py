@@ -1,11 +1,13 @@
 """Shared fixtures: small scenarios and maps reused across test modules."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from ckmsched import ScenarioConfig, UsCkm, build_ckm, build_scenario
+from ckmsched.ckm import _FORMAT_ARRAYS
 from ckmsched.evaluation import ChannelSet
 from ckmsched.scheduling import EffectiveCsi
 
@@ -83,11 +85,22 @@ def save_with_header(ckm, path, **changes):
     path.write_bytes(data[:7] + len(blob).to_bytes(8, "little") + blob + data[15 + hlen:])
 
 
+def save_with_arrays(ckm, path, **arrays):
+    """Save ckm to path with these stored arrays replaced by arrays of the
+    same shape and dtype, under the checksum of the new payload, so that
+    load's value checks, not its checksum, judge them."""
+    payload = b"".join(np.ascontiguousarray(arrays.get(name, getattr(ckm, name))).tobytes()
+                       for name, _ in _FORMAT_ARRAYS)
+    save_with_header(ckm, path, payload_sha256=hashlib.sha256(payload).hexdigest())
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - len(payload)] + payload)
+
+
 def save_map_of_shape(path, shape):
     """Save a zero map whose h_bar has this (L, G, N) shape."""
     L, G, _ = shape
     UsCkm("0" * 64, 1, 0.0, np.zeros(shape, dtype=np.complex128), np.zeros((L, G)),
-          np.zeros((L, G)), np.zeros((L, G), dtype=np.uint8)).save(path)
+          np.zeros((L, G))).save(path)
 
 
 def rng(seed=0):

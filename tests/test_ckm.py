@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 from dataclasses import replace
 
@@ -22,8 +23,9 @@ from ckmsched.ckm import (
     statistical_gain,
 )
 from ckmsched.errors import ConfigError, ZeroNormError
+from ckmsched.geometry import sample_grid
 
-from conftest import desk_config, save_map_of_shape, save_with_header
+from conftest import desk_config, save_map_of_shape, save_with_arrays, save_with_header
 from reference import corr_matrix
 
 
@@ -225,15 +227,19 @@ def test_single_grid_map_is_degenerate():
 
 
 def test_build_ckm_rejects_an_empty_survey(small_scenario):
+    # build_ckm surveys at the config's samples_per_grid, which the config
+    # keeps >= 1; the survey itself refuses zero samples too.
+    with pytest.raises(ConfigError, match="samples_per_grid must be >= 1"):
+        replace(small_scenario.config, samples_per_grid=0)
     with pytest.raises(ValueError, match="s must be >= 1"):
-        build_ckm(small_scenario, s=0)
+        sample_grid(small_scenario, [0], [0], 0)
 
 
 def test_doubling_samples_reuses_the_shorter_prefix(small_scenario):
     # Halton draws are prefix-stable, so the first s samples agree and
     # statistics change only through the extra draws.
-    a = build_ckm(small_scenario, s=4, eta=0.7)
-    b = build_ckm(small_scenario, s=8, eta=0.7)
+    a = build_ckm(build_scenario(desk_config(samples_per_grid=4)))
+    b = build_ckm(build_scenario(desk_config(samples_per_grid=8)))
     assert a.samples_per_grid == 4 and b.samples_per_grid == 8
     pts_a = small_scenario.grid_sample_positions(2, 4)
     pts_b = small_scenario.grid_sample_positions(2, 8)
@@ -246,9 +252,11 @@ def test_doubling_samples_reuses_the_shorter_prefix(small_scenario):
 # -- reliability thresholds ---------------------------------------------
 
 
-def test_build_rejects_both_thresholds(small_scenario):
-    with pytest.raises(ValueError, match="at most one"):
-        build_ckm(small_scenario, delta=0.1, eta=0.5)
+def test_build_rejects_both_thresholds(small_scenario, small_ckm):
+    with pytest.raises(ConfigError, match="at most one"):
+        replace(small_scenario.config, delta=0.1, eta=0.5)
+    with pytest.raises(ConfigError, match="at most one"):
+        small_ckm.reclassify(0.1, 0.5)
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -256,36 +264,35 @@ def test_build_rejects_both_thresholds(small_scenario):
     ({"eta": -0.2}, "eta must lie in"),
     ({"delta": -1.0}, "delta must be >= 0"),
 ])
-def test_build_rejects_thresholds_the_config_rejects(small_scenario, kw, message):
+def test_build_rejects_thresholds_the_config_rejects(small_scenario, small_ckm, kw, message):
     with pytest.raises(ConfigError, match=message):
-        build_ckm(small_scenario, **kw)
+        small_ckm.reclassify(kw.get("delta"), kw.get("eta"))
     with pytest.raises(ConfigError, match=message):
         replace(small_scenario.config, **({"delta": None, "eta": None} | kw))
 
 
-def test_eta_extremes_classify_everything(small_scenario):
-    none = build_ckm(small_scenario, eta=0.0)
-    all_ = build_ckm(small_scenario, eta=1.0)
+def test_eta_extremes_classify_everything(small_ckm):
+    none = small_ckm.reclassify(None, 0.0)
+    all_ = small_ckm.reclassify(None, 1.0)
     assert none.realized_eta() == 0.0
     assert all_.realized_eta() == 1.0
     assert all_.delta == float(all_.sigma.max())
 
 
-def test_eta_quantile_hits_requested_fraction(small_scenario):
-    ckm = build_ckm(small_scenario, eta=0.5)
+def test_eta_quantile_hits_requested_fraction(small_ckm):
+    ckm = small_ckm.reclassify(None, 0.5)
     assert abs(ckm.realized_eta() - 0.5) < 0.1
 
 
-def test_reliable_set_grows_with_delta(small_scenario):
-    lo = build_ckm(small_scenario, delta=1e-6)
-    hi = build_ckm(small_scenario, delta=1e-2)
+def test_reliable_set_grows_with_delta(small_ckm):
+    lo = small_ckm.reclassify(1e-6, None)
+    hi = small_ckm.reclassify(1e-2, None)
     assert np.all(hi.reliable >= lo.reliable)
     assert hi.reliable.sum() > lo.reliable.sum()
 
 
-def test_absolute_delta_covering_all_sigma_is_fully_reliable(small_scenario):
-    probe = build_ckm(small_scenario, eta=1.0)
-    ckm = build_ckm(small_scenario, delta=float(probe.sigma.max()))
+def test_absolute_delta_covering_all_sigma_is_fully_reliable(small_ckm):
+    ckm = small_ckm.reclassify(float(small_ckm.sigma.max()), None)
     assert ckm.realized_eta() == 1.0
 
 
@@ -331,16 +338,51 @@ def saved_map(tmp_path, ckm):
     return path, path.read_bytes()
 
 
-def test_load_rejects_format_v1_with_a_rebuild_hint(tmp_path, small_ckm):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_rejects_older_formats_with_a_rebuild_hint(tmp_path, small_ckm, version):
     path, data = saved_map(tmp_path, small_ckm)
-    path.write_bytes(data[:5] + (1).to_bytes(2, "little") + data[7:])
-    with pytest.raises(ValueError, match="v1.*rebuild the map with `ckmsched build-ckm`"):
+    path.write_bytes(data[:5] + version.to_bytes(2, "little") + data[7:])
+    with pytest.raises(ValueError, match=f"v{version}.*rebuild the map with `ckmsched build-ckm`"):
         UsCkm.load(path)
+
+
+def test_load_rejects_a_payload_that_does_not_match_its_checksum(tmp_path, small_ckm):
+    path, data = saved_map(tmp_path, small_ckm)
+    # One flipped bit in the last sigma entry still leaves a finite,
+    # non-negative value, so only the checksum can catch it.
+    path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+    with pytest.raises(ValueError, match=f"^{path}: payload does not match its checksum$"):
+        UsCkm.load(path)
+    save_with_header(small_ckm, path, payload_sha256="0" * 64)
+    with pytest.raises(ValueError, match="checksum"):
+        UsCkm.load(path)
+
+
+def test_load_rejects_a_header_without_a_checksum(tmp_path, small_ckm):
+    path, data = saved_map(tmp_path, small_ckm)
+    hlen = int.from_bytes(data[7:15], "little")
+    header = json.loads(data[15:15 + hlen])
+    del header["payload_sha256"]
+    blob = json.dumps(header).encode()
+    path.write_bytes(data[:7] + len(blob).to_bytes(8, "little") + blob + data[15 + hlen:])
+    with pytest.raises(ValueError, match=r"lacks \['payload_sha256'\]"):
+        UsCkm.load(path)
+
+
+def test_a_rewritten_delta_rethresholds_a_loaded_map(tmp_path, small_ckm):
+    # The flag is derived from sigma and delta on load, so a map whose
+    # header delta was rewritten agrees with itself.
+    path = tmp_path / "map.ckm"
+    for delta in (float(small_ckm.sigma.max()), float(np.median(small_ckm.sigma)), 0.0):
+        save_with_header(small_ckm, path, delta=delta)
+        back = UsCkm.load(path)
+        assert back.delta == delta
+        assert np.array_equal(back.reliable, small_ckm.sigma <= delta)
 
 
 def test_load_rejects_a_truncated_payload(tmp_path, small_ckm):
     path, data = saved_map(tmp_path, small_ckm)
-    for cut in (1, small_ckm.reliable.nbytes + 1, len(data) // 2):
+    for cut in (1, small_ckm.sigma.nbytes + 1, len(data) // 2):
         path.write_bytes(data[:-cut])
         with pytest.raises(ValueError, match="truncated"):
             UsCkm.load(path)
@@ -358,7 +400,7 @@ def test_load_rejects_header_arrays_that_do_not_describe_a_map(tmp_path, small_c
     hlen = int.from_bytes(data[7:15], "little")
     L, G = small_ckm.n_cells, small_ckm.n_grids
     for old, new in ((f"[{L}, {G}]", f"[{L}, {G - 1}]"),
-                     ('"uint8"', '"int8"'),
+                     ('"float64"', '"float32"'),
                      ('"sigma"', '"sigmb"'),
                      ('"arrays"', '"arrayz"')):
         blob = data[15:15 + hlen].decode().replace(old, new, 1).encode()
@@ -409,15 +451,12 @@ def test_load_accepts_an_infinite_delta(tmp_path, small_ckm, delta):
     ("epsilon", (1, 0), -1e-9),
     ("sigma", (1, 2), -1.0),
     ("sigma", (0, 0), math.inf),
-    ("reliable", (0, 0), 7),
-    ("reliable", (1, 1), 2),
 ])
 def test_load_rejects_payload_values_no_survey_writes(tmp_path, small_ckm, name, index, value):
-    arrays = {n: getattr(small_ckm, n).copy() for n in ("h_bar", "epsilon", "sigma", "reliable")}
-    arrays[name][index] = value
+    bad = getattr(small_ckm, name).copy()
+    bad[index] = value
     path = tmp_path / "map.ckm"
-    UsCkm(small_ckm.scenario_hash, small_ckm.samples_per_grid, small_ckm.delta,
-          **arrays).save(path)
+    save_with_arrays(small_ckm, path, **{name: bad})
     with pytest.raises(ValueError) as err:
         UsCkm.load(path)
     assert str(err.value).startswith(f"{path}: {name} ")
@@ -461,7 +500,8 @@ def test_loaded_arrays_are_owned_and_aligned(tmp_path, small_ckm):
     path = tmp_path / "map.ckm"
     small_ckm.save(path)
     back = UsCkm.load(path)
-    for name in ("h_bar", "epsilon", "sigma", "reliable"):
+    # The stored arrays; reliable is derived on load, not read from the file.
+    for name in ("h_bar", "epsilon", "sigma"):
         arr = getattr(back, name)
         assert arr.flags.owndata and arr.flags.aligned and arr.flags.c_contiguous
         assert arr.tobytes() == getattr(small_ckm, name).tobytes()
@@ -489,8 +529,7 @@ def test_a_loaded_map_reclassifies_as_build_ckm(tmp_path, small_scenario, small_
                                                delta, eta):
     path, _ = saved_map(tmp_path, small_ckm)
     got = UsCkm.load(path).reclassify(delta, eta)
-    unset = delta is None and eta is None
-    want = build_ckm(small_scenario, delta=delta, eta=0.7 if unset else eta)
+    want = build_ckm(build_scenario(replace(small_scenario.config, delta=delta, eta=eta)))
     for name in ("h_bar", "epsilon", "sigma", "reliable"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert repr(got.delta) == repr(want.delta)

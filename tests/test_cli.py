@@ -627,6 +627,21 @@ def test_inspect_rejects_a_map_header_without_delta(tmp_path, capsys, small_ckm)
     assert f"{path}: delta None is not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda data: data[:5] + (1).to_bytes(2, "little") + data[7:], "map format v1 "),
+    (lambda data: data[:5] + (2).to_bytes(2, "little") + data[7:], "map format v2 "),
+    (lambda data: data[:-1] + bytes([data[-1] ^ 1]), "payload does not match its checksum"),
+], ids=["v1", "v2", "tampered"])
+def test_inspect_rejects_old_and_tampered_maps(tmp_path, capsys, small_ckm, damage, message):
+    path = tmp_path / "map.ckm"
+    small_ckm.save(path)
+    path.write_bytes(damage(path.read_bytes()))
+    assert main(["inspect-ckm", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_inspect_rejects_a_map_without_grids(tmp_path, capsys):
     path = tmp_path / "map.ckm"
     save_map_of_shape(path, (2, 0, 8))
@@ -635,14 +650,14 @@ def test_inspect_rejects_a_map_without_grids(tmp_path, capsys):
 
 
 def test_inspect_rejects_a_map_with_values_no_survey_writes(tmp_path, capsys, small_ckm):
-    reliable = small_ckm.reliable.copy()
-    reliable[0, 0] = 7
+    epsilon = small_ckm.epsilon.copy()
+    epsilon[0, 0] = -1.0
     path = tmp_path / "map.ckm"
     UsCkm(small_ckm.scenario_hash, small_ckm.samples_per_grid, small_ckm.delta,
-          small_ckm.h_bar, small_ckm.epsilon, small_ckm.sigma, reliable).save(path)
+          small_ckm.h_bar, epsilon, small_ckm.sigma).save(path)
     assert main(["inspect-ckm", str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"{path}: reliable holds a value other than 0 or 1" in err
+    assert f"{path}: epsilon holds a negative or non-finite value" in err
     assert "Traceback" not in err
 
 

@@ -219,14 +219,15 @@ def test_brute_force_beats_greedy_on_a_crafted_instance():
 
 
 def test_brute_force_enumeration_guard():
-    chans = one_cell_chans([[float(i), 1.0] for i in range(1, 11)])
-    with pytest.raises(EnumerationGuardError):
-        brute_force_optimum(chans, kbar=5, noise_power=1.0, max_combinations=100)
+    # C(30, 15) = 155117520 subsets: the guard fires before any is listed.
+    chans = one_cell_chans([[float(i), 1.0] for i in range(1, 31)])
+    with pytest.raises(EnumerationGuardError, match="155117520 combinations exceed"):
+        brute_force_optimum(chans, kbar=15, noise_power=1.0)
 
 
 def test_brute_force_rejects_undersized_cells():
     chans = one_cell_chans([[1.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ScheduleError, match="cell 0 has 1 < kbar=2 users"):
         brute_force_optimum(chans, kbar=2, noise_power=1.0)
 
 

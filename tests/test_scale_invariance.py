@@ -34,7 +34,7 @@ def scaled_chans(chans: ChannelSet, c: float) -> ChannelSet:
 
 def scaled_map(ckm: UsCkm, c: float) -> UsCkm:
     return UsCkm(ckm.scenario_hash, ckm.samples_per_grid, ckm.delta, ckm.h_bar * c,
-                 ckm.epsilon * c**2, ckm.sigma, ckm.reliable)
+                 ckm.epsilon * c**2, ckm.sigma)
 
 
 def schedules(cfg, ckm, chans, noise):

@@ -340,7 +340,7 @@ def test_random_rejects_undersized_pool():
 
 
 def test_fuse_keeps_map_statistics_when_every_grid_is_reliable(static_scenario):
-    ckm = build_ckm(static_scenario, delta=1.0)
+    ckm = build_ckm(static_scenario).reclassify(1.0, None)
     users = place_users(static_scenario, 0)
     csi = fuse_effective_csi(ckm, trial_channels(static_scenario, users, 1), mode="auto")
     assert csi.acquired == []
@@ -353,8 +353,8 @@ def test_fuse_keeps_map_statistics_when_every_grid_is_reliable(static_scenario):
         assert np.array_equal(csi.corr[served], _corr_rows(ckm.h_bar[l, grids], served))
 
 
-def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario):
-    ckm = build_ckm(small_scenario, eta=0.0)
+def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario, small_ckm):
+    ckm = small_ckm.reclassify(None, 0.0)
     users = place_users(small_scenario, 1)
     chans = trial_channels(small_scenario, users, realization=2)
     csi = fuse_effective_csi(ckm, chans, mode="auto")
@@ -367,8 +367,8 @@ def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario):
         assert np.array_equal(csi.corr[served], _corr_rows(h, served))
 
 
-def test_fuse_scsi_mode_never_acquires(small_scenario):
-    ckm = build_ckm(small_scenario, eta=0.0)
+def test_fuse_scsi_mode_never_acquires(small_scenario, small_ckm):
+    ckm = small_ckm.reclassify(None, 0.0)
     chans = trial_channels(small_scenario, place_users(small_scenario, 1), 2)
     csi = fuse_effective_csi(ckm, chans, mode="scsi")
     assert csi.acquired == []
@@ -395,8 +395,8 @@ def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
     assert np.array_equal(csi.source == 0, small_ckm.reliable[:, grids] == 0)
 
 
-def test_fuse_validates_provider_shape(small_scenario):
-    ckm = build_ckm(small_scenario, eta=0.0)
+def test_fuse_validates_provider_shape(small_scenario, small_ckm):
+    ckm = small_ckm.reclassify(None, 0.0)
     users = place_users(small_scenario, 1)
     chans = trial_channels(small_scenario, users, realization=2)
     L, n, N = chans.shape
@@ -408,7 +408,7 @@ def test_fuse_validates_provider_shape(small_scenario):
 
 
 def test_fuse_rejects_unknown_mode(static_scenario):
-    ckm = build_ckm(static_scenario, delta=1.0)
+    ckm = build_ckm(static_scenario).reclassify(1.0, None)
     chans = trial_channels(static_scenario, place_users(static_scenario, 0), 1)
     with pytest.raises(ValueError, match="fusion mode"):
         fuse_effective_csi(ckm, chans, mode="genie")
@@ -418,7 +418,7 @@ def test_fuse_rejects_unknown_mode(static_scenario):
 
 
 def test_robust_on_fully_reliable_map_equals_map_only_pipeline(static_scenario):
-    ckm = build_ckm(static_scenario, delta=1.0)
+    ckm = build_ckm(static_scenario).reclassify(1.0, None)
     cfg = static_scenario.config
     chans = trial_channels(static_scenario, place_users(static_scenario, 3), 4)
     robust, rc = robust_two_stage(
@@ -434,8 +434,8 @@ def test_robust_on_fully_reliable_map_equals_map_only_pipeline(static_scenario):
     }
 
 
-def test_robust_on_fully_unreliable_map_acquires_everyone(small_scenario):
-    ckm = build_ckm(small_scenario, eta=0.0)
+def test_robust_on_fully_unreliable_map_acquires_everyone(small_scenario, small_ckm):
+    ckm = small_ckm.reclassify(None, 0.0)
     cfg = small_scenario.config
     chans = trial_channels(small_scenario, place_users(small_scenario, 5), realization=6)
     group, counters = robust_two_stage(
