@@ -23,6 +23,8 @@ SPEED_OF_LIGHT = 299792458.0
 # common to every channel, which the target-SNR noise calibration divides
 # out of every SINR; so it is a constant and not a config field.
 FC_HZ = 6.7e9
+# Free-space loss at 1 m for that carrier, in dB: path_loss_db's anchor.
+_LOSS_1M_DB = 20.0 * math.log10(4.0 * math.pi * FC_HZ / SPEED_OF_LIGHT)
 
 # Seed-stream tags, one per random ingredient of the scenario and of a
 # trial, so each draws from its own SeedSequence (_seeded) and stays
@@ -340,20 +342,17 @@ def array_response(n_h: int, n_v: int, azimuth, elevation, polarization: int) ->
     return out
 
 
-def path_loss_db(distance_3d, fc: float, exponent: float = 3.0):
+def path_loss_db(distance_3d, exponent: float = 3.0):
     """Single-slope log-distance path loss in dB of a scalar or an array
     of 3-D distances (a float or an array of the same shape), anchored at
-    the free-space loss at 1 m for the carrier fc. Each logarithm is a
+    the free-space loss at 1 m for the carrier FC_HZ. Each logarithm is a
     scalar math.log10, which is not always bit-identical to np.log10.
     """
     d = np.asarray(distance_3d, dtype=float)
     if not np.all(d > 0):
         raise ValueError("distance_3d must be positive")
-    if fc <= 0:
-        raise ValueError("fc must be positive")
-    loss_1m = 20.0 * math.log10(4.0 * math.pi * fc / SPEED_OF_LIGHT)
     logs = np.fromiter(map(math.log10, d.ravel().tolist()), float, d.size)
-    pl = loss_1m + 10.0 * exponent * logs.reshape(d.shape)
+    pl = _LOSS_1M_DB + 10.0 * exponent * logs.reshape(d.shape)
     return pl if d.ndim else float(pl)
 
 
@@ -619,7 +618,7 @@ def channel_rows(
     bs = scenario.bs_xy[bss]
     d2 = np.hypot(pos[None, :, 0] - bs[:, 0, None], pos[None, :, 1] - bs[:, 1, None])
     d3 = np.hypot(d2, cfg.bs_height_m - cfg.user_height_m)
-    pl = path_loss_db(d3, FC_HZ, cfg.path_loss_exponent)
+    pl = path_loss_db(d3, cfg.path_loss_exponent)
     amp = 10.0 ** (-(pl + scenario.shadow_db[bss[:, None], gids]) / 20.0)
 
     sp = scenario.scatterers.static_positions

@@ -27,68 +27,73 @@ from .groups import ActiveSet, SelectionRecord, UserGroup
 class EffectiveCsi:
     """Fused gains/correlations consumed by the two-stage schedulers.
 
-    User i is column i of gain and source and row i of corr and cell_of
-    (row i of the trial's ChannelSet). source is 1 where the map statistics
-    were kept and 0 where true channels were substituted. Row i of corr
-    holds user i's correlations against every user as seen by its serving
-    BS cell_of[i]; the stages read BS l's rows only for users it serves.
+    Index i of every array is user i (row i of the trial's ChannelSet) as
+    seen by its serving BS cell_of[i]: its gain, its correlations against
+    every user (row i of corr), and source 1 where the map statistics were
+    kept, 0 where its true channel was substituted. n_cells is the map's L.
     """
 
-    gain: np.ndarray     # (L, n)
-    corr: np.ndarray     # (n, n): row i at BS cell_of[i]
+    gain: np.ndarray     # (n,)
+    corr: np.ndarray     # (n, n)
     cell_of: np.ndarray  # (n,) serving BS of each user
-    source: np.ndarray   # (L, n) uint8
+    source: np.ndarray   # (n,) uint8
+    n_cells: int
     acquired: list[int] = field(default_factory=list)
 
 
-def _served_ids(csi: EffectiveCsi, bs: int, ids) -> np.ndarray:
+def _served_ids(csi: EffectiveCsi, bs: int, ids, need: int) -> np.ndarray:
     """ids in ascending order; ScheduleError for an id that BS bs does not
-    serve, so that no id (-1 and n included) reads another BS's row."""
+    serve (-1 and n included), for a repeated id or for fewer than need."""
     ids = np.sort(np.asarray(ids, dtype=np.int64))
     cell_of = csi.cell_of
     if ids.size and (ids[0] < 0 or ids[-1] >= len(cell_of) or (cell_of[ids] != bs).any()):
         unknown = {k for k in ids.tolist() if not 0 <= k < len(cell_of) or cell_of[k] != bs}
         raise ScheduleError(f"no correlation row at BS {bs} for user ids {sorted(unknown)}")
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise ScheduleError(f"BS {bs}'s pool repeats user ids {sorted(set(repeated.tolist()))}")
+    if len(ids) < need:
+        raise ScheduleError(f"BS {bs}'s pool of {len(ids)} users cannot fill {need} slots")
     return ids
 
 
 def fuse_effective_csi(ckm: UsCkm, chans, mode: str = "auto") -> EffectiveCsi:
     """Build the per-user effective CSI from the map and the trial's
-    ChannelSet: map statistics at each user's grid, with user i in column i.
+    ChannelSet: map statistics at each user's grid, seen by its serving BS.
 
     mode "auto" substitutes the true channels of chans exactly where the
-    user's grid is unreliable for an observing BS, and reads the rows of
-    those users only (chans.rows); "scsi" keeps map statistics everywhere
-    and reads no channel. Each BS computes the correlation rows of the
-    users it serves against all users, one (n_l, N) @ (N, n) product, and
-    writes them into those users' rows of corr.
+    user's grid is unreliable for an observing BS (for gain and source, its
+    serving BS), and reads the rows of those users only (chans.rows);
+    "scsi" keeps map statistics everywhere and reads no channel. Each BS
+    computes the correlation rows of the users it serves against all
+    users, one (n_l, N) @ (N, n) product, and writes them into corr.
     """
     if mode not in ("auto", "scsi"):
         raise ValueError(f"unknown fusion mode {mode!r}")
     L, _, nant = ckm.h_bar.shape
     if len(chans.shape) != 3 or chans.shape[0] != L or chans.shape[2] != nant:
         raise ValueError(f"chans.h must hold one row per observing BS of {nant} antennas")
+    cell_of = chans.cell_of.copy()
     vectors = ckm.h_bar[:, chans.grid]
-    gain = ckm.epsilon[:, chans.grid]
+    gain = ckm.epsilon[cell_of, chans.grid]
     need = (ckm.reliable[:, chans.grid] == 0) & (mode == "auto")
+    serving = need[cell_of, np.arange(len(cell_of))]
     acq = np.flatnonzero(need.any(axis=0))
     if len(acq):
-        h = chans.rows(acq)
-        sub = need[:, acq]
-        vectors[:, acq] = np.where(sub[..., None], h, vectors[:, acq])
-        gain[:, acq] = np.where(sub, np.sum(np.abs(h) ** 2, axis=-1), gain[:, acq])
-    cell_of = chans.cell_of.copy()
+        vectors[:, acq] = np.where(need[:, acq, None], chans.rows(acq), vectors[:, acq])
+        own = np.flatnonzero(serving)
+        gain[own] = np.sum(np.abs(vectors[cell_of[own], own]) ** 2, axis=-1)
     # Every user is served by one of the L BSs, so every row is written.
     corr = np.empty((len(cell_of), len(cell_of)))
     for l in range(L):
         served = np.flatnonzero(cell_of == l)
         corr[served] = _corr_rows(vectors[l], served)
-    source = (~need).astype(np.uint8)
+    source = (~serving).astype(np.uint8)
     # Read-only, as UsCkm's arrays are: schedulers of one trial share a
     # fusion.
     for arr in (gain, corr, cell_of, source):
         arr.setflags(write=False)
-    return EffectiveCsi(gain, corr, cell_of, source, acq.tolist())
+    return EffectiveCsi(gain, corr, cell_of, source, L, acq.tolist())
 
 
 def residual_metric(gain, correlations):
@@ -119,10 +124,8 @@ def aes_select(
     slots are refilled with the highest-gain pruned users and flagged as
     fallback.
     """
-    ids = _served_ids(csi, observing_bs, cell_ids)
-    if len(ids) < kprime:
-        raise ScheduleError(f"cell pool of {len(ids)} users cannot fill kprime={kprime}")
-    gain = csi.gain[observing_bs, ids]
+    ids = _served_ids(csi, observing_bs, cell_ids, kprime)
+    gain = csi.gain[ids]
     # Descending gain, ties to the lowest id: the next pick is always the
     # first user of this order still in the pool.
     order = np.lexsort((ids, -gain))
@@ -174,9 +177,7 @@ def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> A
     as L * K^3 multiplications (overhead_counts); that is the paper's
     figure, not this code's cost.
     """
-    ids = _served_ids(csi, observing_bs, cell_ids)
-    if len(ids) < kprime:
-        raise ScheduleError(f"cell pool of {len(ids)} users cannot fill kprime={kprime}")
+    ids = _served_ids(csi, observing_bs, cell_ids, kprime)
     m = csi.corr.take(ids, axis=0).take(ids, axis=1)
     run = m.sum(axis=1)
     band = _GIS_BAND * max(1.0, float(run.max(initial=0.0)))
@@ -216,30 +217,26 @@ def iccs_schedule(
     candidate's serving BS.
     """
     sets = sorted(active_sets, key=lambda a: a.cell)
-    for a in sets:
-        if len(a.members) < kbar:
-            raise ScheduleError(
-                f"active set of cell {a.cell} has {len(a.members)} < kbar={kbar} users"
-            )
-    pools = {a.cell: _served_ids(csi, a.cell, a.members).tolist() for a in sets}
-    members: dict[int, list[int]] = {a.cell: [] for a in sets}
+    twice = sorted({a.cell for a, b in zip(sets, sets[1:]) if a.cell == b.cell})
+    if twice:
+        raise ScheduleError(f"more than one active set for cells {twice}")
+    pools = {a.cell: _served_ids(csi, a.cell, a.members, kbar).tolist() for a in sets}
+    members: dict[int, list[int]] = {cell: [] for cell in pools}
     meta: list[SelectionRecord] = []
     placed: list[int] = []
     for slot in range(kbar):
-        for a in sets:
-            cell = a.cell
-            pool = pools[cell]
+        for cell, pool in pools.items():
             # The load against every placed user is recomputed in placement
             # order every slot: a running sum would round differently from
             # numpy's pairwise sum. Two takes gather the (pool, placed) block
             # as np.ix_ would, C-contiguous, at a fraction of its fixed cost.
             corr = csi.corr.take(pool, axis=0).take(placed, axis=1)
-            mu = residual_metric(csi.gain[cell, pool], corr)
+            mu = residual_metric(csi.gain[pool], corr)
             j = int(np.argmax(mu))
             uid = pool.pop(j)
             members[cell].append(uid)
             placed.append(uid)
-            source = "scsi" if csi.source[cell, uid] else "icsi"
+            source = "scsi" if csi.source[uid] else "icsi"
             meta.append(SelectionRecord(uid, cell, slot, float(mu[j]), source))
     return UserGroup(members=members, meta=meta)
 
@@ -378,7 +375,7 @@ def robust_two_stage(
     """
     if first_stage not in ("aes", "gis"):
         raise ValueError(f"unknown first stage {first_stage!r}")
-    L = len(csi.gain)
+    L = csi.n_cells
     pools = [np.flatnonzero(csi.cell_of == l) for l in range(L)]
     active_sets = [
         aes_select(ids, csi, l, kprime, alpha) if first_stage == "aes"

@@ -35,7 +35,6 @@ from ckmsched.geometry import (
     _TAG_DYNAMIC_PLACE,
     _TAG_JITTER,
     _TAG_USERS,
-    FC_HZ,
     _seeded,
     channel_rows,
     path_loss_db,
@@ -335,7 +334,7 @@ def channel_rows_reference(scenario, observing_bs: int, positions, realizations)
     bs = scenario.bs_xy[observing_bs]
     d2 = np.hypot(pos[:, 0] - bs[0], pos[:, 1] - bs[1])
     d3 = np.hypot(d2, cfg.bs_height_m - cfg.user_height_m)
-    pl = np.array([path_loss_db(d, FC_HZ, exponent=cfg.path_loss_exponent) for d in d3])
+    pl = np.array([path_loss_db(d, exponent=cfg.path_loss_exponent) for d in d3])
     amp = 10.0 ** (-(pl + scenario.shadow_db[observing_bs, gids]) / 20.0)
     sp = scenario.scatterers.static_positions
     duc = np.hypot(pos[:, 0, None] - sp[None, :, 0], pos[:, 1, None] - sp[None, :, 1])
@@ -363,8 +362,8 @@ def channel_rows_reference(scenario, observing_bs: int, positions, realizations)
 def fuse_reference(ckm, chans, mode: str = "auto") -> EffectiveCsi:
     """fuse_effective_csi with one pass per (user, BS): the user's true
     channel rows are fetched when any of its BSs sees an unreliable grid.
-    Each BS's full table is computed, and user i keeps row i of its serving
-    BS's table."""
+    Each BS's full tables are computed, and user i keeps its entries of its
+    serving BS's tables."""
     L, n, nant = ckm.n_cells, len(chans.grid), ckm.h_bar.shape[2]
     vectors = np.zeros((L, n, nant), dtype=np.complex128)
     gain = np.zeros((L, n))
@@ -397,7 +396,7 @@ def aes_reference(cell_ids, csi, observing_bs: int, kprime: int, alpha: float):
     one correlation lookup per pool member per prune."""
 
     def gain(k):
-        return float(csi.gain[observing_bs, k])
+        return float(csi.gain[k])
 
     pool = sorted(int(k) for k in cell_ids)
     pruned, selected = [], []
@@ -442,12 +441,12 @@ def iccs_reference(active_sets, csi, kbar: int) -> UserGroup:
                 load = np.sum(csi.corr[np.ix_(rows, placed)] ** 2, axis=1)
             else:
                 load = np.zeros(len(rows))
-            mu = np.sqrt(csi.gain[cell, rows] * np.clip(1.0 - load, 0.0, None))
+            mu = np.sqrt(csi.gain[rows] * np.clip(1.0 - load, 0.0, None))
             j = int(np.argmax(mu))
             uid = pools[cell].pop(j)
             members[cell].append(uid)
             placed.append(uid)
-            source = "scsi" if csi.source[cell, uid] else "icsi"
+            source = "scsi" if csi.source[uid] else "icsi"
             meta.append(SelectionRecord(uid, cell, slot, float(mu[j]), source))
     return UserGroup(members=members, meta=meta)
 

@@ -191,12 +191,13 @@ def assert_same_group(fast, slow, chans, noise):
 
 
 def assert_same_fusion(fast, slow):
-    """Fused CSI equal to the per-user reference byte for byte: row i of
-    corr equals row i of the full table of user i's serving BS."""
+    """Fused CSI equal to the per-user reference byte for byte: user i's
+    gain, source and row of corr equal its entries of the full tables of
+    its serving BS."""
     for name in ("gain", "corr", "cell_of", "source"):
         assert getattr(fast, name).shape == getattr(slow, name).shape, name
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
-    assert fast.acquired == slow.acquired
+    assert (fast.n_cells, fast.acquired) == (slow.n_cells, slow.acquired)
 
 
 def test_one_user_cells_fuse_like_the_full_tables():

@@ -174,42 +174,42 @@ def test_path_loss_of_a_distance_array_equals_its_scalar_calls():
     # always match in the last bit.
     rng = np.random.default_rng(2)
     d = rng.uniform(1.0, 2000.0, (4, 250))
-    for fc, exponent in ((6.7e9, 3.0), (28e9, 3.7)):
-        fspl = 20.0 * math.log10(4.0 * math.pi * fc / SPEED_OF_LIGHT)
-        batch = path_loss_db(d, fc, exponent)
+    fspl = 20.0 * math.log10(4.0 * math.pi * FC_HZ / SPEED_OF_LIGHT)
+    for exponent in (3.0, 3.7):
+        batch = path_loss_db(d, exponent)
         assert batch.shape == d.shape
-        scalar = np.array([[path_loss_db(x, fc, exponent) for x in r] for r in d.tolist()])
+        scalar = np.array([[path_loss_db(x, exponent) for x in r] for r in d.tolist()])
         want = np.array([[fspl + 10.0 * exponent * math.log10(x) for x in r]
                          for r in d.tolist()])
         assert batch.tobytes() == scalar.tobytes() == want.tobytes()
-    assert isinstance(path_loss_db(120.0, 6.7e9), float)
-    assert path_loss_db(np.empty((0, 3)), 6.7e9).shape == (0, 3)
+    assert isinstance(path_loss_db(120.0), float)
+    assert path_loss_db(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_path_loss_monotone_in_distance():
-    p1 = path_loss_db(100.0, 6.7e9)
-    p2 = path_loss_db(200.0, 6.7e9)
+    p1 = path_loss_db(100.0)
+    p2 = path_loss_db(200.0)
     assert p2 > p1
 
 
 def test_path_loss_decade_step_matches_exponent():
     exp = 3.0
-    d1 = path_loss_db(100.0, 6.7e9, exponent=exp)
-    d2 = path_loss_db(1000.0, 6.7e9, exponent=exp)
+    d1 = path_loss_db(100.0, exponent=exp)
+    d2 = path_loss_db(1000.0, exponent=exp)
     assert d2 - d1 == pytest.approx(10.0 * exp * math.log10(10.0))
 
 
 def test_path_loss_is_pure_and_rejects_bad_distance():
-    assert path_loss_db(50.0, 6.7e9) == path_loss_db(50.0, 6.7e9)
+    assert path_loss_db(50.0) == path_loss_db(50.0)
     with pytest.raises(ValueError):
-        path_loss_db(0.0, 6.7e9)
+        path_loss_db(0.0)
     with pytest.raises(ValueError):
-        path_loss_db(-3.0, 6.7e9)
+        path_loss_db(-3.0)
     for bad in (0.0, -3.0, np.nan):
         d = np.full((2, 5), 50.0)
         d[1, 3] = bad
         with pytest.raises(ValueError, match="positive"):
-            path_loss_db(d, 6.7e9)
+            path_loss_db(d)
 
 
 # -- scenario layout ---------------------------------------------------
@@ -348,7 +348,7 @@ def test_channel_norm_equals_large_scale_amplitude(small_scenario):
         + (pos[1] - bs[1]) ** 2
         + (cfg.bs_height_m - cfg.user_height_m) ** 2
     )
-    pl = path_loss_db(d3, FC_HZ, exponent=cfg.path_loss_exponent)
+    pl = path_loss_db(d3, exponent=cfg.path_loss_exponent)
     amp = 10.0 ** (-(pl + scen.shadow_db[1, g]) / 20.0)
     assert np.linalg.norm(h) == pytest.approx(amp, rel=1e-12)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ckmsched import build_ckm
+from ckmsched import UsCkm, build_ckm
 from ckmsched.ckm import _corr_rows
 from ckmsched.errors import ScheduleError
 from ckmsched.experiments import place_users, trial_channels
@@ -98,7 +98,7 @@ def test_aes_refills_from_pruned_users_and_flags_them():
 
 def test_aes_rejects_undersized_pool():
     csi = csi_one_cell([1.0, 2.0], {})
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ScheduleError, match="pool of 2 users cannot fill 3"):
         aes_select([0, 1], csi, 0, kprime=3, alpha=0.5)
 
 
@@ -160,7 +160,7 @@ def test_gis_is_input_order_invariant(seed):
 
 def test_gis_rejects_undersized_pool():
     csi = csi_one_cell([1.0], {})
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ScheduleError, match="pool of 1 users cannot fill 2"):
         gis_select([0], csi, 0, kprime=2)
 
 
@@ -201,7 +201,7 @@ def test_iccs_zero_cross_correlation_reduces_to_per_cell_top_gain():
 
 def test_iccs_rejects_active_set_smaller_than_kbar():
     csi = csi_one_cell([1.0], {})
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ScheduleError, match="pool of 1 users cannot fill 2"):
         iccs_schedule([ActiveSet(0, [0])], csi, kbar=2)
 
 
@@ -219,6 +219,24 @@ def test_stages_reject_ids_their_bs_does_not_serve(small_scenario, small_ckm):
             gis_select(ids, csi, 0, kprime=2)
         with pytest.raises(ScheduleError, match="BS 0"):
             iccs_schedule([ActiveSet(0, ids)], csi, kbar=2)
+
+
+def test_stages_reject_repeated_ids():
+    csi = csi_one_cell([4.0, 3.0, 2.0, 1.0], {})
+    with pytest.raises(ScheduleError, match=r"BS 0's pool repeats user ids \[0\]"):
+        aes_select([0, 0, 1, 2], csi, 0, kprime=3, alpha=1.0)
+    with pytest.raises(ScheduleError, match=r"repeats user ids \[1, 2\]"):
+        gis_select([2, 1, 0, 1, 2, 2], csi, 0, kprime=3)
+    with pytest.raises(ScheduleError, match=r"repeats user ids \[3\]"):
+        iccs_schedule([ActiveSet(0, [3, 1, 3])], csi, kbar=1)
+
+
+def test_iccs_rejects_two_active_sets_for_one_cell():
+    csi = csi_one_cell([4.0, 3.0, 2.0, 1.0], {})
+    for sets in ([ActiveSet(0, [0, 1]), ActiveSet(0, [2, 3])],
+                 [ActiveSet(0, [0, 1])] * 2):
+        with pytest.raises(ScheduleError, match=r"more than one active set for cells \[0\]"):
+            iccs_schedule(sets, csi, kbar=1)
 
 
 # -- baseline: semi-orthogonal selection -----------------------------------
@@ -344,10 +362,13 @@ def test_fuse_keeps_map_statistics_when_every_grid_is_reliable(static_scenario):
     users = place_users(static_scenario, 0)
     csi = fuse_effective_csi(ckm, trial_channels(static_scenario, users, 1), mode="auto")
     assert csi.acquired == []
+    assert csi.n_cells == ckm.n_cells
+    assert csi.gain.shape == csi.source.shape == (len(users),)
     assert np.all(csi.source == 1)
     grids = [u.grid for u in users]
+    # each user's gain at its serving BS
+    assert np.array_equal(csi.gain, ckm.epsilon[csi.cell_of, grids])
     for l in range(ckm.n_cells):
-        assert np.array_equal(csi.gain[l], ckm.epsilon[l, grids])
         # the correlations of the map's mean channels at the users' grids
         served = np.flatnonzero(csi.cell_of == l)
         assert np.array_equal(csi.corr[served], _corr_rows(ckm.h_bar[l, grids], served))
@@ -360,11 +381,38 @@ def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario, smal
     csi = fuse_effective_csi(ckm, chans, mode="auto")
     assert csi.acquired == list(range(len(users)))
     assert np.all(csi.source == 0)
+    serving = chans.h[csi.cell_of, np.arange(len(users))]
+    assert csi.gain == pytest.approx(np.sum(np.abs(serving) ** 2, axis=1))
     for l in range(ckm.n_cells):
-        h = chans.h[l]
-        assert csi.gain[l] == pytest.approx(np.sum(np.abs(h) ** 2, axis=1))
         served = np.flatnonzero(csi.cell_of == l)
-        assert np.array_equal(csi.corr[served], _corr_rows(h, served))
+        assert np.array_equal(csi.corr[served], _corr_rows(chans.h[l], served))
+
+
+def test_fuse_keeps_the_serving_map_entries_of_users_acquired_for_another_bs(
+    small_scenario, small_ckm
+):
+    # Every grid is reliable at BS 0 and unreliable at BS 1, so every user
+    # is acquired, but only cell 1's users need their true channel at their
+    # serving BS.
+    sigma = np.zeros_like(small_ckm.sigma)
+    sigma[1] = 1.0
+    ckm = UsCkm(small_ckm.scenario_hash, small_ckm.samples_per_grid, 0.5,
+                small_ckm.h_bar, small_ckm.epsilon, sigma)
+    users = place_users(small_scenario, 3)
+    chans = trial_channels(small_scenario, users, realization=4)
+    csi = fuse_effective_csi(ckm, chans, mode="auto")
+    assert csi.acquired == list(range(len(users)))
+    grids = np.array([u.grid for u in users])
+    cell0 = np.flatnonzero(csi.cell_of == 0)
+    cell1 = np.flatnonzero(csi.cell_of == 1)
+    assert len(cell0) and len(cell1)
+    assert np.all(csi.source[cell0] == 1) and np.all(csi.source[cell1] == 0)
+    assert np.array_equal(csi.gain[cell0], ckm.epsilon[0, grids[cell0]])
+    assert csi.gain[cell1] == pytest.approx(np.sum(np.abs(chans.h[1, cell1]) ** 2, axis=1))
+    # BS 0's rows see every user through the map, BS 1's rows every user
+    # through its true channel
+    assert np.array_equal(csi.corr[cell0], _corr_rows(ckm.h_bar[0, grids], cell0))
+    assert np.array_equal(csi.corr[cell1], _corr_rows(chans.h[1], cell1))
 
 
 def test_fuse_scsi_mode_never_acquires(small_scenario, small_ckm):
@@ -384,15 +432,18 @@ def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
     assert csi.cell_of.tolist() == [u.cell for u in users]
     assert csi.corr.shape == (len(users), len(users))
     for l in range(small_ckm.n_cells):
-        # map mean channels where fusion kept the map, true channels elsewhere
-        fused = np.where(csi.source[l, :, None] == 1, small_ckm.h_bar[l, grids], chans.h[l])
+        # map mean channels where BS l's grid is reliable, true channels elsewhere
+        kept = small_ckm.reliable[l, grids] == 1
+        fused = np.where(kept[:, None], small_ckm.h_bar[l, grids], chans.h[l])
         unit = fused / np.linalg.norm(fused, axis=1)[:, None]
         expect = np.abs(unit @ unit.conj().T)
         np.fill_diagonal(expect, 1.0)
         served = [u.id for u in users if u.cell == l]
         assert np.allclose(csi.corr[served], expect[served])
-    assert csi.source[0, csi.acquired[0]] == 0
-    assert np.array_equal(csi.source == 0, small_ckm.reliable[:, grids] == 0)
+    # source follows the serving BS's grid alone
+    assert np.array_equal(csi.source == 0,
+                          small_ckm.reliable[csi.cell_of, grids] == 0)
+    assert csi.acquired == np.flatnonzero((small_ckm.reliable[:, grids] == 0).any(axis=0)).tolist()
 
 
 def test_fuse_validates_provider_shape(small_scenario, small_ckm):
