@@ -221,16 +221,46 @@ def _warm_shared_key(algorithms, configs) -> None:
         warm(keys.pop())
 
 
-def _plan_order(plan: ExperimentPlan, configs, results):
+def _fusion_groups(configs) -> list[list[int]]:
+    """The indices of configs grouped by what fusion reads of a config: its
+    scenario_key and its reliability threshold (delta, eta). The groups of
+    one key are adjacent; keys, and the groups of one key, come in the
+    order of their first config, and each group's indices in plan order."""
+    keys: dict = {}
+    for i, cfg in enumerate(configs):
+        keys.setdefault(scenario_key(cfg), {}).setdefault((cfg.delta, cfg.eta), []).append(i)
+    return [group for thresholds in keys.values() for group in thresholds.values()]
+
+
+def _chunks(plan: ExperimentPlan, configs, groups):
+    """cmd_run's jobs, one list per (group, seed), each running
+    seed → algorithm → point."""
+    for group in groups:
+        for t in range(plan.trials):
+            yield [(configs[i], algorithm, t) for algorithm in plan.algorithms for i in group]
+
+
+def _run_chunk(chunk):
+    return [_job(job) for job in chunk]
+
+
+def _plan_order(plan: ExperimentPlan, configs, groups, results):
     """(config, algorithm, seed, result) in plan order (point, algorithm,
-    seed) from results in cmd_run's seed-major order, reading one sweep
-    point's results at a time."""
-    width = len(plan.algorithms)
-    for cfg in configs:
-        done = list(islice(results, plan.trials * width))
-        for a, algorithm in enumerate(plan.algorithms):
-            for t in range(plan.trials):
-                yield cfg, algorithm, t, done[t * width + a]
+    seed) from the results of _chunks, read one group at a time. A
+    point's rows come out once its group has finished and every earlier
+    point's rows are out."""
+    done: dict[int, list] = {}
+    nxt = 0
+    for group in groups:
+        seeds = list(islice(results, plan.trials))
+        for g, i in enumerate(group):
+            done[i] = [[chunk[a * len(group) + g] for chunk in seeds]
+                       for a in range(len(plan.algorithms))]
+        while nxt in done:
+            for algorithm, per_seed in zip(plan.algorithms, done.pop(nxt)):
+                for t, res in enumerate(per_seed):
+                    yield configs[nxt], algorithm, t, res
+            nxt += 1
 
 
 def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
@@ -245,10 +275,12 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
         raise ValueError(f"threads must be >= 1, got {threads}")
     stream = stream or sys.stdout
     configs = [plan.config_at(point) for point in plan.sweep_points()]
-    # Seed-major within each sweep point, so the schedulers of one seed run
-    # back to back and share its fusion (experiments.fused_csi).
-    jobs = [(cfg, algorithm, t)
-            for cfg in configs for t in range(plan.trials) for algorithm in plan.algorithms]
+    # The points of one group run seed → algorithm → point, so the two-stage
+    # schedulers of one seed share its fusion, and a scheduler's decision
+    # on it, across the points (experiments.fused_csi).
+    groups = _fusion_groups(configs)
+    chunks = _chunks(plan, configs, groups)
+    n_rows = len(configs) * len(plan.algorithms) * plan.trials
 
     errors = 0
     sums: dict[str, list[float]] = {}
@@ -261,11 +293,12 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
             if context.get_start_method() == "fork":
                 _warm_shared_key(plan.algorithms, configs)
             with ProcessPoolExecutor(max_workers=threads, mp_context=context) as pool:
-                # One chunk per (point, seed), covering every algorithm.
-                results = list(pool.map(_job, jobs, chunksize=max(1, len(plan.algorithms))))
+                # One task per (group, seed), covering every algorithm
+                # and every point of the group.
+                results = list(pool.map(_run_chunk, chunks))
         else:
-            results = map(_job, jobs)
-        for cfg, algorithm, t, res in _plan_order(plan, configs, iter(results)):
+            results = map(_run_chunk, chunks)
+        for cfg, algorithm, t, res in _plan_order(plan, configs, groups, iter(results)):
             rate, csi, info, mults, wall, err = res
             if err is not None:
                 errors += 1
@@ -285,7 +318,7 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
                 ]
             )
             fh.flush()
-    print(f"wrote {len(jobs)} rows to {out_path}", file=stream)
+    print(f"wrote {n_rows} rows to {out_path}", file=stream)
     print(f"{'algorithm':>14s} {'mean_rate':>12s} {'trials':>7s}", file=stream)
     for algorithm in plan.algorithms:
         vals = sums.get(algorithm, [])

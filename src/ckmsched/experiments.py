@@ -177,39 +177,57 @@ def _sus(config, trial_seed, chans, noise):
     return sus_schedule(chans, config.kbar, config.alpha), None, None
 
 
-# The last fusion: (map, trial seed, mode) and its EffectiveCsi. cached_ckm
-# gives each config its own map object, and the trial's channels are a
-# function of that map's scenario key and the seed, so the two-stage
-# schedulers of one seed that fuse in one mode share one fusion. The map
-# itself is the key, not its id(), which a later map could reuse.
-_last_fusion: tuple = (None, None)
+# The last fusion: its key, its EffectiveCsi and the decisions made on it.
+# The key holds what fusion reads: the survey (the map of scenario_key,
+# whose arrays every config of that key shares), the reliability threshold,
+# the trial seed (the trial's channels are a function of the key and the
+# seed) and the mode. Configs that differ only in what the schedulers or the
+# noise calibration read, such as the points of an SNR sweep, share one
+# fusion. The decisions map (first stage, kprime, kbar, alpha), all that
+# robust_two_stage reads besides the fusion, to its (group, counters) on
+# that fusion, and are released with it.
+_last_fusion: tuple = (None, None, None)
+
+
+def _fusion(config: ScenarioConfig, trial_seed: int, chans, mode: str):
+    """(csi, decisions) of the last fusion, made first unless its key is
+    that of (config, trial_seed, mode)."""
+    global _last_fusion
+    ckm = cached_ckm(config)
+    # The scenario's config is scenario_key(config), read from the cache
+    # rather than derived again by a validating replace() on every trial.
+    survey = cached_ckm(cached_scenario(config).config)
+    key = (survey, ckm.delta, int(trial_seed), mode)
+    # The entry is read once, so a thread never returns another's fusion.
+    last, csi, decisions = _last_fusion
+    if last == key:
+        return csi, decisions
+    # Release the old fusion and its decisions before making the new one:
+    # holding both raised the dense workload's peak RSS by about 2 MB.
+    del csi, decisions
+    _last_fusion = (None, None, None)
+    csi, decisions = fuse_effective_csi(ckm, chans, mode), {}
+    _last_fusion = (key, csi, decisions)
+    return csi, decisions
 
 
 def fused_csi(config: ScenarioConfig, trial_seed: int, chans, mode: str) -> EffectiveCsi:
     """fuse_effective_csi(cached_ckm(config), chans, mode), computed once for
-    consecutive calls on one (map, trial_seed, mode)."""
-    global _last_fusion
-    key = (cached_ckm(config), int(trial_seed), mode)
-    # The entry is read once, so a thread never returns another's fusion.
-    last, csi = _last_fusion
-    if last == key:
-        return csi
-    # Release the old fusion before making the new one: holding both raised
-    # the dense workload's peak RSS by about 2 MB.
-    del csi
-    _last_fusion = (None, None)
-    csi = fuse_effective_csi(key[0], chans, mode)
-    _last_fusion = (key, csi)
-    return csi
+    consecutive calls on one (survey, delta, trial_seed, mode)."""
+    return _fusion(config, trial_seed, chans, mode)[0]
 
 
 def _two_stage(first_stage: str, csi_mode: str):
     def schedule(config, trial_seed, chans, noise):
-        group, counters = robust_two_stage(
-            fused_csi(config, trial_seed, chans, csi_mode),
-            config.kprime, config.kbar, config.alpha, first_stage=first_stage,
-        )
-        return group, counters, None
+        csi, decisions = _fusion(config, trial_seed, chans, csi_mode)
+        key = (first_stage, config.kprime, config.kbar, config.alpha)
+        if key not in decisions:
+            decisions[key] = robust_two_stage(
+                csi, config.kprime, config.kbar, config.alpha, first_stage=first_stage,
+            )
+        group, counters = decisions[key]
+        # A copy, so that no two results share a group.
+        return group.copy(), counters, None
 
     schedule.reads_map = True
     return schedule
@@ -244,8 +262,13 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     """One seeded scheduling trial, genie-evaluated with true channels.
 
     Identical (config, algorithm, trial_seed) invocations reproduce the
-    result exactly; wall_ms is diagnostic, and leaves out CSI fusion when
-    the last fusion (fused_csi) was this one's.
+    result exactly; wall_ms is diagnostic. A two-stage scheduler reuses the
+    last fusion (fused_csi) when it was made on the same survey, threshold,
+    seed and mode, and its own decision on that fusion when kprime, kbar
+    and alpha match too; wall_ms then leaves that work out, so over the
+    points of a sweep that share them, the per-seed cost is the first
+    point's wall_ms. The group is evaluated on this trial's channels at
+    this config's noise power either way.
     """
     if algorithm not in _SCHEDULERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -31,3 +31,10 @@ class UserGroup:
 
     members: dict[int, list[int]]
     meta: list[SelectionRecord] = field(default_factory=list)
+
+    def copy(self) -> UserGroup:
+        """A copy that shares no member list or record with this group."""
+        return UserGroup(
+            {cell: list(ids) for cell, ids in self.members.items()},
+            [SelectionRecord(r.user, r.cell, r.slot, r.metric, r.source) for r in self.meta],
+        )

@@ -239,32 +239,82 @@ def test_rerun_is_byte_identical_without_timing(tmp_path):
 
 
 def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch):
-    # Within a sweep point every algorithm runs on seed t before any runs on
-    # t + 1, so robust_gis reuses the auto fusion robust_aes made for its
-    # seed; the rows still come out point by point, algorithm-major.
-    calls, trials = [], []
-    fuse, run = experiments.fuse_effective_csi, cli.run_trial
+    # The points of one scenario key run seed -> algorithm -> point, so the
+    # points of an SNR sweep share a seed's fusion of each mode, and each
+    # scheduler's decision on it; robust_gis reuses robust_aes's auto
+    # fusion. The rows still come out point by point, algorithm-major.
+    calls, decisions, trials = [], [], []
+    fuse, two_stage, run = (experiments.fuse_effective_csi, experiments.robust_two_stage,
+                            cli.run_trial)
 
     def counted_fusion(ckm, chans, mode):
         calls.append(mode)
         return fuse(ckm, chans, mode)
 
+    def counted_decision(csi, *args, first_stage):
+        decisions.append(first_stage)
+        return two_stage(csi, *args, first_stage=first_stage)
+
     def logged_trial(config, algorithm, trial_seed):
         trials.append((config.target_snr_db, algorithm, trial_seed))
         return run(config, algorithm, trial_seed)
 
-    monkeypatch.setattr(experiments, "_last_fusion", (None, None))
+    monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
     monkeypatch.setattr(experiments, "fuse_effective_csi", counted_fusion)
+    monkeypatch.setattr(experiments, "robust_two_stage", counted_decision)
     monkeypatch.setattr(cli, "run_trial", logged_trial)
     algorithms = ("two_stage_aes", "robust_aes", "robust_gis")
     text = DESK_CFG + f"algorithms = {', '.join(algorithms)}\ntrials = 3\nsweep.snr = 10, 20\n"
     code, out, _ = run_plan(tmp_path, text)
     assert code == 0
-    assert trials == [(snr, a, t) for snr in (10, 20) for t in range(3) for a in algorithms]
-    assert calls == ["scsi", "auto"] * 6
+    assert trials == [(snr, a, t) for t in range(3) for a in algorithms for snr in (10, 20)]
+    assert calls == ["scsi", "auto"] * 3
+    assert decisions == ["aes", "aes", "gis"] * 3
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
     assert [(float(r[1]), r[0], int(r[8])) for r in rows] == [
         (snr, a, t) for snr in (10, 20) for a in algorithms for t in range(3)]
+
+
+def plan_at(point) -> str:
+    """DESK_CFG with the fields of a sweep point set to its values."""
+    fields = {SWEEP_DIMS[dim]: value for dim, value in point.items()}
+    lines = [line for line in DESK_CFG.splitlines() if line.split(" = ")[0] not in fields]
+    return "\n".join(lines + [f"{name} = {value:g}" for name, value in fields.items()]) + "\n"
+
+
+@pytest.mark.parametrize("sweep, fusions", [
+    # One threshold: one fusion per (seed, mode) for all four points.
+    ("sweep.kbar = 1, 2\nsweep.alpha = 0.3, 0.9\n", 2 * 2),
+    # Each eta is its own threshold: one per (point, seed, mode), the
+    # points running one after another within a seed.
+    ("sweep.eta = 0, 0.5, 1\n", 3 * 2 * 2),
+], ids=["kbar-alpha", "eta"])
+def test_each_sweep_point_writes_the_rows_of_its_own_plan(tmp_path, monkeypatch, sweep,
+                                                          fusions):
+    # The points of the sweep share fusions and decisions where they can;
+    # each point's rows must still be those of a plan of that point alone,
+    # run on an empty fusion memo.
+    calls = []
+    fuse = experiments.fuse_effective_csi
+
+    def counted(ckm, chans, mode):
+        calls.append(mode)
+        return fuse(ckm, chans, mode)
+
+    monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
+    monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
+    head = f"algorithms = {', '.join(experiments.MAP_ALGORITHMS)}\ntrials = 2\n"
+    code, out, _ = run_plan(tmp_path, DESK_CFG + head + sweep, out_name="sweep.csv")
+    assert code == 0
+    assert len(calls) == fusions
+    rows = out.read_text().splitlines()[1:]
+    points = parse_config(write_cfg(tmp_path, DESK_CFG + sweep)).sweep_points()
+    width = len(experiments.MAP_ALGORITHMS) * 2
+    for i, point in enumerate(points):
+        monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
+        code, alone, _ = run_plan(tmp_path, plan_at(point) + head, out_name="alone.csv")
+        assert code == 0
+        assert rows[i * width:(i + 1) * width] == alone.read_text().splitlines()[1:], point
 
 
 def test_timing_mode_records_nonzero_wall_times(tmp_path):
@@ -383,6 +433,24 @@ def test_worker_pool_leaves_maps_of_several_keys_to_the_workers(tmp_path, survey
     pooled_pids = survey_pids()[serial_surveys:]
     assert serial_surveys == 2 and len(pooled_pids) >= 2
     assert str(os.getpid()) not in pooled_pids
+
+
+def test_a_sweep_over_several_keys_surveys_each_key_once(tmp_path, survey_pids):
+    # Five scenario keys interleaved in plan order: a seed-major order over
+    # all ten points would cycle more maps and configs through the 8-entry
+    # scenario and map caches than they hold, evict each key's survey and
+    # build it again. The points of one key run together, so each key is
+    # surveyed once, and the rows still follow plan order.
+    edges = (10, 12, 15, 18, 20)
+    text = DESK_CFG + ("algorithms = robust_aes, sus\ntrials = 2\nsweep.snr = 10, 20\n"
+                       f"sweep.grid_edge = {', '.join(map(str, edges))}\n")
+    code, out, _ = run_plan(tmp_path, text)
+    assert code == 0
+    assert len(survey_pids()) == len(edges)
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [(float(r[1]), float(r[6]), r[0], int(r[8])) for r in rows] == [
+        (snr, edge, a, t) for snr in (10, 20) for edge in edges
+        for a in ("robust_aes", "sus") for t in range(2)]
 
 
 def test_worker_pool_builds_nothing_in_the_parent_without_fork(tmp_path, survey_pids, monkeypatch):

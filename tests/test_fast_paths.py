@@ -446,7 +446,7 @@ def test_two_stage_trials_equal_a_fresh_fusion_after_any_scheduler(cfg, monkeypa
         before.remove("brute_force")  # beyond its enumeration budget
     for algorithm in TWO_STAGE:
         for earlier in before:
-            monkeypatch.setattr(experiments, "_last_fusion", (None, None))
+            monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
             if earlier is not None:
                 run_trial(cfg, earlier, seed)
             assert_fresh_two_stage(run_trial(cfg, algorithm, seed), cfg, seed)
@@ -482,7 +482,7 @@ def test_two_stage_schedulers_of_one_seed_share_a_fusion(monkeypatch):
         calls.append(mode)
         return fuse_effective_csi(ckm, chans, mode)
 
-    monkeypatch.setattr(experiments, "_last_fusion", (None, None))
+    monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
     monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
     cfg = desk_config()
     for algorithm in ("two_stage_aes", "two_stage_gis"):
@@ -492,6 +492,39 @@ def test_two_stage_schedulers_of_one_seed_share_a_fusion(monkeypatch):
         run_trial(cfg, algorithm, 4)
     run_trial(cfg, "two_stage_aes", 5)
     assert calls == ["scsi", "auto", "scsi", "scsi"]
+
+
+def test_points_that_differ_in_snr_share_a_decision_and_copy_its_group(monkeypatch):
+    # Fusion reads no noise power, kbar, kprime or alpha, and the two stages
+    # no noise power: the points of an SNR sweep share one fusion and one
+    # robust_two_stage decision per seed, and each is evaluated at its own
+    # noise power. Every result holds its own copy
+    # of the group, so mutating one leaves the next point's a fresh run's.
+    decisions = []
+    two_stage = experiments.robust_two_stage
+
+    def counted(csi, *args, first_stage):
+        decisions.append(first_stage)
+        return two_stage(csi, *args, first_stage=first_stage)
+
+    monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
+    monkeypatch.setattr(experiments, "robust_two_stage", counted)
+    cfgs = [desk_config(target_snr_db=snr) for snr in (0.0, 10.0, 20.0)]
+    chans, _ = trial_instance(cfgs[0], 3)
+    other = dataclasses.replace(cfgs[0], kbar=1, kprime=3, alpha=0.9)
+    assert (experiments.fused_csi(cfgs[0], 3, chans, "auto")
+            is experiments.fused_csi(other, 3, chans, "auto"))
+    for algorithm in ("robust_aes", "two_stage_gis"):
+        results = []
+        for cfg in cfgs:
+            result = run_trial(cfg, algorithm, 3)
+            assert_fresh_two_stage(result, cfg, 3)
+            results.append(result)
+            result.group.members[0].append(99)
+            result.group.meta[0].user = -1
+            result.group.meta.pop()
+        assert len({repr(r.sum_rate) for r in results}) == len(cfgs)
+    assert decisions == ["aes", "gis"]
 
 
 def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
@@ -778,7 +811,7 @@ def test_each_algorithm_synthesizes_only_the_rows_it_reads(monkeypatch):
         return channel_rows(scenario, bss, positions, realizations)
 
     monkeypatch.setattr(experiments, "channel_rows", counted)
-    monkeypatch.setattr(experiments, "_last_fusion", (None, None))
+    monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
     for cfg, algorithms in (
         (DENSE, ("two_stage_aes", "two_stage_gis", "robust_aes", "robust_gis", "random",
                  "sus", "greedy")),
