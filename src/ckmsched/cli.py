@@ -276,8 +276,9 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
     stream = stream or sys.stdout
     configs = [plan.config_at(point) for point in plan.sweep_points()]
     # The points of one group run seed → algorithm → point, so the two-stage
-    # schedulers of one seed share its fusion, and a scheduler's decision
-    # on it, across the points (experiments.fused_csi).
+    # schedulers of one seed and mode share its users, channel rows and
+    # fusion, and a scheduler's decision on it, across the points
+    # (experiments.MapTrial).
     groups = _fusion_groups(configs)
     chunks = _chunks(plan, configs, groups)
     n_rows = len(configs) * len(plan.algorithms) * plan.trials

@@ -4,6 +4,8 @@ evaluation together."""
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -32,24 +34,40 @@ from .scheduling import (
     sus_schedule,
 )
 
+@lru_cache(maxsize=256)
+def _scenario_key(config: ScenarioConfig) -> ScenarioConfig:
+    """scenario_key(config), memoized: its validating replace() costs
+    13-15 us, and the points of a sweep look their key up on every trial.
+    Configs are small, so this memo holds far more of them than the
+    scenario and map caches hold scenarios and maps."""
+    return scenario_key(config)
+
+
 @lru_cache(maxsize=8)
+def _scenario(key: ScenarioConfig) -> Scenario:
+    return build_scenario(key)
+
+
 def cached_scenario(config: ScenarioConfig) -> Scenario:
     """The one scenario of scenario_key(config), shared by every config of
     that key."""
-    key = scenario_key(config)
-    return build_scenario(key) if config == key else cached_scenario(key)
+    return _scenario(_scenario_key(config))
 
 
 @lru_cache(maxsize=8)
+def _map(key: ScenarioConfig, delta: float | None, eta: float | None) -> UsCkm:
+    if delta is None and eta is None:
+        return build_ckm(_scenario(key))
+    return _map(key, None, None).reclassify(delta, eta)
+
+
 def cached_ckm(config: ScenarioConfig) -> UsCkm:
     """The map of config: the survey of scenario_key(config), built once and
     shared read-only by every config of that key, thresholded at config's
-    delta/eta. Its arrays equal build_ckm(build_scenario(config))'s byte for
-    byte."""
-    key = scenario_key(config)
-    if config == key:
-        return build_ckm(cached_scenario(key))
-    return cached_ckm(key).reclassify(config.delta, config.eta)
+    delta/eta. Maps are cached per (key, delta, eta), so the configs of one
+    threshold share one map object, however many points a sweep has. Its
+    arrays equal build_ckm(build_scenario(config))'s byte for byte."""
+    return _map(_scenario_key(config), config.delta, config.eta)
 
 
 class UserRecord(NamedTuple):
@@ -177,59 +195,66 @@ def _sus(config, trial_seed, chans, noise):
     return sus_schedule(chans, config.kbar, config.alpha), None, None
 
 
-# The last fusion: its key, its EffectiveCsi and the decisions made on it.
-# The key holds what fusion reads: the survey (the map of scenario_key,
-# whose arrays every config of that key shares), the reliability threshold,
-# the trial seed (the trial's channels are a function of the key and the
-# seed) and the mode. Configs that differ only in what the schedulers or the
-# noise calibration read, such as the points of an SNR sweep, share one
-# fusion. The decisions map (first stage, kprime, kbar, alpha), all that
-# robust_two_stage reads besides the fusion, to its (group, counters) on
-# that fusion, and are released with it.
-_last_fusion: tuple = (None, None, None)
+@dataclass(eq=False)
+class MapTrial:
+    """A map-driven trial: its key, its channels (chans: the placement,
+    with rows synthesized as they are read), the fusion made from them
+    (csi, None until a scheduler fuses) and the decisions made on that
+    fusion.
+
+    The key is what fusion reads: the map (cached_ckm(config), one object
+    per scenario key and threshold), the trial seed and the mode. The map
+    fixes the scenario key, so with the seed it fixes the placement and
+    every channel row. Configs that differ only in what the schedulers or
+    the noise calibration read, such as the points of an SNR sweep, share
+    one trial. The decisions map (first stage, kprime, kbar, alpha), all
+    that robust_two_stage reads besides the fusion, to its (group,
+    counters).
+    """
+
+    key: tuple
+    chans: ChannelSet
+    csi: EffectiveCsi | None = None
+    decisions: dict = field(default_factory=dict)
 
 
-def _fusion(config: ScenarioConfig, trial_seed: int, chans, mode: str):
-    """(csi, decisions) of the last fusion, made first unless its key is
-    that of (config, trial_seed, mode)."""
-    global _last_fusion
-    ckm = cached_ckm(config)
-    # The scenario's config is scenario_key(config), read from the cache
-    # rather than derived again by a validating replace() on every trial.
-    survey = cached_ckm(cached_scenario(config).config)
-    key = (survey, ckm.delta, int(trial_seed), mode)
-    # The entry is read once, so a thread never returns another's fusion.
-    last, csi, decisions = _last_fusion
-    if last == key:
-        return csi, decisions
-    # Release the old fusion and its decisions before making the new one:
-    # holding both raised the dense workload's peak RSS by about 2 MB.
-    del csi, decisions
-    _last_fusion = (None, None, None)
-    csi, decisions = fuse_effective_csi(ckm, chans, mode), {}
-    _last_fusion = (key, csi, decisions)
-    return csi, decisions
+# The map-driven trial last run; at most one is held.
+_map_trial: MapTrial | None = None
 
 
-def fused_csi(config: ScenarioConfig, trial_seed: int, chans, mode: str) -> EffectiveCsi:
-    """fuse_effective_csi(cached_ckm(config), chans, mode), computed once for
-    consecutive calls on one (survey, delta, trial_seed, mode)."""
-    return _fusion(config, trial_seed, chans, mode)[0]
+def _map_trial_of(config: ScenarioConfig, trial_seed: int, mode: str,
+                  channels: Callable[[], ChannelSet]) -> MapTrial:
+    """The map-driven trial of (config, trial_seed, mode): the last one when
+    its key matches, else a new one on channels()."""
+    global _map_trial
+    key = (cached_ckm(config), int(trial_seed), mode)
+    trial = _map_trial
+    if trial is not None and trial.key == key:
+        return trial
+    # Release the old trial, its channels, fusion and decisions, before
+    # placing the new one, so that no two are ever held at once.
+    del trial
+    _map_trial = None
+    trial = _map_trial = MapTrial(key, channels())
+    return trial
 
 
 def _two_stage(first_stage: str, csi_mode: str):
     def schedule(config, trial_seed, chans, noise):
-        csi, decisions = _fusion(config, trial_seed, chans, csi_mode)
+        trial = _map_trial_of(config, trial_seed, csi_mode, lambda: chans)
+        if trial.csi is None:
+            trial.csi = fuse_effective_csi(cached_ckm(config), trial.chans, csi_mode)
         key = (first_stage, config.kprime, config.kbar, config.alpha)
-        if key not in decisions:
-            decisions[key] = robust_two_stage(
-                csi, config.kprime, config.kbar, config.alpha, first_stage=first_stage,
+        if key not in trial.decisions:
+            trial.decisions[key] = robust_two_stage(
+                trial.csi, config.kprime, config.kbar, config.alpha,
+                first_stage=first_stage,
             )
-        group, counters = decisions[key]
+        group, counters = trial.decisions[key]
         # A copy, so that no two results share a group.
         return group.copy(), counters, None
 
-    schedule.reads_map = True
+    schedule.csi_mode = csi_mode
     return schedule
 
 
@@ -249,8 +274,9 @@ _SCHEDULERS = {
     "brute_force": _brute_force,
 }
 ALGORITHMS = tuple(_SCHEDULERS)
-# The schedulers that read the map: the two-stage entries.
-MAP_ALGORITHMS = tuple(a for a, f in _SCHEDULERS.items() if getattr(f, "reads_map", False))
+# The schedulers that read the map: the two-stage entries, tagged with the
+# mode of their fusion.
+MAP_ALGORITHMS = tuple(a for a, f in _SCHEDULERS.items() if hasattr(f, "csi_mode"))
 
 
 # The channels of trial seed s are realization s + 1, an int64 in
@@ -262,24 +288,35 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     """One seeded scheduling trial, genie-evaluated with true channels.
 
     Identical (config, algorithm, trial_seed) invocations reproduce the
-    result exactly; wall_ms is diagnostic. A two-stage scheduler reuses the
-    last fusion (fused_csi) when it was made on the same survey, threshold,
-    seed and mode, and its own decision on that fusion when kprime, kbar
-    and alpha match too; wall_ms then leaves that work out, so over the
-    points of a sweep that share them, the per-seed cost is the first
-    point's wall_ms. The group is evaluated on this trial's channels at
-    this config's noise power either way.
+    result exactly; wall_ms is diagnostic and times the scheduler call
+    alone. A two-stage scheduler looks up the last map-driven trial first
+    and, when it was made on the same map (scenario key and threshold),
+    seed and mode, reuses its users and channel rows, placing no users and
+    synthesizing only the rows still missing, and its fusion, and its own
+    decision on that fusion when kprime, kbar and alpha match too. wall_ms
+    then leaves that work out, so over the points of a sweep that share
+    them, the per-seed cost is the first point's wall_ms. The group is
+    evaluated on this trial's channels at this config's noise power either
+    way. The other schedulers place users and synthesize channels anew on
+    every call.
     """
     if algorithm not in _SCHEDULERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if not 0 <= trial_seed <= MAX_TRIAL_SEED:
         raise ValueError(f"trial_seed must lie in [0, {MAX_TRIAL_SEED}]")
+    schedule = _SCHEDULERS[algorithm]
     scenario = cached_scenario(config)
     noise = calibrate_noise(scenario, config.target_snr_db)
-    chans = trial_channels(scenario, place_users(scenario, trial_seed), int(trial_seed) + 1)
+
+    def place() -> ChannelSet:
+        return trial_channels(scenario, place_users(scenario, trial_seed),
+                              int(trial_seed) + 1)
+
+    mode = getattr(schedule, "csi_mode", None)
+    chans = place() if mode is None else _map_trial_of(config, trial_seed, mode, place).chans
 
     t0 = time.perf_counter()
-    group, counters, evaluation = _SCHEDULERS[algorithm](config, trial_seed, chans, noise)
+    group, counters, evaluation = schedule(config, trial_seed, chans, noise)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     validate_group(group, chans, config.kbar)

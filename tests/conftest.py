@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ckmsched import ScenarioConfig, UsCkm, build_ckm, build_scenario
+from ckmsched import ScenarioConfig, UsCkm, build_ckm, build_scenario, experiments
 from ckmsched.ckm import _FORMAT_ARRAYS
 from ckmsched.evaluation import ChannelSet
 from ckmsched.scheduling import EffectiveCsi
@@ -61,6 +61,25 @@ def csi_from_tables(gain, corr, source=None, cell_of=None):
     corr = np.asarray(corr, dtype=float)[cell_of, users]
     source = np.asarray(source, dtype=np.uint8)[cell_of, users]
     return EffectiveCsi(gain[cell_of, users], corr, cell_of, source, L)
+
+
+def clear_caches():
+    """Empty the scenario-key, scenario and map caches of experiments, so
+    that the next trial builds its scenario and surveys its map again."""
+    for cache in (experiments._scenario_key, experiments._scenario, experiments._map):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """Empties run_trial's memo of the last map-driven trial
+    (experiments.MapTrial) now, and again on each call of the returned
+    function; the memo is restored when the test ends."""
+    def empty():
+        monkeypatch.setattr(experiments, "_map_trial", None)
+
+    empty()
+    return empty
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from ckmsched.cli import (
 from ckmsched.errors import ConfigError
 from ckmsched.geometry import ScenarioConfig
 
-from conftest import desk_config, save_map_of_shape, save_with_header
+from conftest import clear_caches, desk_config, save_map_of_shape, save_with_header
 
 DESK_CFG = """\
 n_cells = 2
@@ -238,14 +238,15 @@ def test_rerun_is_byte_identical_without_timing(tmp_path):
     assert set(wall) == {"0"}
 
 
-def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch):
+def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch, empty_memo):
     # The points of one scenario key run seed -> algorithm -> point, so the
-    # points of an SNR sweep share a seed's fusion of each mode, and each
-    # scheduler's decision on it; robust_gis reuses robust_aes's auto
-    # fusion. The rows still come out point by point, algorithm-major.
-    calls, decisions, trials = [], [], []
-    fuse, two_stage, run = (experiments.fuse_effective_csi, experiments.robust_two_stage,
-                            cli.run_trial)
+    # points of an SNR sweep share a seed's users and fusion of each mode,
+    # and each scheduler's decision on it; robust_gis reuses robust_aes's
+    # auto trial. The rows still come out point by point, algorithm-major.
+    calls, decisions, trials, placed = [], [], [], []
+    fuse, two_stage, run, place = (experiments.fuse_effective_csi,
+                                   experiments.robust_two_stage, cli.run_trial,
+                                   experiments.place_users)
 
     def counted_fusion(ckm, chans, mode):
         calls.append(mode)
@@ -259,9 +260,13 @@ def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch):
         trials.append((config.target_snr_db, algorithm, trial_seed))
         return run(config, algorithm, trial_seed)
 
-    monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
+    def counted_placement(scenario, trial_seed):
+        placed.append(trial_seed)
+        return place(scenario, trial_seed)
+
     monkeypatch.setattr(experiments, "fuse_effective_csi", counted_fusion)
     monkeypatch.setattr(experiments, "robust_two_stage", counted_decision)
+    monkeypatch.setattr(experiments, "place_users", counted_placement)
     monkeypatch.setattr(cli, "run_trial", logged_trial)
     algorithms = ("two_stage_aes", "robust_aes", "robust_gis")
     text = DESK_CFG + f"algorithms = {', '.join(algorithms)}\ntrials = 3\nsweep.snr = 10, 20\n"
@@ -269,6 +274,7 @@ def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch):
     assert code == 0
     assert trials == [(snr, a, t) for t in range(3) for a in algorithms for snr in (10, 20)]
     assert calls == ["scsi", "auto"] * 3
+    assert placed == [0, 0, 1, 1, 2, 2]
     assert decisions == ["aes", "aes", "gis"] * 3
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
     assert [(float(r[1]), r[0], int(r[8])) for r in rows] == [
@@ -289,11 +295,11 @@ def plan_at(point) -> str:
     # points running one after another within a seed.
     ("sweep.eta = 0, 0.5, 1\n", 3 * 2 * 2),
 ], ids=["kbar-alpha", "eta"])
-def test_each_sweep_point_writes_the_rows_of_its_own_plan(tmp_path, monkeypatch, sweep,
-                                                          fusions):
-    # The points of the sweep share fusions and decisions where they can;
-    # each point's rows must still be those of a plan of that point alone,
-    # run on an empty fusion memo.
+def test_each_sweep_point_writes_the_rows_of_its_own_plan(tmp_path, monkeypatch, empty_memo,
+                                                          sweep, fusions):
+    # The points of the sweep share trials, fusions and decisions where they
+    # can; each point's rows must still be those of a plan of that point
+    # alone, run on an empty memo.
     calls = []
     fuse = experiments.fuse_effective_csi
 
@@ -301,7 +307,6 @@ def test_each_sweep_point_writes_the_rows_of_its_own_plan(tmp_path, monkeypatch,
         calls.append(mode)
         return fuse(ckm, chans, mode)
 
-    monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
     monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
     head = f"algorithms = {', '.join(experiments.MAP_ALGORITHMS)}\ntrials = 2\n"
     code, out, _ = run_plan(tmp_path, DESK_CFG + head + sweep, out_name="sweep.csv")
@@ -311,7 +316,7 @@ def test_each_sweep_point_writes_the_rows_of_its_own_plan(tmp_path, monkeypatch,
     points = parse_config(write_cfg(tmp_path, DESK_CFG + sweep)).sweep_points()
     width = len(experiments.MAP_ALGORITHMS) * 2
     for i, point in enumerate(points):
-        monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
+        empty_memo()
         code, alone, _ = run_plan(tmp_path, plan_at(point) + head, out_name="alone.csv")
         assert code == 0
         assert rows[i * width:(i + 1) * width] == alone.read_text().splitlines()[1:], point
@@ -404,8 +409,7 @@ def survey_pids(tmp_path, monkeypatch):
         return survey(scenario, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "build_ckm", logged)
-    experiments.cached_ckm.cache_clear()
-    experiments.cached_scenario.cache_clear()
+    clear_caches()
     return lambda: log.read_text().split() if log.exists() else []
 
 
@@ -425,8 +429,7 @@ def test_worker_pool_leaves_maps_of_several_keys_to_the_workers(tmp_path, survey
     text = DESK_CFG + "algorithms = robust_gis, robust_aes\ntrials = 2\nsweep.samples = 4, 5\n"
     serial_code, serial, _ = run_plan(tmp_path, text, out_name="serial.csv")
     serial_surveys = len(survey_pids())
-    experiments.cached_ckm.cache_clear()
-    experiments.cached_scenario.cache_clear()
+    clear_caches()
     pooled_code, pooled, _ = run_plan(tmp_path, text, out_name="pooled.csv", threads=2)
     assert serial_code == pooled_code == 0
     assert pooled.read_bytes() == serial.read_bytes()
@@ -451,6 +454,38 @@ def test_a_sweep_over_several_keys_surveys_each_key_once(tmp_path, survey_pids):
     assert [(float(r[1]), float(r[6]), r[0], int(r[8])) for r in rows] == [
         (snr, edge, a, t) for snr in (10, 20) for edge in edges
         for a in ("robust_aes", "sus") for t in range(2)]
+
+
+def test_a_sweep_of_more_points_than_the_caches_hold_thresholds_once(
+        tmp_path, survey_pids, monkeypatch, empty_memo):
+    # Ten SNR points of one key and threshold run seed -> algorithm -> point,
+    # so every (seed, algorithm) visits ten configs, more than the 8-entry
+    # scenario and map caches hold. Maps are cached per (key, delta, eta)
+    # and each config's key is memoized apart, so the survey is built and
+    # thresholded once and each config's key derived once; each seed places
+    # one trial per fusion mode for all 150 trials.
+    reclassified, keyed, placed = [], [], []
+    reclassify, key, place = UsCkm.reclassify, experiments.scenario_key, experiments.place_users
+
+    def counted(calls, inner):
+        def wrapper(*args):
+            calls.append(args[-1])
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(UsCkm, "reclassify", counted(reclassified, reclassify))
+    monkeypatch.setattr(experiments, "scenario_key", counted(keyed, key))
+    monkeypatch.setattr(experiments, "place_users", counted(placed, place))
+    snrs = range(0, 50, 5)
+    text = DESK_CFG + ("algorithms = two_stage_aes, robust_aes, robust_gis\ntrials = 5\n"
+                       f"sweep.snr = {', '.join(map(str, snrs))}\n")
+    code, out, _ = run_plan(tmp_path, text)
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 10 * 3 * 5
+    assert len(survey_pids()) == 1
+    assert reclassified == [0.7]
+    assert len(keyed) == len(snrs)
+    assert placed == [t for t in range(5) for _ in ("scsi", "auto")]
 
 
 def test_worker_pool_builds_nothing_in_the_parent_without_fork(tmp_path, survey_pids, monkeypatch):

@@ -18,6 +18,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -439,14 +440,14 @@ def assert_fresh_two_stage(result, cfg, seed):
     desk_config(),
     table_scale_config(users_per_cell=200, kprime=40, placement="uniform"),
 ], ids=["desk", "dense"])
-def test_two_stage_trials_equal_a_fresh_fusion_after_any_scheduler(cfg, monkeypatch):
+def test_two_stage_trials_equal_a_fresh_fusion_after_any_scheduler(cfg, empty_memo):
     seed = 2
     before = [None, *experiments.ALGORITHMS]
     if cfg.users_per_cell > 5:
         before.remove("brute_force")  # beyond its enumeration budget
     for algorithm in TWO_STAGE:
         for earlier in before:
-            monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
+            empty_memo()
             if earlier is not None:
                 run_trial(cfg, earlier, seed)
             assert_fresh_two_stage(run_trial(cfg, algorithm, seed), cfg, seed)
@@ -457,9 +458,10 @@ def test_two_stage_trials_equal_a_fresh_fusion_after_any_scheduler(cfg, monkeypa
 def test_configs_that_differ_in_a_threshold_fuse_apart(other):
     cfg = desk_config(dynamic_grid_fraction=1.0)
     cfg2 = desk_config(dynamic_grid_fraction=1.0, **other)
-    chans, _ = trial_instance(cfg, 0)
-    first = experiments.fused_csi(cfg, 0, chans, "auto")
-    second = experiments.fused_csi(cfg2, 0, chans, "auto")
+    run_trial(cfg, "robust_aes", 0)
+    first = experiments._map_trial.csi
+    run_trial(cfg2, "robust_aes", 0)
+    second = experiments._map_trial.csi
     assert first is not second
     assert first.acquired != second.acquired
     for c in (cfg, cfg2, cfg):
@@ -467,22 +469,20 @@ def test_configs_that_differ_in_a_threshold_fuse_apart(other):
 
 
 def test_memoized_fusion_is_read_only():
-    cfg = desk_config()
-    chans, _ = trial_instance(cfg, 1)
-    csi = experiments.fused_csi(cfg, 1, chans, "auto")
+    run_trial(desk_config(), "robust_aes", 1)
+    csi = experiments._map_trial.csi
     for arr in (csi.gain, csi.corr, csi.cell_of, csi.source):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
 
 
-def test_two_stage_schedulers_of_one_seed_share_a_fusion(monkeypatch):
+def test_two_stage_schedulers_of_one_seed_share_a_fusion(monkeypatch, empty_memo):
     calls = []
 
     def counted(ckm, chans, mode):
         calls.append(mode)
         return fuse_effective_csi(ckm, chans, mode)
 
-    monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
     monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
     cfg = desk_config()
     for algorithm in ("two_stage_aes", "two_stage_gis"):
@@ -494,7 +494,8 @@ def test_two_stage_schedulers_of_one_seed_share_a_fusion(monkeypatch):
     assert calls == ["scsi", "auto", "scsi", "scsi"]
 
 
-def test_points_that_differ_in_snr_share_a_decision_and_copy_its_group(monkeypatch):
+def test_points_that_differ_in_snr_share_a_decision_and_copy_its_group(monkeypatch,
+                                                                       empty_memo):
     # Fusion reads no noise power, kbar, kprime or alpha, and the two stages
     # no noise power: the points of an SNR sweep share one fusion and one
     # robust_two_stage decision per seed, and each is evaluated at its own
@@ -507,13 +508,11 @@ def test_points_that_differ_in_snr_share_a_decision_and_copy_its_group(monkeypat
         decisions.append(first_stage)
         return two_stage(csi, *args, first_stage=first_stage)
 
-    monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
     monkeypatch.setattr(experiments, "robust_two_stage", counted)
     cfgs = [desk_config(target_snr_db=snr) for snr in (0.0, 10.0, 20.0)]
-    chans, _ = trial_instance(cfgs[0], 3)
     other = dataclasses.replace(cfgs[0], kbar=1, kprime=3, alpha=0.9)
-    assert (experiments.fused_csi(cfgs[0], 3, chans, "auto")
-            is experiments.fused_csi(other, 3, chans, "auto"))
+    run_trial(other, "robust_aes", 3)
+    fusion = experiments._map_trial.csi
     for algorithm in ("robust_aes", "two_stage_gis"):
         results = []
         for cfg in cfgs:
@@ -524,7 +523,56 @@ def test_points_that_differ_in_snr_share_a_decision_and_copy_its_group(monkeypat
             result.group.meta[0].user = -1
             result.group.meta.pop()
         assert len({repr(r.sum_rate) for r in results}) == len(cfgs)
-    assert decisions == ["aes", "gis"]
+        if algorithm == "robust_aes":
+            assert experiments._map_trial.csi is fusion
+    assert decisions == ["aes", "aes", "gis"]
+
+
+def test_a_decision_hit_places_and_synthesizes_nothing(monkeypatch, empty_memo):
+    # The first point of a seed evaluated the group on the trial's rows, so
+    # a later point whose decision hits places no users and synthesizes no
+    # row, and still equals a fresh run.
+    calls = []
+
+    def counted(name, inner):
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        return wrapper
+
+    for name in ("place_users", "trial_channels", "channel_rows"):
+        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+    for cfg in (desk_config(), DENSE):
+        for algorithm in TWO_STAGE:
+            first, later = (dataclasses.replace(cfg, target_snr_db=snr) for snr in (10.0, 25.0))
+            assert_fresh_two_stage(run_trial(first, algorithm, 6), first, 6)
+            calls.clear()
+            result = run_trial(later, algorithm, 6)
+            assert calls == []
+            assert_fresh_two_stage(result, later, 6)
+
+
+def test_the_memo_holds_at_most_one_trial(monkeypatch, empty_memo):
+    # A new map-driven trial is placed only after the last one is released,
+    # channels, fusion and decisions, so no two are held at once. The other
+    # schedulers place their own users beside it and leave it in place.
+    held, alive = [], []
+    place = experiments.place_users
+
+    def checked(scenario, trial_seed):
+        alive.append([ref() is not None for ref in held])
+        return place(scenario, trial_seed)
+
+    monkeypatch.setattr(experiments, "place_users", checked)
+    cfg = desk_config()
+    for algorithm, seed in (("robust_aes", 0), ("greedy", 0), ("robust_gis", 0),
+                            ("two_stage_aes", 0), ("two_stage_aes", 1)):
+        run_trial(cfg, algorithm, seed)
+        chans = experiments._map_trial.chans
+        if not any(ref() is chans for ref in held):
+            held.append(weakref.ref(chans))
+        del chans
+    assert alive == [[], [True], [False], [False, False]]
 
 
 def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
@@ -800,10 +848,12 @@ def test_rows_of_no_one_one_user_and_repeated_users_equal_one_eager_call(name):
     assert sorted(synthesized) == list(range(n))
 
 
-def test_each_algorithm_synthesizes_only_the_rows_it_reads(monkeypatch):
-    # Seed-major on one dense seed: the map-driven and random schedulers
-    # synthesize the scheduled users (the first robust_* of the seed also
-    # the users fusion acquires), the full-CSI ones every user in one call.
+def test_each_algorithm_synthesizes_only_the_rows_it_reads(monkeypatch, empty_memo):
+    # Seed-major on one dense seed: random synthesizes the scheduled users,
+    # the full-CSI schedulers every user in one call. The map-driven ones
+    # count per memo entry: the first trial of an entry synthesizes its
+    # scheduled users (robust_aes first those that fusion acquires), a later
+    # one only the users its group adds.
     calls = []
 
     def counted(scenario, bss, positions, realizations):
@@ -811,25 +861,31 @@ def test_each_algorithm_synthesizes_only_the_rows_it_reads(monkeypatch):
         return channel_rows(scenario, bss, positions, realizations)
 
     monkeypatch.setattr(experiments, "channel_rows", counted)
-    monkeypatch.setattr(experiments, "_last_fusion", (None, None, None))
     for cfg, algorithms in (
-        (DENSE, ("two_stage_aes", "two_stage_gis", "robust_aes", "robust_gis", "random",
+        (DENSE, ("two_stage_aes", "two_stage_gis", "robust_aes", "random", "robust_gis",
                  "sus", "greedy")),
         (desk_config(), ("brute_force",)),
     ):
         n = cfg.n_cells * cfg.users_per_cell
         scheduled = cfg.n_cells * cfg.kbar
+        entry, filled = None, set()
         for algorithm in algorithms:
             calls.clear()
-            result = run_trial(cfg, algorithm, 0)
-            if algorithm == "robust_aes":
-                acquired = set(experiments._last_fusion[1].acquired)
-                late = set(result.per_user_sinr) - acquired
-                assert calls == [k for k in (len(acquired), len(late)) if k]
-            elif algorithm in ("sus", "greedy", "brute_force"):
+            users = set(run_trial(cfg, algorithm, 0).per_user_sinr)
+            if algorithm in ("sus", "greedy", "brute_force"):
                 assert calls == [n]
-            else:
+            elif algorithm == "random":
                 assert calls == [scheduled]
+            elif algorithm in ("two_stage_aes", "robust_aes"):  # the first of a mode
+                assert experiments._map_trial is not entry
+                entry = experiments._map_trial
+                filled = set(entry.csi.acquired)
+                assert calls == [k for k in (len(filled), len(users - filled)) if k]
+                filled |= users
+            else:
+                assert experiments._map_trial is entry
+                assert calls == [k for k in (len(users - filled),) if k]
+                filled |= users
 
 
 def test_locate_and_locate_many_match_the_scalar_lookup():
