@@ -128,7 +128,8 @@ def parse_config(path: str) -> ExperimentPlan:
     sweeps: list[tuple[str, tuple[float, ...]]] = []
     seen: dict[str, int] = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as f:
+            lines = f.read().splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     for ln, line in enumerate(lines, start=1):

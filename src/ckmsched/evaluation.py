@@ -182,9 +182,10 @@ def evaluate_group(
     return total, gammas
 
 
-# Closed-form scores only rank candidates; exact_pick confirms with
-# evaluate_group every one within _SCORE_BAND (relative) of the best, which
-# finds the exact pick while every score errs by less than half the band.
+# Closed-form scores only rank candidates; score_band keeps every one within
+# _SCORE_BAND (relative) of the best, which holds the exact pick while every
+# score errs by less than half the band. A band of one is the pick itself;
+# exact_pick confirms a wider band with evaluate_group.
 # Measured at greedy's picks, that error stays below 3e-14 at the workloads'
 # 20-30 dB (table scale, seeds 0-2) but reaches 1e-7 at 50 dB (desk seed 1):
 # above 30 dB, test_greedy_matches_the_reference_at_high_snr guards picks.
@@ -314,20 +315,24 @@ def _block_rates(
     return total
 
 
-def exact_pick(scores: np.ndarray | None, count: int, evaluate) -> tuple[int, tuple]:
-    """Index and exact evaluation of the best of `count` candidates.
+def score_band(scores: np.ndarray | None, count: int) -> np.ndarray | range:
+    """Indices of the candidates that may hold the best of `count`: those
+    whose closed-form score lies within _SCORE_BAND (relative) of the top
+    score, or all of them when scores is None."""
+    if scores is None:
+        return range(count)
+    top = scores.max()
+    return np.flatnonzero(scores >= top - _SCORE_BAND * abs(top))
 
-    evaluate(index) returns (rate, gammas) as evaluate_group does.
-    Candidates whose closed-form score lies within _SCORE_BAND (relative)
-    of the best one, or all of them when scores is None, are evaluated.
+
+def exact_pick(band, evaluate) -> tuple[int, tuple]:
+    """Index and exact evaluation of the best candidate of `band`
+    (score_band), each evaluated by evaluate(index), which returns
+    (rate, gammas) as evaluate_group does.
+
     The first strict maximum of the rate wins, so the pick and its
     evaluation equal those of exact scoring with a lowest-index tie-break.
     """
-    if scores is None:
-        band = range(count)
-    else:
-        top = scores.max()
-        band = np.flatnonzero(scores >= top - _SCORE_BAND * abs(top))
     best_i, best = -1, None
     for i in band:
         result = evaluate(int(i))
@@ -384,7 +389,8 @@ def brute_force_optimum(
             break
         scores[start:stop] = block
     i, (rate, gammas) = exact_pick(
-        scores, n_combos, lambda i: evaluate_group(group_at(i), chans, noise_power)
+        score_band(scores, n_combos),
+        lambda i: evaluate_group(group_at(i), chans, noise_power),
     )
     best = group_at(i)
     best.meta = [

@@ -303,11 +303,13 @@ def greedy_schedule(
     (evaluation.candidate_rates) on an evaluation.PartialGroup: one R_c^-1
     per BS, inverted once and then updated by a rank-one step per pick
     (inverted again where that step would lose too many digits). No
-    inverse outlives the call. Each pick is confirmed with the exact
-    evaluator (evaluation.exact_pick), so ties go to the lowest id, and
-    its SelectionRecord.metric is the exact sum rate of the partial group.
-    Returns (group, rate, gammas): the last pick's exact evaluation is
-    evaluate_group's of the whole group.
+    inverse outlives the call. A pick whose evaluation.score_band holds
+    one candidate is that candidate, and its SelectionRecord.metric is its
+    closed-form score. A wider band, or scores the closed form refuses, is
+    confirmed with the exact evaluator (evaluation.exact_pick), so ties go
+    to the lowest id, and the metric is the partial group's exact sum rate.
+    Returns (group, rate, gammas) as evaluate_group gives them for the
+    group: the last pick's exact evaluation, or one made at the end.
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
@@ -318,7 +320,7 @@ def greedy_schedule(
     members = partial.members
     remaining = {l: sorted(bycell[l]) for l in cells}
     meta: list[SelectionRecord] = []
-    best = (0.0, {})
+    best = None
     for slot in range(kbar):
         for l in cells:
             pool = remaining[l]
@@ -331,10 +333,18 @@ def greedy_schedule(
                 )
 
             scores = evaluation.candidate_rates(partial, l, pool)
-            j, best = evaluation.exact_pick(scores, len(pool), evaluate_with)
+            band = evaluation.score_band(scores, len(pool))
+            if scores is None or len(band) > 1:
+                j, best = evaluation.exact_pick(band, evaluate_with)
+                metric = best[0]
+            else:
+                j, best = int(band[0]), None
+                metric = float(scores[j])
             uid = pool.pop(j)
-            meta.append(SelectionRecord(uid, l, slot, best[0], "icsi"))
+            meta.append(SelectionRecord(uid, l, slot, metric, "icsi"))
             partial.add(l, uid)
+    if best is None:
+        best = evaluation.evaluate_group(UserGroup(members=members), chans, noise_power)
     return UserGroup(members=members, meta=meta), *best
 
 

@@ -1,9 +1,11 @@
 """Config parsing, experiment runner, map build/inspect commands."""
 
+import gc
 import io
 import multiprocessing
 import os
 import types
+import warnings
 
 import pytest
 
@@ -87,6 +89,15 @@ def test_full_config_round_trip(tmp_path):
     assert plan.output == "out.csv"
     assert plan.sweeps == (("snr", (0.0, 10.0, 20.0)), ("alpha", (0.3, 0.5)))
     assert len(plan.sweep_points()) == 6
+
+
+def test_parse_config_closes_the_plan_file(tmp_path):
+    path = write_cfg(tmp_path, DESK_CFG)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_config(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_config_infeasible_group_size_is_rejected(tmp_path):

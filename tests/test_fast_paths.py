@@ -1,9 +1,10 @@
 """Fast paths against the slow references in tests/reference.py.
 
 greedy_schedule and brute_force_optimum rank candidates with the batched
-closed form and confirm picks with evaluate_group; these tests require the
-same members, the same selection metrics and the same repr(sum_rate) as
-scoring every candidate exactly. Scenario construction, build_ckm,
+closed form and confirm picks whose score band holds more than one
+candidate with evaluate_group; these tests require the same members, the
+same repr(sum_rate) and, for every confirmed pick, the same selection
+metric as scoring every candidate exactly. Scenario construction, build_ckm,
 place_users, multi-BS channel_rows, CSI fusion, AES, ICCS and SUS are
 batched array code; they must equal the per-square, per-cluster, per-grid,
 per-user and per-position paths bit for bit, the batch-seeded random
@@ -89,9 +90,22 @@ def assert_same_greedy(chans, kbar, noise):
     slow = greedy_reference(chans, kbar, noise)
     assert fast.members == slow.members
     assert_exact_evaluation(fast, rate, gammas, chans, noise)
-    assert [(m.user, m.cell, m.slot, m.metric) for m in fast.meta] == [
-        (m.user, m.cell, m.slot, m.metric) for m in slow.meta
+    assert [(m.user, m.cell, m.slot) for m in fast.meta] == [
+        (m.user, m.cell, m.slot) for m in slow.meta
     ]
+    # A pick confirmed exactly records the reference's exact rate; a pick
+    # alone in its score band records the closed-form score that decided it.
+    partial = PartialGroup(chans, noise)
+    for pick, ref in zip(fast.meta, slow.meta):
+        pool = [u for u in chans.ids_by_cell()[pick.cell]
+                if u not in partial.members[pick.cell]]
+        scores = candidate_rates(partial, pick.cell, pool)
+        if scores is None or len(evaluation.score_band(scores, len(pool))) > 1:
+            assert repr(pick.metric) == repr(ref.metric)
+        else:
+            assert repr(pick.metric) == repr(float(scores[pool.index(pick.user)]))
+            assert math.isclose(pick.metric, ref.metric, rel_tol=1e-6, abs_tol=0.0)
+        partial.add(pick.cell, pick.user)
     assert (repr(evaluate_group(fast, chans, noise)[0])
             == repr(evaluate_group(slow, chans, noise)[0]))
     return fast
@@ -330,6 +344,17 @@ def test_greedy_breaks_exact_ties_by_lowest_id(exact_calls):
     first = group.meta[0]
     assert (first.cell, first.user) == (0, 1)
     assert 2 not in group.members[0]
+
+
+def test_tie_free_greedy_evaluates_the_group_once(exact_calls):
+    # Every band of a table-scale seed-0 trial holds one candidate, so the
+    # only exact evaluation is the whole group's, at the end.
+    cfg = table_scale_config()
+    chans, noise = trial_instance(cfg, 0)
+    group, rate, gammas = greedy_schedule(chans, cfg.kbar, noise)
+    assert [g.members for g in exact_calls] == [group.members]
+    exact_calls.clear()
+    assert_exact_evaluation(group, rate, gammas, chans, noise)
 
 
 def test_inverse_update_guard_inverts_again_at_high_snr(monkeypatch):
