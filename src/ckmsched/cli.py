@@ -15,7 +15,6 @@ import multiprocessing
 import sys
 import traceback
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import islice, product
 
@@ -78,14 +77,17 @@ class ExperimentPlan:
         return replace(self.base_config, **kw) if kw else self.base_config
 
     def validate(self, source: str) -> None:
-        """Reject an empty algorithm list, unknown algorithms, an invalid
-        config at any sweep point and a brute-force enumeration beyond
-        BRUTE_FORCE_BUDGET; source prefixes the error messages."""
+        """Reject an empty algorithm list, unknown or repeated algorithms,
+        an invalid config at any sweep point and a brute-force enumeration
+        beyond BRUTE_FORCE_BUDGET; source prefixes the error messages."""
         if not self.algorithms:
             raise ConfigError(f"{source}: no algorithms to run")
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ConfigError(f"{source}: unknown algorithms {bad}")
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ConfigError(f"{source}: repeated algorithms {repeated}")
         for point in self.sweep_points():
             cfg = self.config_at(point)  # re-validates every swept config
             if "brute_force" in self.algorithms:
@@ -223,10 +225,12 @@ def _warm_shared_key(algorithms, configs) -> None:
 
 
 def _fusion_groups(configs) -> list[list[int]]:
-    """The indices of configs grouped by what fusion reads of a config: its
-    scenario_key and its reliability threshold (delta, eta). The groups of
-    one key are adjacent; keys, and the groups of one key, come in the
-    order of their first config, and each group's indices in plan order."""
+    """The indices of configs grouped by what fusion reads of a config
+    besides the mode: its scenario_key, which with the seed fixes the
+    placement that both modes share, and its reliability threshold (delta,
+    eta). The groups of one key are adjacent; keys, and the groups of one
+    key, come in the order of their first config, and each group's indices
+    in plan order."""
     keys: dict = {}
     for i, cfg in enumerate(configs):
         keys.setdefault(scenario_key(cfg), {}).setdefault((cfg.delta, cfg.eta), []).append(i)
@@ -277,9 +281,9 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
     stream = stream or sys.stdout
     configs = [plan.config_at(point) for point in plan.sweep_points()]
     # The points of one group run seed → algorithm → point, so the two-stage
-    # schedulers of one seed and mode share its users, channel rows and
-    # fusion, and a scheduler's decision on it, across the points
-    # (experiments.MapTrial).
+    # schedulers of one seed share its users and channel rows in both fusion
+    # modes, and those of one mode its fusion, and a scheduler's decision on
+    # it, across the points (experiments.MapTrial).
     groups = _fusion_groups(configs)
     chunks = _chunks(plan, configs, groups)
     n_rows = len(configs) * len(plan.algorithms) * plan.trials
@@ -291,6 +295,9 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         if threads > 1:
+            # Imported here, so that a serial run never loads the pool.
+            from concurrent.futures import ProcessPoolExecutor
+
             context = multiprocessing.get_context()
             if context.get_start_method() == "fork":
                 _warm_shared_key(plan.algorithms, configs)

@@ -198,22 +198,24 @@ def _sus(config, trial_seed, chans, noise):
 @dataclass(eq=False)
 class MapTrial:
     """A map-driven trial: its key, its channels (chans: the placement,
-    with rows synthesized as they are read), the fusion made from them
-    (csi, None until a scheduler fuses) and the decisions made on that
-    fusion.
+    with rows synthesized as they are read) and its one fusion slot: the
+    fusion made from them (csi, None until a scheduler fuses), the key it
+    was made under and the decisions made on it.
 
-    The key is what fusion reads: the map (cached_ckm(config), one object
-    per scenario key and threshold), the trial seed and the mode. The map
-    fixes the scenario key, so with the seed it fixes the placement and
-    every channel row. Configs that differ only in what the schedulers or
-    the noise calibration read, such as the points of an SNR sweep, share
-    one trial. The decisions map (first stage, kprime, kbar, alpha), all
-    that robust_two_stage reads besides the fusion, to its (group,
-    counters).
+    The key is what placement and channels read: the scenario key and the
+    trial seed, which fix the placement and every channel row. Every
+    map-driven scheduler of a seed shares one trial, in either fusion mode
+    and at any threshold, as do configs that differ only in what the
+    schedulers or the noise calibration read, such as the points of an SNR
+    sweep. The fusion key is what fusion reads: the map (cached_ckm(config),
+    one object per scenario key and threshold) and the mode. The decisions
+    map (first stage, kprime, kbar, alpha), all that robust_two_stage reads
+    besides the fusion, to its (group, counters).
     """
 
     key: tuple
     chans: ChannelSet
+    fusion_key: tuple | None = None
     csi: EffectiveCsi | None = None
     decisions: dict = field(default_factory=dict)
 
@@ -222,12 +224,13 @@ class MapTrial:
 _map_trial: MapTrial | None = None
 
 
-def _map_trial_of(config: ScenarioConfig, trial_seed: int, mode: str,
+def _map_trial_of(config: ScenarioConfig, trial_seed: int,
                   channels: Callable[[], ChannelSet]) -> MapTrial:
-    """The map-driven trial of (config, trial_seed, mode): the last one when
-    its key matches, else a new one on channels()."""
+    """The map-driven trial of (config, trial_seed), for either fusion mode:
+    the last one when its scenario key and seed match, else a new one on
+    channels()."""
     global _map_trial
-    key = (cached_ckm(config), int(trial_seed), mode)
+    key = (_scenario_key(config), int(trial_seed))
     trial = _map_trial
     if trial is not None and trial.key == key:
         return trial
@@ -241,9 +244,14 @@ def _map_trial_of(config: ScenarioConfig, trial_seed: int, mode: str,
 
 def _two_stage(first_stage: str, csi_mode: str):
     def schedule(config, trial_seed, chans, noise):
-        trial = _map_trial_of(config, trial_seed, csi_mode, lambda: chans)
-        if trial.csi is None:
-            trial.csi = fuse_effective_csi(cached_ckm(config), trial.chans, csi_mode)
+        trial = _map_trial_of(config, trial_seed, lambda: chans)
+        ckm = cached_ckm(config)
+        if trial.fusion_key != (ckm, csi_mode):
+            # Release the old fusion and its decisions before fusing anew,
+            # so that no two fusions are ever held at once.
+            trial.fusion_key, trial.csi, trial.decisions = None, None, {}
+            trial.csi = fuse_effective_csi(ckm, trial.chans, csi_mode)
+            trial.fusion_key = (ckm, csi_mode)
         key = (first_stage, config.kprime, config.kbar, config.alpha)
         if key not in trial.decisions:
             trial.decisions[key] = robust_two_stage(
@@ -290,15 +298,16 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     Identical (config, algorithm, trial_seed) invocations reproduce the
     result exactly; wall_ms is diagnostic and times the scheduler call
     alone. A two-stage scheduler looks up the last map-driven trial first
-    and, when it was made on the same map (scenario key and threshold),
-    seed and mode, reuses its users and channel rows, placing no users and
-    synthesizing only the rows still missing, and its fusion, and its own
-    decision on that fusion when kprime, kbar and alpha match too. wall_ms
-    then leaves that work out, so over the points of a sweep that share
-    them, the per-seed cost is the first point's wall_ms. The group is
-    evaluated on this trial's channels at this config's noise power either
-    way. The other schedulers place users and synthesize channels anew on
-    every call.
+    and, when it was made on the same scenario key and seed, in either
+    fusion mode, reuses its users and channel rows, placing no users and
+    synthesizing only the rows still missing; it reuses its fusion when
+    that was made on the same map (scenario key and threshold) and mode,
+    and its own decision on that fusion when kprime, kbar and alpha match
+    too. wall_ms then leaves that work out, so over the points of a sweep
+    that share them, the per-seed cost is the first point's wall_ms. The
+    group is evaluated on this trial's channels at this config's noise
+    power either way. The other schedulers place users and synthesize
+    channels anew on every call.
     """
     if algorithm not in _SCHEDULERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -312,8 +321,10 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
         return trial_channels(scenario, place_users(scenario, trial_seed),
                               int(trial_seed) + 1)
 
-    mode = getattr(schedule, "csi_mode", None)
-    chans = place() if mode is None else _map_trial_of(config, trial_seed, mode, place).chans
+    if algorithm in MAP_ALGORITHMS:
+        chans = _map_trial_of(config, trial_seed, place).chans
+    else:
+        chans = place()
 
     t0 = time.perf_counter()
     group, counters, evaluation = schedule(config, trial_seed, chans, noise)

@@ -73,8 +73,9 @@ def clear_caches():
 @pytest.fixture
 def empty_memo(monkeypatch):
     """Empties run_trial's memo of the last map-driven trial
-    (experiments.MapTrial) now, and again on each call of the returned
-    function; the memo is restored when the test ends."""
+    (experiments.MapTrial: a seed's users and channel rows, with the one
+    fusion and the decisions made on them) now, and again on each call of
+    the returned function; the memo is restored when the test ends."""
     def empty():
         monkeypatch.setattr(experiments, "_map_trial", None)
 

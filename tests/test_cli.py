@@ -251,9 +251,10 @@ def test_rerun_is_byte_identical_without_timing(tmp_path):
 
 def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch, empty_memo):
     # The points of one scenario key run seed -> algorithm -> point, so the
-    # points of an SNR sweep share a seed's users and fusion of each mode,
-    # and each scheduler's decision on it; robust_gis reuses robust_aes's
-    # auto trial. The rows still come out point by point, algorithm-major.
+    # points of an SNR sweep share a seed's users, which both fusion modes
+    # share too, its fusion of each mode, and each scheduler's decision on
+    # it; robust_gis reuses robust_aes's auto fusion. The rows still come
+    # out point by point, algorithm-major.
     calls, decisions, trials, placed = [], [], [], []
     fuse, two_stage, run, place = (experiments.fuse_effective_csi,
                                    experiments.robust_two_stage, cli.run_trial,
@@ -285,7 +286,7 @@ def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch, 
     assert code == 0
     assert trials == [(snr, a, t) for t in range(3) for a in algorithms for snr in (10, 20)]
     assert calls == ["scsi", "auto"] * 3
-    assert placed == [0, 0, 1, 1, 2, 2]
+    assert placed == [0, 1, 2]
     assert decisions == ["aes", "aes", "gis"] * 3
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
     assert [(float(r[1]), r[0], int(r[8])) for r in rows] == [
@@ -474,7 +475,7 @@ def test_a_sweep_of_more_points_than_the_caches_hold_thresholds_once(
     # scenario and map caches hold. Maps are cached per (key, delta, eta)
     # and each config's key is memoized apart, so the survey is built and
     # thresholded once and each config's key derived once; each seed places
-    # one trial per fusion mode for all 150 trials.
+    # one trial for all 30 of its trials, in both fusion modes.
     reclassified, keyed, placed = [], [], []
     reclassify, key, place = UsCkm.reclassify, experiments.scenario_key, experiments.place_users
 
@@ -496,7 +497,7 @@ def test_a_sweep_of_more_points_than_the_caches_hold_thresholds_once(
     assert len(survey_pids()) == 1
     assert reclassified == [0.7]
     assert len(keyed) == len(snrs)
-    assert placed == [t for t in range(5) for _ in ("scsi", "auto")]
+    assert placed == list(range(5))
 
 
 def test_worker_pool_builds_nothing_in_the_parent_without_fork(tmp_path, survey_pids, monkeypatch):
@@ -559,6 +560,22 @@ def test_main_splits_an_algorithm_override_like_the_plan_file(tmp_path, capsys):
     assert comma.read_bytes() == plain.read_bytes()
     listed = write_cfg(tmp_path, DESK_CFG + "algorithms = greedy,\ntrials = 2\n", "listed.cfg")
     assert parse_config(listed).algorithms == ("greedy",)
+
+
+def test_parse_rejects_a_repeated_algorithm(tmp_path):
+    text = DESK_CFG + "algorithms = robust_aes, greedy, robust_aes\ntrials = 2\n"
+    with pytest.raises(ConfigError, match=r"repeated algorithms \['robust_aes'\]"):
+        parse_config(write_cfg(tmp_path, text))
+
+
+def test_main_rejects_a_repeated_algorithm_override(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DESK_CFG + "trials = 2\n")
+    out = tmp_path / "x.csv"
+    code = main(["run", "--config", cfg, "--out", str(out),
+                 "--algorithms", "robust_aes, robust_aes"])
+    assert code == 2
+    assert "repeated algorithms ['robust_aes']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_rejects_an_empty_algorithm_list(tmp_path):

@@ -444,6 +444,8 @@ TWO_STAGE = {
     "robust_aes": ("aes", "auto"),
     "robust_gis": ("gis", "auto"),
 }
+# 200 users per cell, as in the dense_two_stage benchmark workload.
+DENSE = table_scale_config(users_per_cell=200, kprime=40, placement="uniform")
 
 
 def assert_fresh_two_stage(result, cfg, seed):
@@ -579,8 +581,9 @@ def test_a_decision_hit_places_and_synthesizes_nothing(monkeypatch, empty_memo):
 
 def test_the_memo_holds_at_most_one_trial(monkeypatch, empty_memo):
     # A new map-driven trial is placed only after the last one is released,
-    # channels, fusion and decisions, so no two are held at once. The other
-    # schedulers place their own users beside it and leave it in place.
+    # channels, fusion and decisions, so no two are held at once. Every
+    # map-driven scheduler of a seed shares its trial, in either mode. The
+    # other schedulers place their own users beside it and leave it in place.
     held, alive = [], []
     place = experiments.place_users
 
@@ -597,7 +600,64 @@ def test_the_memo_holds_at_most_one_trial(monkeypatch, empty_memo):
         if not any(ref() is chans for ref in held):
             held.append(weakref.ref(chans))
         del chans
-    assert alive == [[], [True], [False], [False, False]]
+    assert alive == [[], [True], [False]]
+
+
+def test_a_new_fusion_key_releases_the_old_fusion_first(monkeypatch, empty_memo):
+    # A seed's trial holds one fusion: a change of mode or threshold frees
+    # the old fusion, and its decisions, before the new one is made.
+    held, alive = [], []
+    fuse = experiments.fuse_effective_csi
+
+    def checked(ckm, chans, mode):
+        alive.append([ref() is not None for ref in held])
+        csi = fuse(ckm, chans, mode)
+        held.append(weakref.ref(csi))
+        return csi
+
+    monkeypatch.setattr(experiments, "fuse_effective_csi", checked)
+    cfg, other = desk_config(), desk_config(eta=0.0)
+    for c, algorithm in ((cfg, "two_stage_aes"), (cfg, "robust_aes"), (cfg, "robust_gis"),
+                         (other, "robust_gis"), (cfg, "two_stage_gis")):
+        assert_fresh_two_stage(run_trial(c, algorithm, 0), c, 0)
+    assert alive == [[], [False], [False, False], [False, False, False]]
+
+
+@pytest.mark.parametrize("cfg", [desk_config(), DENSE], ids=["desk", "dense"])
+def test_both_fusion_modes_of_a_seed_share_its_placement(cfg, monkeypatch, empty_memo):
+    calls = []
+
+    def counted(name, inner):
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        return wrapper
+
+    for name in ("place_users", "trial_channels"):
+        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+    assert_fresh_two_stage(run_trial(cfg, "two_stage_aes", 1), cfg, 1)
+    assert calls == ["place_users", "trial_channels"]
+    calls.clear()
+    result = run_trial(cfg, "robust_aes", 1)
+    assert calls == []
+    assert_fresh_two_stage(result, cfg, 1)
+
+
+def test_interleaved_fusion_modes_equal_fresh_runs(monkeypatch, empty_memo):
+    # Each change of mode fuses anew on the seed's one placement.
+    modes = []
+    fuse = experiments.fuse_effective_csi
+
+    def counted(ckm, chans, mode):
+        modes.append(mode)
+        return fuse(ckm, chans, mode)
+
+    monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
+    cfg = desk_config(dynamic_grid_fraction=1.0)
+    algorithms = ("two_stage_aes", "robust_aes", "two_stage_gis", "robust_gis")
+    for algorithm in algorithms:
+        assert_fresh_two_stage(run_trial(cfg, algorithm, 3), cfg, 3)
+    assert modes == [TWO_STAGE[a][1] for a in algorithms]
 
 
 def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
@@ -818,7 +878,6 @@ def test_multi_bs_channel_rows_equal_per_position_channels():
             assert one.tobytes() == rows[j, i].tobytes()
 
 
-DENSE = table_scale_config(users_per_cell=200, kprime=40, placement="uniform")
 LAZY_CONFIGS = {"desk": desk_config(), "table": table_scale_config(), "dense": DENSE}
 
 
@@ -876,9 +935,10 @@ def test_rows_of_no_one_one_user_and_repeated_users_equal_one_eager_call(name):
 def test_each_algorithm_synthesizes_only_the_rows_it_reads(monkeypatch, empty_memo):
     # Seed-major on one dense seed: random synthesizes the scheduled users,
     # the full-CSI schedulers every user in one call. The map-driven ones
-    # count per memo entry: the first trial of an entry synthesizes its
-    # scheduled users (robust_aes first those that fusion acquires), a later
-    # one only the users its group adds.
+    # share the seed's one trial and count its rows: a scheduler first
+    # synthesizes the users that a new fusion acquires (robust_aes's), then
+    # the users its group adds, each only if no earlier scheduler of the
+    # trial has.
     calls = []
 
     def counted(scenario, bss, positions, realizations):
@@ -901,16 +961,13 @@ def test_each_algorithm_synthesizes_only_the_rows_it_reads(monkeypatch, empty_me
                 assert calls == [n]
             elif algorithm == "random":
                 assert calls == [scheduled]
-            elif algorithm in ("two_stage_aes", "robust_aes"):  # the first of a mode
-                assert experiments._map_trial is not entry
-                entry = experiments._map_trial
-                filled = set(entry.csi.acquired)
-                assert calls == [k for k in (len(filled), len(users - filled)) if k]
-                filled |= users
             else:
+                entry = entry or experiments._map_trial
                 assert experiments._map_trial is entry
-                assert calls == [k for k in (len(users - filled),) if k]
-                filled |= users
+                fused = algorithm in ("two_stage_aes", "robust_aes")  # the first of a mode
+                acquired = set(entry.csi.acquired) - filled if fused else set()
+                assert calls == [k for k in (len(acquired), len(users - filled - acquired)) if k]
+                filled |= acquired | users
 
 
 def test_locate_and_locate_many_match_the_scalar_lookup():
