@@ -225,12 +225,12 @@ def _warm_shared_key(algorithms, configs) -> None:
 
 
 def _fusion_groups(configs) -> list[list[int]]:
-    """The indices of configs grouped by what fusion reads of a config
-    besides the mode: its scenario_key, which with the seed fixes the
-    placement that both modes share, and its reliability threshold (delta,
-    eta). The groups of one key are adjacent; keys, and the groups of one
-    key, come in the order of their first config, and each group's indices
-    in plan order."""
+    """The indices of configs grouped by what fusion reads of a config:
+    its scenario_key, which with the seed fixes the placement, and its
+    threshold (delta, eta), at which robust_* fuse (two_stage_* fuse on
+    the key's all-reliable map). The groups of one key are adjacent; keys,
+    and the groups of one key, come in the order of their first config,
+    and each group's indices in plan order."""
     keys: dict = {}
     for i, cfg in enumerate(configs):
         keys.setdefault(scenario_key(cfg), {}).setdefault((cfg.delta, cfg.eta), []).append(i)
@@ -281,9 +281,9 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
     stream = stream or sys.stdout
     configs = [plan.config_at(point) for point in plan.sweep_points()]
     # The points of one group run seed → algorithm → point, so the two-stage
-    # schedulers of one seed share its users and channel rows in both fusion
-    # modes, and those of one mode its fusion, and a scheduler's decision on
-    # it, across the points (experiments.MapTrial).
+    # schedulers of one seed share its users and channel rows, those on one
+    # map its fusion, and a scheduler's decision on it, across the points
+    # (experiments.MapTrial).
     groups = _fusion_groups(configs)
     chunks = _chunks(plan, configs, groups)
     n_rows = len(configs) * len(plan.algorithms) * plan.trials

@@ -439,21 +439,20 @@ def overhead_counts(model: OverheadModel) -> dict[str, int]:
     stage2 = L**2 * kb**2 * kp + L**2 * kb**3
     aes = L * k * kp**2 + stage2
     gis = L * k**3 + stage2
-    if algo == "two_stage_aes":
-        return {"mults": aes, "csi_acquisitions": 0, "info_exchange": L * kp}
-    if algo == "two_stage_gis":
-        return {"mults": gis, "csi_acquisitions": 0, "info_exchange": L * kp}
-    base = {"robust_aes": aes, "robust_gis": gis}.get(algo)
-    if base is None:
+    # The map-only schedulers are the robust ones with every grid reliable.
+    bases = {"two_stage_aes": (aes, 1.0), "two_stage_gis": (gis, 1.0),
+             "robust_aes": (aes, model.eta), "robust_gis": (gis, model.eta)}
+    if algo not in bases:
         raise ValueError(f"no closed-form overhead model for {algo!r}")
-    if model.eta is None:
+    base, eta = bases[algo]
+    if eta is None:
         raise ValueError("robust overhead models require eta")
-    miss = 1.0 - model.eta
+    miss = 1.0 - eta
     extra = L**2 * miss * k + L**3 * miss**2 * k**2
     return {
         "mults": int(round(base + extra)),
         "csi_acquisitions": int(round(L**2 * miss * k)),
-        "info_exchange": int(round((2.0 - model.eta) * L * kp + L**3 * miss * kp)),
+        "info_exchange": int(round((2.0 - eta) * L * kp + L**3 * miss * kp)),
     }
 
 

@@ -61,13 +61,14 @@ def _map(key: ScenarioConfig, delta: float | None, eta: float | None) -> UsCkm:
     return _map(key, None, None).reclassify(delta, eta)
 
 
-def cached_ckm(config: ScenarioConfig) -> UsCkm:
+def cached_ckm(config: ScenarioConfig, threshold: tuple | None = None) -> UsCkm:
     """The map of config: the survey of scenario_key(config), built once and
-    shared read-only by every config of that key, thresholded at config's
-    delta/eta. Maps are cached per (key, delta, eta), so the configs of one
-    threshold share one map object, however many points a sweep has. Its
-    arrays equal build_ckm(build_scenario(config))'s byte for byte."""
-    return _map(_scenario_key(config), config.delta, config.eta)
+    shared read-only by every config of that key, thresholded at threshold
+    (delta, eta), by default config's. Maps are cached per (key, delta,
+    eta), one object per threshold however many points a sweep has. At
+    config's threshold its arrays equal build_ckm(build_scenario(config))'s."""
+    delta, eta = threshold or (config.delta, config.eta)
+    return _map(_scenario_key(config), delta, eta)
 
 
 class UserRecord(NamedTuple):
@@ -199,23 +200,23 @@ def _sus(config, trial_seed, chans, noise):
 class MapTrial:
     """A map-driven trial: its key, its channels (chans: the placement,
     with rows synthesized as they are read) and its one fusion slot: the
-    fusion made from them (csi, None until a scheduler fuses), the key it
-    was made under and the decisions made on it.
+    fusion made from them (csi, None until a scheduler fuses), the map it
+    was made on (fusion_key) and the decisions made on it.
 
     The key is what placement and channels read: the scenario key and the
     trial seed, which fix the placement and every channel row. Every
-    map-driven scheduler of a seed shares one trial, in either fusion mode
-    and at any threshold, as do configs that differ only in what the
-    schedulers or the noise calibration read, such as the points of an SNR
-    sweep. The fusion key is what fusion reads: the map (cached_ckm(config),
-    one object per scenario key and threshold) and the mode. The decisions
-    map (first stage, kprime, kbar, alpha), all that robust_two_stage reads
+    map-driven scheduler of a seed shares one trial, at any threshold, as
+    do configs that differ only in what the schedulers or the noise
+    calibration read, such as the points of an SNR sweep. The map is all
+    else fusion reads, one object per scenario key and threshold, so
+    robust_* at eta = 1 share the fusion of two_stage_*. The decisions map
+    (first stage, kprime, kbar, alpha), all that robust_two_stage reads
     besides the fusion, to its (group, counters).
     """
 
     key: tuple
     chans: ChannelSet
-    fusion_key: tuple | None = None
+    fusion_key: UsCkm | None = None
     csi: EffectiveCsi | None = None
     decisions: dict = field(default_factory=dict)
 
@@ -226,8 +227,8 @@ _map_trial: MapTrial | None = None
 
 def _map_trial_of(config: ScenarioConfig, trial_seed: int,
                   channels: Callable[[], ChannelSet]) -> MapTrial:
-    """The map-driven trial of (config, trial_seed), for either fusion mode:
-    the last one when its scenario key and seed match, else a new one on
+    """The map-driven trial of (config, trial_seed), at any threshold: the
+    last one when its scenario key and seed match, else a new one on
     channels()."""
     global _map_trial
     key = (_scenario_key(config), int(trial_seed))
@@ -242,16 +243,16 @@ def _map_trial_of(config: ScenarioConfig, trial_seed: int,
     return trial
 
 
-def _two_stage(first_stage: str, csi_mode: str):
+def _two_stage(first_stage: str, threshold: tuple | None):
     def schedule(config, trial_seed, chans, noise):
         trial = _map_trial_of(config, trial_seed, lambda: chans)
-        ckm = cached_ckm(config)
-        if trial.fusion_key != (ckm, csi_mode):
+        ckm = cached_ckm(config, threshold)
+        if trial.fusion_key is not ckm:
             # Release the old fusion and its decisions before fusing anew,
             # so that no two fusions are ever held at once.
             trial.fusion_key, trial.csi, trial.decisions = None, None, {}
-            trial.csi = fuse_effective_csi(ckm, trial.chans, csi_mode)
-            trial.fusion_key = (ckm, csi_mode)
+            trial.csi = fuse_effective_csi(ckm, trial.chans)
+            trial.fusion_key = ckm
         key = (first_stage, config.kprime, config.kbar, config.alpha)
         if key not in trial.decisions:
             trial.decisions[key] = robust_two_stage(
@@ -262,7 +263,7 @@ def _two_stage(first_stage: str, csi_mode: str):
         # A copy, so that no two results share a group.
         return group.copy(), counters, None
 
-    schedule.csi_mode = csi_mode
+    schedule.threshold = threshold
     return schedule
 
 
@@ -275,16 +276,17 @@ _SCHEDULERS = {
     "greedy": _greedy,
     "random": _random,
     "sus": _sus,
-    "two_stage_aes": _two_stage("aes", "scsi"),
-    "two_stage_gis": _two_stage("gis", "scsi"),
-    "robust_aes": _two_stage("aes", "auto"),
-    "robust_gis": _two_stage("gis", "auto"),
+    # The map-only schedulers are the robust ones with every grid reliable.
+    "two_stage_aes": _two_stage("aes", (None, 1.0)),
+    "two_stage_gis": _two_stage("gis", (None, 1.0)),
+    "robust_aes": _two_stage("aes", None),
+    "robust_gis": _two_stage("gis", None),
     "brute_force": _brute_force,
 }
 ALGORITHMS = tuple(_SCHEDULERS)
 # The schedulers that read the map: the two-stage entries, tagged with the
-# mode of their fusion.
-MAP_ALGORITHMS = tuple(a for a, f in _SCHEDULERS.items() if hasattr(f, "csi_mode"))
+# threshold of the map they fuse on (None: config's own).
+MAP_ALGORITHMS = tuple(a for a, f in _SCHEDULERS.items() if hasattr(f, "threshold"))
 
 
 # The channels of trial seed s are realization s + 1, an int64 in
@@ -298,10 +300,10 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     Identical (config, algorithm, trial_seed) invocations reproduce the
     result exactly; wall_ms is diagnostic and times the scheduler call
     alone. A two-stage scheduler looks up the last map-driven trial first
-    and, when it was made on the same scenario key and seed, in either
-    fusion mode, reuses its users and channel rows, placing no users and
-    synthesizing only the rows still missing; it reuses its fusion when
-    that was made on the same map (scenario key and threshold) and mode,
+    and, when it was made on the same scenario key and seed, reuses its
+    users and channel rows, placing no users and synthesizing only the rows
+    still missing; it reuses its fusion when that was made on the same map
+    (config's threshold for robust_*, all grids reliable for two_stage_*),
     and its own decision on that fusion when kprime, kbar and alpha match
     too. wall_ms then leaves that work out, so over the points of a sweep
     that share them, the per-seed cost is the first point's wall_ms. The
@@ -336,9 +338,9 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     rate, gammas = evaluation or evaluate_group(group, chans, noise)
     eta = config.eta
     if eta is None and counters is not None:
-        # Only the map-driven schedulers report counters, and they have
-        # built the map; robust overheads are modeled at its reliable share.
-        eta = cached_ckm(config).realized_eta()
+        # Only map-driven schedulers report counters; overheads are modeled at
+        # the reliable share of the map they fused on (two_stage_*: not config's).
+        eta = cached_ckm(config, schedule.threshold).realized_eta()
     closed = overhead_counts(OverheadModel(
         algorithm=algorithm,
         n_cells=config.n_cells,

@@ -57,26 +57,24 @@ def _served_ids(csi: EffectiveCsi, bs: int, ids, need: int) -> np.ndarray:
     return ids
 
 
-def fuse_effective_csi(ckm: UsCkm, chans, mode: str = "auto") -> EffectiveCsi:
+def fuse_effective_csi(ckm: UsCkm, chans) -> EffectiveCsi:
     """Build the per-user effective CSI from the map and the trial's
     ChannelSet: map statistics at each user's grid, seen by its serving BS.
 
-    mode "auto" substitutes the true channels of chans exactly where the
-    user's grid is unreliable for an observing BS (for gain and source, its
-    serving BS), and reads the rows of those users only (chans.rows);
-    "scsi" keeps map statistics everywhere and reads no channel. Each BS
-    computes the correlation rows of the users it serves against all
-    users, one (n_l, N) @ (N, n) product, and writes them into corr.
+    The true channels of chans are substituted exactly where the user's
+    grid is unreliable for an observing BS (for gain and source, its
+    serving BS), and only those users' rows are read (chans.rows); on a map
+    whose every grid is reliable no channel is read. Each BS computes the
+    correlation rows of the users it serves against all users, one
+    (n_l, N) @ (N, n) product, and writes them into corr.
     """
-    if mode not in ("auto", "scsi"):
-        raise ValueError(f"unknown fusion mode {mode!r}")
     L, _, nant = ckm.h_bar.shape
     if len(chans.shape) != 3 or chans.shape[0] != L or chans.shape[2] != nant:
         raise ValueError(f"chans.h must hold one row per observing BS of {nant} antennas")
     cell_of = chans.cell_of.copy()
     vectors = ckm.h_bar[:, chans.grid]
     gain = ckm.epsilon[cell_of, chans.grid]
-    need = (ckm.reliable[:, chans.grid] == 0) & (mode == "auto")
+    need = ckm.reliable[:, chans.grid] == 0
     serving = need[cell_of, np.arange(len(cell_of))]
     acq = np.flatnonzero(need.any(axis=0))
     if len(acq):
@@ -377,9 +375,9 @@ def robust_two_stage(
     with overhead counters. BS l's pool is the users it serves
     (csi.cell_of == l).
 
-    Fused in mode "auto", it is the robust scheduler (true channels
-    substituted in unreliable grids); in mode "scsi", the map-only
-    two-stage baseline. Counters record actual events: L acquisitions per
+    On a map thresholded at the config's delta/eta it is the robust
+    scheduler (true channels substituted in unreliable grids); with every
+    grid reliable, the map-only two-stage baseline. Counters record actual events: L acquisitions per
     user whose grid needed true CSI; candidate locations plus, per
     unreliable candidate, one gain and L^2 correlation uploads.
     """

@@ -359,7 +359,7 @@ def channel_rows_reference(scenario, observing_bs: int, positions, realizations)
     return v * (amp / np.linalg.norm(v, axis=1))[:, None]
 
 
-def fuse_reference(ckm, chans, mode: str = "auto") -> EffectiveCsi:
+def fuse_reference(ckm, chans) -> EffectiveCsi:
     """fuse_effective_csi with one pass per (user, BS): the user's true
     channel rows are fetched when any of its BSs sees an unreliable grid.
     Each BS's full tables are computed, and user i keeps its entries of its
@@ -371,7 +371,7 @@ def fuse_reference(ckm, chans, mode: str = "auto") -> EffectiveCsi:
     acquired = []
     for i in range(n):
         g = int(chans.grid[i])
-        need = [mode == "auto" and not ckm.reliable[l, g] for l in range(L)]
+        need = [not ckm.reliable[l, g] for l in range(L)]
         if any(need):
             icsi = chans.h[:, i, :]
             acquired.append(i)

@@ -251,18 +251,18 @@ def test_rerun_is_byte_identical_without_timing(tmp_path):
 
 def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch, empty_memo):
     # The points of one scenario key run seed -> algorithm -> point, so the
-    # points of an SNR sweep share a seed's users, which both fusion modes
-    # share too, its fusion of each mode, and each scheduler's decision on
-    # it; robust_gis reuses robust_aes's auto fusion. The rows still come
-    # out point by point, algorithm-major.
+    # points of an SNR sweep share a seed's users, which both maps' fusions
+    # share too, its fusion on each map, and each scheduler's decision on
+    # it; robust_gis reuses robust_aes's fusion on config's map. The rows
+    # still come out point by point, algorithm-major.
     calls, decisions, trials, placed = [], [], [], []
     fuse, two_stage, run, place = (experiments.fuse_effective_csi,
                                    experiments.robust_two_stage, cli.run_trial,
                                    experiments.place_users)
 
-    def counted_fusion(ckm, chans, mode):
-        calls.append(mode)
-        return fuse(ckm, chans, mode)
+    def counted_fusion(ckm, chans):
+        calls.append(ckm.realized_eta())
+        return fuse(ckm, chans)
 
     def counted_decision(csi, *args, first_stage):
         decisions.append(first_stage)
@@ -285,7 +285,7 @@ def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch, 
     code, out, _ = run_plan(tmp_path, text)
     assert code == 0
     assert trials == [(snr, a, t) for t in range(3) for a in algorithms for snr in (10, 20)]
-    assert calls == ["scsi", "auto"] * 3
+    assert calls == [1.0, 0.7] * 3
     assert placed == [0, 1, 2]
     assert decisions == ["aes", "aes", "gis"] * 3
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
@@ -301,11 +301,12 @@ def plan_at(point) -> str:
 
 
 @pytest.mark.parametrize("sweep, fusions", [
-    # One threshold: one fusion per (seed, mode) for all four points.
+    # One threshold: one fusion per (seed, map) for all four points.
     ("sweep.kbar = 1, 2\nsweep.alpha = 0.3, 0.9\n", 2 * 2),
-    # Each eta is its own threshold: one per (point, seed, mode), the
-    # points running one after another within a seed.
-    ("sweep.eta = 0, 0.5, 1\n", 3 * 2 * 2),
+    # Each eta is its own threshold: one per (point, seed, map), the
+    # points running one after another within a seed, but at eta = 1
+    # config's map is the all-reliable one, so one per seed.
+    ("sweep.eta = 0, 0.5, 1\n", 2 * 2 * 2 + 2),
 ], ids=["kbar-alpha", "eta"])
 def test_each_sweep_point_writes_the_rows_of_its_own_plan(tmp_path, monkeypatch, empty_memo,
                                                           sweep, fusions):
@@ -315,9 +316,9 @@ def test_each_sweep_point_writes_the_rows_of_its_own_plan(tmp_path, monkeypatch,
     calls = []
     fuse = experiments.fuse_effective_csi
 
-    def counted(ckm, chans, mode):
-        calls.append(mode)
-        return fuse(ckm, chans, mode)
+    def counted(ckm, chans):
+        calls.append(ckm.realized_eta())
+        return fuse(ckm, chans)
 
     monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
     head = f"algorithms = {', '.join(experiments.MAP_ALGORITHMS)}\ntrials = 2\n"
@@ -473,9 +474,10 @@ def test_a_sweep_of_more_points_than_the_caches_hold_thresholds_once(
     # Ten SNR points of one key and threshold run seed -> algorithm -> point,
     # so every (seed, algorithm) visits ten configs, more than the 8-entry
     # scenario and map caches hold. Maps are cached per (key, delta, eta)
-    # and each config's key is memoized apart, so the survey is built and
-    # thresholded once and each config's key derived once; each seed places
-    # one trial for all 30 of its trials, in both fusion modes.
+    # and each config's key is memoized apart, so the survey is built once,
+    # thresholded once at config's eta and once with every grid reliable,
+    # and each config's key derived once; each seed places one trial for
+    # all 30 of its trials, on either map.
     reclassified, keyed, placed = [], [], []
     reclassify, key, place = UsCkm.reclassify, experiments.scenario_key, experiments.place_users
 
@@ -495,7 +497,7 @@ def test_a_sweep_of_more_points_than_the_caches_hold_thresholds_once(
     assert code == 0
     assert len(out.read_text().splitlines()) == 1 + 10 * 3 * 5
     assert len(survey_pids()) == 1
-    assert reclassified == [0.7]
+    assert reclassified == [1.0, 0.7]
     assert len(keyed) == len(snrs)
     assert placed == list(range(5))
 

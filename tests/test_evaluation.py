@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ckmsched import build_scenario, evaluation, experiments
+from ckmsched import UsCkm, build_scenario, evaluation, experiments
 from ckmsched.errors import EnumerationGuardError, ScheduleError
 from ckmsched.evaluation import (
     OverheadModel,
@@ -31,7 +31,7 @@ from ckmsched.geometry import channel_rows
 from ckmsched.groups import UserGroup
 from ckmsched.scheduling import greedy_schedule
 
-from conftest import desk_config, synthetic_chans
+from conftest import clear_caches, desk_config, synthetic_chans
 
 
 def collinear(a, b):
@@ -272,14 +272,17 @@ def test_overhead_rejects_unknown_algorithm():
 
 
 def test_overhead_robust_interpolates_between_extremes():
-    # eta=1 leaves the map-only cost; smaller eta only adds work.
-    base = overhead_counts(table_model("two_stage_aes"))
-    at1 = overhead_counts(table_model("robust_aes", eta=1.0))
-    at0 = overhead_counts(table_model("robust_aes", eta=0.0))
-    assert at1["mults"] == base["mults"]
-    assert at1["csi_acquisitions"] == 0
-    assert at0["mults"] > at1["mults"]
-    assert at0["csi_acquisitions"] == 3**2 * 50
+    # eta=1 leaves the map-only cost, whatever eta the map-only model is
+    # given; smaller eta only adds work.
+    for stage in ("aes", "gis"):
+        base = overhead_counts(table_model(f"two_stage_{stage}"))
+        at1 = overhead_counts(table_model(f"robust_{stage}", eta=1.0))
+        at0 = overhead_counts(table_model(f"robust_{stage}", eta=0.0))
+        assert at1 == base == overhead_counts(table_model(f"two_stage_{stage}", eta=0.3))
+        assert base["csi_acquisitions"] == 0
+        assert base["info_exchange"] == 3 * 20
+        assert at0["mults"] > at1["mults"]
+        assert at0["csi_acquisitions"] == 3**2 * 50
 
 
 # -- noise calibration ---------------------------------------------------------------
@@ -380,8 +383,8 @@ def test_map_algorithms_are_the_schedulers_that_read_the_map(monkeypatch):
     # run --threads builds the map ahead of the pool only for these.
     cfg = desk_config()
     readers = set()
-    monkeypatch.setattr(experiments, "cached_ckm", lambda config: readers.add(algorithm)
-                        or cached_ckm(config))
+    monkeypatch.setattr(experiments, "cached_ckm", lambda config, threshold=None:
+                        readers.add(algorithm) or cached_ckm(config, threshold))
     for algorithm in ALGORITHMS:
         run_trial(cfg, algorithm, 0)
     assert set(MAP_ALGORITHMS) == readers
@@ -412,6 +415,26 @@ def test_run_trial_models_robust_mults_at_the_realized_eta():
     eta = cached_ckm(cfg).realized_eta()
     assert r.multiplication_estimate == overhead_counts(
         trial_model(cfg, "robust_aes", eta))["mults"]
+
+
+def test_map_only_trials_threshold_the_survey_with_every_grid_reliable(monkeypatch):
+    # two_stage_* fuse on the all-reliable map and model their overheads
+    # at its eta, so they never threshold the survey at config's delta.
+    thresholds = []
+    reclassify = UsCkm.reclassify
+
+    def counted(self, delta, eta):
+        thresholds.append((delta, eta))
+        return reclassify(self, delta, eta)
+
+    clear_caches()
+    monkeypatch.setattr(UsCkm, "reclassify", counted)
+    cfg = desk_config(eta=None, delta=1e-4)
+    for algorithm in ("two_stage_aes", "two_stage_gis"):
+        r = run_trial(cfg, algorithm, 0)
+        assert r.multiplication_estimate == overhead_counts(
+            trial_model(cfg, algorithm))["mults"]
+    assert thresholds == [(None, 1.0)]
 
 
 @pytest.mark.parametrize("corrupt, match", [

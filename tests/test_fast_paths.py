@@ -225,15 +225,15 @@ def test_one_user_cells_fuse_like_the_full_tables():
 
 
 def two_stage_fallbacks(cfg, ckm, chans, noise):
-    """Check fusion (both modes), AES, GIS and ICCS on AES and GIS sets
-    against the per-user references on one trial; returns the number of AES
-    fallback users."""
+    """Check fusion (on ckm and on its all-reliable thresholding), AES, GIS
+    and ICCS on AES and GIS sets against the per-user references on one
+    trial; returns the number of AES fallback users."""
     cells = range(cfg.n_cells)
     ids = [np.flatnonzero(chans.cell_of == l).tolist() for l in cells]
     aes_fallbacks = 0
-    for mode in ("auto", "scsi"):
-        fast = fuse_effective_csi(ckm, chans, mode=mode)
-        slow = fuse_reference(ckm, chans, mode=mode)
+    for m in (ckm, ckm.reclassify(None, 1.0)):
+        fast = fuse_effective_csi(m, chans)
+        slow = fuse_reference(m, chans)
         assert_same_fusion(fast, slow)
         aes = [aes_select(ids[l], fast, l, cfg.kprime, cfg.alpha) for l in cells]
         for l, a in zip(cells, aes):
@@ -437,12 +437,17 @@ def test_run_trial_reuses_the_exact_evaluation_of_greedy_and_brute_force(monkeyp
         run_trial(cfg, "sus", 0)
 
 
-# First stage and fusion mode of each two-stage algorithm.
+def all_reliable(cfg):
+    """The survey of cfg's key with every grid reliable."""
+    return cached_ckm(cfg).reclassify(None, 1.0)
+
+
+# First stage and map of each two-stage algorithm.
 TWO_STAGE = {
-    "two_stage_aes": ("aes", "scsi"),
-    "two_stage_gis": ("gis", "scsi"),
-    "robust_aes": ("aes", "auto"),
-    "robust_gis": ("gis", "auto"),
+    "two_stage_aes": ("aes", all_reliable),
+    "two_stage_gis": ("gis", all_reliable),
+    "robust_aes": ("aes", cached_ckm),
+    "robust_gis": ("gis", cached_ckm),
 }
 # 200 users per cell, as in the dense_two_stage benchmark workload.
 DENSE = table_scale_config(users_per_cell=200, kprime=40, placement="uniform")
@@ -451,10 +456,10 @@ DENSE = table_scale_config(users_per_cell=200, kprime=40, placement="uniform")
 def assert_fresh_two_stage(result, cfg, seed):
     """result equals a fresh fusion and two-stage run on (cfg, seed): members,
     selection records, repr(sum_rate) and counters."""
-    first_stage, mode = TWO_STAGE[result.algorithm]
+    first_stage, map_of = TWO_STAGE[result.algorithm]
     chans, noise = trial_instance(cfg, seed)
     group, counters = robust_two_stage(
-        fuse_effective_csi(cached_ckm(cfg), chans, mode),
+        fuse_effective_csi(map_of(cfg), chans),
         cfg.kprime, cfg.kbar, cfg.alpha, first_stage=first_stage,
     )
     assert_same_group(result.group, group, chans, noise)
@@ -506,19 +511,19 @@ def test_memoized_fusion_is_read_only():
 def test_two_stage_schedulers_of_one_seed_share_a_fusion(monkeypatch, empty_memo):
     calls = []
 
-    def counted(ckm, chans, mode):
-        calls.append(mode)
-        return fuse_effective_csi(ckm, chans, mode)
+    def counted(ckm, chans):
+        calls.append(ckm.realized_eta())
+        return fuse_effective_csi(ckm, chans)
 
     monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
     cfg = desk_config()
     for algorithm in ("two_stage_aes", "two_stage_gis"):
         run_trial(cfg, algorithm, 4)
-    assert calls == ["scsi"]
+    assert calls == [1.0]
     for algorithm in ("robust_aes", "robust_gis", "two_stage_aes"):
         run_trial(cfg, algorithm, 4)
     run_trial(cfg, "two_stage_aes", 5)
-    assert calls == ["scsi", "auto", "scsi", "scsi"]
+    assert calls == [1.0, 0.7, 1.0, 1.0]
 
 
 def test_points_that_differ_in_snr_share_a_decision_and_copy_its_group(monkeypatch,
@@ -582,7 +587,7 @@ def test_a_decision_hit_places_and_synthesizes_nothing(monkeypatch, empty_memo):
 def test_the_memo_holds_at_most_one_trial(monkeypatch, empty_memo):
     # A new map-driven trial is placed only after the last one is released,
     # channels, fusion and decisions, so no two are held at once. Every
-    # map-driven scheduler of a seed shares its trial, in either mode. The
+    # map-driven scheduler of a seed shares its trial, on either map. The
     # other schedulers place their own users beside it and leave it in place.
     held, alive = [], []
     place = experiments.place_users
@@ -604,14 +609,14 @@ def test_the_memo_holds_at_most_one_trial(monkeypatch, empty_memo):
 
 
 def test_a_new_fusion_key_releases_the_old_fusion_first(monkeypatch, empty_memo):
-    # A seed's trial holds one fusion: a change of mode or threshold frees
-    # the old fusion, and its decisions, before the new one is made.
+    # A seed's trial holds one fusion: a change of map frees the old fusion,
+    # and its decisions, before the new one is made.
     held, alive = [], []
     fuse = experiments.fuse_effective_csi
 
-    def checked(ckm, chans, mode):
+    def checked(ckm, chans):
         alive.append([ref() is not None for ref in held])
-        csi = fuse(ckm, chans, mode)
+        csi = fuse(ckm, chans)
         held.append(weakref.ref(csi))
         return csi
 
@@ -644,20 +649,40 @@ def test_both_fusion_modes_of_a_seed_share_its_placement(cfg, monkeypatch, empty
 
 
 def test_interleaved_fusion_modes_equal_fresh_runs(monkeypatch, empty_memo):
-    # Each change of mode fuses anew on the seed's one placement.
-    modes = []
+    # Each change of map fuses anew on the seed's one placement.
+    maps = []
     fuse = experiments.fuse_effective_csi
 
-    def counted(ckm, chans, mode):
-        modes.append(mode)
-        return fuse(ckm, chans, mode)
+    def counted(ckm, chans):
+        maps.append(ckm.realized_eta())
+        return fuse(ckm, chans)
 
     monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
     cfg = desk_config(dynamic_grid_fraction=1.0)
     algorithms = ("two_stage_aes", "robust_aes", "two_stage_gis", "robust_gis")
     for algorithm in algorithms:
         assert_fresh_two_stage(run_trial(cfg, algorithm, 3), cfg, 3)
-    assert modes == [TWO_STAGE[a][1] for a in algorithms]
+    assert maps == [TWO_STAGE[a][1](cfg).realized_eta() for a in algorithms] == [
+        1.0, 0.7, 1.0, 0.7]
+
+
+def test_robust_at_eta_one_shares_the_map_only_fusion(monkeypatch, empty_memo):
+    # At eta = 1 config's own map is the all-reliable one, so robust_aes
+    # finds two_stage_aes's fusion and decision and gives its result.
+    maps = []
+    fuse = experiments.fuse_effective_csi
+
+    def counted(ckm, chans):
+        maps.append(ckm)
+        return fuse(ckm, chans)
+
+    monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
+    cfg = desk_config(eta=1.0)
+    baseline = run_trial(cfg, "two_stage_aes", 2)
+    robust = run_trial(cfg, "robust_aes", 2)
+    assert len(maps) == 1
+    assert dataclasses.replace(robust, algorithm="two_stage_aes") == baseline
+    assert_fresh_two_stage(robust, cfg, 2)
 
 
 def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
@@ -964,7 +989,7 @@ def test_each_algorithm_synthesizes_only_the_rows_it_reads(monkeypatch, empty_me
             else:
                 entry = entry or experiments._map_trial
                 assert experiments._map_trial is entry
-                fused = algorithm in ("two_stage_aes", "robust_aes")  # the first of a mode
+                fused = algorithm in ("two_stage_aes", "robust_aes")  # the first on a map
                 acquired = set(entry.csi.acquired) - filled if fused else set()
                 assert calls == [k for k in (len(acquired), len(users - filled - acquired)) if k]
                 filled |= acquired | users

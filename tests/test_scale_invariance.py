@@ -46,9 +46,9 @@ def schedules(cfg, ckm, chans, noise):
         "brute_force": brute_force_optimum(chans, cfg.kbar, noise)[0],
     }
     for first_stage in ("aes", "gis"):
-        for csi_mode in ("scsi", "auto"):
-            groups[f"{first_stage}/{csi_mode}"] = robust_two_stage(
-                fuse_effective_csi(ckm, chans, mode=csi_mode),
+        for label, m in (("all reliable", ckm.reclassify(None, 1.0)), ("config", ckm)):
+            groups[f"{first_stage}/{label}"] = robust_two_stage(
+                fuse_effective_csi(m, chans),
                 cfg.kprime, cfg.kbar, cfg.alpha, first_stage=first_stage)[0]
     return groups
 

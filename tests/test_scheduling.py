@@ -209,7 +209,7 @@ def test_stages_reject_ids_their_bs_does_not_serve(small_scenario, small_ckm):
     # User i is row i of the fused table, so only cell_of tells whether
     # BS l serves an id and may read its row; -1 and n must not wrap.
     chans = trial_channels(small_scenario, place_users(small_scenario, 1), 2)
-    csi = fuse_effective_csi(small_ckm, chans, mode="scsi")
+    csi = fuse_effective_csi(small_ckm.reclassify(None, 1.0), chans)
     bycell = chans.ids_by_cell()
     for stranger in (bycell[1][0], -1, len(chans.cell_of)):
         ids = bycell[0][1:] + [stranger]
@@ -360,7 +360,7 @@ def test_random_rejects_undersized_pool():
 def test_fuse_keeps_map_statistics_when_every_grid_is_reliable(static_scenario):
     ckm = build_ckm(static_scenario).reclassify(1.0, None)
     users = place_users(static_scenario, 0)
-    csi = fuse_effective_csi(ckm, trial_channels(static_scenario, users, 1), mode="auto")
+    csi = fuse_effective_csi(ckm, trial_channels(static_scenario, users, 1))
     assert csi.acquired == []
     assert csi.n_cells == ckm.n_cells
     assert csi.gain.shape == csi.source.shape == (len(users),)
@@ -378,7 +378,7 @@ def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario, smal
     ckm = small_ckm.reclassify(None, 0.0)
     users = place_users(small_scenario, 1)
     chans = trial_channels(small_scenario, users, realization=2)
-    csi = fuse_effective_csi(ckm, chans, mode="auto")
+    csi = fuse_effective_csi(ckm, chans)
     assert csi.acquired == list(range(len(users)))
     assert np.all(csi.source == 0)
     serving = chans.h[csi.cell_of, np.arange(len(users))]
@@ -400,7 +400,7 @@ def test_fuse_keeps_the_serving_map_entries_of_users_acquired_for_another_bs(
                 small_ckm.h_bar, small_ckm.epsilon, sigma)
     users = place_users(small_scenario, 3)
     chans = trial_channels(small_scenario, users, realization=4)
-    csi = fuse_effective_csi(ckm, chans, mode="auto")
+    csi = fuse_effective_csi(ckm, chans)
     assert csi.acquired == list(range(len(users)))
     grids = np.array([u.grid for u in users])
     cell0 = np.flatnonzero(csi.cell_of == 0)
@@ -415,18 +415,23 @@ def test_fuse_keeps_the_serving_map_entries_of_users_acquired_for_another_bs(
     assert np.array_equal(csi.corr[cell1], _corr_rows(chans.h[1], cell1))
 
 
-def test_fuse_scsi_mode_never_acquires(small_scenario, small_ckm):
-    ckm = small_ckm.reclassify(None, 0.0)
+def test_an_all_reliable_fusion_reads_no_channel_row(small_scenario, small_ckm):
+    def refused(ids):
+        raise AssertionError(f"read channel rows {ids.tolist()}")
+
     chans = trial_channels(small_scenario, place_users(small_scenario, 1), 2)
-    csi = fuse_effective_csi(ckm, chans, mode="scsi")
+    chans = dataclasses.replace(chans, synthesize=refused)
+    csi = fuse_effective_csi(small_ckm.reclassify(None, 1.0), chans)
     assert csi.acquired == []
     assert np.all(csi.source == 1)
+    with pytest.raises(AssertionError, match="read channel rows"):
+        fuse_effective_csi(small_ckm.reclassify(None, 0.0), chans)
 
 
 def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
     users = place_users(small_scenario, 4)
     chans = trial_channels(small_scenario, users, realization=5)
-    csi = fuse_effective_csi(small_ckm, chans, mode="auto")
+    csi = fuse_effective_csi(small_ckm, chans)
     grids = [u.grid for u in users]
     # row i belongs to user i's serving BS
     assert csi.cell_of.tolist() == [u.cell for u in users]
@@ -453,30 +458,25 @@ def test_fuse_validates_provider_shape(small_scenario, small_ckm):
     L, n, N = chans.shape
     for shape in ((1, n, N), (L, n, 3), (n, N)):
         bad = dataclasses.replace(chans, shape=shape)
-        for mode in ("auto", "scsi"):
+        for m in (ckm, small_ckm.reclassify(None, 1.0)):
             with pytest.raises(ValueError, match="one row per"):
-                fuse_effective_csi(ckm, bad, mode=mode)
-
-
-def test_fuse_rejects_unknown_mode(static_scenario):
-    ckm = build_ckm(static_scenario).reclassify(1.0, None)
-    chans = trial_channels(static_scenario, place_users(static_scenario, 0), 1)
-    with pytest.raises(ValueError, match="fusion mode"):
-        fuse_effective_csi(ckm, chans, mode="genie")
+                fuse_effective_csi(m, bad)
 
 
 # -- fused two-stage pipeline --------------------------------------------------
 
 
 def test_robust_on_fully_reliable_map_equals_map_only_pipeline(static_scenario):
+    # Every grid reliable by delta, and by eta = 1 as the map-only
+    # schedulers threshold it.
     ckm = build_ckm(static_scenario).reclassify(1.0, None)
     cfg = static_scenario.config
     chans = trial_channels(static_scenario, place_users(static_scenario, 3), 4)
     robust, rc = robust_two_stage(
-        fuse_effective_csi(ckm, chans, mode="auto"), cfg.kprime, cfg.kbar, cfg.alpha
+        fuse_effective_csi(ckm, chans), cfg.kprime, cfg.kbar, cfg.alpha
     )
     baseline, bc = robust_two_stage(
-        fuse_effective_csi(ckm, chans, mode="scsi"), cfg.kprime, cfg.kbar, cfg.alpha
+        fuse_effective_csi(ckm.reclassify(None, 1.0), chans), cfg.kprime, cfg.kbar, cfg.alpha
     )
     assert robust.members == baseline.members
     assert rc == bc == {
@@ -490,7 +490,7 @@ def test_robust_on_fully_unreliable_map_acquires_everyone(small_scenario, small_
     cfg = small_scenario.config
     chans = trial_channels(small_scenario, place_users(small_scenario, 5), realization=6)
     group, counters = robust_two_stage(
-        fuse_effective_csi(ckm, chans, mode="auto"), cfg.kprime, cfg.kbar, cfg.alpha
+        fuse_effective_csi(ckm, chans), cfg.kprime, cfg.kbar, cfg.alpha
     )
     L = cfg.n_cells
     total_users = L * cfg.users_per_cell
@@ -507,7 +507,7 @@ def test_robust_pipeline_is_deterministic(small_scenario, small_ckm):
         users = place_users(small_scenario, 7)
         chans = trial_channels(small_scenario, users, realization=8)
         group, _ = robust_two_stage(
-            fuse_effective_csi(small_ckm, chans, mode="auto"),
+            fuse_effective_csi(small_ckm, chans),
             cfg.kprime, cfg.kbar, cfg.alpha, first_stage="gis",
         )
         runs.append(group.members)
