@@ -23,7 +23,8 @@ import numpy as np
 from .ckm import UsCkm
 from .errors import ConfigError
 from .evaluation import BRUTE_FORCE_BUDGET, combination_count
-from .experiments import ALGORITHMS, MAP_ALGORITHMS, cached_ckm, cached_scenario, run_trial
+from .experiments import (ALGORITHMS, MAP_ALGORITHMS, MAP_THRESHOLDS, cached_ckm,
+                          cached_scenario, run_trial)
 from .geometry import CONFIG_HINTS as _HINTS
 from .geometry import INT_FIELDS as _INT_FIELDS
 from .geometry import ScenarioConfig, scenario_key
@@ -237,12 +238,25 @@ def _fusion_groups(configs) -> list[list[int]]:
     return [group for thresholds in keys.values() for group in thresholds.values()]
 
 
+def _run_order(algorithms) -> list[int]:
+    """The indices of algorithms in the order a seed runs them: the
+    map-driven ones grouped by the map they fuse on (MAP_THRESHOLDS), so
+    that a seed fuses once per map, and every other algorithm a group of
+    its own. Groups come in the order of their first algorithm, and each
+    group's algorithms in plan order."""
+    groups: dict = {}
+    for a, name in enumerate(algorithms):
+        groups.setdefault(MAP_THRESHOLDS.get(name, name), []).append(a)
+    return [a for group in groups.values() for a in group]
+
+
 def _chunks(plan: ExperimentPlan, configs, groups):
     """cmd_run's jobs, one list per (group, seed), each running
-    seed → algorithm → point."""
+    seed → algorithm (in _run_order) → point."""
+    order = [plan.algorithms[a] for a in _run_order(plan.algorithms)]
     for group in groups:
         for t in range(plan.trials):
-            yield [(configs[i], algorithm, t) for algorithm in plan.algorithms for i in group]
+            yield [(configs[i], algorithm, t) for algorithm in order for i in group]
 
 
 def _run_chunk(chunk):
@@ -254,12 +268,14 @@ def _plan_order(plan: ExperimentPlan, configs, groups, results):
     seed) from the results of _chunks, read one group at a time. A
     point's rows come out once its group has finished and every earlier
     point's rows are out."""
+    # The run position of each algorithm, by plan index.
+    ran_at = {a: r for r, a in enumerate(_run_order(plan.algorithms))}
     done: dict[int, list] = {}
     nxt = 0
     for group in groups:
         seeds = list(islice(results, plan.trials))
         for g, i in enumerate(group):
-            done[i] = [[chunk[a * len(group) + g] for chunk in seeds]
+            done[i] = [[chunk[ran_at[a] * len(group) + g] for chunk in seeds]
                        for a in range(len(plan.algorithms))]
         while nxt in done:
             for algorithm, per_seed in zip(plan.algorithms, done.pop(nxt)):
@@ -280,10 +296,10 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
         raise ValueError(f"threads must be >= 1, got {threads}")
     stream = stream or sys.stdout
     configs = [plan.config_at(point) for point in plan.sweep_points()]
-    # The points of one group run seed → algorithm → point, so the two-stage
-    # schedulers of one seed share its users and channel rows, those on one
-    # map its fusion, and a scheduler's decision on it, across the points
-    # (experiments.MapTrial).
+    # The points of one group run seed → algorithm → point, the two-stage
+    # schedulers map by map, so those of one seed share its users and
+    # channel rows, those on one map its one fusion, and a scheduler's
+    # decision on it, across the points (experiments.MapTrial).
     groups = _fusion_groups(configs)
     chunks = _chunks(plan, configs, groups)
     n_rows = len(configs) * len(plan.algorithms) * plan.trials

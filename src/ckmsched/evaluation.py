@@ -62,10 +62,16 @@ class ChannelSet:
         """(L, len(ids), N): the true channels of these users toward every
         BS. ValueError, with nothing synthesized, for an id that is not a
         row."""
+        return self.filled(ids)[:, ids]
+
+    def filled(self, ids) -> np.ndarray:
+        """The (L, n, N) buffer of every row, those of ids synthesized (the
+        others may not be yet). ValueError, with nothing synthesized, for
+        an id that is not a row."""
         _require_rows(self, ids)
         if not self._complete:
             self._fill(ids)
-        return self._rows[:, ids]
+        return self._rows
 
     def _fill(self, ids) -> None:
         # Each missing row once, however often ids repeats it.
@@ -143,43 +149,74 @@ def sinr(w, desired, intra_interferers, inter_interferers, noise_power: float) -
 def evaluate_group(
     group: UserGroup, chans: ChannelSet, noise_power: float
 ) -> tuple[float, dict[int, float]]:
-    """Sum rate and per-user SINR of a group under per-cell MMSE combining.
+    """Sum rate and per-user SINR of a group under per-cell MMSE combining:
+    evaluate_groups of the one group."""
+    return evaluate_groups([group], chans, noise_power)[0]
+
+
+def evaluate_groups(
+    groups, chans: ChannelSet, noise_power: float
+) -> list[tuple[float, dict[int, float]]]:
+    """(rate, gammas) of each group under per-cell MMSE combining.
 
     Every scheduled user (own cell and other cells) contributes
     interference at every BS; each BS solves one MMSE system per served
-    user against the full scheduled set.
+    user against the full scheduled set. The (group, BS) systems that
+    serve k of m scheduled users are stacked by (k, m) and solved in one
+    batched call per stack, and each system's arithmetic is that of a
+    batch of one, so a group's result does not depend on the batch it is
+    in. ValueError for a user scheduled twice or without a channel row.
     """
     # Canonical order, cell by cell and ascending ids within a cell, so the
-    # rate is bit-identical for any member ordering of the same group; cell
-    # c's users are the slice start:stop of the scheduled ids.
-    cells = sorted(group.members)
-    served_by = [sorted(group.members[cell]) for cell in cells]
-    ids = [uid for served in served_by for uid in served]
-    if not ids:
-        return 0.0, {}
-    seen = chans.rows(ids)  # (L, m, N), all scheduled users seen at each BS
-    gammas: dict[int, float] = {}
-    total = 0.0
-    stop = 0
-    for cell, served in zip(cells, served_by):
-        start, stop = stop, stop + len(served)
-        if not served:
-            continue
-        s = seen[cell]
-        n = s.shape[1]
-        cov = s.T @ s.conj() + noise_power * np.eye(n, dtype=np.complex128)
-        d = s[start:stop].T  # (N, served)
-        w = np.linalg.solve(cov, d)
-        cross = w.conj().T @ s.T  # (served, m): cross[j, i] = w_j^H h_i
-        p = np.abs(cross) ** 2
-        wn2 = np.sum(np.abs(w) ** 2, axis=0)
-        for j, uid in enumerate(served):
-            num = p[j, start + j]
-            den = p[j].sum() - num + noise_power * wn2[j]
-            g = float(num / den)
-            gammas[uid] = g
+    # rate is bit-identical for any member ordering of the same group.
+    # Group g's users are ids[at[g]:at[g] + m], and a served cell's users
+    # the slice first:first + k of them.
+    ids: list[int] = []
+    at: list[int] = []
+    stacks: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for group in groups:
+        cells = sorted(group.members)
+        served_by = [sorted(group.members[cell]) for cell in cells]
+        scheduled = [uid for served in served_by for uid in served]
+        m = len(scheduled)
+        if len(set(scheduled)) < m:
+            twice = next(u for i, u in enumerate(scheduled) if u in scheduled[:i])
+            raise ValueError(f"user {twice} is scheduled twice")
+        base = first = len(ids)
+        ids += scheduled
+        at.append(base)
+        for cell, served in zip(cells, served_by):
+            if served:
+                stacks.setdefault((len(served), m), []).append((cell, base, first))
+            first += len(served)
+    rows = chans.filled(ids)
+    flat = np.array(ids, dtype=np.int64)
+    out = np.empty(len(ids))
+    eye = noise_power * np.eye(chans.shape[2], dtype=np.complex128)
+    for (k, m), systems in stacks.items():
+        bss, base, first = np.array(systems, dtype=np.int64).T[:, :, None]
+        s = rows[bss, flat[base + np.arange(m)]]          # (B, m, N)
+        d = rows[bss, flat[first + np.arange(k)]]         # (B, k, N)
+        st = s.transpose(0, 2, 1)
+        w = np.linalg.solve(st @ s.conj() + eye, d.transpose(0, 2, 1))   # (B, N, k)
+        # cross[b, j, i] = w_j^H h_i. Every product and reduction keeps the
+        # shape and axis of one system's, so each result keeps its bits: k
+        # rows, not k sliced from m (a one-row product runs as gemv), row
+        # sums along the contiguous last axis, ||w||^2 over the antennas.
+        p = np.abs(w.conj().transpose(0, 2, 1) @ st) ** 2  # (B, k, m)
+        wn2 = np.sum(np.abs(w) ** 2, axis=1)             # (B, k)
+        j = np.arange(k)
+        num = p[np.arange(len(systems))[:, None], j, first - base + j]
+        den = (p.sum(axis=2) - num) + noise_power * wn2
+        out[first + j] = num / den
+    gammas = out.tolist()
+    results = []
+    for base, stop in zip(at, [*at[1:], len(ids)]):
+        total = 0.0
+        for g in gammas[base:stop]:
             total += math.log2(1.0 + g)
-    return total, gammas
+        results.append((total, dict(zip(ids[base:stop], gammas[base:stop]))))
+    return results
 
 
 # Closed-form scores only rank candidates; score_band keeps every one within
@@ -327,18 +364,14 @@ def score_band(scores: np.ndarray | None, count: int) -> np.ndarray | range:
 
 def exact_pick(band, evaluate) -> tuple[int, tuple]:
     """Index and exact evaluation of the best candidate of `band`
-    (score_band), each evaluated by evaluate(index), which returns
-    (rate, gammas) as evaluate_group does.
+    (score_band): evaluate(indices) takes the whole band as one list and
+    returns their (rate, gammas) as evaluate_groups does.
 
     The first strict maximum of the rate wins, so the pick and its
     evaluation equal those of exact scoring with a lowest-index tie-break.
     """
-    best_i, best = -1, None
-    for i in band:
-        result = evaluate(int(i))
-        if best is None or result[0] > best[0]:
-            best_i, best = int(i), result
-    return best_i, best
+    band = [int(i) for i in band]
+    return max(zip(band, evaluate(band)), key=lambda pick: pick[1][0])
 
 
 def brute_force_optimum(
@@ -349,10 +382,11 @@ def brute_force_optimum(
     ScheduleError for a cell with fewer than kbar users, and
     EnumerationGuardError when the product of per-cell subset counts
     exceeds BRUTE_FORCE_BUDGET. Combinations are ranked in closed form,
-    _BLOCK at a time, and the pick is confirmed with evaluate_group
-    (exact_pick), so ties keep the lexicographically lowest selection. The
-    winner's exact evaluation also fills its SelectionRecords. Returns
-    (group, rate, gammas) as evaluate_group gives them for the group.
+    _BLOCK at a time, and the pick is confirmed with evaluate_groups
+    (exact_pick), _BLOCK groups at a time, so ties keep the
+    lexicographically lowest selection. The winner's exact evaluation also
+    fills its SelectionRecords. Returns (group, rate, gammas) as
+    evaluate_group gives them for the group.
     """
     bycell = chans.ids_by_cell()
     cells = sorted(bycell)
@@ -388,9 +422,12 @@ def brute_force_optimum(
             scores = None
             break
         scores[start:stop] = block
-    i, (rate, gammas) = exact_pick(
-        score_band(scores, n_combos),
-        lambda i: evaluate_group(group_at(i), chans, noise_power),
+    band = score_band(scores, n_combos)
+    i, (rate, gammas) = max(
+        (exact_pick(band[start:start + _BLOCK],
+                    lambda block: evaluate_groups(map(group_at, block), chans, noise_power))
+         for start in range(0, len(band), _BLOCK)),
+        key=lambda pick: pick[1][0],
     )
     best = group_at(i)
     best.meta = [

@@ -284,9 +284,10 @@ _SCHEDULERS = {
     "brute_force": _brute_force,
 }
 ALGORITHMS = tuple(_SCHEDULERS)
-# The schedulers that read the map: the two-stage entries, tagged with the
-# threshold of the map they fuse on (None: config's own).
-MAP_ALGORITHMS = tuple(a for a, f in _SCHEDULERS.items() if hasattr(f, "threshold"))
+# The schedulers that read the map: the two-stage entries, each with the
+# threshold of the map it fuses on (None: config's own).
+MAP_THRESHOLDS = {a: f.threshold for a, f in _SCHEDULERS.items() if hasattr(f, "threshold")}
+MAP_ALGORITHMS = tuple(MAP_THRESHOLDS)
 
 
 # The channels of trial seed s are realization s + 1, an int64 in

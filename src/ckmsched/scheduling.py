@@ -304,8 +304,9 @@ def greedy_schedule(
     inverse outlives the call. A pick whose evaluation.score_band holds
     one candidate is that candidate, and its SelectionRecord.metric is its
     closed-form score. A wider band, or scores the closed form refuses, is
-    confirmed with the exact evaluator (evaluation.exact_pick), so ties go
-    to the lowest id, and the metric is the partial group's exact sum rate.
+    confirmed exactly, the whole band in one evaluation.evaluate_groups
+    call (evaluation.exact_pick), so ties go to the lowest id, and the
+    metric is the partial group's exact sum rate.
     Returns (group, rate, gammas) as evaluate_group gives them for the
     group: the last pick's exact evaluation, or one made at the end.
     """
@@ -323,12 +324,13 @@ def greedy_schedule(
         for l in cells:
             pool = remaining[l]
 
-            def evaluate_with(j: int) -> tuple[float, dict[int, float]]:
-                trial = {c: list(v) for c, v in members.items()}
-                trial[l].append(pool[j])
-                return evaluation.evaluate_group(
-                    UserGroup(members=trial), chans, noise_power
-                )
+            def evaluate_with(band: list[int]) -> list[tuple[float, dict[int, float]]]:
+                trials = []
+                for j in band:
+                    trial = {c: list(v) for c, v in members.items()}
+                    trial[l].append(pool[j])
+                    trials.append(UserGroup(members=trial))
+                return evaluation.evaluate_groups(trials, chans, noise_power)
 
             scores = evaluation.candidate_rates(partial, l, pool)
             band = evaluation.score_band(scores, len(pool))

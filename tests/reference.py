@@ -1,5 +1,6 @@
 """Slow reference implementations that the production fast paths are
-checked against: one exact evaluate_group call per candidate group,
+checked against: one exact evaluate_group call per candidate group, the
+per-BS MMSE loop of one group that evaluate_groups batches,
 per-user SINRs through the public mmse_receiver / sinr functions, the
 per-grid map survey through one channel_rows call and scalar statistics
 (np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), the one-shot
@@ -96,6 +97,40 @@ def brute_force_reference(chans, kbar: int, noise_power: float):
             best_rate, best = rate, group
     rate, _ = evaluate_group(best, chans, noise_power)
     return best, float(rate)
+
+
+def evaluate_group_reference(group: UserGroup, chans, noise_power: float):
+    """(rate, gammas) of one group with one MMSE solve per BS, cell by cell
+    and ascending ids within a cell, and each user's SINR from numpy
+    scalars: the loop evaluate_groups stacks across systems."""
+    cells = sorted(group.members)
+    served_by = [sorted(group.members[cell]) for cell in cells]
+    ids = [uid for served in served_by for uid in served]
+    if not ids:
+        return 0.0, {}
+    seen = chans.rows(ids)  # (L, m, N), all scheduled users seen at each BS
+    gammas = {}
+    total = 0.0
+    stop = 0
+    for cell, served in zip(cells, served_by):
+        start, stop = stop, stop + len(served)
+        if not served:
+            continue
+        s = seen[cell]
+        n = s.shape[1]
+        cov = s.T @ s.conj() + noise_power * np.eye(n, dtype=np.complex128)
+        d = s[start:stop].T  # (N, served)
+        w = np.linalg.solve(cov, d)
+        cross = w.conj().T @ s.T  # (served, m): cross[j, i] = w_j^H h_i
+        p = np.abs(cross) ** 2
+        wn2 = np.sum(np.abs(w) ** 2, axis=0)
+        for j, uid in enumerate(served):
+            num = p[j, start + j]
+            den = p[j].sum() - num + noise_power * wn2[j]
+            g = float(num / den)
+            gammas[uid] = g
+            total += math.log2(1.0 + g)
+    return total, gammas
 
 
 def sinr_reference(group: UserGroup, chans, noise_power: float) -> dict[int, float]:

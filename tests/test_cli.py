@@ -293,6 +293,45 @@ def test_run_is_seed_major_and_writes_rows_in_plan_order(tmp_path, monkeypatch, 
         (snr, a, t) for snr in (10, 20) for a in algorithms for t in range(3)]
 
 
+def test_a_seed_runs_its_two_stage_schedulers_map_by_map(tmp_path, monkeypatch, empty_memo):
+    # A plan that alternates the all-reliable map and config's own still
+    # fuses once per (seed, map): a seed runs the schedulers of one map
+    # together, in plan order, maps in order of first use, and every other
+    # scheduler where it stands. The rows come out in plan order, each
+    # algorithm's equal to those of the plan written map by map.
+    maps, trials = [], []
+    fuse, run = experiments.fuse_effective_csi, cli.run_trial
+
+    def counted(ckm, chans):
+        maps.append(ckm.realized_eta())
+        return fuse(ckm, chans)
+
+    def logged_trial(config, algorithm, trial_seed):
+        trials.append((algorithm, trial_seed))
+        return run(config, algorithm, trial_seed)
+
+    monkeypatch.setattr(experiments, "fuse_effective_csi", counted)
+    monkeypatch.setattr(cli, "run_trial", logged_trial)
+    interleaved = ("two_stage_aes", "robust_aes", "random", "two_stage_gis", "robust_gis")
+    ran = ("two_stage_aes", "two_stage_gis", "robust_aes", "robust_gis", "random")
+    code, out, _ = run_plan(
+        tmp_path, DESK_CFG + f"algorithms = {', '.join(interleaved)}\ntrials = 5\n")
+    assert code == 0
+    assert maps == [1.0, 0.7] * 5
+    assert trials == [(a, t) for t in range(5) for a in ran]
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [a for a in interleaved for _ in range(5)]
+    empty_memo()
+    code, grouped, _ = run_plan(
+        tmp_path, DESK_CFG + f"algorithms = {', '.join(ran)}\ntrials = 5\n",
+        out_name="grouped.csv")
+    assert code == 0
+    for algorithm in interleaved:
+        mine = [row for row in rows if row.startswith(f"{algorithm},")]
+        assert mine == [row for row in grouped.read_text().splitlines()
+                        if row.startswith(f"{algorithm},")]
+
+
 def plan_at(point) -> str:
     """DESK_CFG with the fields of a sweep point set to its values."""
     fields = {SWEEP_DIMS[dim]: value for dim, value in point.items()}

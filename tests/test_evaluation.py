@@ -15,6 +15,7 @@ from ckmsched.evaluation import (
     calibrate_noise,
     candidate_rates,
     evaluate_group,
+    evaluate_groups,
     mmse_receiver,
     overhead_counts,
     sinr,
@@ -164,6 +165,20 @@ def test_rate_equals_log_sum_of_reported_sinrs():
     rate, gammas = evaluate_group(group, chans, 0.3)
     assert set(gammas) == {0, 2, 4, 5}
     assert rate == pytest.approx(sum(math.log2(1.0 + g) for g in gammas.values()))
+
+
+@pytest.mark.parametrize("members", [{0: [1, 1]}, {0: [1], 1: [1]}],
+                         ids=["same_cell", "two_cells"])
+def test_evaluation_refuses_a_user_scheduled_twice(members):
+    # Counted twice, the user would add its log2(1 + gamma) to the rate
+    # twice while gammas held it once.
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))
+    chans = synthetic_chans(h, [0, 0, 1, 1])
+    with pytest.raises(ValueError, match="user 1 is scheduled twice"):
+        evaluate_group(UserGroup(members=members), chans, 0.5)
+    with pytest.raises(ValueError, match="user 1 is scheduled twice"):
+        evaluate_groups([UserGroup(members={0: [0]}), UserGroup(members=members)], chans, 0.5)
 
 
 def test_rate_is_bit_identical_under_member_reordering():

@@ -34,7 +34,10 @@ from ckmsched.evaluation import (
     brute_force_optimum,
     calibrate_noise,
     candidate_rates,
+    combination_count,
     evaluate_group,
+    evaluate_groups,
+    exact_pick,
 )
 from ckmsched.experiments import (
     cached_ckm,
@@ -62,6 +65,7 @@ from reference import (
     channel_rows_reference,
     corr_csv_reference,
     dynamic_clusters_reference,
+    evaluate_group_reference,
     fuse_reference,
     gis_reference,
     greedy_reference,
@@ -137,19 +141,21 @@ def random_chans(rng, users_per_cell, n_cells, n_antennas):
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Count exact evaluate_group evaluations.
+    """Record every group evaluated exactly: each group passed to
+    evaluate_groups, which evaluate_group calls with its one group.
 
     The references and assert_same_* score through evaluate_group too, so a
     test reads the list right after the fast scheduler returns and clears it
     before comparing against a reference."""
     calls = []
-    exact = evaluation.evaluate_group
+    exact = evaluation.evaluate_groups
 
-    def counted(group, chans, noise_power):
-        calls.append(group)
-        return exact(group, chans, noise_power)
+    def counted(groups, chans, noise_power):
+        groups = list(groups)
+        calls.extend(groups)
+        return exact(groups, chans, noise_power)
 
-    monkeypatch.setattr(evaluation, "evaluate_group", counted)
+    monkeypatch.setattr(evaluation, "evaluate_groups", counted)
     return calls
 
 
@@ -756,6 +762,102 @@ def test_candidate_rates_match_exact_sum_rates():
             trial[cell].append(uid)
             exact = evaluate_group(UserGroup(members=trial), chans, noise)[0]
             assert math.isclose(score, exact, rel_tol=1e-9)
+
+
+# -- the batched exact evaluator against the per-BS loop ----------------------
+
+
+def assorted_groups(rng, chans, kbar):
+    """Full kbar groups, partial groups whose cells schedule unequal counts
+    (none at all, or leave the members), one-cell groups and the empty
+    group, members in random order."""
+    bycell = chans.ids_by_cell()
+
+    def pick(cell, k):
+        return rng.permutation(bycell[cell])[:k].tolist()
+
+    groups = [UserGroup(members={c: pick(c, kbar) for c in bycell}) for _ in range(3)]
+    for _ in range(8):
+        groups.append(UserGroup(members={
+            c: pick(c, int(rng.integers(0, kbar + 2))) for c in bycell if rng.random() < 0.8}))
+    groups += [UserGroup(members={c: pick(c, kbar)}) for c in bycell]
+    groups.append(UserGroup(members={}))
+    return groups
+
+
+EVALUATION_CASES = {
+    "desk": (desk_config(), 6),
+    "table": (table_scale_config(), 2),
+    "dense": (DENSE, 1),
+    "one_user_cells": (desk_config(users_per_cell=1, kbar=1, kprime=1), 4),
+    "desk_70db": (desk_config(target_snr_db=70.0), 4),
+    "table_70db": (table_scale_config(target_snr_db=70.0), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATION_CASES))
+def test_batched_evaluation_matches_the_per_bs_loop(name):
+    # One batch mixes systems of several (served, scheduled) shapes; each
+    # group's (rate, gammas) must be the per-BS loop's, bit for bit, in the
+    # batch and alone.
+    cfg, seeds = EVALUATION_CASES[name]
+    rng = np.random.default_rng(17)
+    for seed in range(seeds):
+        chans, noise = trial_instance(cfg, seed)
+        groups = assorted_groups(rng, chans, cfg.kbar)
+        shapes = {(len(served), sum(map(len, g.members.values())))
+                  for g in groups for served in g.members.values() if served}
+        assert len(shapes) >= (2 if cfg.users_per_cell == 1 else 4)
+        batch = evaluate_groups(groups, chans, noise)
+        assert len(batch) == len(groups)
+        for group, got in zip(groups, batch):
+            want = repr(evaluate_group_reference(group, chans, noise))
+            assert repr(got) == want
+            assert repr(evaluate_group(group, chans, noise)) == want
+
+
+def test_exact_pick_scores_its_band_in_one_call_and_keeps_the_first_maximum():
+    rates = {2: 1.0, 4: 3.0, 5: 3.0, 7: 2.0, 9: 3.0}
+    calls = []
+
+    def evaluate(band):
+        calls.append(band)
+        return [(rates[i], {i: rates[i]}) for i in band]
+
+    i, best = exact_pick(np.array([2, 4, 5, 7, 9]), evaluate)
+    assert (i, best) == (4, (3.0, {4: 3.0})) and type(i) is int
+    assert calls == [[2, 4, 5, 7, 9]] and all(type(j) is int for j in calls[0])
+    # A later strict maximum wins over earlier ones.
+    rates[9] = 3.5
+    assert exact_pick(range(2, 10, 7), evaluate) == (9, (3.5, {9: 3.5}))
+    assert exact_pick([7], evaluate) == (7, (2.0, {7: 2.0}))
+
+
+def test_brute_force_confirms_in_blocks(exact_calls, monkeypatch):
+    # At 70 dB the closed form refuses every combination, so all of them
+    # are confirmed exactly; blocks of 7 must find the default's pick.
+    cfg = desk_config(target_snr_db=70.0)
+    chans, noise = trial_instance(cfg, 0)
+    group, rate, gammas = brute_force_optimum(chans, cfg.kbar, noise)
+    n_combos = combination_count([cfg.users_per_cell] * cfg.n_cells, cfg.kbar)
+    assert len(exact_calls) == n_combos > 7
+    exact_calls.clear()
+    sizes = []
+    counted = evaluation.evaluate_groups
+
+    def sized(groups, *args):
+        groups = list(groups)
+        sizes.append(len(groups))
+        return counted(groups, *args)
+
+    monkeypatch.setattr(evaluation, "evaluate_groups", sized)
+    monkeypatch.setattr(evaluation, "_BLOCK", 7)
+    small = brute_force_optimum(chans, cfg.kbar, noise)
+    assert len(exact_calls) == n_combos
+    assert sizes == [7] * (n_combos // 7) + [n_combos % 7]
+    assert small[0].members == group.members
+    assert repr(small[1:]) == repr((rate, gammas))
+    assert assert_same_brute_force(chans, cfg.kbar, noise).members == group.members
 
 
 # -- batched scenario, map survey, channel synthesis and placement -----------
