@@ -55,8 +55,14 @@ class ChannelSet:
     def n_cells(self) -> int:
         return self.shape[0]
 
-    def ids_by_cell(self) -> dict[int, list[int]]:
-        return {l: np.flatnonzero(self.cell_of == l).tolist() for l in range(self.n_cells)}
+    def ids_by_cell(self, need: int = 0) -> dict[int, list[int]]:
+        """Each cell's user ids, ascending, cells in order; ScheduleError for
+        a cell with fewer than need users (a scheduler's kbar)."""
+        bycell = {l: np.flatnonzero(self.cell_of == l).tolist() for l in range(self.n_cells)}
+        for l, ids in bycell.items():
+            if len(ids) < need:
+                raise ScheduleError(f"cell {l} has {len(ids)} < kbar={need} users")
+        return bycell
 
     def rows(self, ids) -> np.ndarray:
         """(L, len(ids), N): the true channels of these users toward every
@@ -192,44 +198,89 @@ def evaluate_groups(
     rows = chans.filled(ids)
     flat = np.array(ids, dtype=np.int64)
     out = np.empty(len(ids))
-    eye = noise_power * np.eye(chans.shape[2], dtype=np.complex128)
     for (k, m), systems in stacks.items():
-        bss, base, first = np.array(systems, dtype=np.int64).T[:, :, None]
-        s = rows[bss, flat[base + np.arange(m)]]          # (B, m, N)
-        d = rows[bss, flat[first + np.arange(k)]]         # (B, k, N)
-        st = s.transpose(0, 2, 1)
-        w = np.linalg.solve(st @ s.conj() + eye, d.transpose(0, 2, 1))   # (B, N, k)
-        # cross[b, j, i] = w_j^H h_i. Every product and reduction keeps the
-        # shape and axis of one system's, so each result keeps its bits: k
-        # rows, not k sliced from m (a one-row product runs as gemv), row
-        # sums along the contiguous last axis, ||w||^2 over the antennas.
-        p = np.abs(w.conj().transpose(0, 2, 1) @ st) ** 2  # (B, k, m)
-        wn2 = np.sum(np.abs(w) ** 2, axis=1)             # (B, k)
-        j = np.arange(k)
-        num = p[np.arange(len(systems))[:, None], j, first - base + j]
-        den = (p.sum(axis=2) - num) + noise_power * wn2
-        out[first + j] = num / den
+        bss, base, first = np.array(systems, dtype=np.int64).T
+        out[first[:, None] + np.arange(k)] = _mmse_gammas(
+            rows, bss, flat[base[:, None] + np.arange(m)], first - base, k, noise_power)
     gammas = out.tolist()
-    results = []
-    for base, stop in zip(at, [*at[1:], len(ids)]):
-        total = 0.0
-        for g in gammas[base:stop]:
-            total += math.log2(1.0 + g)
-        results.append((total, dict(zip(ids[base:stop], gammas[base:stop]))))
-    return results
+    return [(_sum_rate(gammas[base:stop]), dict(zip(ids[base:stop], gammas[base:stop])))
+            for base, stop in zip(at, [*at[1:], len(ids)])]
 
 
-# Closed-form scores only rank candidates; score_band keeps every one within
-# _SCORE_BAND (relative) of the best, which holds the exact pick while every
-# score errs by less than half the band. A band of one is the pick itself;
-# exact_pick confirms a wider band with evaluate_group.
-# Measured at greedy's picks, that error stays below 3e-14 at the workloads'
-# 20-30 dB (table scale, seeds 0-2) but reaches 1e-7 at 50 dB (desk seed 1):
-# above 30 dB, test_greedy_matches_the_reference_at_high_snr guards picks.
+def _mmse_gammas(h, bss, users, first, k: int, noise_power: float) -> np.ndarray:
+    """(B, k) SINRs of B MMSE systems, the one exact kernel.
+
+    System b is BS bss[b] against the m scheduled users[b] of a (B, m)
+    array, in canonical order (cell by cell, ascending ids within a cell),
+    and serves users[b, first[b]:first[b] + k]; first is (B,) or one
+    offset for all. h is an (L, n, N) channel buffer holding those rows.
+    """
+    b = np.arange(len(users))[:, None]
+    j = np.arange(k)
+    cols = np.reshape(first, (-1, 1)) + j
+    bs = np.reshape(bss, (-1, 1))
+    s = h[bs, users]                                      # (B, m, N)
+    d = h[bs, users[b, cols]]                             # (B, k, N)
+    st = s.transpose(0, 2, 1)
+    eye = noise_power * np.eye(h.shape[2], dtype=np.complex128)
+    w = np.linalg.solve(st @ s.conj() + eye, d.transpose(0, 2, 1))   # (B, N, k)
+    # cross[b, j, i] = w_j^H h_i. Every product and reduction keeps the
+    # shape and axis of one system's, so each result keeps its bits: k
+    # rows, not k sliced from m (a one-row product runs as gemv), row sums
+    # along the contiguous last axis, ||w||^2 over the antennas.
+    p = np.abs(w.conj().transpose(0, 2, 1) @ st) ** 2     # (B, k, m)
+    wn2 = np.sum(np.abs(w) ** 2, axis=1)                  # (B, k)
+    num = p[b, j, cols]
+    return num / ((p.sum(axis=2) - num) + noise_power * wn2)
+
+
+def _sum_rate(gammas) -> float:
+    """The sum of log2(1 + gamma) over a group's gammas in canonical order,
+    term by term with math.log2: the one order of every exact rate."""
+    total = 0.0
+    for g in gammas:
+        total += math.log2(1.0 + g)
+    return total
+
+
+def _cell_gammas(h, parts, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """(users, gammas), both (B, m), of B groups given cell by cell: parts[c]
+    is a (B, k_c) array of the ids BS c serves, each row ascending, so each
+    row of users lies in canonical order. One kernel call per serving BS."""
+    users = np.hstack(parts)
+    gammas = np.empty(users.shape)
+    first = 0
+    for c, part in enumerate(parts):
+        k = part.shape[1]
+        if k:
+            gammas[:, first:first + k] = _mmse_gammas(
+                h, np.full(len(users), c), users, first, k, noise_power)
+        first += k
+    return users, gammas
+
+
+def first_best(users, gammas, band) -> tuple[int, tuple[float, dict[int, float]]]:
+    """The pick rule of both searches: the row of the ascending band whose
+    exact rate (_sum_rate of its gammas) is the first strict maximum, with
+    its (rate, gammas) as evaluate_group gives them. So ties go to the
+    lowest row."""
+    rates = {int(i): _sum_rate(gammas[i].tolist()) for i in band}
+    i = max(rates, key=rates.__getitem__)
+    return i, (rates[i], dict(zip(users[i].tolist(), gammas[i].tolist())))
+
+
+# Scores only rank: greedy's closed form (candidate_rates) and brute force's
+# np.log2 sums of exact gammas (math.log2 may differ in the last bit).
+# score_band keeps every candidate within _SCORE_BAND (relative) of the top
+# score, which holds the exact pick while every score errs by less than half
+# the band; first_best sums a band of two or more exactly. The closed form
+# errs by below 3e-14 at the workloads' 20-30 dB (greedy's picks, table
+# scale, seeds 0-2) but by 1e-7 at 50 dB (desk seed 1): above 30 dB,
+# test_greedy_matches_the_reference_at_high_snr guards picks.
 # _MIN_RESIDUAL refuses 1 - a_k terms too small to keep correct digits.
 _SCORE_BAND = 1e-9
 _MIN_RESIDUAL = 1e-6
-# Combinations scored per batched solve: bounds brute-force memory.
+# Combinations scored per kernel call: bounds brute-force memory.
 _BLOCK = 2048
 # Default cap on the combinations brute_force_optimum enumerates.
 BRUTE_FORCE_BUDGET = 1_000_000
@@ -329,49 +380,28 @@ def candidate_rates(
     return None if terms is None else terms.sum(axis=0)
 
 
-def _block_rates(
-    h: np.ndarray, rows: np.ndarray, serving: np.ndarray, noise_power: float
-) -> np.ndarray | None:
-    """Closed-form sum rates of a batch of groups: rows (B, M) index the
-    users of each group, serving (M,) their serving BSs. One batched solve
-    per BS; None when the closed form cannot be trusted (see _rate_terms).
-    """
-    eye = noise_power * np.eye(h.shape[2])
-    total = np.zeros(len(rows))
-    # A set, not np.unique: the first np.unique of a process imports
-    # numpy.ma.
-    for c in sorted(set(serving.tolist())):
-        s = h[c][rows]                                    # (B, M, N)
-        d = s[:, serving == c]                            # (B, k, N)
-        x = np.linalg.solve(s.transpose(0, 2, 1) @ s.conj() + eye,
-                            d.transpose(0, 2, 1))         # (B, N, k): R^-1 h_k
-        terms = _rate_terms(1.0 - np.einsum("bkn,bnk->bk", d.conj(), x).real)
-        if terms is None:
-            return None
-        total += terms.sum(axis=1)
-    return total
-
-
 def score_band(scores: np.ndarray | None, count: int) -> np.ndarray | range:
     """Indices of the candidates that may hold the best of `count`: those
-    whose closed-form score lies within _SCORE_BAND (relative) of the top
-    score, or all of them when scores is None."""
+    whose score lies within _SCORE_BAND (relative) of the top score, or all
+    of them when scores is None."""
     if scores is None:
         return range(count)
     top = scores.max()
     return np.flatnonzero(scores >= top - _SCORE_BAND * abs(top))
 
 
-def exact_pick(band, evaluate) -> tuple[int, tuple]:
-    """Index and exact evaluation of the best candidate of `band`
-    (score_band): evaluate(indices) takes the whole band as one list and
-    returns their (rate, gammas) as evaluate_groups does.
-
-    The first strict maximum of the rate wins, so the pick and its
-    evaluation equal those of exact scoring with a lowest-index tie-break.
-    """
-    band = [int(i) for i in band]
-    return max(zip(band, evaluate(band)), key=lambda pick: pick[1][0])
+def best_addition(
+    group: PartialGroup, cell: int, candidates
+) -> tuple[int, tuple[float, dict[int, float]]]:
+    """Index into candidates and exact (rate, gammas) of the best group of
+    `group` with one candidate added to cell (first_best): row b holds
+    candidates[b] sorted into cell's ids, and every row is scored on the
+    exact kernel."""
+    parts = [np.tile(np.array(sorted(served), dtype=np.int64), (len(candidates), 1))
+             for served in group.members.values()]
+    parts[cell] = np.sort(np.column_stack([parts[cell], candidates]), axis=1)
+    users, gammas = _cell_gammas(group.chans.h, parts, group.noise_power)
+    return first_best(users, gammas, range(len(users)))
 
 
 def brute_force_optimum(
@@ -381,61 +411,45 @@ def brute_force_optimum(
 
     ScheduleError for a cell with fewer than kbar users, and
     EnumerationGuardError when the product of per-cell subset counts
-    exceeds BRUTE_FORCE_BUDGET. Combinations are ranked in closed form,
-    _BLOCK at a time, and the pick is confirmed with evaluate_groups
-    (exact_pick), _BLOCK groups at a time, so ties keep the
-    lexicographically lowest selection. The winner's exact evaluation also
-    fills its SelectionRecords. Returns (group, rate, gammas) as
-    evaluate_group gives them for the group.
+    exceeds BRUTE_FORCE_BUDGET. Every combination is scored on the exact
+    kernel, _BLOCK at a time: its gammas at every BS rank it by their
+    np.log2 sum, and each block's score_band is summed exactly
+    (first_best). The first strict maximum across blocks wins, so ties keep
+    the lexicographically lowest selection. Its gammas also fill its
+    SelectionRecords. Returns (group, rate, gammas) as evaluate_group gives
+    them for the group.
     """
-    bycell = chans.ids_by_cell()
-    cells = sorted(bycell)
-    for l in cells:
-        if len(bycell[l]) < kbar:
-            raise ScheduleError(f"cell {l} has {len(bycell[l])} < kbar={kbar} users")
-    n_combos = combination_count([len(bycell[l]) for l in cells], kbar)
+    bycell = chans.ids_by_cell(kbar)
+    n_combos = combination_count(map(len, bycell.values()), kbar)
     if n_combos > BRUTE_FORCE_BUDGET:
         raise EnumerationGuardError(
             f"{n_combos} combinations exceed the budget of {BRUTE_FORCE_BUDGET}"
         )
     # User ids of every kbar-subset per cell, in lexicographic order;
-    # combination i of the product is np.unravel_index(i, shape).
+    # combination i of the product is np.unravel_index(i, shape), and its
+    # row of the block lies in canonical order.
     picks = []
-    for l in cells:
-        n = math.comb(len(bycell[l]), kbar)
-        flat = chain.from_iterable(combinations(bycell[l], kbar))
+    for ids in bycell.values():
+        n = math.comb(len(ids), kbar)
+        flat = chain.from_iterable(combinations(ids, kbar))
         picks.append(np.fromiter(flat, np.int64, n * kbar).reshape(n, kbar))
     shape = tuple(len(p) for p in picks)
-    serving = np.repeat(cells, kbar)
-
-    def group_at(i: int) -> UserGroup:
-        idx = np.unravel_index(i, shape)
-        return UserGroup(members={l: p[j].tolist() for l, p, j in zip(cells, picks, idx)})
-
-    scores = np.empty(n_combos)
+    best = None
     for start in range(0, n_combos, _BLOCK):
-        stop = min(start + _BLOCK, n_combos)
-        idx = np.unravel_index(np.arange(start, stop), shape)
-        rows = np.hstack([p[j] for p, j in zip(picks, idx)])
-        block = _block_rates(chans.h, rows, serving, noise_power)
-        if block is None:
-            scores = None
-            break
-        scores[start:stop] = block
-    band = score_band(scores, n_combos)
-    i, (rate, gammas) = max(
-        (exact_pick(band[start:start + _BLOCK],
-                    lambda block: evaluate_groups(map(group_at, block), chans, noise_power))
-         for start in range(0, len(band), _BLOCK)),
-        key=lambda pick: pick[1][0],
-    )
-    best = group_at(i)
-    best.meta = [
-        SelectionRecord(uid, cell, slot, gammas[uid], "icsi")
-        for cell in cells
-        for slot, uid in enumerate(best.members[cell])
+        idx = np.unravel_index(np.arange(start, min(start + _BLOCK, n_combos)), shape)
+        users, gammas = _cell_gammas(chans.h, [p[j] for p, j in zip(picks, idx)], noise_power)
+        band = score_band(np.log2(1.0 + gammas).sum(axis=1), len(users))
+        i, pick = first_best(users, gammas, band)
+        if best is None or pick[0] > best[1][0]:
+            best = users[i].tolist(), pick
+    row, (rate, gammas) = best
+    group = UserGroup(members={l: row[l * kbar:(l + 1) * kbar] for l in bycell})
+    group.meta = [
+        SelectionRecord(uid, l, slot, gammas[uid], "icsi")
+        for l, served in group.members.items()
+        for slot, uid in enumerate(served)
     ]
-    return best, float(rate), gammas
+    return group, rate, gammas
 
 
 @dataclass

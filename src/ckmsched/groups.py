@@ -16,12 +16,13 @@ class ActiveSet:
 
 @dataclass(slots=True)
 class SelectionRecord:
-    """Metadata for one scheduling decision."""
+    """Metadata for one scheduling decision; metric is None for a pick that
+    no score decided (random)."""
 
     user: int
     cell: int
     slot: int
-    metric: float
+    metric: float | None
     source: str
 
 

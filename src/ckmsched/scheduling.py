@@ -253,10 +253,8 @@ def sus_schedule(chans, kbar: int, alpha: float) -> UserGroup:
     """
     members: dict[int, list[int]] = {}
     meta: list[SelectionRecord] = []
-    for cell, cell_ids in sorted(chans.ids_by_cell().items()):
+    for cell, cell_ids in chans.ids_by_cell(kbar).items():
         ids = np.array(cell_ids, dtype=np.int64)
-        if len(ids) < kbar:
-            raise ScheduleError(f"cell {cell} has {len(ids)} < kbar={kbar} users")
         h = chans.h[cell, cell_ids]
         h_norm = _row_norms(h)
         resid = h.copy()
@@ -304,39 +302,24 @@ def greedy_schedule(
     inverse outlives the call. A pick whose evaluation.score_band holds
     one candidate is that candidate, and its SelectionRecord.metric is its
     closed-form score. A wider band, or scores the closed form refuses, is
-    confirmed exactly, the whole band in one evaluation.evaluate_groups
-    call (evaluation.exact_pick), so ties go to the lowest id, and the
-    metric is the partial group's exact sum rate.
+    confirmed exactly: evaluation.best_addition scores the band's groups
+    on the exact kernel and keeps the first strict maximum, so ties go to
+    the lowest id, and the metric is the partial group's exact sum rate.
     Returns (group, rate, gammas) as evaluate_group gives them for the
     group: the last pick's exact evaluation, or one made at the end.
     """
-    bycell = chans.ids_by_cell()
-    cells = sorted(bycell)
-    for l in cells:
-        if len(bycell[l]) < kbar:
-            raise ScheduleError(f"cell {l} has {len(bycell[l])} < kbar={kbar} users")
+    remaining = chans.ids_by_cell(kbar)
     partial = evaluation.PartialGroup(chans, noise_power)
     members = partial.members
-    remaining = {l: sorted(bycell[l]) for l in cells}
     meta: list[SelectionRecord] = []
     best = None
     for slot in range(kbar):
-        for l in cells:
-            pool = remaining[l]
-
-            def evaluate_with(band: list[int]) -> list[tuple[float, dict[int, float]]]:
-                trials = []
-                for j in band:
-                    trial = {c: list(v) for c, v in members.items()}
-                    trial[l].append(pool[j])
-                    trials.append(UserGroup(members=trial))
-                return evaluation.evaluate_groups(trials, chans, noise_power)
-
+        for l, pool in remaining.items():
             scores = evaluation.candidate_rates(partial, l, pool)
             band = evaluation.score_band(scores, len(pool))
             if scores is None or len(band) > 1:
-                j, best = evaluation.exact_pick(band, evaluate_with)
-                metric = best[0]
+                i, best = evaluation.best_addition(partial, l, [pool[j] for j in band])
+                j, metric = int(band[i]), best[0]
             else:
                 j, best = int(band[0]), None
                 metric = float(scores[j])
@@ -360,7 +343,7 @@ def random_schedule(ids_by_cell: dict, kbar: int, seed: int) -> UserGroup:
         pick = rng.choice(len(ids), size=kbar, replace=False)
         members[cell] = [ids[i] for i in pick]
         meta.extend(
-            SelectionRecord(ids[i], cell, slot, float("nan"), "none")
+            SelectionRecord(ids[i], cell, slot, None, "none")
             for slot, i in enumerate(pick)
         )
     return UserGroup(members=members, meta=meta)

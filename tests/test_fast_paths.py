@@ -1,10 +1,11 @@
 """Fast paths against the slow references in tests/reference.py.
 
-greedy_schedule and brute_force_optimum rank candidates with the batched
-closed form and confirm picks whose score band holds more than one
-candidate with evaluate_group; these tests require the same members, the
-same repr(sum_rate) and, for every confirmed pick, the same selection
-metric as scoring every candidate exactly. Scenario construction, build_ckm,
+greedy_schedule ranks candidates in closed form and confirms picks whose
+score band holds more than one candidate on the exact MMSE kernel;
+brute_force_optimum scores every combination on that kernel and sums its
+band exactly. These tests require the same members, the same
+repr(sum_rate) and, for every confirmed pick, the same selection metric as
+scoring every candidate exactly. Scenario construction, build_ckm,
 place_users, multi-BS channel_rows, CSI fusion, AES, ICCS and SUS are
 batched array code; they must equal the per-square, per-cluster, per-grid,
 per-user and per-position paths bit for bit, the batch-seeded random
@@ -37,7 +38,7 @@ from ckmsched.evaluation import (
     combination_count,
     evaluate_group,
     evaluate_groups,
-    exact_pick,
+    first_best,
 )
 from ckmsched.experiments import (
     cached_ckm,
@@ -140,23 +141,31 @@ def random_chans(rng, users_per_cell, n_cells, n_antennas):
 
 
 @pytest.fixture
-def exact_calls(monkeypatch):
-    """Record every group evaluated exactly: each group passed to
-    evaluate_groups, which evaluate_group calls with its one group.
+def kernel_calls(monkeypatch):
+    """Record every call of the exact MMSE kernel, which evaluate_groups,
+    brute force and greedy's band confirmation all solve on: each call is a
+    list of its systems, (BS, scheduled users in canonical order).
 
     The references and assert_same_* score through evaluate_group too, so a
     test reads the list right after the fast scheduler returns and clears it
     before comparing against a reference."""
     calls = []
-    exact = evaluation.evaluate_groups
+    kernel = evaluation._mmse_gammas
 
-    def counted(groups, chans, noise_power):
-        groups = list(groups)
-        calls.extend(groups)
-        return exact(groups, chans, noise_power)
+    def counted(h, bss, users, first, k, noise_power):
+        calls.append(list(zip(np.asarray(bss).tolist(), map(tuple, users.tolist()))))
+        return kernel(h, bss, users, first, k, noise_power)
 
-    monkeypatch.setattr(evaluation, "evaluate_groups", counted)
+    monkeypatch.setattr(evaluation, "_mmse_gammas", counted)
     return calls
+
+
+def systems(calls):
+    return [system for call in calls for system in call]
+
+
+def canonical(group):
+    return tuple(u for cell in sorted(group.members) for u in sorted(group.members[cell]))
 
 
 @pytest.fixture
@@ -194,12 +203,17 @@ def test_greedy_matches_the_reference_at_table_scale():
 
 @pytest.mark.parametrize("snr_db", [50.0, 70.0])
 def test_greedy_matches_the_reference_at_high_snr(snr_db):
-    # Here a rank-one inverse update keeps the fewest correct digits.
-    for cfg, seeds in ((table_scale_config(target_snr_db=snr_db), range(3)),
-                       (desk_config(target_snr_db=snr_db), range(40))):
-        for seed in seeds:
-            chans, noise = trial_instance(cfg, seed)
-            assert_same_greedy(chans, cfg.kbar, noise)
+    # Here a rank-one inverse update keeps the fewest correct digits, and
+    # brute force ranks the largest gammas with np.log2.
+    cfg = table_scale_config(target_snr_db=snr_db)
+    for seed in range(3):
+        chans, noise = trial_instance(cfg, seed)
+        assert_same_greedy(chans, cfg.kbar, noise)
+    cfg = desk_config(target_snr_db=snr_db)
+    for seed in range(40):
+        chans, noise = trial_instance(cfg, seed)
+        assert_same_greedy(chans, cfg.kbar, noise)
+        assert_same_brute_force(chans, cfg.kbar, noise)
 
 
 def assert_same_group(fast, slow, chans, noise):
@@ -339,27 +353,27 @@ def duplicated_chans():
     return synthetic_chans(h, [0, 0, 0, 1, 1, 1])
 
 
-def test_greedy_breaks_exact_ties_by_lowest_id(exact_calls):
+def test_greedy_breaks_exact_ties_by_lowest_id(kernel_calls):
     chans = duplicated_chans()
     group, _, _ = greedy_schedule(chans, 2, 0.5)
-    # the first pick was confirmed by re-scoring both tied candidates
-    assert len(exact_calls) >= 2
-    assert {exact_calls[0].members[0][0], exact_calls[1].members[0][0]} == {1, 2}
-    exact_calls.clear()
+    # the first pick was confirmed by scoring both tied candidates exactly
+    assert kernel_calls[0] == [(0, (1,)), (0, (2,))]
+    kernel_calls.clear()
     assert assert_same_greedy(chans, 2, 0.5).members == group.members
     first = group.meta[0]
     assert (first.cell, first.user) == (0, 1)
     assert 2 not in group.members[0]
 
 
-def test_tie_free_greedy_evaluates_the_group_once(exact_calls):
+def test_tie_free_greedy_evaluates_the_group_once(kernel_calls):
     # Every band of a table-scale seed-0 trial holds one candidate, so the
-    # only exact evaluation is the whole group's, at the end.
+    # only exact evaluation is the whole group's, at the end: one system
+    # per BS.
     cfg = table_scale_config()
     chans, noise = trial_instance(cfg, 0)
     group, rate, gammas = greedy_schedule(chans, cfg.kbar, noise)
-    assert [g.members for g in exact_calls] == [group.members]
-    exact_calls.clear()
+    assert sorted(systems(kernel_calls)) == [(c, canonical(group)) for c in range(cfg.n_cells)]
+    kernel_calls.clear()
     assert_exact_evaluation(group, rate, gammas, chans, noise)
 
 
@@ -406,13 +420,25 @@ def test_partial_group_updates_match_a_fresh_inversion_and_evaluation():
                 assert np.allclose(group.resid[c], want, rtol=1e-12, atol=0.0)
 
 
-def test_brute_force_breaks_exact_ties_by_lowest_selection(exact_calls):
+def test_brute_force_breaks_exact_ties_by_lowest_selection(kernel_calls, monkeypatch):
+    bands = []
+    pick = evaluation.first_best
+
+    def recorded(users, gammas, band):
+        bands.append([tuple(users[i].tolist()) for i in band])
+        return pick(users, gammas, band)
+
+    monkeypatch.setattr(evaluation, "first_best", recorded)
     chans = duplicated_chans()
     group, rate, _ = brute_force_optimum(chans, 1, 0.5)
-    # the tied candidates were evaluated exactly, and the winner only once
-    assert len(exact_calls) >= 2
-    assert [g.members for g in exact_calls].count(group.members) == 1
-    exact_calls.clear()
+    # both tied groups reached the exact pick rule, and the winner was
+    # solved once per BS
+    winner = canonical(group)
+    tied = tuple(2 if u == 1 else u for u in winner)
+    assert {winner, tied} <= set(bands[0])
+    assert [system for system in systems(kernel_calls) if system[1] == winner] == [
+        (0, winner), (1, winner)]
+    kernel_calls.clear()
     assert group.members[0] == [1]
     assert [m.metric for m in group.meta] == [
         evaluate_group(group, chans, 0.5)[1][m.user] for m in group.meta
@@ -691,7 +717,7 @@ def test_robust_at_eta_one_shares_the_map_only_fusion(monkeypatch, empty_memo):
     assert_fresh_two_stage(robust, cfg, 2)
 
 
-def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
+def test_high_sinr_falls_back_to_exact_scoring(kernel_calls):
     # At SINR ~1e9 the closed form's 1 - a loses too many digits to rank.
     chans = synthetic_chans(
         [[[1.0, 0.1], [0.2, 1.0], [0.7, 0.7], [1.0, -0.3]]], [0, 0, 0, 0]
@@ -700,8 +726,8 @@ def test_high_sinr_falls_back_to_exact_scoring(exact_calls):
     assert candidate_rates(PartialGroup(chans, noise), 0, [0, 1, 2, 3]) is None
     group, _, _ = greedy_schedule(chans, 2, noise)
     # every candidate of both slots was scored exactly by the scheduler
-    assert len(exact_calls) >= 4 + 3
-    exact_calls.clear()
+    assert len(systems(kernel_calls)) >= 4 + 3
+    kernel_calls.clear()
     assert assert_same_greedy(chans, 2, noise).members == group.members
     assert_same_brute_force(chans, 2, noise)
 
@@ -732,7 +758,7 @@ def test_closed_form_sinr_matches_mmse_receiver_and_sinr():
 
 @pytest.mark.parametrize("snr_db", [20.0, 30.0])
 def test_greedy_scores_lie_inside_half_the_band_of_their_exact_rates(snr_db):
-    # exact_pick confirms only the band around the top score, which is safe
+    # best_addition confirms only the band around the top score, which is safe
     # while every score errs by less than half the band's width.
     cfg = table_scale_config(target_snr_db=snr_db)
     for seed in range(3):
@@ -816,45 +842,36 @@ def test_batched_evaluation_matches_the_per_bs_loop(name):
             assert repr(evaluate_group(group, chans, noise)) == want
 
 
-def test_exact_pick_scores_its_band_in_one_call_and_keeps_the_first_maximum():
-    rates = {2: 1.0, 4: 3.0, 5: 3.0, 7: 2.0, 9: 3.0}
-    calls = []
-
-    def evaluate(band):
-        calls.append(band)
-        return [(rates[i], {i: rates[i]}) for i in band]
-
-    i, best = exact_pick(np.array([2, 4, 5, 7, 9]), evaluate)
-    assert (i, best) == (4, (3.0, {4: 3.0})) and type(i) is int
-    assert calls == [[2, 4, 5, 7, 9]] and all(type(j) is int for j in calls[0])
+def test_first_best_keeps_the_first_strict_maximum_of_its_band():
+    # log2(1 + gamma) sums: row rates 1, 3, 3, 2, 3 (user 10 adds 0).
+    users = np.array([[2, 10], [4, 10], [5, 10], [7, 10], [9, 10]])
+    gammas = np.array([[1.0, 0.0], [7.0, 0.0], [7.0, 0.0], [3.0, 0.0], [7.0, 0.0]])
+    i, best = first_best(users, gammas, np.arange(5))
+    assert (i, best) == (1, (3.0, {4: 7.0, 10: 0.0})) and type(i) is int
+    assert first_best(users, gammas, np.array([0, 3])) == (3, (2.0, {7: 3.0, 10: 0.0}))
+    assert first_best(users, gammas, range(2, 3)) == (2, (3.0, {5: 7.0, 10: 0.0}))
     # A later strict maximum wins over earlier ones.
-    rates[9] = 3.5
-    assert exact_pick(range(2, 10, 7), evaluate) == (9, (3.5, {9: 3.5}))
-    assert exact_pick([7], evaluate) == (7, (2.0, {7: 2.0}))
+    gammas[4, 0] = 15.0
+    assert first_best(users, gammas, range(5)) == (4, (4.0, {9: 15.0, 10: 0.0}))
 
 
-def test_brute_force_confirms_in_blocks(exact_calls, monkeypatch):
-    # At 70 dB the closed form refuses every combination, so all of them
-    # are confirmed exactly; blocks of 7 must find the default's pick.
+def test_brute_force_confirms_in_blocks(kernel_calls, monkeypatch):
+    # The kernel scores every combination at every BS, also at 70 dB, and
+    # blocks of 7 must find the default's pick.
     cfg = desk_config(target_snr_db=70.0)
     chans, noise = trial_instance(cfg, 0)
     group, rate, gammas = brute_force_optimum(chans, cfg.kbar, noise)
     n_combos = combination_count([cfg.users_per_cell] * cfg.n_cells, cfg.kbar)
-    assert len(exact_calls) == n_combos > 7
-    exact_calls.clear()
-    sizes = []
-    counted = evaluation.evaluate_groups
-
-    def sized(groups, *args):
-        groups = list(groups)
-        sizes.append(len(groups))
-        return counted(groups, *args)
-
-    monkeypatch.setattr(evaluation, "evaluate_groups", sized)
+    scored = systems(kernel_calls)
+    assert len(set(scored)) == len(scored) == cfg.n_cells * n_combos
+    assert n_combos % 7 and n_combos > 7
+    kernel_calls.clear()
     monkeypatch.setattr(evaluation, "_BLOCK", 7)
     small = brute_force_optimum(chans, cfg.kbar, noise)
-    assert len(exact_calls) == n_combos
-    assert sizes == [7] * (n_combos // 7) + [n_combos % 7]
+    assert sorted(systems(kernel_calls)) == sorted(scored)
+    assert [len(call) for call in kernel_calls] == (
+        [7] * (cfg.n_cells * (n_combos // 7)) + [n_combos % 7] * cfg.n_cells)
+    kernel_calls.clear()
     assert small[0].members == group.members
     assert repr(small[1:]) == repr((rate, gammas))
     assert assert_same_brute_force(chans, cfg.kbar, noise).members == group.members

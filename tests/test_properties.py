@@ -1,7 +1,8 @@
 """Properties over small desk-sized scenarios, drawn by Hypothesis: user i is
 row i of the trial, the robust schedulers meet their eta extremes, a map
 survives a save/load round trip, the rate of a group does not depend on
-member order, brute force is at least every scheduler, and the noise
+member order, brute force is at least every scheduler, a trial's result
+does not depend on what ran before it, and the noise
 calibration's median is np.median's and inspect-ckm's percentiles are
 np.percentile's."""
 
@@ -11,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ckmsched.ckm import UsCkm
@@ -19,6 +20,7 @@ from ckmsched.cli import _percentiles
 from ckmsched.evaluation import _median, brute_force_optimum, calibrate_noise, evaluate_group
 from ckmsched.experiments import (
     _SCHEDULERS,
+    ALGORITHMS,
     cached_ckm,
     cached_scenario,
     place_users,
@@ -137,6 +139,48 @@ def test_brute_force_is_at_least_every_scheduler_on_the_same_instance(cfg, seed)
         validate_group(group, chans, cfg.kbar)
         rate, _ = evaluate_group(group, chans, noise)
         assert math.isfinite(rate) and rate <= best, name
+
+
+# The values a job takes: desk configs that vary what run_trial's memo is
+# keyed on (the scenario key through grid_edge_m, the map's threshold eta, a
+# decision's kbar and alpha) and the noise calibration (target SNR), every
+# algorithm and four seeds.
+JOB_AXES = {
+    "target_snr_db": [10.0, 20.0],
+    "eta": [0.5, 0.7, 1.0],
+    "kbar": [1, 2],
+    "alpha": [0.3, 0.6],
+    "grid_edge_m": [15.0, 20.0],
+    "algorithm": list(ALGORITHMS),
+    "seed": [0, 1, 2, 3],
+}
+
+
+@st.composite
+def trial_jobs(draw):
+    """(config, algorithm, seed) jobs, each of which draws one axis of the
+    last one anew, so that neighbours often differ in one memo key field
+    alone."""
+    job = {axis: draw(st.sampled_from(values)) for axis, values in JOB_AXES.items()}
+    jobs = []
+    for _ in range(draw(st.integers(1, 30))):
+        axis = draw(st.sampled_from(sorted(JOB_AXES)))
+        job[axis] = draw(st.sampled_from(JOB_AXES[axis]))
+        fields = {k: v for k, v in job.items() if k not in ("algorithm", "seed")}
+        jobs.append((desk_config(**fields), job["algorithm"], job["seed"]))
+    return jobs
+
+
+@given(jobs=trial_jobs())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_trial_does_not_depend_on_what_ran_before_it(jobs, empty_memo):
+    # Each sequence starts on an emptied memo, so a failure replays.
+    empty_memo()
+    results = [run_trial(*job) for job in jobs]
+    for job, result in zip(jobs, results):
+        empty_memo()
+        assert run_trial(*job) == result, job
 
 
 # Few distinct values, so ties are common; bounded so no mean of two overflows.

@@ -9,7 +9,7 @@ import pytest
 from ckmsched import UsCkm, build_ckm
 from ckmsched.ckm import _corr_rows
 from ckmsched.errors import ScheduleError
-from ckmsched.experiments import place_users, trial_channels
+from ckmsched.experiments import place_users, run_trial, trial_channels
 from ckmsched.groups import ActiveSet
 from ckmsched.scheduling import (
     aes_select,
@@ -23,7 +23,7 @@ from ckmsched.scheduling import (
     sus_schedule,
 )
 
-from conftest import csi_from_tables, synthetic_chans
+from conftest import csi_from_tables, desk_config, synthetic_chans
 
 
 def corr_from_pairs(n, pairs):
@@ -352,6 +352,14 @@ def test_random_is_reproducible_per_seed():
 def test_random_rejects_undersized_pool():
     with pytest.raises(ScheduleError):
         random_schedule({0: [1, 2]}, kbar=3, seed=0)
+
+
+def test_random_results_compare_equal_to_themselves():
+    # No score decides a random pick, so its records hold no metric, and two
+    # runs of one (config, seed) compare equal, as every algorithm's do.
+    first = run_trial(desk_config(), "random", 0)
+    assert first == run_trial(desk_config(), "random", 0)
+    assert [m.metric for m in first.group.meta] == [None] * len(first.group.meta)
 
 
 # -- CSI fusion ---------------------------------------------------------------
