@@ -16,15 +16,15 @@ import sys
 import traceback
 import typing
 from dataclasses import dataclass, fields, replace
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
 from .ckm import UsCkm
 from .errors import ConfigError
 from .evaluation import BRUTE_FORCE_BUDGET, combination_count
-from .experiments import (ALGORITHMS, MAP_ALGORITHMS, MAP_THRESHOLDS, cached_ckm,
-                          cached_scenario, run_trial)
+from .experiments import (ALGORITHMS, MAP_ALGORITHMS, cached_ckm, cached_scenario,
+                          fusion_key, run_trial)
 from .geometry import CONFIG_HINTS as _HINTS
 from .geometry import INT_FIELDS as _INT_FIELDS
 from .geometry import ScenarioConfig, scenario_key
@@ -225,63 +225,33 @@ def _warm_shared_key(algorithms, configs) -> None:
         warm(keys.pop())
 
 
-def _fusion_groups(configs) -> list[list[int]]:
-    """The indices of configs grouped by what fusion reads of a config:
-    its scenario_key, which with the seed fixes the placement, and its
-    threshold (delta, eta), at which robust_* fuse (two_stage_* fuse on
-    the key's all-reliable map). The groups of one key are adjacent; keys,
-    and the groups of one key, come in the order of their first config,
-    and each group's indices in plan order."""
-    keys: dict = {}
+def _chunks(plan: ExperimentPlan, configs):
+    """cmd_run's jobs as (row, (config, algorithm, seed)), one list per
+    (scenario key, seed), keys in the order of their first point; row is
+    the job's index in plan order (point, algorithm, seed). A seed runs its
+    jobs map by map: grouped by the map they fuse on
+    (experiments.fusion_key), or by algorithm for a scheduler that reads no
+    map, so that it fuses once per map. Groups come in the order of their
+    first job, algorithm by algorithm, and each group's jobs algorithm →
+    point."""
+    A, T = len(plan.algorithms), plan.trials
+    points: dict = {}
     for i, cfg in enumerate(configs):
-        keys.setdefault(scenario_key(cfg), {}).setdefault((cfg.delta, cfg.eta), []).append(i)
-    return [group for thresholds in keys.values() for group in thresholds.values()]
-
-
-def _run_order(algorithms) -> list[int]:
-    """The indices of algorithms in the order a seed runs them: the
-    map-driven ones grouped by the map they fuse on (MAP_THRESHOLDS), so
-    that a seed fuses once per map, and every other algorithm a group of
-    its own. Groups come in the order of their first algorithm, and each
-    group's algorithms in plan order."""
-    groups: dict = {}
-    for a, name in enumerate(algorithms):
-        groups.setdefault(MAP_THRESHOLDS.get(name, name), []).append(a)
-    return [a for group in groups.values() for a in group]
-
-
-def _chunks(plan: ExperimentPlan, configs, groups):
-    """cmd_run's jobs, one list per (group, seed), each running
-    seed → algorithm (in _run_order) → point."""
-    order = [plan.algorithms[a] for a in _run_order(plan.algorithms)]
-    for group in groups:
-        for t in range(plan.trials):
-            yield [(configs[i], algorithm, t) for algorithm in order for i in group]
+        points.setdefault(scenario_key(cfg), []).append(i)
+    for key_points in points.values():
+        groups: dict = {}
+        for a, algorithm in enumerate(plan.algorithms):
+            for i in key_points:
+                group = fusion_key(configs[i], algorithm) or algorithm
+                groups.setdefault(group, []).append((i, a))
+        order = [job for group in groups.values() for job in group]
+        for t in range(T):
+            yield [((i * A + a) * T + t, (configs[i], plan.algorithms[a], t))
+                   for i, a in order]
 
 
 def _run_chunk(chunk):
-    return [_job(job) for job in chunk]
-
-
-def _plan_order(plan: ExperimentPlan, configs, groups, results):
-    """(config, algorithm, seed, result) in plan order (point, algorithm,
-    seed) from the results of _chunks, read one group at a time. A
-    point's rows come out once its group has finished and every earlier
-    point's rows are out."""
-    # The run position of each algorithm, by plan index.
-    ran_at = {a: r for r, a in enumerate(_run_order(plan.algorithms))}
-    done: dict[int, list] = {}
-    nxt = 0
-    for group in groups:
-        seeds = list(islice(results, plan.trials))
-        for g, i in enumerate(group):
-            done[i] = [[chunk[ran_at[a] * len(group) + g] for chunk in seeds]
-                       for a in range(len(plan.algorithms))]
-        while nxt in done:
-            for algorithm, per_seed in zip(plan.algorithms, done.pop(nxt)):
-                for t, res in enumerate(per_seed):
-                    yield configs[nxt], algorithm, t, res
-            nxt += 1
+    return [_job(job) for _, job in chunk]
 
 
 def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
@@ -296,18 +266,17 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
         raise ValueError(f"threads must be >= 1, got {threads}")
     stream = stream or sys.stdout
     configs = [plan.config_at(point) for point in plan.sweep_points()]
-    # The points of one group run seed → algorithm → point, the two-stage
-    # schedulers map by map, so those of one seed share its users and
-    # channel rows, those on one map its one fusion, and a scheduler's
-    # decision on it, across the points (experiments.MapTrial).
-    groups = _fusion_groups(configs)
-    chunks = _chunks(plan, configs, groups)
+    # The points of one scenario key run seed → map → algorithm → point, so
+    # the two-stage schedulers of one seed share its users and channel rows,
+    # those on one map its one fusion, and a scheduler's decision on it,
+    # across the points (experiments.MapTrial).
+    chunks = list(_chunks(plan, configs))
     n_rows = len(configs) * len(plan.algorithms) * plan.trials
 
     errors = 0
     sums: dict[str, list[float]] = {}
     # Opened before any trial runs, so an unwritable path fails at once.
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", newline="") as fh, contextlib.ExitStack() as stack:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         if threads > 1:
@@ -317,32 +286,40 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
             context = multiprocessing.get_context()
             if context.get_start_method() == "fork":
                 _warm_shared_key(plan.algorithms, configs)
-            with ProcessPoolExecutor(max_workers=threads, mp_context=context) as pool:
-                # One task per (group, seed), covering every algorithm
-                # and every point of the group.
-                results = list(pool.map(_run_chunk, chunks))
+            # One task per (scenario key, seed), covering every algorithm
+            # and every point of the key; no more workers than tasks.
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(threads, len(chunks)), mp_context=context))
+            results = pool.map(_run_chunk, chunks)
         else:
             results = map(_run_chunk, chunks)
-        for cfg, algorithm, t, res in _plan_order(plan, configs, groups, iter(results)):
-            rate, csi, info, mults, wall, err = res
-            if err is not None:
-                errors += 1
-                message, trace = err
-                print(f"error: {algorithm} seed={t}: {message}", file=stream)
-                print(trace, end="", file=stream)
-            else:
-                sums.setdefault(algorithm, []).append(rate)
-            writer.writerow(
-                [
-                    algorithm,
-                    _fmt(cfg.target_snr_db), _fmt(cfg.kbar), _fmt(cfg.kprime),
-                    _fmt(cfg.alpha), _fmt(cfg.eta), _fmt(cfg.grid_edge_m),
-                    _fmt(cfg.samples_per_grid), _fmt(t),
-                    _fmt(rate), _fmt(csi), _fmt(info), _fmt(mults),
-                    _fmt(wall if timing else 0.0),
-                ]
-            )
-            fh.flush()
+        # Rows go out in plan order: each once it and every earlier row are in.
+        done: dict[int, tuple] = {}
+        nxt = 0
+        for chunk, chunk_results in zip(chunks, results):
+            for (row, job), res in zip(chunk, chunk_results):
+                done[row] = job, res
+            while nxt in done:
+                (cfg, algorithm, t), (rate, csi, info, mults, wall, err) = done.pop(nxt)
+                nxt += 1
+                if err is not None:
+                    errors += 1
+                    message, trace = err
+                    print(f"error: {algorithm} seed={t}: {message}", file=stream)
+                    print(trace, end="", file=stream)
+                else:
+                    sums.setdefault(algorithm, []).append(rate)
+                writer.writerow(
+                    [
+                        algorithm,
+                        _fmt(cfg.target_snr_db), _fmt(cfg.kbar), _fmt(cfg.kprime),
+                        _fmt(cfg.alpha), _fmt(cfg.eta), _fmt(cfg.grid_edge_m),
+                        _fmt(cfg.samples_per_grid), _fmt(t),
+                        _fmt(rate), _fmt(csi), _fmt(info), _fmt(mults),
+                        _fmt(wall if timing else 0.0),
+                    ]
+                )
+                fh.flush()
     print(f"wrote {n_rows} rows to {out_path}", file=stream)
     print(f"{'algorithm':>14s} {'mean_rate':>12s} {'trials':>7s}", file=stream)
     for algorithm in plan.algorithms:

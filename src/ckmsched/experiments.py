@@ -61,14 +61,20 @@ def _map(key: ScenarioConfig, delta: float | None, eta: float | None) -> UsCkm:
     return _map(key, None, None).reclassify(delta, eta)
 
 
+def _map_key(config: ScenarioConfig, threshold: tuple | None) -> tuple:
+    """(scenario key, delta, eta): the key of config's map thresholded at
+    threshold (delta, eta), by default config's own."""
+    delta, eta = threshold or (config.delta, config.eta)
+    return _scenario_key(config), delta, eta
+
+
 def cached_ckm(config: ScenarioConfig, threshold: tuple | None = None) -> UsCkm:
     """The map of config: the survey of scenario_key(config), built once and
     shared read-only by every config of that key, thresholded at threshold
     (delta, eta), by default config's. Maps are cached per (key, delta,
     eta), one object per threshold however many points a sweep has. At
     config's threshold its arrays equal build_ckm(build_scenario(config))'s."""
-    delta, eta = threshold or (config.delta, config.eta)
-    return _map(_scenario_key(config), delta, eta)
+    return _map(*_map_key(config, threshold))
 
 
 class UserRecord(NamedTuple):
@@ -284,10 +290,18 @@ _SCHEDULERS = {
     "brute_force": _brute_force,
 }
 ALGORITHMS = tuple(_SCHEDULERS)
-# The schedulers that read the map: the two-stage entries, each with the
-# threshold of the map it fuses on (None: config's own).
-MAP_THRESHOLDS = {a: f.threshold for a, f in _SCHEDULERS.items() if hasattr(f, "threshold")}
-MAP_ALGORITHMS = tuple(MAP_THRESHOLDS)
+# The schedulers that read the map: the two-stage entries, each tagged with
+# the threshold of the map it fuses on (None: config's own).
+MAP_ALGORITHMS = tuple(a for a, f in _SCHEDULERS.items() if hasattr(f, "threshold"))
+
+
+def fusion_key(config: ScenarioConfig, algorithm: str) -> tuple | None:
+    """The key (scenario key, delta, eta) of the map that algorithm fuses
+    on at config, or None for a scheduler that reads no map. Two jobs of
+    one trial seed with one key share the trial's one fusion."""
+    if algorithm not in MAP_ALGORITHMS:
+        return None
+    return _map_key(config, _SCHEDULERS[algorithm].threshold)
 
 
 # The channels of trial seed s are realization s + 1, an int64 in

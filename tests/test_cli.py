@@ -342,11 +342,12 @@ def plan_at(point) -> str:
 @pytest.mark.parametrize("sweep, fusions", [
     # One threshold: one fusion per (seed, map) for all four points.
     ("sweep.kbar = 1, 2\nsweep.alpha = 0.3, 0.9\n", 2 * 2),
-    # Each eta is its own threshold: one per (point, seed, map), the
-    # points running one after another within a seed, but at eta = 1
-    # config's map is the all-reliable one, so one per seed.
-    ("sweep.eta = 0, 0.5, 1\n", 2 * 2 * 2 + 2),
-], ids=["kbar-alpha", "eta"])
+    # Each eta is its own threshold, but at eta = 1 config's map is the
+    # all-reliable one: one fusion per (seed, map), three maps.
+    ("sweep.eta = 0, 0.5, 1\n", 2 * 3),
+    # Two scenario keys of two maps each: one per (key, seed, map).
+    ("sweep.grid_edge = 12, 15\nsweep.eta = 0.5, 1\n", 2 * 2 * 2),
+], ids=["kbar-alpha", "eta", "grid_edge-eta"])
 def test_each_sweep_point_writes_the_rows_of_its_own_plan(tmp_path, monkeypatch, empty_memo,
                                                           sweep, fusions):
     # The points of the sweep share trials, fusions and decisions where they
@@ -372,6 +373,75 @@ def test_each_sweep_point_writes_the_rows_of_its_own_plan(tmp_path, monkeypatch,
         code, alone, _ = run_plan(tmp_path, plan_at(point) + head, out_name="alone.csv")
         assert code == 0
         assert rows[i * width:(i + 1) * width] == alone.read_text().splitlines()[1:], point
+
+
+@pytest.mark.parametrize("sweep, keys", [
+    ("", 1),
+    ("sweep.snr = 10, 20\n", 1),
+    ("sweep.eta = 0.5, 1\n", 1),
+    ("sweep.grid_edge = 15, 20\n", 2),
+    ("sweep.grid_edge = 15, 20\nsweep.eta = 0.5, 1\n", 2),
+], ids=["one-point", "snr", "eta", "grid_edge", "grid_edge-eta"])
+def test_chunks_run_every_job_once(tmp_path, sweep, keys):
+    # Over one or two scenario keys, one or two thresholds, and map and
+    # non-map algorithms interleaved: every row of the plan is one job of
+    # one chunk, each chunk is one (scenario key, seed), and a chunk's jobs
+    # on one map, or of one non-map algorithm, run back to back.
+    algorithms = "two_stage_aes, sus, robust_aes, random, robust_gis, greedy, two_stage_gis"
+    plan = parse_config(write_cfg(tmp_path, DESK_CFG + f"algorithms = {algorithms}\n"
+                                  f"trials = 3\n{sweep}"))
+    configs = [plan.config_at(point) for point in plan.sweep_points()]
+    A, T = len(plan.algorithms), plan.trials
+    chunks = list(cli._chunks(plan, configs))
+    assert len(chunks) == keys * T
+    rows = []
+    for chunk in chunks:
+        assert len({(geometry.scenario_key(cfg), t) for _, (cfg, _, t) in chunk}) == 1
+        for row, job in chunk:
+            i, a, t = row // (A * T), row // T % A, row % T
+            assert job == (configs[i], plan.algorithms[a], t)
+            rows.append(row)
+        runs = [experiments.fusion_key(cfg, alg) or alg for _, (cfg, alg, _) in chunk]
+        starts = [run for at, run in enumerate(runs) if at == 0 or runs[at - 1] != run]
+        assert len(starts) == len(set(runs))
+    assert sorted(rows) == list(range(len(configs) * A * T))
+
+
+@pytest.mark.parametrize("sweep, threads, workers", [
+    ("", 64, 2),
+    ("sweep.grid_edge = 15, 20\n", 3, 3),
+    ("sweep.grid_edge = 15, 20\n", 64, 4),
+], ids=["one-key", "two-keys-3", "two-keys-64"])
+def test_the_worker_pool_has_no_more_workers_than_chunks(tmp_path, monkeypatch, sweep,
+                                                         threads, workers):
+    # A pool forks all its workers at once, so it is sized to the plan's
+    # (scenario key, seed) chunks. A stand-in pool records its size and
+    # runs the chunks here, so no process starts.
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    text = DESK_CFG + f"algorithms = random, robust_aes\ntrials = 2\n{sweep}"
+    _, serial, _ = run_plan(tmp_path, text, out_name="serial.csv")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, pooled, _ = run_plan(tmp_path, text, out_name="pooled.csv", threads=threads)
+    assert code == 0
+    assert sizes == [workers]
+    assert pooled.read_bytes() == serial.read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 def test_timing_mode_records_nonzero_wall_times(tmp_path):

@@ -24,6 +24,7 @@ from ckmsched.experiments import (
     ALGORITHMS,
     MAP_ALGORITHMS,
     cached_ckm,
+    fusion_key,
     place_users,
     run_trial,
     trial_channels,
@@ -394,15 +395,33 @@ def test_algorithms_keep_their_order():
     )
 
 
-def test_map_algorithms_are_the_schedulers_that_read_the_map(monkeypatch):
-    # run --threads builds the map ahead of the pool only for these.
-    cfg = desk_config()
-    readers = set()
+def test_map_algorithms_are_the_schedulers_that_read_the_map(monkeypatch, empty_memo):
+    # run --threads builds the map ahead of the pool only for these, and
+    # run orders a seed's jobs by the map fusion_key names: the cached map
+    # of that key is the one the scheduler fuses on. At eta = 1 config's map
+    # is the all-reliable one, so robust_* share the key of two_stage_*.
+    readers, fused = set(), []
+    fuse = experiments.fuse_effective_csi
     monkeypatch.setattr(experiments, "cached_ckm", lambda config, threshold=None:
                         readers.add(algorithm) or cached_ckm(config, threshold))
-    for algorithm in ALGORITHMS:
-        run_trial(cfg, algorithm, 0)
-    assert set(MAP_ALGORITHMS) == readers
+    monkeypatch.setattr(experiments, "fuse_effective_csi",
+                        lambda ckm, chans: fused.append(ckm) or fuse(ckm, chans))
+    for eta in (0.7, 1.0):
+        cfg = desk_config(eta=eta)
+        readers.clear()
+        for algorithm in ALGORITHMS:
+            empty_memo()
+            fused.clear()
+            run_trial(cfg, algorithm, 0)
+            key = fusion_key(cfg, algorithm)
+            assert (key is None) == (algorithm not in readers), algorithm
+            if key is not None:
+                assert fused == [experiments._map(*key)], algorithm
+        assert set(MAP_ALGORITHMS) == readers
+        shared = fusion_key(cfg, "two_stage_aes") == fusion_key(cfg, "robust_aes")
+        assert shared == (eta == 1.0)
+        assert fusion_key(cfg, "robust_aes") == fusion_key(cfg, "robust_gis")
+        assert fusion_key(cfg, "two_stage_aes") == fusion_key(cfg, "two_stage_gis")
     assert MAP_ALGORITHMS == ("two_stage_aes", "two_stage_gis", "robust_aes", "robust_gis")
 
 
