@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ZeroNormError
 from .geometry import (Scenario, ScenarioConfig, _row_product, check_thresholds,
-                       sample_grid, scenario_key)
+                       sample_grid, survey_key)
 
 # Grids per block of the build_ckm survey and of the UsCkm.export_csv
 # correlation rows, so their transient arrays do not grow with the grid
@@ -196,7 +196,7 @@ class UsCkm:
         """Read a map file, rejecting other formats, a header whose arrays
         do not describe a map, a payload of the wrong length, with another
         checksum or with values no survey writes and, when a config is
-        given, a map surveyed under another scenario key."""
+        given, a map surveyed under another survey key."""
         with open(path, "rb") as fh:
             data = fh.read()
         head = len(_FORMAT_MAGIC) + 10
@@ -251,7 +251,7 @@ class UsCkm:
         import csv
         import os
 
-        if scenario_hash(scenario.config) != self.scenario_hash:
+        if scenario_hash(scenario.config, self.samples_per_grid) != self.scenario_hash:
             raise ValueError("export_csv needs a scenario of the map's scenario key")
         centers = scenario.grid_centers
         for l in range(self.n_cells):
@@ -326,15 +326,15 @@ def _check_payload(path, arrays: dict) -> None:
             raise ValueError(f"{path}: {name} holds a negative or non-finite value")
 
 
-def scenario_hash(config: ScenarioConfig) -> str:
-    """Stable digest of the config's key: a map loads for every config of
-    the scenario_key it was surveyed under."""
-    return hashlib.sha256(repr(scenario_key(config)).encode()).hexdigest()
+def scenario_hash(config: ScenarioConfig, samples_per_grid: int | None = None) -> str:
+    """Stable digest of survey_key(config, samples_per_grid): a map loads
+    for every config of the survey key it was surveyed under."""
+    return hashlib.sha256(repr(survey_key(config, samples_per_grid)).encode()).hexdigest()
 
 
-def build_ckm(scenario: Scenario) -> UsCkm:
-    """Survey every (observing BS, grid) pair at the config's
-    samples_per_grid and assemble the map.
+def build_ckm(scenario: Scenario, samples_per_grid: int | None = None) -> UsCkm:
+    """Survey every (observing BS, grid) pair at samples_per_grid, by
+    default the config's, and assemble the map.
 
     The reliability threshold is the config's absolute delta or, when its
     eta is set, the eta-quantile of all correlation variances (eta=0 and
@@ -348,7 +348,7 @@ def build_ckm(scenario: Scenario) -> UsCkm:
     for byte.
     """
     cfg = scenario.config
-    s = cfg.samples_per_grid
+    s = cfg.samples_per_grid if samples_per_grid is None else samples_per_grid
     bss = range(cfg.n_cells)
     blocks = []
     for start in range(0, scenario.n_grids, GRID_BLOCK):
@@ -362,7 +362,7 @@ def build_ckm(scenario: Scenario) -> UsCkm:
         blocks.append([np.stack(parts) for parts in zip(*stats)])
         del samples, centers, stats
     h_bar, epsilon, sigma = (np.concatenate(parts, axis=1) for parts in zip(*blocks))
-    return _classify(scenario_hash(cfg), s, h_bar, epsilon, sigma, cfg.delta, cfg.eta)
+    return _classify(scenario_hash(cfg, s), s, h_bar, epsilon, sigma, cfg.delta, cfg.eta)
 
 
 def _classify(key_hash, s, h_bar, epsilon, sigma, delta, eta) -> UsCkm:

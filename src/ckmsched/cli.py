@@ -210,19 +210,18 @@ def _job(args):
 
 
 def _warm_shared_key(algorithms, configs) -> None:
-    """Build the scenario, and the map when a map-driven algorithm runs, of
-    the one scenario key that every config shares, so that forked workers
-    inherit it instead of each building its own. Each worker's cache miss on
-    a config reads the key first, so the key stays the most recently used
-    entry and is never evicted. Plans over several keys are left to the
-    workers, which build different keys side by side. A key that cannot be
-    built fails in its trials, as when serial."""
-    keys = {scenario_key(cfg) for cfg in configs}
-    if len(keys) != 1:
+    """Build the scenario of the one scenario key that every config shares,
+    and when a map-driven algorithm runs each config's map and so each
+    survey of the key, so that forked workers inherit them instead of each
+    building their own. Plans over several keys are left to the workers,
+    which build different keys side by side. A key that cannot be built
+    fails in its trials, as when serial."""
+    if len({scenario_key(cfg) for cfg in configs}) != 1:
         return
     warm = cached_ckm if set(MAP_ALGORITHMS).intersection(algorithms) else cached_scenario
-    with contextlib.suppress(Exception):
-        warm(keys.pop())
+    for cfg in configs:
+        with contextlib.suppress(Exception):
+            warm(cfg)
 
 
 def _chunks(plan: ExperimentPlan, configs):
@@ -305,7 +304,8 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
                 if err is not None:
                     errors += 1
                     message, trace = err
-                    print(f"error: {algorithm} seed={t}: {message}", file=stream)
+                    at = "".join(f" {d}={_fmt(getattr(cfg, SWEEP_DIMS[d]))}" for d, _ in plan.sweeps)
+                    print(f"error: {algorithm}{at} seed={t}: {message}", file=stream)
                     print(trace, end="", file=stream)
                 else:
                     sums.setdefault(algorithm, []).append(rate)

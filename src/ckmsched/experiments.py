@@ -54,26 +54,30 @@ def cached_scenario(config: ScenarioConfig) -> Scenario:
     return _scenario(_scenario_key(config))
 
 
+# Surveys have an LRU apart from _map's, so that thresholded maps do not evict them.
 @lru_cache(maxsize=8)
-def _map(key: ScenarioConfig, delta: float | None, eta: float | None) -> UsCkm:
-    if delta is None and eta is None:
-        return build_ckm(_scenario(key))
-    return _map(key, None, None).reclassify(delta, eta)
+def _survey(key: ScenarioConfig, samples_per_grid: int) -> UsCkm:
+    return build_ckm(_scenario(key), samples_per_grid)
+
+
+@lru_cache(maxsize=8)
+def _map(key: ScenarioConfig, s: int, delta: float | None, eta: float | None) -> UsCkm:
+    return _survey(key, s).reclassify(delta, eta)
 
 
 def _map_key(config: ScenarioConfig, threshold: tuple | None) -> tuple:
-    """(scenario key, delta, eta): the key of config's map thresholded at
-    threshold (delta, eta), by default config's own."""
+    """(scenario key, samples_per_grid, delta, eta): config's survey key, in
+    two parts, and threshold (delta, eta), by default config's own."""
     delta, eta = threshold or (config.delta, config.eta)
-    return _scenario_key(config), delta, eta
+    return _scenario_key(config), config.samples_per_grid, delta, eta
 
 
 def cached_ckm(config: ScenarioConfig, threshold: tuple | None = None) -> UsCkm:
-    """The map of config: the survey of scenario_key(config), built once and
+    """The map of config: the survey of survey_key(config), built once and
     shared read-only by every config of that key, thresholded at threshold
-    (delta, eta), by default config's. Maps are cached per (key, delta,
-    eta), one object per threshold however many points a sweep has. At
-    config's threshold its arrays equal build_ckm(build_scenario(config))'s."""
+    (delta, eta), by default config's. Maps are cached per (survey key,
+    delta, eta), one object per threshold however many points a sweep has.
+    At config's threshold its arrays equal build_ckm(build_scenario(config))'s."""
     return _map(*_map_key(config, threshold))
 
 
@@ -212,9 +216,9 @@ class MapTrial:
     The key is what placement and channels read: the scenario key and the
     trial seed, which fix the placement and every channel row. Every
     map-driven scheduler of a seed shares one trial, at any threshold, as
-    do configs that differ only in what the schedulers or the noise
-    calibration read, such as the points of an SNR sweep. The map is all
-    else fusion reads, one object per scenario key and threshold, so
+    do configs that differ only in what the schedulers, the noise
+    calibration or the survey read (SNR or samples sweeps). The map is all
+    else fusion reads, one object per survey key and threshold, so
     robust_* at eta = 1 share the fusion of two_stage_*. The decisions map
     (first stage, kprime, kbar, alpha), all that robust_two_stage reads
     besides the fusion, to its (group, counters).
@@ -296,9 +300,10 @@ MAP_ALGORITHMS = tuple(a for a, f in _SCHEDULERS.items() if hasattr(f, "threshol
 
 
 def fusion_key(config: ScenarioConfig, algorithm: str) -> tuple | None:
-    """The key (scenario key, delta, eta) of the map that algorithm fuses
-    on at config, or None for a scheduler that reads no map. Two jobs of
-    one trial seed with one key share the trial's one fusion."""
+    """The key (scenario key, samples_per_grid, delta, eta) of the map that
+    algorithm fuses on at config, or None for a scheduler that reads no
+    map. Two jobs of one trial seed with one key share the trial's one
+    fusion."""
     if algorithm not in MAP_ALGORITHMS:
         return None
     return _map_key(config, _SCHEDULERS[algorithm].threshold)

@@ -184,11 +184,18 @@ class ScenarioConfig:
 
 def scenario_key(config: ScenarioConfig) -> ScenarioConfig:
     """config with the fields that only the schedulers, the noise
-    calibration and the reliability threshold read reset to fixed valid
-    values. Scenario, the map survey and place_users read none of them, so
-    configs of one key share one scenario, one survey and one map hash."""
+    calibration, the reliability threshold and the map survey read reset to
+    fixed valid values. Scenario, place_users and a trial's channel rows
+    read none of them, so configs of one key share one scenario."""
     return replace(config, target_snr_db=0.0, kbar=1, kprime=1, alpha=1.0,
-                   delta=None, eta=None)
+                   delta=None, eta=None, samples_per_grid=1)
+
+
+def survey_key(config: ScenarioConfig, samples_per_grid: int | None = None) -> ScenarioConfig:
+    """scenario_key(config) at samples_per_grid, by default config's: all the
+    map survey reads, so configs of one survey key share one survey."""
+    s = config.samples_per_grid if samples_per_grid is None else samples_per_grid
+    return replace(scenario_key(config), samples_per_grid=s)
 
 
 # Each field's type is stated once, in ScenarioConfig's annotations.

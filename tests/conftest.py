@@ -64,9 +64,11 @@ def csi_from_tables(gain, corr, source=None, cell_of=None):
 
 
 def clear_caches():
-    """Empty the scenario-key, scenario and map caches of experiments, so
-    that the next trial builds its scenario and surveys its map again."""
-    for cache in (experiments._scenario_key, experiments._scenario, experiments._map):
+    """Empty the scenario-key, scenario, survey and map caches of
+    experiments, so that the next trial builds its scenario and surveys its
+    map again."""
+    for cache in (experiments._scenario_key, experiments._scenario, experiments._survey,
+                  experiments._map):
         cache.cache_clear()
 
 

@@ -484,6 +484,25 @@ def test_failed_trial_prints_its_traceback(tmp_path, monkeypatch):
     assert failed == row[:9] + ["nan", "0", "0", "0", "0"]
 
 
+def test_a_failed_trial_of_a_sweep_names_its_point(tmp_path, monkeypatch):
+    # One seed fails at one point only: the error line names the point's
+    # value of each sweep dimension, in the plan's order.
+    run = cli.run_trial
+
+    def broken_at(config, algorithm, trial_seed):
+        if config.samples_per_grid == 9 and config.target_snr_db == 20.0:
+            raise RuntimeError("injected failure")
+        return run(config, algorithm, trial_seed)
+
+    monkeypatch.setattr(cli, "run_trial", broken_at)
+    text = DESK_CFG + ("algorithms = robust_aes\ntrials = 1\n"
+                       "sweep.samples = 5, 9\nsweep.snr = 10, 20\n")
+    code, _, log = run_plan(tmp_path, text)
+    assert code == 1
+    errors = [line for line in log.splitlines() if line.startswith("error: ")]
+    assert errors == ["error: robust_aes samples=9 snr=20 seed=0: RuntimeError: injected failure"]
+
+
 def test_run_prints_per_algorithm_summary(tmp_path):
     _, _, log = run_plan(tmp_path, DESK_CFG + "algorithms = random\ntrials = 2\n")
     assert "algorithm" in log and "mean_rate" in log
@@ -536,19 +555,23 @@ def survey_pids(tmp_path, monkeypatch):
 
 
 def test_worker_pool_surveys_a_shared_map_once_in_the_parent(tmp_path, survey_pids):
-    # An SNR sweep keeps one scenario key: forked workers inherit the map
-    # the parent built before the pool, so no worker surveys it again.
-    text = DESK_CFG + "algorithms = robust_gis, greedy\ntrials = 3\nsweep.snr = 10, 20\n"
-    code, out, _ = run_plan(tmp_path, text, threads=2)
-    assert code == 0
-    assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 3
-    assert survey_pids() == [str(os.getpid())]
+    # An SNR sweep keeps one scenario key, and so does a samples sweep, of
+    # one survey per sample count: forked workers inherit the surveys the
+    # parent made before the pool, so no worker surveys again.
+    for sweep, surveys in (("sweep.snr = 10, 20", 1), ("sweep.samples = 4, 5", 2)):
+        clear_caches()
+        seen = len(survey_pids())
+        text = DESK_CFG + f"algorithms = robust_gis, greedy\ntrials = 3\n{sweep}\n"
+        code, out, _ = run_plan(tmp_path, text, threads=2)
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 3
+        assert survey_pids()[seen:] == [str(os.getpid())] * surveys
 
 
 def test_worker_pool_leaves_maps_of_several_keys_to_the_workers(tmp_path, survey_pids):
-    # samples_per_grid is part of the key: the parent builds nothing, and the
-    # workers survey each key themselves.
-    text = DESK_CFG + "algorithms = robust_gis, robust_aes\ntrials = 2\nsweep.samples = 4, 5\n"
+    # grid_edge_m is part of the scenario key: the parent builds nothing,
+    # and the workers survey each key themselves.
+    text = DESK_CFG + "algorithms = robust_gis, robust_aes\ntrials = 2\nsweep.grid_edge = 12, 15\n"
     serial_code, serial, _ = run_plan(tmp_path, text, out_name="serial.csv")
     serial_surveys = len(survey_pids())
     clear_caches()
@@ -576,6 +599,36 @@ def test_a_sweep_over_several_keys_surveys_each_key_once(tmp_path, survey_pids):
     assert [(float(r[1]), float(r[6]), r[0], int(r[8])) for r in rows] == [
         (snr, edge, a, t) for snr in (10, 20) for edge in edges
         for a in ("robust_aes", "sus") for t in range(2)]
+
+
+@pytest.mark.parametrize("algorithms, trials, sweeps, counts", [
+    # One scenario, one survey per sample count; greedy places its users on
+    # every call, the two-stage schedulers once per seed.
+    ("greedy, two_stage_aes, two_stage_gis, robust_aes, robust_gis", 2,
+     "sweep.samples = 3, 5, 9, 15\n", (1, 4, 4 * 2 + 2)),
+    # Six surveys, each thresholded at two etas and with every grid
+    # reliable: more maps than the 8-entry map cache holds, which evicts no
+    # survey.
+    ("two_stage_aes, two_stage_gis, robust_aes, robust_gis", 5,
+     "sweep.samples = 3, 4, 5, 6, 9, 15\nsweep.eta = 0.5, 0.7\n", (1, 6, 5)),
+], ids=["samples", "samples-x-eta"])
+def test_a_samples_sweep_builds_one_scenario_and_one_survey_per_count(
+        tmp_path, survey_pids, monkeypatch, empty_memo, algorithms, trials, sweeps, counts):
+    built, placed = [], []
+    build, place = experiments.build_scenario, experiments.place_users
+
+    def counted(calls, inner):
+        def wrapper(*args):
+            calls.append(args[-1])
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "build_scenario", counted(built, build))
+    monkeypatch.setattr(experiments, "place_users", counted(placed, place))
+    text = DESK_CFG + f"algorithms = {algorithms}\ntrials = {trials}\n{sweeps}"
+    code, _, _ = run_plan(tmp_path, text)
+    assert code == 0
+    assert (len(built), len(survey_pids()), len(placed)) == counts
 
 
 def test_a_sweep_of_more_points_than_the_caches_hold_thresholds_once(

@@ -142,15 +142,16 @@ def test_brute_force_is_at_least_every_scheduler_on_the_same_instance(cfg, seed)
 
 
 # The values a job takes: desk configs that vary what run_trial's memo is
-# keyed on (the scenario key through grid_edge_m, the map's threshold eta, a
-# decision's kbar and alpha) and the noise calibration (target SNR), every
-# algorithm and four seeds.
+# keyed on (the scenario key through grid_edge_m, the map's survey through
+# samples_per_grid and its threshold eta, a decision's kbar and alpha) and
+# the noise calibration (target SNR), every algorithm and four seeds.
 JOB_AXES = {
     "target_snr_db": [10.0, 20.0],
     "eta": [0.5, 0.7, 1.0],
     "kbar": [1, 2],
     "alpha": [0.3, 0.6],
     "grid_edge_m": [15.0, 20.0],
+    "samples_per_grid": [4, 5],
     "algorithm": list(ALGORITHMS),
     "seed": [0, 1, 2, 3],
 }
