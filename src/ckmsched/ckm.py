@@ -92,9 +92,10 @@ def reliability_indicator(sigma, delta):
     return (sigma <= delta).astype(np.uint8)[()]
 
 
-def _corr_rows(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _corr_rows(vectors: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows `rows` of the |normalized Gram matrix| of vectors (n, N),
-    clipped to [0, 1], with unit self entries: (len(rows), n).
+    clipped to [0, 1], with unit self entries: (len(rows), n), written
+    into out when it is given.
 
     The block is one (len(rows), N) @ (N, n) product (_row_product) against
     the same operand the full table uses; on OpenBLAS such row blocks equal
@@ -106,7 +107,7 @@ def _corr_rows(vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
         raise ZeroNormError("zero-norm mean channel in correlation table")
     unit = vectors / norms[:, None]
     rows = np.asarray(rows, dtype=np.int64)
-    corr = np.abs(_row_product(unit[rows], unit.conj().T))
+    corr = np.abs(_row_product(unit[rows], unit.conj().T), out=out)
     np.minimum(corr, 1.0, out=corr)
     corr[np.arange(len(rows)), rows] = 1.0
     return corr

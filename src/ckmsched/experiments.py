@@ -91,21 +91,81 @@ class UserRecord(NamedTuple):
     y: float
 
 
+# Generator.random's double: the top 53 bits of a 64-bit word times 2**-53.
+_DOUBLE_SCALE = 2.0**-53
+_LOW32 = np.uint64(0xFFFFFFFF)
+# The shifts to the low and the high 32-bit half of a word.
+_HALVES = np.array([0, 32], dtype=np.uint64)
+
+
+def _uniform_draws(rng: np.random.Generator, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """(picks (m,), offsets (m, 2)): what one rng.integers(b) and one
+    rng.random(2) per bound b of bounds, in turn, draw, taken from one
+    rng.bit_generator.random_raw block. rng is a PCG64 Generator holding no
+    buffered 32-bit half (a fresh one); bounds lie in [1, 2**32).
+
+    A bound b > 1 draws as Generator.integers does, by Lemire's
+    multiply-shift: a 32-bit value x gives (x * b) >> 32, unless its
+    leftover (x * b) mod 2**32 falls below (2**32 - b) mod b, which asks
+    for another 32-bit value. PCG64 hands out the low half of a fresh 64-bit word
+    and keeps its high half for the next 32-bit request, which random()
+    neither reads nor clears; so picks alternate between the low half of
+    a fresh word, drawn just before that user's offsets, and the kept high
+    half of the last one, also across cells. A bound of 1 draws nothing.
+    random() takes one word w per value, (w >> 11) * 2**-53.
+
+    A rejection (probability below b / 2**32 per pick) shifts every later
+    draw, so then rng is rewound to where it started and the draws are
+    made one user at a time. Either way rng ends where that loop leaves
+    it, up to the kept high half.
+
+    Generator.integers' method and PCG64's buffering are numpy internals
+    that NEP 19 does not freeze, so these bits are those of the loop only
+    at the numpy the CI workflow pins (2.4.6); the per-user reference
+    tests in tests/test_fast_paths.py check them.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    takes = bounds > 1
+    drawn = np.flatnonzero(takes)
+    half = np.cumsum(takes) - takes  # 32-bit halves drawn before each user
+    # Each user's first word: two offset words per earlier user, plus the
+    # fresh words of the earlier halves, one per two rounded up.
+    first = np.arange(0, 2 * len(bounds), 2) + (half + 1) // 2
+    words = rng.bit_generator.random_raw(2 * len(bounds) + (len(drawn) + 1) // 2)
+    # Picks 2i and 2i + 1 take the low and the high half of the word that
+    # pick 2i draws fresh.
+    x = (words[first[drawn[::2]], None] >> _HALVES).ravel()[:len(drawn)] & _LOW32
+    b = bounds[drawn]
+    scaled = x * b
+    if ((scaled & _LOW32) < (2**32 - b) % b).any():
+        rng.bit_generator.advance(2**128 - len(words))
+        picks, offsets = np.empty(len(bounds), dtype=np.int64), np.empty((len(bounds), 2))
+        for k, bound in enumerate(bounds.tolist()):
+            picks[k] = rng.integers(bound)
+            offsets[k] = rng.random(2)
+        return picks, offsets
+    picks = np.zeros(len(bounds), dtype=np.int64)
+    picks[drawn] = scaled >> 32
+    at = first + (takes & (half % 2 == 0))  # after a fresh pick word
+    return picks, (words[at[:, None] + [0, 1]] >> 11) * _DOUBLE_SCALE
+
+
 def place_users(scenario: Scenario, trial_seed: int) -> list[UserRecord]:
     """Draw users_per_cell positions per cell inside its coverage grids,
     one row per user, numbered 0..n-1 cell by cell.
 
-    "uniform" picks a grid uniformly; "clustered" concentrates picks
-    around a few per-cell hotspot grids.
+    "uniform" picks a grid uniformly: per user, cell by cell, one
+    rng.integers(len(grids)) pick and one rng.random(2) offset, which
+    _uniform_draws takes for every user from one block of raw words.
+    "clustered" concentrates picks around a few per-cell hotspot grids.
     """
     cfg = scenario.config
     rng = _seeded(cfg.rng_seed, _TAG_USERS, trial_seed)
     edge = cfg.grid_edge_m
     K = cfg.users_per_cell
-    picks, offsets = [], []
-    for cell in range(cfg.n_cells):
-        grids = scenario.grids_of_cell[cell]
-        if cfg.placement == "clustered":
+    if cfg.placement == "clustered":
+        picks, offsets = [], []
+        for grids in scenario.grids_of_cell:
             anchors = rng.choice(grids, size=min(cfg.hotspots_per_cell, len(grids)),
                                  replace=False)
             centers = scenario.grid_centers[grids]
@@ -123,17 +183,13 @@ def place_users(scenario: Scenario, trial_seed: int) -> list[UserRecord]:
             u = rng.random((K, 3))
             picks.append(grids[cdf.searchsorted(u[:, 0], side="right")])
             offsets.append(u[:, 1:])
-        else:
-            # rng.choice(grids) is one rng.integers(len(grids)) draw; each
-            # pick is followed by its offset, so the draws stay per user.
-            idx, u = np.empty(K, dtype=np.int64), np.empty((K, 2))
-            for k in range(K):
-                idx[k] = rng.integers(len(grids))
-                u[k] = rng.random(2)
-            picks.append(grids[idx])
-            offsets.append(u)
-    gids = np.concatenate(picks)
-    pos = scenario.grid_centers[gids] + (np.concatenate(offsets) - 0.5) * edge
+        gids, offsets = np.concatenate(picks), np.concatenate(offsets)
+    else:
+        # rng.choice(grids) is one rng.integers(len(grids)) draw.
+        coverage = scenario.grids_of_cell
+        picks, offsets = _uniform_draws(rng, np.repeat([len(grids) for grids in coverage], K))
+        gids = np.concatenate([grids[p] for grids, p in zip(coverage, picks.reshape(-1, K))])
+    pos = scenario.grid_centers[gids] + (offsets - 0.5) * edge
     located = scenario.locate_many(pos)
     cells = scenario.grid_serving[located]
     xs, ys = pos.T.tolist()

@@ -270,8 +270,10 @@ def _seed_words(seed: int, tag: int, keys) -> np.ndarray:
 
     When seed, tag and every key are one 32-bit word each and there are at
     most 4 of them, the entropy fits the pool, and SeedSequence hashes a
-    zero word for each missing one; such rows are hashed as one batch. Every
-    other row is seeded by SeedSequence itself."""
+    zero word for each missing one; such rows are hashed as one batch when
+    there are more than two of them. Every other row is seeded by
+    SeedSequence itself, which is the cheaper of the two for one or two
+    rows (the batch hash is ~30 small array operations whatever m is)."""
     seed, tag = int(seed), int(tag)
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim == 1:
@@ -279,7 +281,7 @@ def _seed_words(seed: int, tag: int, keys) -> np.ndarray:
     if seed < 0 or tag < 0 or (keys < 0).any():
         raise ValueError("seed keys must be non-negative")
     m, k = keys.shape
-    if seed <= _MASK32 and tag <= _MASK32 and k <= 2:
+    if seed <= _MASK32 and tag <= _MASK32 and k <= 2 and m > 2:
         # Keys above 32 bits wrap in this cast; their rows are redone below.
         words = np.zeros((4, m), dtype=np.uint32)
         words[0], words[1], words[2:2 + k] = seed, tag, keys.T

@@ -66,7 +66,8 @@ def fuse_effective_csi(ckm: UsCkm, chans) -> EffectiveCsi:
     serving BS), and only those users' rows are read (chans.rows); on a map
     whose every grid is reliable no channel is read. Each BS computes the
     correlation rows of the users it serves against all users, one
-    (n_l, N) @ (N, n) product, and writes them into corr.
+    (n_l, N) @ (N, n) product, written straight into corr when those rows
+    are one block of ids, else gathered and scattered.
     """
     L, _, nant = ckm.h_bar.shape
     if len(chans.shape) != 3 or chans.shape[0] != L or chans.shape[2] != nant:
@@ -85,7 +86,11 @@ def fuse_effective_csi(ckm: UsCkm, chans) -> EffectiveCsi:
     corr = np.empty((len(cell_of), len(cell_of)))
     for l in range(L):
         served = np.flatnonzero(cell_of == l)
-        corr[served] = _corr_rows(vectors[l], served)
+        if len(served) and served[-1] - served[0] == len(served) - 1:
+            # One block of rows, as place_users numbers them: written in place.
+            _corr_rows(vectors[l], served, out=corr[served[0]:served[-1] + 1])
+        else:
+            corr[served] = _corr_rows(vectors[l], served)
     source = (~serving).astype(np.uint8)
     # Read-only, as UsCkm's arrays are: schedulers of one trial share a
     # fusion.

@@ -1145,11 +1145,60 @@ def test_locate_and_locate_many_match_the_scalar_lookup():
     (desk_config(), range(100)),
     (table_scale_config(), range(100)),
     (table_scale_config(users_per_cell=200, kprime=40, placement="uniform"), range(30)),
-], ids=["desk", "table_clustered", "dense_uniform"])
+    # An odd count per cell: a cell's last pick leaves the high half of its
+    # word to the next cell's first pick.
+    (table_scale_config(users_per_cell=51, placement="uniform"), range(30)),
+    (desk_config(n_cells=1, users_per_cell=7, kbar=1), range(100)),
+    # Two entropy words: SeedSequence seeds the placement stream.
+    (desk_config(rng_seed=2**32), range(100)),
+], ids=["desk", "table_clustered", "dense_uniform", "odd_uniform", "one_cell", "wide_seed"])
 def test_place_users_matches_the_per_user_reference(cfg, seeds):
     scenario = cached_scenario(cfg)
     for seed in seeds:
         assert place_users(scenario, seed) == place_users_reference(scenario, seed)
+
+
+def per_user_draws(rng, bounds):
+    picks, offsets = [], []
+    for bound in bounds:
+        picks.append(rng.integers(bound))
+        offsets.append(rng.random(2))
+    return np.array(picks, dtype=np.int64), np.array(offsets).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_uniform_draws_match_a_per_user_loop_near_two_to_the_32(seed):
+    # Near 2**32 Lemire's rejection is common: at 3 * 2**30 one pick in four
+    # is redrawn, at 2**31 + 1 about one in two. Bounds of 1 draw no bits.
+    rng = np.random.default_rng(seed)
+    bounds = rng.choice([1, 2, 3, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1], rng.integers(0, 9))
+    fast, slow = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    picks, offsets = experiments._uniform_draws(fast, bounds)
+    want_picks, want_offsets = per_user_draws(slow, bounds.tolist())
+    assert picks.tobytes() == want_picks.tobytes()
+    assert offsets.tobytes() == want_offsets.tobytes()
+    # Both generators stand at the same word.
+    assert fast.bit_generator.random_raw() == slow.bit_generator.random_raw()
+
+
+class RawWords:
+    """A generator that hands out raw words only: any per-user draw fails."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+
+
+def test_uniform_draws_fall_back_to_per_user_draws_only_on_a_rejection(monkeypatch):
+    # At bounds up to 400 a rejection is rarer than one pick in 10**7, so
+    # dense placements draw as one block and never reach the per-user loop.
+    scenario = cached_scenario(table_scale_config(users_per_cell=200, kprime=40,
+                                                  placement="uniform"))
+    want = [place_users(scenario, seed) for seed in range(5)]
+    seeded = experiments._seeded
+    monkeypatch.setattr(experiments, "_seeded", lambda *key: RawWords(seeded(*key)))
+    assert [place_users(scenario, seed) for seed in range(5)] == want
+    with pytest.raises(AttributeError, match="integers"):
+        experiments._uniform_draws(RawWords(np.random.default_rng(0)), np.full(8, 2**31 + 1))
 
 
 # -- batch-seeded random streams ----------------------------------------------
@@ -1195,23 +1244,38 @@ def test_seed_words_and_streams_equal_one_seed_sequence_per_key():
             assert drawn == (ref.standard_normal(5).tobytes(), ref.random(3).tobytes()), key
 
 
+def words_of(batches):
+    return [[np.random.SeedSequence([seed, tag, *row]).generate_state(4, np.uint64).tobytes()
+             for row in keys.reshape(len(keys), -1).tolist()] for seed, tag, keys in batches]
+
+
 def test_one_word_keys_are_hashed_without_a_seed_sequence(monkeypatch):
     # The scenario, the survey and the trials draw only keys, seeds and tags
-    # below 2**32: such batches stay on the array hash.
+    # below 2**32: such batches of three or more rows stay on the array
+    # hash, and batches of one or two rows are seeded by SeedSequence, one
+    # per row, which costs less there.
     small = np.array([(a, b) for a in EDGE_VALUES[:3] for b in EDGE_VALUES[:3]])
-    batches = [(0, 0, np.array([[0, 0]])), (7, _TAG_JITTER, np.array([3, 9, 3])),
+    batches = [(0, 0, np.array([[0, 0], [0, 0], [0, 1]])), (7, _TAG_JITTER, np.array([3, 9, 3])),
                (2**32 - 1, 2**32 - 1, small)]
-    want = [[np.random.SeedSequence([seed, tag, *row]).generate_state(4, np.uint64).tobytes()
-             for row in keys.reshape(len(keys), -1).tolist()] for seed, tag, keys in batches]
+    tiny = [(0, 0, np.array([[0, 0]])), (7, _TAG_JITTER, np.array([3, 9]))]
+    want, want_tiny = words_of(batches), words_of(tiny)
     scen = build_scenario(desk_config(dynamic_grid_fraction=1.0))
+    seeded = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("SeedSequence constructed for one-word keys")
+    def counted(entropy):
+        seeded.append(entropy)
+        return sequence(entropy)
 
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    for (seed, tag, keys), rows in zip(tiny, want_tiny):
+        assert [w.tobytes() for w in _seed_words(seed, tag, keys)] == rows
+    assert len(seeded) == 3
+    seeded.clear()
     for (seed, tag, keys), rows in zip(batches, want):
         assert [w.tobytes() for w in _seed_words(seed, tag, keys)] == rows
     channel_rows(scen, [0, 1], scen.grid_centers[:8], np.arange(1, 9))
+    assert seeded == []
 
 
 def test_streams_reject_negative_keys_like_seed_sequence():
