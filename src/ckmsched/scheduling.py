@@ -116,6 +116,15 @@ def residual_metric(gain, correlations):
     return mu if mu.ndim else float(mu)
 
 
+def _cell_block(csi: EffectiveCsi, ids: np.ndarray) -> np.ndarray:
+    """The (K, K) block of csi.corr at the ascending ids: a view when they
+    are one block of ids, as place_users numbers them, else gathered."""
+    if len(ids) and ids[-1] - ids[0] == len(ids) - 1:
+        cell = slice(int(ids[0]), int(ids[-1]) + 1)
+        return csi.corr[cell, cell]
+    return csi.corr.take(ids, axis=0).take(ids, axis=1)
+
+
 def aes_select(
     cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int, alpha: float
 ) -> ActiveSet:
@@ -129,6 +138,8 @@ def aes_select(
     """
     ids = _served_ids(csi, observing_bs, cell_ids, kprime)
     gain = csi.gain[ids]
+    # Column j of m holds every candidate's correlation with candidate j.
+    m = _cell_block(csi, ids)
     # Descending gain, ties to the lowest id: the next pick is always the
     # first user of this order still in the pool.
     order = np.lexsort((ids, -gain))
@@ -142,9 +153,12 @@ def aes_select(
             continue
         pool[pick] = False
         selected.append(pick)
-        drop = pool & (csi.corr[ids, ids[pick]] > alpha)
+        drop = pool & (m[:, pick] > alpha)
         pruned |= drop
-        pool &= ~drop
+        pool ^= drop
+        if not np.count_nonzero(pool):
+            # The rest of order is out of the pool.
+            break
     fallback = order[pruned[order]][: kprime - len(selected)]
     return ActiveSet(cell=observing_bs, members=ids[selected + fallback.tolist()].tolist(),
                      fallback=frozenset(ids[fallback].tolist()))
@@ -175,13 +189,18 @@ def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> A
     (_gis_confirm). The picks therefore equal those of re-summing every
     alive row.
 
-    Cost: O(K) per deletion plus O(K) per band row, so O(K^2) per cell;
-    re-summing would cost O(K^2) per deletion. The paper models this stage
+    Cost: per deletion, two argmax calls (the pick, then the runner-up
+    with the pick masked to -inf) and one contiguous row subtracted, so
+    O(K) per deletion and O(K^2) per cell; only when the runner-up lies
+    inside the band are the band rows found and summed, O(K) per band row.
+    Re-summing would cost O(K^2) per deletion. m is a view of csi.corr
+    when the ids are one block (_cell_block). The paper models this stage
     as L * K^3 multiplications (overhead_counts); that is the paper's
     figure, not this code's cost.
     """
     ids = _served_ids(csi, observing_bs, cell_ids, kprime)
-    m = csi.corr.take(ids, axis=0).take(ids, axis=1)
+    m = _cell_block(csi, ids)
+    # Each row is one pairwise sum over contiguous entries, view or copy.
     run = m.sum(axis=1)
     band = _GIS_BAND * max(1.0, float(run.max(initial=0.0)))
     alive = np.ones(len(ids), dtype=bool)
@@ -190,12 +209,15 @@ def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> A
     columns = np.ascontiguousarray(m.T)
     for _ in range(len(ids) - kprime):
         worst = int(run.argmax())
-        near = run >= run[worst] - band
-        if np.count_nonzero(near) > 1:
-            worst = _gis_confirm(m, np.flatnonzero(near), alive)
+        top = run.item(worst)
+        run[worst] = -np.inf
+        if run.item(run.argmax()) >= top - band:
+            # The band holds a second row: sum its rows exactly.
+            run[worst] = top
+            worst = _gis_confirm(m, np.flatnonzero(run >= top - band), alive)
+            run[worst] = -np.inf
         alive[worst] = False
         run -= columns[worst]
-        run[worst] = -np.inf
     return ActiveSet(cell=observing_bs, members=ids[alive].tolist())
 
 
@@ -217,13 +239,22 @@ def iccs_schedule(
     In every slot, each cell in turn picks the candidate maximizing
     sqrt(gain * (1 - sum of squared correlations to every user already
     scheduled anywhere)), with gains and correlations observed at the
-    candidate's serving BS.
+    candidate's serving BS; ties go to the lowest id.
+
+    Each cell's (pool, n) rows of csi.corr and its pool gains are gathered
+    once per call. A pick takes the placed columns of those rows, scores
+    every pool row with residual_metric, masks the rows already taken with
+    -inf and keeps the first maximum: a fixed number of array calls per
+    pick.
     """
     sets = sorted(active_sets, key=lambda a: a.cell)
     twice = sorted({a.cell for a, b in zip(sets, sets[1:]) if a.cell == b.cell})
     if twice:
         raise ScheduleError(f"more than one active set for cells {twice}")
-    pools = {a.cell: _served_ids(csi, a.cell, a.members, kbar).tolist() for a in sets}
+    pools = {a.cell: _served_ids(csi, a.cell, a.members, kbar) for a in sets}
+    rows = {cell: csi.corr.take(pool, axis=0) for cell, pool in pools.items()}
+    gains = {cell: csi.gain[pool] for cell, pool in pools.items()}
+    taken = {cell: np.zeros(len(pool), dtype=bool) for cell, pool in pools.items()}
     members: dict[int, list[int]] = {cell: [] for cell in pools}
     meta: list[SelectionRecord] = []
     placed: list[int] = []
@@ -231,12 +262,13 @@ def iccs_schedule(
         for cell, pool in pools.items():
             # The load against every placed user is recomputed in placement
             # order every slot: a running sum would round differently from
-            # numpy's pairwise sum. Two takes gather the (pool, placed) block
-            # as np.ix_ would, C-contiguous, at a fraction of its fixed cost.
-            corr = csi.corr.take(pool, axis=0).take(placed, axis=1)
-            mu = residual_metric(csi.gain[pool], corr)
-            j = int(np.argmax(mu))
-            uid = pool.pop(j)
+            # numpy's pairwise sum. Each row is summed alone, so the rows
+            # already taken change no other row's score.
+            mu = residual_metric(gains[cell], rows[cell].take(placed, axis=1))
+            mu[taken[cell]] = -np.inf
+            j = int(mu.argmax())
+            taken[cell][j] = True
+            uid = int(pool[j])
             members[cell].append(uid)
             placed.append(uid)
             source = "scsi" if csi.source[uid] else "icsi"

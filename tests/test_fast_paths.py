@@ -55,6 +55,7 @@ from ckmsched.scheduling import (
     gis_select,
     greedy_schedule,
     iccs_schedule,
+    residual_metric,
     robust_two_stage,
     sus_schedule,
 )
@@ -298,17 +299,71 @@ def test_two_stage_and_sus_match_the_per_user_references(
     assert gis_bands and min(gis_bands) > 1
 
 
-def test_interleaved_cells_fuse_and_schedule_like_the_references():
-    # Placement numbers users cell by cell. Here user i serves in cell
-    # i % 2, so fusion writes each BS's rows into a non-contiguous row set.
-    cfg = desk_config()
-    for seed in range(20):
-        chans, noise = trial_instance(cfg, seed)
-        perm = np.arange(len(chans.cell_of)).reshape(cfg.n_cells, -1).T.ravel()
-        mixed = dataclasses.replace(synthetic_chans(chans.h[:, perm], chans.cell_of[perm]),
-                                    grid=chans.grid[perm])
-        assert mixed.cell_of.tolist() == [0, 1] * cfg.users_per_cell
-        two_stage_fallbacks(cfg, cached_ckm(cfg), mixed, noise)
+@pytest.fixture
+def cell_blocks(monkeypatch):
+    """For each in-cell block the first stages read, whether it was a view
+    of the fused table (True) or a gathered copy (False)."""
+    views = []
+    block = scheduling._cell_block
+
+    def recorded(csi, ids):
+        m = block(csi, ids)
+        views.append(np.may_share_memory(m, csi.corr))
+        return m
+
+    monkeypatch.setattr(scheduling, "_cell_block", recorded)
+    return views
+
+
+def test_interleaved_cells_fuse_and_schedule_like_the_references(cell_blocks):
+    # Placement numbers users cell by cell, so fusion writes each BS's rows
+    # in place and the first stages read each cell's block as a view. Here
+    # user i serves in cell i % L instead, so fusion scatters each BS's
+    # rows and the stages gather their blocks.
+    dense = table_scale_config(users_per_cell=200, kprime=40, placement="uniform")
+    for cfg, seeds in ((desk_config(), range(20)), (dense, range(1))):
+        for seed in seeds:
+            chans, noise = trial_instance(cfg, seed)
+            perm = np.arange(len(chans.cell_of)).reshape(cfg.n_cells, -1).T.ravel()
+            mixed = dataclasses.replace(
+                synthetic_chans(chans.h[:, perm], chans.cell_of[perm]), grid=chans.grid[perm])
+            assert mixed.cell_of.tolist() == list(range(cfg.n_cells)) * cfg.users_per_cell
+            for order, view in ((chans, True), (mixed, False)):
+                cell_blocks.clear()
+                two_stage_fallbacks(cfg, cached_ckm(cfg), order, noise)
+                assert cell_blocks and set(cell_blocks) == {view}
+
+
+def test_iccs_records_the_residual_metric_of_each_pick():
+    # At dense scale up to 14 users are placed, so the load sums take
+    # numpy's unrolled pairwise path, which depends on the block's layout.
+    dense = table_scale_config(users_per_cell=200, kprime=40, placement="uniform")
+    for cfg, seeds in ((desk_config(), range(10)), (dense, range(1))):
+        for seed in seeds:
+            chans, _ = trial_instance(cfg, seed)
+            ids = [np.flatnonzero(chans.cell_of == l) for l in range(cfg.n_cells)]
+            for m in (cached_ckm(cfg), cached_ckm(cfg).reclassify(None, 1.0)):
+                csi = fuse_effective_csi(m, chans)
+                for sets in ([aes_select(i, csi, l, cfg.kprime, cfg.alpha)
+                              for l, i in enumerate(ids)],
+                             [gis_select(i, csi, l, cfg.kprime) for l, i in enumerate(ids)]):
+                    assert_residual_metric_picks(iccs_schedule(sets, csi, cfg.kbar), sets, csi)
+
+
+def assert_residual_metric_picks(group, sets, csi):
+    """Each pick is the first maximum, in ascending id order, of
+    residual_metric over its cell's candidates left, against every user
+    placed before it, and records that score."""
+    left = {a.cell: sorted(a.members) for a in sets}
+    placed = []
+    for pick in group.meta:
+        pool = left[pick.cell]
+        # np.ix_ gathers the (pool, placed) block C-contiguous.
+        mu = residual_metric(csi.gain[pool], csi.corr[np.ix_(pool, placed)])
+        assert pick.user == pool[int(np.argmax(mu))]
+        assert repr(pick.metric) == repr(float(mu[pool.index(pick.user)]))
+        pool.remove(pick.user)
+        placed.append(pick.user)
 
 
 def tied_table(rng, n, pairs, jitter):

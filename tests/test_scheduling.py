@@ -239,6 +239,25 @@ def test_iccs_rejects_two_active_sets_for_one_cell():
             iccs_schedule(sets, csi, kbar=1)
 
 
+def test_iccs_rejects_a_negative_pool_gain():
+    csi = csi_one_cell([4.0, -1.0, 2.0], {})
+    with pytest.raises(ValueError, match="gain must be >= 0"):
+        iccs_schedule([ActiveSet(0, [0, 1, 2])], csi, kbar=2)
+
+
+@pytest.mark.parametrize("gains, members", [
+    ([9.0, 1.0, 4.0, 4.0], [0, 2, 3]),   # the tie follows the taken user
+    ([1.0, 4.0, 9.0, 4.0], [2, 1, 3]),   # the taken user lies between the tie
+])
+def test_iccs_breaks_ties_by_lowest_id_with_taken_users_masked(gains, members):
+    # The first pick is taken and masked; users of gain 4.0 then tie
+    # exactly, and the lower id must still win.
+    csi = csi_one_cell(gains, {})
+    group = iccs_schedule([ActiveSet(0, [3, 2, 1, 0])], csi, kbar=3)
+    assert group.members == {0: members}
+    assert [m.metric for m in group.meta] == [3.0, 2.0, 2.0]
+
+
 # -- baseline: semi-orthogonal selection -----------------------------------
 
 
