@@ -350,11 +350,10 @@ def build_ckm(scenario: Scenario, samples_per_grid: int | None = None) -> UsCkm:
     """
     cfg = scenario.config
     s = cfg.samples_per_grid if samples_per_grid is None else samples_per_grid
-    bss = range(cfg.n_cells)
     blocks = []
     for start in range(0, scenario.n_grids, GRID_BLOCK):
         grids = np.arange(start, min(start + GRID_BLOCK, scenario.n_grids))
-        samples, centers = sample_grid(scenario, bss, grids, s)
+        samples, centers = sample_grid(scenario, grids, s)
         # One BS slice at a time, so each statistic's temporaries span one
         # BS's share of the block.
         stats = [(statistical_channel(x), statistical_gain(x),

@@ -523,11 +523,11 @@ def _median_center_gain(scenario: Scenario) -> float:
     """Median grid-center gain of calibrate_noise, once per scenario object
     (Scenario hashes by identity), so an SNR sweep synthesizes it once."""
     gains = []
-    for l in range(scenario.config.n_cells):
-        grids = scenario.grids_of_cell[l]
-        rows = channel_rows(
-            scenario, l, scenario.grid_centers[grids], np.zeros(len(grids), dtype=int)
-        )
+    for l, grids in enumerate(scenario.grids_of_cell):
+        # One call per cell, over its grid centers: one batch of every
+        # center would change each product's shape, and on some BLAS
+        # kernels its last bits.
+        rows = channel_rows(scenario, scenario.grid_centers[grids], 0)[l]
         gains.append(np.sum(np.abs(rows) ** 2, axis=1))
     return _median(np.concatenate(gains))
 

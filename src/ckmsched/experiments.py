@@ -210,15 +210,14 @@ def trial_channels(
     ids, cells, grids, xs, ys = zip(*users)
     if ids != tuple(range(len(ids))):
         raise ValueError("users must be numbered 0..n-1 in order")
-    bss = range(scenario.config.n_cells)
     pos = np.array([xs, ys]).T
 
     def synthesize(rows: np.ndarray) -> np.ndarray:
-        return channel_rows(scenario, bss, pos[rows], realization)
+        return channel_rows(scenario, pos[rows], realization)
 
     return ChannelSet(
         cell_of=np.array(cells, dtype=np.int64), grid=np.array(grids, dtype=np.int64),
-        shape=(len(bss), len(pos), scenario.n_antennas), synthesize=synthesize,
+        shape=(scenario.config.n_cells, len(pos), scenario.n_antennas), synthesize=synthesize,
     )
 
 

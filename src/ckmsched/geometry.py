@@ -601,34 +601,28 @@ def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def channel_rows(
     scenario: Scenario,
-    observing_bs,
     positions: np.ndarray,
     realizations: np.ndarray,
 ) -> np.ndarray:
-    """Channels from a batch of positions, one row per position.
+    """Channels from a batch of positions toward every BS: an (L, n, N)
+    array, row i of BS l's slice being position i as BS l sees it.
 
-    observing_bs is one BS id, giving an (n, N) array, or a sequence of
-    BS ids, giving (len(observing_bs), n, N). The small-scale direction
-    is the attenuation/phase-weighted sum over static clusters (plus
-    jittered dynamic clusters when the position's grid is dynamic and the
-    realization is nonzero); the row norm equals the path-loss plus
-    shadowing amplitude exactly. The jitter of a (grid, realization) pair
-    is drawn once and shared by every requested BS.
+    The small-scale direction is the attenuation/phase-weighted sum over
+    static clusters (plus jittered dynamic clusters when the position's
+    grid is dynamic and the realization is nonzero); the row norm equals
+    the path-loss plus shadowing amplitude exactly. The jitter of a
+    (grid, realization) pair is drawn once and shared by every BS.
     """
     cfg = scenario.config
-    bss = np.atleast_1d(np.asarray(observing_bs, dtype=np.int64))
-    for l in bss:
-        if not (0 <= l < cfg.n_cells):
-            raise ValueError(f"observing_bs {l} out of range")
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     real = np.broadcast_to(np.asarray(realizations, dtype=np.int64), (pos.shape[0],))
     gids = scenario.locate_many(pos)
 
-    bs = scenario.bs_xy[bss]
+    bs = scenario.bs_xy
     d2 = np.hypot(pos[None, :, 0] - bs[:, 0, None], pos[None, :, 1] - bs[:, 1, None])
     d3 = np.hypot(d2, cfg.bs_height_m - cfg.user_height_m)
     pl = path_loss_db(d3, cfg.path_loss_exponent)
-    amp = 10.0 ** (-(pl + scenario.shadow_db[bss[:, None], gids]) / 20.0)
+    amp = 10.0 ** (-(pl + scenario.shadow_db[:, gids]) / 20.0)
 
     sp = scenario.scatterers.static_positions
     duc = np.hypot(pos[:, 0, None] - sp[None, :, 0], pos[:, 1, None] - sp[None, :, 1])
@@ -644,12 +638,12 @@ def channel_rows(
     duc **= cfg.scatter_falloff
     w /= duc
     del duc
-    v = np.empty((len(bss), len(pos), scenario.n_antennas), dtype=np.complex128)
-    for j, l in enumerate(bss):
+    v = np.empty((cfg.n_cells, len(pos), scenario.n_antennas), dtype=np.complex128)
+    for vl, mix in zip(v, scenario.static_mix):
         if len(w) == 1:
-            v[j] = _row_product(w, scenario.static_mix[l])
+            vl[:] = _row_product(w, mix)
         else:
-            np.matmul(w, scenario.static_mix[l], out=v[j])
+            np.matmul(w, mix, out=vl)
     del w
 
     rows = scenario._dyn_row[gids]
@@ -667,8 +661,8 @@ def channel_rows(
             / (1.0 + dud / cfg.scatter_range_m) ** cfg.scatter_falloff
             * zeta
         )[:, None, :]                                                # (m, 1, D)
-        for j, l in enumerate(bss):
-            v[j, hit] += (dw @ scenario.dyn_mix[l, a])[:, 0]
+        for vl, mix in zip(v, scenario.dyn_mix):
+            vl[hit] += (dw @ mix[a])[:, 0]
 
     # np.linalg.norm(v, axis=-1), one BS at a time: the square roots of the
     # row sums of (conj(v) * v).real.
@@ -681,18 +675,16 @@ def channel_rows(
     if np.any(norms < 1e-250):
         raise ZeroNormError("degenerate small-scale channel (zero cluster sum)")
     v *= (amp / norms)[..., None]  # in place: a survey block's v is ~4 MB
-    return v[0] if np.ndim(observing_bs) == 0 else v
+    return v
 
 
-def sample_grid(scenario: Scenario, observing_bs, grids,
-                s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The map survey of grids: s sampled channels inside each grid plus the
-    grid-center channel, from one channel_rows call.
+def sample_grid(scenario: Scenario, grids, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map survey of grids from every BS: s sampled channels inside each
+    grid plus the grid-center channel, from one channel_rows call.
 
-    observing_bs is one BS id or a sequence, as in channel_rows; grids is one
-    grid id or an array, as in grid_sample_positions. Returns samples
-    (..., s, N) and centers (..., N), the leading axes being the BSs (for a
-    sequence) then the shape of grids. Sample i is synthesized at realization
+    grids is one grid id or an array, as in grid_sample_positions. Returns
+    samples (L, ..., s, N) and centers (L, ..., N), the axes after the
+    first being the shape of grids. Sample i is synthesized at realization
     i+1, so the spread of sample-to-center correlations reflects temporal
     jitter in dynamic grids; the center uses the stable realization 0.
     """
@@ -705,6 +697,6 @@ def sample_grid(scenario: Scenario, observing_bs, grids,
     pts = scenario.grid_sample_positions(g, s)                       # (..., s, 2)
     pos = np.concatenate([pts, scenario.grid_centers[g][..., None, :]], axis=-2)
     reals = np.tile(np.append(np.arange(1, s + 1), 0), g.size)
-    rows = channel_rows(scenario, observing_bs, pos.reshape(-1, 2), reals)
-    rows = rows.reshape(rows.shape[:-2] + g.shape + (s + 1, scenario.n_antennas))
+    rows = channel_rows(scenario, pos.reshape(-1, 2), reals)
+    rows = rows.reshape((len(rows),) + g.shape + (s + 1, scenario.n_antennas))
     return rows[..., :s, :], rows[..., s, :]

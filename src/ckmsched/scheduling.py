@@ -116,30 +116,31 @@ def residual_metric(gain, correlations):
     return mu if mu.ndim else float(mu)
 
 
-def _cell_block(csi: EffectiveCsi, ids: np.ndarray) -> np.ndarray:
-    """The (K, K) block of csi.corr at the ascending ids: a view when they
-    are one block of ids, as place_users numbers them, else gathered."""
+def _cell_block(csi: EffectiveCsi, bs: int, need: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending ids of the K users BS bs serves and their (K, K) block
+    of csi.corr: a view when the ids are one block, as place_users numbers
+    them, else gathered. ScheduleError when K is below need."""
+    ids = np.flatnonzero(csi.cell_of == bs)
+    if len(ids) < need:
+        raise ScheduleError(f"BS {bs}'s pool of {len(ids)} users cannot fill {need} slots")
     if len(ids) and ids[-1] - ids[0] == len(ids) - 1:
         cell = slice(int(ids[0]), int(ids[-1]) + 1)
-        return csi.corr[cell, cell]
-    return csi.corr.take(ids, axis=0).take(ids, axis=1)
+        return ids, csi.corr[cell, cell]
+    return ids, csi.corr.take(ids, axis=0).take(ids, axis=1)
 
 
-def aes_select(
-    cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int, alpha: float
-) -> ActiveSet:
-    """Active-set selection among one cell's user ids by descending gain
-    with correlation pruning.
+def aes_select(csi: EffectiveCsi, observing_bs: int, kprime: int, alpha: float) -> ActiveSet:
+    """Active-set selection among the users BS observing_bs serves, by
+    descending gain with correlation pruning.
 
     After each pick, candidates whose correlation with any selected user
     exceeds alpha are pruned. If the pool empties early, the remaining
     slots are refilled with the highest-gain pruned users and flagged as
     fallback.
     """
-    ids = _served_ids(csi, observing_bs, cell_ids, kprime)
-    gain = csi.gain[ids]
     # Column j of m holds every candidate's correlation with candidate j.
-    m = _cell_block(csi, ids)
+    ids, m = _cell_block(csi, observing_bs, kprime)
+    gain = csi.gain[ids]
     # Descending gain, ties to the lowest id: the next pick is always the
     # first user of this order still in the pool.
     order = np.lexsort((ids, -gain))
@@ -168,10 +169,10 @@ def aes_select(
 _GIS_BAND = 1e-9
 
 
-def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> ActiveSet:
-    """Active-set selection among one cell's user ids by deleting the
-    highest-total-correlation user until kprime remain. Survivors are
-    returned in ascending id order.
+def gis_select(csi: EffectiveCsi, observing_bs: int, kprime: int) -> ActiveSet:
+    """Active-set selection among the users BS observing_bs serves, by
+    deleting the highest-total-correlation user until kprime remain.
+    Survivors are returned in ascending id order.
 
     Each deletion removes the first maximum, in ascending id order, of
     m[i][alive].sum() - 1.0 over the alive rows i of the cell's K x K
@@ -198,8 +199,7 @@ def gis_select(cell_ids, csi: EffectiveCsi, observing_bs: int, kprime: int) -> A
     as L * K^3 multiplications (overhead_counts); that is the paper's
     figure, not this code's cost.
     """
-    ids = _served_ids(csi, observing_bs, cell_ids, kprime)
-    m = _cell_block(csi, ids)
+    ids, m = _cell_block(csi, observing_bs, kprime)
     # Each row is one pairwise sum over contiguous entries, view or copy.
     run = m.sum(axis=1)
     band = _GIS_BAND * max(1.0, float(run.max(initial=0.0)))
@@ -290,9 +290,9 @@ def sus_schedule(chans, kbar: int, alpha: float) -> UserGroup:
     """
     members: dict[int, list[int]] = {}
     meta: list[SelectionRecord] = []
-    for cell, cell_ids in chans.ids_by_cell(kbar).items():
-        ids = np.array(cell_ids, dtype=np.int64)
-        h = chans.h[cell, cell_ids]
+    for cell, served in chans.ids_by_cell(kbar).items():
+        ids = np.array(served, dtype=np.int64)
+        h = chans.h[cell, served]
         h_norm = _row_norms(h)
         resid = h.copy()
         pool = np.ones(len(ids), dtype=bool)
@@ -394,8 +394,8 @@ def robust_two_stage(
     first_stage: str = "aes",
 ) -> tuple[UserGroup, dict[str, int]]:
     """Two-stage pipeline on the trial's fused CSI (fuse_effective_csi),
-    with overhead counters. BS l's pool is the users it serves
-    (csi.cell_of == l).
+    with overhead counters. Each BS's first stage selects among the users
+    it serves; ICCS then schedules across the cells' active sets.
 
     On a map thresholded at the config's delta/eta it is the robust
     scheduler (true channels substituted in unreliable grids); with every
@@ -406,11 +406,10 @@ def robust_two_stage(
     if first_stage not in ("aes", "gis"):
         raise ValueError(f"unknown first stage {first_stage!r}")
     L = csi.n_cells
-    pools = [np.flatnonzero(csi.cell_of == l) for l in range(L)]
     active_sets = [
-        aes_select(ids, csi, l, kprime, alpha) if first_stage == "aes"
-        else gis_select(ids, csi, l, kprime)
-        for l, ids in enumerate(pools)
+        aes_select(csi, l, kprime, alpha) if first_stage == "aes"
+        else gis_select(csi, l, kprime)
+        for l in range(L)
     ]
     group = iccs_schedule(active_sets, csi, kbar)
     candidates = {k for a in active_sets for k in a.members}

@@ -161,19 +161,17 @@ def grid_statistics_reference(samples, center):
 
 def map_survey_reference(scenario, s: int, eta: float):
     """h_bar, epsilon, sigma, reliable and delta of build_ckm at a
-    quantile threshold 0 < eta < 1, with one channel_rows call (samples at
-    realizations 1..s, the center at 0) and one set of scalar statistics per
-    (BS, grid)."""
+    quantile threshold 0 < eta < 1, with one channel_rows call per grid
+    (samples at realizations 1..s, the center at 0) and one set of scalar
+    statistics per (BS, grid)."""
     L, G, N = scenario.config.n_cells, scenario.n_grids, scenario.n_antennas
     h_bar = np.zeros((L, G, N), dtype=np.complex128)
     epsilon = np.zeros((L, G))
     sigma = np.zeros((L, G))
     reals = list(range(1, s + 1)) + [0]
-    for l in range(L):
-        for g in range(G):
-            pos = np.vstack([scenario.grid_sample_positions(g, s),
-                             scenario.grid_centers[g]])
-            rows = channel_rows(scenario, l, pos, reals)
+    for g in range(G):
+        pos = np.vstack([scenario.grid_sample_positions(g, s), scenario.grid_centers[g]])
+        for l, rows in enumerate(channel_rows(scenario, pos, reals)):
             h_bar[l, g], epsilon[l, g], sigma[l, g] = grid_statistics_reference(
                 rows[:s], rows[s]
             )
@@ -188,9 +186,7 @@ def one_shot_survey_reference(scenario, s: int, eta: float):
     """h_bar, epsilon, sigma, reliable and delta of build_ckm at a quantile
     threshold 0 < eta < 1, from one sample_grid call over every grid (the
     survey before it ran in grid blocks)."""
-    samples, centers = sample_grid(
-        scenario, range(scenario.config.n_cells), np.arange(scenario.n_grids), s
-    )
+    samples, centers = sample_grid(scenario, np.arange(scenario.n_grids), s)
     h_bar = statistical_channel(samples)
     epsilon = statistical_gain(samples)
     sigma = grid_variance(statistical_correlation(samples, centers[..., None, :]))

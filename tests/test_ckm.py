@@ -232,7 +232,7 @@ def test_build_ckm_rejects_an_empty_survey(small_scenario):
     with pytest.raises(ConfigError, match="samples_per_grid must be >= 1"):
         replace(small_scenario.config, samples_per_grid=0)
     with pytest.raises(ValueError, match="s must be >= 1"):
-        sample_grid(small_scenario, [0], [0], 0)
+        sample_grid(small_scenario, [0], 0)
 
 
 def test_doubling_samples_reuses_the_shorter_prefix(small_scenario):

@@ -256,12 +256,12 @@ def two_stage_fallbacks(cfg, ckm, chans, noise):
         fast = fuse_effective_csi(m, chans)
         slow = fuse_reference(m, chans)
         assert_same_fusion(fast, slow)
-        aes = [aes_select(ids[l], fast, l, cfg.kprime, cfg.alpha) for l in cells]
+        aes = [aes_select(fast, l, cfg.kprime, cfg.alpha) for l in cells]
         for l, a in zip(cells, aes):
             ref = aes_reference(ids[l], slow, l, cfg.kprime, cfg.alpha)
             assert (a.cell, a.members, a.fallback) == (ref.cell, ref.members, ref.fallback)
             aes_fallbacks += len(a.fallback)
-        gis = [gis_select(ids[l], fast, l, cfg.kprime) for l in cells]
+        gis = [gis_select(fast, l, cfg.kprime) for l in cells]
         for l, g in zip(cells, gis):
             assert g.members == gis_reference(ids[l], slow, l, cfg.kprime).members
         for sets in (aes, gis):
@@ -306,10 +306,10 @@ def cell_blocks(monkeypatch):
     views = []
     block = scheduling._cell_block
 
-    def recorded(csi, ids):
-        m = block(csi, ids)
+    def recorded(csi, bs, need):
+        ids, m = block(csi, bs, need)
         views.append(np.may_share_memory(m, csi.corr))
-        return m
+        return ids, m
 
     monkeypatch.setattr(scheduling, "_cell_block", recorded)
     return views
@@ -341,12 +341,11 @@ def test_iccs_records_the_residual_metric_of_each_pick():
     for cfg, seeds in ((desk_config(), range(10)), (dense, range(1))):
         for seed in seeds:
             chans, _ = trial_instance(cfg, seed)
-            ids = [np.flatnonzero(chans.cell_of == l) for l in range(cfg.n_cells)]
+            cells = range(cfg.n_cells)
             for m in (cached_ckm(cfg), cached_ckm(cfg).reclassify(None, 1.0)):
                 csi = fuse_effective_csi(m, chans)
-                for sets in ([aes_select(i, csi, l, cfg.kprime, cfg.alpha)
-                              for l, i in enumerate(ids)],
-                             [gis_select(i, csi, l, cfg.kprime) for l, i in enumerate(ids)]):
+                for sets in ([aes_select(csi, l, cfg.kprime, cfg.alpha) for l in cells],
+                             [gis_select(csi, l, cfg.kprime) for l in cells]):
                     assert_residual_metric_picks(iccs_schedule(sets, csi, cfg.kbar), sets, csi)
 
 
@@ -390,7 +389,7 @@ def test_gis_band_confirmation_matches_the_reference_on_ties(gis_bands, jitter):
         table = tied_table(rng, n, pairs, jitter)
         csi = csi_from_tables([np.ones(n)], [table])
         for kprime in (1, 5, 12):
-            assert (gis_select(ids, csi, 0, kprime).members
+            assert (gis_select(csi, 0, kprime).members
                     == gis_reference(ids, csi, 0, kprime).members)
     assert gis_bands and min(gis_bands) > 1
 
@@ -1034,23 +1033,23 @@ def test_table_scale_survey_memory_is_bounded():
 def test_channel_rows_of_one_position_equal_its_row_in_a_batch(cfg, bss):
     # A batch writes each BS's static-cluster product into the output rows
     # (np.matmul(..., out=)), one position takes the doubled-row product;
-    # every row must be the same bytes either way, for one BS and for a
-    # stack of BSs.
+    # every row must be the same bytes either way, for one BS's slice of the
+    # all-BS stack and for a reordered stack of BSs.
     scen = cached_scenario(cfg)
     rng = np.random.default_rng(5)
     gids = rng.integers(0, scen.n_grids, 24)
     pos = scen.grid_centers[gids] + (rng.random((24, 2)) - 0.5) * cfg.grid_edge_m
     reals = rng.integers(0, 3, 24)
-    rows = channel_rows(scen, bss, pos, reals)
+    rows = channel_rows(scen, pos, reals)[bss]
     for i in range(len(pos)):
-        one = channel_rows(scen, bss, pos[i], reals[i])
+        one = channel_rows(scen, pos[i], reals[i])[bss]
         assert one.shape == rows[..., i:i + 1, :].shape
         assert one.tobytes() == rows[..., i:i + 1, :].tobytes()
 
 
 def test_multi_bs_channel_rows_equal_per_position_channels():
-    # One stacked call against one call per BS, the per-BS per-row reference,
-    # position pairs and single positions, byte for byte.
+    # One stacked call against the per-BS per-row reference, position pairs
+    # and single positions, byte for byte.
     scen = build_scenario(desk_config(n_cells=3, dynamic_grid_fraction=0.5))
     rng = np.random.default_rng(3)
     # Every grid center plus random points around them, with repeated
@@ -1060,21 +1059,19 @@ def test_multi_bs_channel_rows_equal_per_position_channels():
     offs[: scen.n_grids] = 0.0
     pos = scen.grid_centers[gids] + offs
     reals = rng.integers(0, 4, len(gids))
-    bss = [2, 0, 1, 0]
-    rows = channel_rows(scen, bss, pos, reals)
-    assert rows.shape == (len(bss), len(gids), scen.n_antennas)
-    anchor = scen.grid_centers[0]
-    for j, l in enumerate(bss):
-        assert channel_rows(scen, l, pos, reals).tobytes() == rows[j].tobytes()
+    rows = channel_rows(scen, pos, reals)
+    assert rows.shape == (scen.config.n_cells, len(gids), scen.n_antennas)
+    for l, rows_l in enumerate(rows):
         ref = channel_rows_reference(scen, l, pos, reals)
-        assert ref.tobytes() == rows[j].tobytes()
-        for i in range(len(gids)):
-            # numpy would hand a one-row static-cluster product to gemv,
-            # which can differ from gemm in the last bit.
-            pair = channel_rows(scen, l, [pos[i], anchor], [reals[i], 0])
-            assert pair[0].tobytes() == rows[j, i].tobytes()
-            one = channel_rows(scen, l, pos[i], reals[i])[0]
-            assert one.tobytes() == rows[j, i].tobytes()
+        assert ref.tobytes() == rows_l.tobytes()
+    anchor = scen.grid_centers[0]
+    for i in range(len(gids)):
+        # numpy would hand a one-row static-cluster product to gemv, which
+        # can differ from gemm in the last bit.
+        pair = channel_rows(scen, [pos[i], anchor], [reals[i], 0])
+        assert pair[:, 0].tobytes() == rows[:, i].tobytes()
+        one = channel_rows(scen, pos[i], reals[i])[:, 0]
+        assert one.tobytes() == rows[:, i].tobytes()
 
 
 LAZY_CONFIGS = {"desk": desk_config(), "table": table_scale_config(), "dense": DENSE}
@@ -1086,7 +1083,7 @@ def lazy_instance(cfg, seed, realization):
     scenario = cached_scenario(cfg)
     users = place_users(scenario, seed)
     pos = np.array([[u.x, u.y] for u in users])
-    eager = channel_rows(scenario, range(cfg.n_cells), pos, realization)
+    eager = channel_rows(scenario, pos, realization)
     chans = trial_channels(scenario, users, realization)
     synthesized = []
     inner = chans.synthesize
@@ -1140,9 +1137,9 @@ def test_each_algorithm_synthesizes_only_the_rows_it_reads(monkeypatch, empty_me
     # trial has.
     calls = []
 
-    def counted(scenario, bss, positions, realizations):
+    def counted(scenario, positions, realizations):
         calls.append(len(positions))
-        return channel_rows(scenario, bss, positions, realizations)
+        return channel_rows(scenario, positions, realizations)
 
     monkeypatch.setattr(experiments, "channel_rows", counted)
     for cfg, algorithms in (
@@ -1329,7 +1326,7 @@ def test_one_word_keys_are_hashed_without_a_seed_sequence(monkeypatch):
     seeded.clear()
     for (seed, tag, keys), rows in zip(batches, want):
         assert [w.tobytes() for w in _seed_words(seed, tag, keys)] == rows
-    channel_rows(scen, [0, 1], scen.grid_centers[:8], np.arange(1, 9))
+    channel_rows(scen, scen.grid_centers[:8], np.arange(1, 9))
     assert seeded == []
 
 
@@ -1356,10 +1353,10 @@ def test_channel_rows_beyond_32_bit_realizations_match_the_reference():
     gids = np.repeat(np.arange(scen.n_grids), 2)
     reals = np.resize([2**32 - 1, 2**32, 2**33 + 7, 2**62 + 1, 1, 2**32], len(gids))
     pos = scen.grid_centers[gids]
-    rows = channel_rows(scen, range(scen.config.n_cells), pos, reals)
-    for l in range(scen.config.n_cells):
+    rows = channel_rows(scen, pos, reals)
+    for l, rows_l in enumerate(rows):
         ref = channel_rows_reference(scen, l, pos, reals)
-        assert ref.tobytes() == rows[l].tobytes()
+        assert ref.tobytes() == rows_l.tobytes()
 
 
 @pytest.mark.parametrize("cfg", [

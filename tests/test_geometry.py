@@ -292,17 +292,17 @@ def test_locate_rejects_positions_outside_coverage(small_scenario):
 
 def test_channel_vector_shape_and_finiteness(small_scenario):
     pos = small_scenario.grid_centers[3]
-    rows = channel_rows(small_scenario, 0, pos, 0)
-    assert rows.shape == (1, small_scenario.n_antennas)
+    rows = channel_rows(small_scenario, pos, 0)
+    assert rows.shape == (small_scenario.config.n_cells, 1, small_scenario.n_antennas)
     assert np.all(np.isfinite(rows))
-    assert np.linalg.norm(rows[0]) > 0
+    assert np.all(np.linalg.norm(rows, axis=-1) > 0)
 
 
 def test_static_grid_channels_are_realization_invariant(static_scenario):
     scen = static_scenario
     pos = scen.grid_centers[7] + 2.0
-    a = channel_rows(scen, 0, pos, 0)[0]
-    b = channel_rows(scen, 0, pos, 9)[0]
+    a = channel_rows(scen, pos, 0)
+    b = channel_rows(scen, pos, 9)
     assert np.array_equal(a, b)
 
 
@@ -310,8 +310,8 @@ def test_dynamic_grid_channels_vary_across_realizations(small_scenario):
     scen = small_scenario
     gid = int(scen.scatterers.dynamic_grid_ids[0])
     pos = scen.grid_centers[gid]
-    a = channel_rows(scen, 0, pos, 1)[0]
-    b = channel_rows(scen, 0, pos, 2)[0]
+    a = channel_rows(scen, pos, 1)[0, 0]
+    b = channel_rows(scen, pos, 2)[0, 0]
     corr = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
     assert not np.array_equal(a, b)
     assert corr < 1.0
@@ -326,9 +326,7 @@ def test_nearby_positions_more_correlated_than_distant_ones():
     base = np.array([-100.0, 0.5])
     near = base + [1.0, 0.0]
     far = base + [200.0, 0.0]
-    h0 = channel_rows(scen, 0, base, 0)[0]
-    hn = channel_rows(scen, 0, near, 0)[0]
-    hf = channel_rows(scen, 0, far, 0)[0]
+    h0, hn, hf = channel_rows(scen, np.array([base, near, far]), 0)[0]
 
     def corr(a, b):
         return abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -341,7 +339,7 @@ def test_channel_norm_equals_large_scale_amplitude(small_scenario):
     cfg = scen.config
     g = 4
     pos = scen.grid_centers[g]
-    h = channel_rows(scen, 1, pos, 0)[0]
+    h = channel_rows(scen, pos, 0)[1, 0]
     bs = scen.bs_xy[1]
     d3 = math.sqrt(
         (pos[0] - bs[0]) ** 2
@@ -362,7 +360,7 @@ def test_channel_norm_monotone_in_distance_without_shadowing():
     scen = build_scenario(cfg)
     dists = [10.0, 30.0, 60.0, 90.0, 115.0]
     norms = [
-        np.linalg.norm(channel_rows(scen, 0, (d, 0.0), 0)[0]) for d in dists
+        np.linalg.norm(channel_rows(scen, (d, 0.0), 0)[0, 0]) for d in dists
     ]
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
@@ -372,8 +370,8 @@ def test_fraction_zero_makes_every_grid_realization_invariant(static_scenario):
     assert len(scen.scatterers.dynamic_grid_ids) == 0
     for g in (0, scen.n_grids // 2, scen.n_grids - 1):
         pos = scen.grid_centers[g]
-        rows = channel_rows(scen, 0, np.tile(pos, (2, 1)), np.array([0, 17]))
-        assert np.array_equal(rows[0], rows[1])
+        rows = channel_rows(scen, np.tile(pos, (2, 1)), np.array([0, 17]))
+        assert np.array_equal(rows[:, 0], rows[:, 1])
 
 
 # -- grid sampling -----------------------------------------------------
@@ -382,19 +380,19 @@ def test_fraction_zero_makes_every_grid_realization_invariant(static_scenario):
 def test_sample_grid_single_sample_plus_center(small_scenario):
     scen = small_scenario
     n = scen.n_antennas
-    samples, center = sample_grid(scen, 0, 2, s=1)
-    assert samples.shape == (1, n) and center.shape == (n,)
-    # A BS list and a grid array stack the survey as (BS, *grids, sample),
-    # with sample i at realization i + 1 and the center at realization 0.
+    L = scen.config.n_cells
+    samples, center = sample_grid(scen, 2, s=1)
+    assert samples.shape == (L, 1, n) and center.shape == (L, n)
+    # A grid array stacks the survey as (BS, *grids, sample), with sample i
+    # at realization i + 1 and the center at realization 0.
     dyn = int(scen.scatterers.dynamic_grid_ids[0])
-    many, centers = sample_grid(scen, [1, 0], np.array([[2, dyn]]), s=3)
-    assert many.shape == (2, 1, 2, 3, n) and centers.shape == (2, 1, 2, n)
-    for j, l in enumerate([1, 0]):
-        for k, g in enumerate([2, dyn]):
-            pos = np.vstack([scen.grid_sample_positions(g, 3), scen.grid_centers[g]])
-            rows = channel_rows(scen, l, pos, [1, 2, 3, 0])
-            np.testing.assert_allclose(many[j, 0, k], rows[:3], rtol=1e-12)
-            np.testing.assert_allclose(centers[j, 0, k], rows[3], rtol=1e-12)
+    many, centers = sample_grid(scen, np.array([[2, dyn]]), s=3)
+    assert many.shape == (L, 1, 2, 3, n) and centers.shape == (L, 1, 2, n)
+    for k, g in enumerate([2, dyn]):
+        pos = np.vstack([scen.grid_sample_positions(g, 3), scen.grid_centers[g]])
+        rows = channel_rows(scen, pos, [1, 2, 3, 0])
+        np.testing.assert_allclose(many[:, 0, k], rows[:, :3], rtol=1e-12)
+        np.testing.assert_allclose(centers[:, 0, k], rows[:, 3], rtol=1e-12)
 
 
 def test_sample_positions_stay_inside_the_grid(small_scenario):
@@ -434,11 +432,11 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
 
 def test_sample_grid_validates_inputs(small_scenario):
     with pytest.raises(ValueError, match="s must be >= 1"):
-        sample_grid(small_scenario, 0, 0, s=0)
-    with pytest.raises(ValueError, match="out of range"):
-        sample_grid(small_scenario, 0, small_scenario.n_grids, s=3)
+        sample_grid(small_scenario, 0, s=0)
+    with pytest.raises(ValueError, match=f"grid {small_scenario.n_grids} out of range"):
+        sample_grid(small_scenario, small_scenario.n_grids, s=3)
     with pytest.raises(ValueError, match="grid -1 out of range"):
-        sample_grid(small_scenario, [0, 1], np.array([0, -1]), s=3)
+        sample_grid(small_scenario, np.array([0, -1]), s=3)
 
 
 def test_scenario_export_lists_every_grid(tmp_path, small_scenario):

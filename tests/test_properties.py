@@ -61,10 +61,9 @@ def test_users_are_numbered_in_row_order(cfg, seed):
     assert [u.id for u in users] == list(range(n))
     assert chans.cell_of.tolist() == [u.cell for u in users]
     assert chans.grid.tolist() == [u.grid for u in users]
-    bss = range(cfg.n_cells)
     for u in users:
         # one position at a time, so each row is checked on its own
-        h = channel_rows(scenario, bss, np.array([(u.x, u.y)]), seed + 1)[:, 0]
+        h = channel_rows(scenario, np.array([(u.x, u.y)]), seed + 1)[:, 0]
         assert h.tobytes() == chans.h[:, u.id].tobytes()
 
 
