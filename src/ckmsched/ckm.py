@@ -203,6 +203,8 @@ class UsCkm:
         head = len(_FORMAT_MAGIC) + 10
         if data[: len(_FORMAT_MAGIC)] != _FORMAT_MAGIC:
             raise ValueError(f"{path}: not a channel map file")
+        if len(data) < head:
+            raise ValueError(f"{path}: truncated header")
         version = int.from_bytes(data[len(_FORMAT_MAGIC) : head - 8], "little")
         if version < _FORMAT_VERSION:
             raise ValueError(

@@ -31,8 +31,10 @@ class ChannelSet:
     returns the (L, len(ids), N) rows of those users. rows(ids) synthesizes
     the missing rows among ids in one call and keeps them; reading h
     synthesizes every missing row in one call and returns the complete
-    buffer, so no reader sees an unfilled row. shape and n_cells never
-    synthesize.
+    buffer, so no reader sees an unfilled row. shape, n_cells and cells
+    never synthesize. Users are numbered cell by cell, as place_users
+    numbers them: cells[l] is the slice of cell l's ids, which schedulers
+    read; ValueError unless cell_of is non-decreasing within 0..L-1.
     """
 
     cell_of: np.ndarray   # (n,)
@@ -41,6 +43,10 @@ class ChannelSet:
     synthesize: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
+        bounds = np.searchsorted(self.cell_of, np.arange(self.n_cells + 1))
+        if not np.array_equal(self.cell_of, np.repeat(np.arange(self.n_cells), np.diff(bounds))):
+            raise ValueError(f"users must be numbered cell by cell, cells 0..{self.n_cells - 1}")
+        self.cells = tuple(map(slice, bounds[:-1].tolist(), bounds[1:].tolist()))
         self._rows = np.empty(self.shape, dtype=np.complex128)
         self._missing = np.ones(len(self.cell_of), dtype=bool)
         self._complete = False
@@ -58,7 +64,7 @@ class ChannelSet:
     def ids_by_cell(self, need: int = 0) -> dict[int, list[int]]:
         """Each cell's user ids, ascending, cells in order; ScheduleError for
         a cell with fewer than need users (a scheduler's kbar)."""
-        bycell = {l: np.flatnonzero(self.cell_of == l).tolist() for l in range(self.n_cells)}
+        bycell = {l: list(range(cell.start, cell.stop)) for l, cell in enumerate(self.cells)}
         for l, ids in bycell.items():
             if len(ids) < need:
                 raise ScheduleError(f"cell {l} has {len(ids)} < kbar={need} users")
@@ -93,10 +99,10 @@ class ChannelSet:
 def _require_rows(chans: ChannelSet, ids) -> None:
     """ValueError for a user id that is not a row of chans; a negative id
     must not wrap around to the last rows."""
-    n = len(chans.cell_of)
-    for uid in ids:
-        if not 0 <= uid < n:
-            raise ValueError(f"user {uid} has no channel row")
+    ids = np.asarray(ids)
+    bad = (ids < 0) | (ids >= len(chans.cell_of))
+    if bad.any():
+        raise ValueError(f"user {ids[bad][0]} has no channel row")
 
 
 @dataclass

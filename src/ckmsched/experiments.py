@@ -152,7 +152,11 @@ def _uniform_draws(rng: np.random.Generator, bounds) -> tuple[np.ndarray, np.nda
 
 def place_users(scenario: Scenario, trial_seed: int) -> list[UserRecord]:
     """Draw users_per_cell positions per cell inside its coverage grids,
-    one row per user, numbered 0..n-1 cell by cell.
+    one row per user, numbered 0..n-1 cell by cell: each cell's users are
+    one block of ids, the cells in order, the layout ChannelSet requires.
+    Each offset keeps its position inside the square of the grid drawn for
+    it, so a user's serving cell is the cell it was drawn for
+    (tests/test_fast_paths.py checks the layout over seeds).
 
     "uniform" picks a grid uniformly: per user, cell by cell, one
     rng.integers(len(grids)) pick and one rng.random(2) offset, which
@@ -388,6 +392,8 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
     """
     if algorithm not in _SCHEDULERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if isinstance(trial_seed, bool) or not isinstance(trial_seed, (int, np.integer)):
+        raise ValueError(f"trial_seed must be an integer, got {trial_seed!r}")
     if not 0 <= trial_seed <= MAX_TRIAL_SEED:
         raise ValueError(f"trial_seed must lie in [0, {MAX_TRIAL_SEED}]")
     schedule = _SCHEDULERS[algorithm]

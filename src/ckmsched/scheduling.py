@@ -28,16 +28,16 @@ class EffectiveCsi:
     """Fused gains/correlations consumed by the two-stage schedulers.
 
     Index i of every array is user i (row i of the trial's ChannelSet) as
-    seen by its serving BS cell_of[i]: its gain, its correlations against
-    every user (row i of corr), and source 1 where the map statistics were
-    kept, 0 where its true channel was substituted. n_cells is the map's L.
+    seen by its serving BS: its gain, its correlations against every user
+    (row i of corr), and source 1 where the map statistics were kept, 0
+    where its true channel was substituted. BS l serves the ids of the
+    ChannelSet's slice cells[l], and L is len(cells).
     """
 
     gain: np.ndarray     # (n,)
     corr: np.ndarray     # (n, n)
-    cell_of: np.ndarray  # (n,) serving BS of each user
+    cells: tuple         # (L,) slices of ids, one per serving BS
     source: np.ndarray   # (n,) uint8
-    n_cells: int
     acquired: list[int] = field(default_factory=list)
 
 
@@ -45,9 +45,9 @@ def _served_ids(csi: EffectiveCsi, bs: int, ids, need: int) -> np.ndarray:
     """ids in ascending order; ScheduleError for an id that BS bs does not
     serve (-1 and n included), for a repeated id or for fewer than need."""
     ids = np.sort(np.asarray(ids, dtype=np.int64))
-    cell_of = csi.cell_of
-    if ids.size and (ids[0] < 0 or ids[-1] >= len(cell_of) or (cell_of[ids] != bs).any()):
-        unknown = {k for k in ids.tolist() if not 0 <= k < len(cell_of) or cell_of[k] != bs}
+    cell = csi.cells[bs]
+    if ids.size and (ids[0] < cell.start or ids[-1] >= cell.stop):
+        unknown = {k for k in ids.tolist() if not cell.start <= k < cell.stop}
         raise ScheduleError(f"no correlation row at BS {bs} for user ids {sorted(unknown)}")
     repeated = ids[1:][ids[1:] == ids[:-1]]
     if repeated.size:
@@ -65,14 +65,14 @@ def fuse_effective_csi(ckm: UsCkm, chans) -> EffectiveCsi:
     grid is unreliable for an observing BS (for gain and source, its
     serving BS), and only those users' rows are read (chans.rows); on a map
     whose every grid is reliable no channel is read. Each BS computes the
-    correlation rows of the users it serves against all users, one
-    (n_l, N) @ (N, n) product, written straight into corr when those rows
-    are one block of ids, else gathered and scattered.
+    correlation rows of the users it serves (the slice chans.cells[l])
+    against all users, one (n_l, N) @ (N, n) product written in place into
+    that slice of corr's rows.
     """
     L, _, nant = ckm.h_bar.shape
     if len(chans.shape) != 3 or chans.shape[0] != L or chans.shape[2] != nant:
         raise ValueError(f"chans.h must hold one row per observing BS of {nant} antennas")
-    cell_of = chans.cell_of.copy()
+    cell_of = chans.cell_of
     vectors = ckm.h_bar[:, chans.grid]
     gain = ckm.epsilon[cell_of, chans.grid]
     need = ckm.reliable[:, chans.grid] == 0
@@ -82,21 +82,16 @@ def fuse_effective_csi(ckm: UsCkm, chans) -> EffectiveCsi:
         vectors[:, acq] = np.where(need[:, acq, None], chans.rows(acq), vectors[:, acq])
         own = np.flatnonzero(serving)
         gain[own] = np.sum(np.abs(vectors[cell_of[own], own]) ** 2, axis=-1)
-    # Every user is served by one of the L BSs, so every row is written.
+    # The cells' slices cover every user, so every row is written.
     corr = np.empty((len(cell_of), len(cell_of)))
-    for l in range(L):
-        served = np.flatnonzero(cell_of == l)
-        if len(served) and served[-1] - served[0] == len(served) - 1:
-            # One block of rows, as place_users numbers them: written in place.
-            _corr_rows(vectors[l], served, out=corr[served[0]:served[-1] + 1])
-        else:
-            corr[served] = _corr_rows(vectors[l], served)
+    for l, cell in enumerate(chans.cells):
+        _corr_rows(vectors[l], np.arange(cell.start, cell.stop), out=corr[cell])
     source = (~serving).astype(np.uint8)
     # Read-only, as UsCkm's arrays are: schedulers of one trial share a
     # fusion.
-    for arr in (gain, corr, cell_of, source):
+    for arr in (gain, corr, source):
         arr.setflags(write=False)
-    return EffectiveCsi(gain, corr, cell_of, source, L, acq.tolist())
+    return EffectiveCsi(gain, corr, chans.cells, source, acq.tolist())
 
 
 def residual_metric(gain, correlations):
@@ -118,15 +113,13 @@ def residual_metric(gain, correlations):
 
 def _cell_block(csi: EffectiveCsi, bs: int, need: int) -> tuple[np.ndarray, np.ndarray]:
     """The ascending ids of the K users BS bs serves and their (K, K) block
-    of csi.corr: a view when the ids are one block, as place_users numbers
-    them, else gathered. ScheduleError when K is below need."""
-    ids = np.flatnonzero(csi.cell_of == bs)
+    of csi.corr, a view: the slice csi.cells[bs] of its rows and columns.
+    ScheduleError when K is below need."""
+    cell = csi.cells[bs]
+    ids = np.arange(cell.start, cell.stop)
     if len(ids) < need:
         raise ScheduleError(f"BS {bs}'s pool of {len(ids)} users cannot fill {need} slots")
-    if len(ids) and ids[-1] - ids[0] == len(ids) - 1:
-        cell = slice(int(ids[0]), int(ids[-1]) + 1)
-        return ids, csi.corr[cell, cell]
-    return ids, csi.corr.take(ids, axis=0).take(ids, axis=1)
+    return ids, csi.corr[cell, cell]
 
 
 def aes_select(csi: EffectiveCsi, observing_bs: int, kprime: int, alpha: float) -> ActiveSet:
@@ -195,12 +188,11 @@ def gis_select(csi: EffectiveCsi, observing_bs: int, kprime: int) -> ActiveSet:
     O(K) per deletion and O(K^2) per cell; only when the runner-up lies
     inside the band are the band rows found and summed, O(K) per band row.
     Re-summing would cost O(K^2) per deletion. m is a view of csi.corr
-    when the ids are one block (_cell_block). The paper models this stage
-    as L * K^3 multiplications (overhead_counts); that is the paper's
-    figure, not this code's cost.
+    (_cell_block). The paper models this stage as L * K^3 multiplications
+    (overhead_counts); that is the paper's figure, not this code's cost.
     """
     ids, m = _cell_block(csi, observing_bs, kprime)
-    # Each row is one pairwise sum over contiguous entries, view or copy.
+    # Each row is one pairwise sum over contiguous entries.
     run = m.sum(axis=1)
     band = _GIS_BAND * max(1.0, float(run.max(initial=0.0)))
     alive = np.ones(len(ids), dtype=bool)
@@ -405,7 +397,7 @@ def robust_two_stage(
     """
     if first_stage not in ("aes", "gis"):
         raise ValueError(f"unknown first stage {first_stage!r}")
-    L = csi.n_cells
+    L = len(csi.cells)
     active_sets = [
         aes_select(csi, l, kprime, alpha) if first_stage == "aes"
         else gis_select(csi, l, kprime)

@@ -49,18 +49,19 @@ def synthetic_chans(h, cell_of):
 
 def csi_from_tables(gain, corr, source=None, cell_of=None):
     """EffectiveCsi of per-BS tables, gain (L, n), corr (L, n, n) and source
-    (L, n): user i serves at BS cell_of[i] (BS 0 by default) and keeps its
-    entries of that BS's tables; source defaults to map statistics
-    everywhere."""
+    (L, n): user i serves at BS cell_of[i] (BS 0 by default; numbered cell
+    by cell, as ChannelSet requires) and keeps its entries of that BS's
+    tables; source defaults to map statistics everywhere."""
     gain = np.asarray(gain, dtype=float)
     L, n = gain.shape
     if source is None:
         source = np.ones((L, n), dtype=np.uint8)
     cell_of = np.zeros(n, dtype=np.int64) if cell_of is None else np.asarray(cell_of, np.int64)
+    cells = synthetic_chans(np.zeros((L, n, 1)), cell_of).cells
     users = np.arange(n)
     corr = np.asarray(corr, dtype=float)[cell_of, users]
     source = np.asarray(source, dtype=np.uint8)[cell_of, users]
-    return EffectiveCsi(gain[cell_of, users], corr, cell_of, source, L)
+    return EffectiveCsi(gain[cell_of, users], corr, cells, source)
 
 
 def clear_caches():

@@ -937,6 +937,20 @@ def test_inspect_rejects_old_and_tampered_maps(tmp_path, capsys, small_ckm, dama
     assert "Traceback" not in err
 
 
+def test_inspect_rejects_a_map_cut_inside_its_fixed_header(tmp_path, capsys, small_ckm):
+    # Magic, version and header length fill the first 15 bytes: a file cut
+    # among them holds no version to judge.
+    path = tmp_path / "map.ckm"
+    small_ckm.save(path)
+    data = path.read_bytes()
+    for cut in range(5, 15):
+        path.write_bytes(data[:cut])
+        assert main(["inspect-ckm", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: truncated header" in err
+        assert "Traceback" not in err
+
+
 def test_inspect_rejects_a_map_without_grids(tmp_path, capsys):
     path = tmp_path / "map.ckm"
     save_map_of_shape(path, (2, 0, 8))

@@ -369,6 +369,17 @@ def test_run_trial_validates_inputs():
         run_trial(cfg, "sus", trial_seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.7, 1.0, True, np.bool_(True), "1", None])
+def test_run_trial_rejects_seeds_that_are_not_integers(seed):
+    with pytest.raises(ValueError, match="trial_seed must be an integer"):
+        run_trial(desk_config(), "sus", seed)
+
+
+def test_run_trial_accepts_numpy_integer_seeds():
+    cfg = desk_config()
+    assert run_trial(cfg, "sus", np.int64(1)) == run_trial(cfg, "sus", 1)
+
+
 def test_run_trial_rejects_seeds_whose_realization_overflows_int64():
     # Trial seed s draws its channels at realization s + 1, an int64.
     cfg = desk_config()

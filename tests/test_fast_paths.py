@@ -230,10 +230,10 @@ def assert_same_fusion(fast, slow):
     """Fused CSI equal to the per-user reference byte for byte: user i's
     gain, source and row of corr equal its entries of the full tables of
     its serving BS."""
-    for name in ("gain", "corr", "cell_of", "source"):
+    for name in ("gain", "corr", "source"):
         assert getattr(fast, name).shape == getattr(slow, name).shape, name
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
-    assert (fast.n_cells, fast.acquired) == (slow.n_cells, slow.acquired)
+    assert (fast.cells, fast.acquired) == (slow.cells, slow.acquired)
 
 
 def test_one_user_cells_fuse_like_the_full_tables():
@@ -289,9 +289,11 @@ def two_stage_and_sus_fallbacks(cfg, seed):
      False),
 ], ids=["desk", "table_alpha030", "table_alpha005", "dense_uniform"])
 def test_two_stage_and_sus_match_the_per_user_references(
-    cfg, seeds, sus_refills, gis_bands
+    cfg, seeds, sus_refills, gis_bands, cell_blocks
 ):
     aes, sus = np.sum([two_stage_and_sus_fallbacks(cfg, seed) for seed in seeds], axis=0)
+    # every block the first stages read is a view of the fused table
+    assert cell_blocks and all(cell_blocks)
     # the instances take the AES (and, but for dense, the SUS) refill path
     assert aes > 0
     assert (sus > 0) == sus_refills
@@ -301,8 +303,8 @@ def test_two_stage_and_sus_match_the_per_user_references(
 
 @pytest.fixture
 def cell_blocks(monkeypatch):
-    """For each in-cell block the first stages read, whether it was a view
-    of the fused table (True) or a gathered copy (False)."""
+    """For each in-cell block the first stages read, whether it shares
+    memory with the fused table."""
     views = []
     block = scheduling._cell_block
 
@@ -315,23 +317,32 @@ def cell_blocks(monkeypatch):
     return views
 
 
-def test_interleaved_cells_fuse_and_schedule_like_the_references(cell_blocks):
-    # Placement numbers users cell by cell, so fusion writes each BS's rows
-    # in place and the first stages read each cell's block as a view. Here
-    # user i serves in cell i % L instead, so fusion scatters each BS's
-    # rows and the stages gather their blocks.
-    dense = table_scale_config(users_per_cell=200, kprime=40, placement="uniform")
-    for cfg, seeds in ((desk_config(), range(20)), (dense, range(1))):
-        for seed in seeds:
-            chans, noise = trial_instance(cfg, seed)
-            perm = np.arange(len(chans.cell_of)).reshape(cfg.n_cells, -1).T.ravel()
-            mixed = dataclasses.replace(
-                synthetic_chans(chans.h[:, perm], chans.cell_of[perm]), grid=chans.grid[perm])
-            assert mixed.cell_of.tolist() == list(range(cfg.n_cells)) * cfg.users_per_cell
-            for order, view in ((chans, True), (mixed, False)):
-                cell_blocks.clear()
-                two_stage_fallbacks(cfg, cached_ckm(cfg), order, noise)
-                assert cell_blocks and set(cell_blocks) == {view}
+def test_channel_sets_refuse_users_not_numbered_cell_by_cell():
+    # Fusion and the stages read each cell as one slice of ids, so a table
+    # that numbers users otherwise is refused before any row is synthesized.
+    def refused(ids):
+        raise AssertionError(f"synthesized rows {ids.tolist()}")
+
+    cfg = desk_config()
+    chans, _ = trial_instance(cfg, 0)
+    perm = np.arange(len(chans.cell_of)).reshape(cfg.n_cells, -1).T.ravel()
+    beyond, negative = chans.cell_of.copy(), chans.cell_of.copy()
+    beyond[-1] = cfg.n_cells
+    negative[0] = -1
+    for cell_of in (chans.cell_of[perm], beyond, negative):
+        with pytest.raises(ValueError, match="numbered cell by cell"):
+            dataclasses.replace(chans, cell_of=cell_of, synthesize=refused)
+
+
+@pytest.mark.parametrize("cfg", [
+    desk_config(), desk_config(placement="clustered"), table_scale_config(),
+    table_scale_config(users_per_cell=200, kprime=40, placement="uniform"),
+], ids=["desk_uniform", "desk_clustered", "table", "dense"])
+def test_place_users_numbers_users_cell_by_cell(cfg):
+    layout = np.repeat(np.arange(cfg.n_cells), cfg.users_per_cell).tolist()
+    scenario = cached_scenario(cfg)
+    for seed in range(200):
+        assert [u.cell for u in place_users(scenario, seed)] == layout
 
 
 def test_iccs_records_the_residual_metric_of_each_pick():
@@ -589,7 +600,7 @@ def test_configs_that_differ_in_a_threshold_fuse_apart(other):
 def test_memoized_fusion_is_read_only():
     run_trial(desk_config(), "robust_aes", 1)
     csi = experiments._map_trial.csi
-    for arr in (csi.gain, csi.corr, csi.cell_of, csi.source):
+    for arr in (csi.gain, csi.corr, csi.source):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
 
@@ -1119,7 +1130,7 @@ def test_rows_of_no_one_one_user_and_repeated_users_equal_one_eager_call(name):
         assert chans.rows(ids).tobytes() == eager[:, ids].tobytes()
     assert synthesized == [n - 1, 3, 0, 5]
     # Unfilled rows sit behind the wrapped negative ids.
-    for bad in ([-2], [n], [4, 1 - n], [2, n + 7]):
+    for bad in ([-2], [n], [4, 1 - n], [2, n + 7], np.array([3, -1])):
         with pytest.raises(ValueError, match="has no channel row"):
             chans.rows(bad)
     assert chans.shape == eager.shape and chans.n_cells == len(eager)

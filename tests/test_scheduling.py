@@ -190,8 +190,9 @@ def test_iccs_rejects_active_set_smaller_than_kbar():
 
 
 def test_stages_reject_ids_their_bs_does_not_serve(small_scenario, small_ckm):
-    # User i is row i of the fused table, so only cell_of tells whether
-    # BS l serves an id and may read its row; -1 and n must not wrap.
+    # User i is row i of the fused table, so only BS l's slice of ids
+    # tells whether it serves an id and may read its row; -1 and n must
+    # not wrap.
     chans = trial_channels(small_scenario, place_users(small_scenario, 1), 2)
     csi = fuse_effective_csi(small_ckm.reclassify(None, 1.0), chans)
     bycell = chans.ids_by_cell()
@@ -365,15 +366,15 @@ def test_fuse_keeps_map_statistics_when_every_grid_is_reliable(static_scenario):
     users = place_users(static_scenario, 0)
     csi = fuse_effective_csi(ckm, trial_channels(static_scenario, users, 1))
     assert csi.acquired == []
-    assert csi.n_cells == ckm.n_cells
+    assert len(csi.cells) == ckm.n_cells
     assert csi.gain.shape == csi.source.shape == (len(users),)
     assert np.all(csi.source == 1)
     grids = [u.grid for u in users]
     # each user's gain at its serving BS
-    assert np.array_equal(csi.gain, ckm.epsilon[csi.cell_of, grids])
+    assert np.array_equal(csi.gain, ckm.epsilon[[u.cell for u in users], grids])
     for l in range(ckm.n_cells):
         # the correlations of the map's mean channels at the users' grids
-        served = np.flatnonzero(csi.cell_of == l)
+        served = [u.id for u in users if u.cell == l]
         assert np.array_equal(csi.corr[served], _corr_rows(ckm.h_bar[l, grids], served))
 
 
@@ -384,10 +385,10 @@ def test_fuse_substitutes_true_channels_on_unreliable_grids(small_scenario, smal
     csi = fuse_effective_csi(ckm, chans)
     assert csi.acquired == list(range(len(users)))
     assert np.all(csi.source == 0)
-    serving = chans.h[csi.cell_of, np.arange(len(users))]
+    serving = chans.h[chans.cell_of, np.arange(len(users))]
     assert csi.gain == pytest.approx(np.sum(np.abs(serving) ** 2, axis=1))
     for l in range(ckm.n_cells):
-        served = np.flatnonzero(csi.cell_of == l)
+        served = [u.id for u in users if u.cell == l]
         assert np.array_equal(csi.corr[served], _corr_rows(chans.h[l], served))
 
 
@@ -406,8 +407,8 @@ def test_fuse_keeps_the_serving_map_entries_of_users_acquired_for_another_bs(
     csi = fuse_effective_csi(ckm, chans)
     assert csi.acquired == list(range(len(users)))
     grids = np.array([u.grid for u in users])
-    cell0 = np.flatnonzero(csi.cell_of == 0)
-    cell1 = np.flatnonzero(csi.cell_of == 1)
+    cell0 = np.flatnonzero(chans.cell_of == 0)
+    cell1 = np.flatnonzero(chans.cell_of == 1)
     assert len(cell0) and len(cell1)
     assert np.all(csi.source[cell0] == 1) and np.all(csi.source[cell1] == 0)
     assert np.array_equal(csi.gain[cell0], ckm.epsilon[0, grids[cell0]])
@@ -437,7 +438,7 @@ def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
     csi = fuse_effective_csi(small_ckm, chans)
     grids = [u.grid for u in users]
     # row i belongs to user i's serving BS
-    assert csi.cell_of.tolist() == [u.cell for u in users]
+    assert csi.cells == chans.cells
     assert csi.corr.shape == (len(users), len(users))
     for l in range(small_ckm.n_cells):
         # map mean channels where BS l's grid is reliable, true channels elsewhere
@@ -447,10 +448,11 @@ def test_fuse_correlations_match_fused_vectors(small_scenario, small_ckm):
         expect = np.abs(unit @ unit.conj().T)
         np.fill_diagonal(expect, 1.0)
         served = [u.id for u in users if u.cell == l]
+        assert served == list(range(csi.cells[l].start, csi.cells[l].stop))
         assert np.allclose(csi.corr[served], expect[served])
     # source follows the serving BS's grid alone
     assert np.array_equal(csi.source == 0,
-                          small_ckm.reliable[csi.cell_of, grids] == 0)
+                          small_ckm.reliable[chans.cell_of, grids] == 0)
     assert csi.acquired == np.flatnonzero((small_ckm.reliable[:, grids] == 0).any(axis=0)).tolist()
 
 
@@ -458,8 +460,10 @@ def test_fuse_validates_provider_shape(small_scenario, small_ckm):
     ckm = small_ckm.reclassify(None, 0.0)
     users = place_users(small_scenario, 1)
     chans = trial_channels(small_scenario, users, realization=2)
+    # Shapes that pass ChannelSet's layout check, so that fusion's own
+    # check must fire.
     L, n, N = chans.shape
-    for shape in ((1, n, N), (L, n, 3), (n, N)):
+    for shape in ((L + 1, n, N), (L, n, 3), (n, N)):
         bad = dataclasses.replace(chans, shape=shape)
         for m in (ckm, small_ckm.reclassify(None, 1.0)):
             with pytest.raises(ValueError, match="one row per"):
