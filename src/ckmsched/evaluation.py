@@ -79,8 +79,12 @@ class ChannelSet:
     def filled(self, ids) -> np.ndarray:
         """The (L, n, N) buffer of every row, those of ids synthesized (the
         others may not be yet). ValueError, with nothing synthesized, for
-        an id that is not a row."""
-        _require_rows(self, ids)
+        an id that is not a row: a negative id must not wrap around to the
+        last rows."""
+        given = np.asarray(ids)
+        bad = (given < 0) | (given >= len(self.cell_of))
+        if bad.any():
+            raise ValueError(f"user {given[bad][0]} has no channel row")
         if not self._complete:
             self._fill(ids)
         return self._rows
@@ -94,15 +98,6 @@ class ChannelSet:
             self._rows[:, need] = self.synthesize(need)
             self._missing[need] = False
             self._complete = not self._missing.any()
-
-
-def _require_rows(chans: ChannelSet, ids) -> None:
-    """ValueError for a user id that is not a row of chans; a negative id
-    must not wrap around to the last rows."""
-    ids = np.asarray(ids)
-    bad = (ids < 0) | (ids >= len(chans.cell_of))
-    if bad.any():
-        raise ValueError(f"user {ids[bad][0]} has no channel row")
 
 
 @dataclass
@@ -161,56 +156,42 @@ def sinr(w, desired, intra_interferers, inter_interferers, noise_power: float) -
 def evaluate_group(
     group: UserGroup, chans: ChannelSet, noise_power: float
 ) -> tuple[float, dict[int, float]]:
-    """Sum rate and per-user SINR of a group under per-cell MMSE combining:
-    evaluate_groups of the one group."""
-    return evaluate_groups([group], chans, noise_power)[0]
-
-
-def evaluate_groups(
-    groups, chans: ChannelSet, noise_power: float
-) -> list[tuple[float, dict[int, float]]]:
-    """(rate, gammas) of each group under per-cell MMSE combining.
+    """Sum rate and per-user SINR of a group under per-cell MMSE combining.
 
     Every scheduled user (own cell and other cells) contributes
     interference at every BS; each BS solves one MMSE system per served
-    user against the full scheduled set. The (group, BS) systems that
-    serve k of m scheduled users are stacked by (k, m) and solved in one
-    batched call per stack, and each system's arithmetic is that of a
-    batch of one, so a group's result does not depend on the batch it is
-    in. ValueError for a user scheduled twice or without a channel row.
+    user against the full scheduled set. The BSs that serve k of the m
+    scheduled users are stacked and solved in one batched call per k, and
+    each system's arithmetic is that of a batch of one. ValueError for a
+    cell that is not a BS, or a user scheduled twice or without a channel
+    row.
     """
     # Canonical order, cell by cell and ascending ids within a cell, so the
-    # rate is bit-identical for any member ordering of the same group.
-    # Group g's users are ids[at[g]:at[g] + m], and a served cell's users
-    # the slice first:first + k of them.
-    ids: list[int] = []
-    at: list[int] = []
-    stacks: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for group in groups:
-        cells = sorted(group.members)
-        served_by = [sorted(group.members[cell]) for cell in cells]
-        scheduled = [uid for served in served_by for uid in served]
-        m = len(scheduled)
-        if len(set(scheduled)) < m:
-            twice = next(u for i, u in enumerate(scheduled) if u in scheduled[:i])
-            raise ValueError(f"user {twice} is scheduled twice")
-        base = first = len(ids)
-        ids += scheduled
-        at.append(base)
-        for cell, served in zip(cells, served_by):
-            if served:
-                stacks.setdefault((len(served), m), []).append((cell, base, first))
-            first += len(served)
+    # rate is bit-identical for any member ordering of the same group. A
+    # served cell's users are the slice first:first + k of ids.
+    cells = sorted(group.members)
+    served_by = [sorted(group.members[cell]) for cell in cells]
+    ids = [uid for served in served_by for uid in served]
+    if len(set(ids)) < len(ids):
+        twice = next(u for i, u in enumerate(ids) if u in ids[:i])
+        raise ValueError(f"user {twice} is scheduled twice")
+    stacks: dict[int, list[tuple[int, int]]] = {}
+    first = 0
+    for cell, served in zip(cells, served_by):
+        if not 0 <= cell < chans.n_cells:
+            raise ValueError(f"cell {cell} is not a BS of {chans.n_cells}")
+        if served:
+            stacks.setdefault(len(served), []).append((cell, first))
+        first += len(served)
     rows = chans.filled(ids)
-    flat = np.array(ids, dtype=np.int64)
+    users = np.array([ids], dtype=np.int64)
     out = np.empty(len(ids))
-    for (k, m), systems in stacks.items():
-        bss, base, first = np.array(systems, dtype=np.int64).T
+    for k, systems in stacks.items():
+        bss, first = np.array(systems, dtype=np.int64).T
         out[first[:, None] + np.arange(k)] = _mmse_gammas(
-            rows, bss, flat[base[:, None] + np.arange(m)], first - base, k, noise_power)
+            rows, bss, users.repeat(len(bss), axis=0), first, k, noise_power)
     gammas = out.tolist()
-    return [(_sum_rate(gammas[base:stop]), dict(zip(ids[base:stop], gammas[base:stop])))
-            for base, stop in zip(at, [*at[1:], len(ids)])]
+    return _sum_rate(gammas), dict(zip(ids, gammas))
 
 
 def _mmse_gammas(h, bss, users, first, k: int, noise_power: float) -> np.ndarray:
@@ -316,7 +297,9 @@ class PartialGroup:
     members[c] lists BS c's users in the order they joined. At BS c,
     R_c = noise I + the sum of h h^H over every member's channel toward c;
     r_inv[c] is R_c^-1 and resid[c] holds 1 - a_k of members[c], where
-    a_k = h_k^H R_c^-1 h_k and gamma_k = a_k / (1 - a_k).
+    a_k = h_k^H R_c^-1 h_k and gamma_k = a_k / (1 - a_k). add and
+    candidate_rates take ids that are rows of chans, as greedy's from
+    ids_by_cell are, and do not check them.
     """
 
     def __init__(self, chans: ChannelSet, noise_power: float):
@@ -345,7 +328,6 @@ class PartialGroup:
         below which _rate_terms refuses to score, R_c^-1 is inverted again
         from the members' rows instead.
         """
-        _require_rows(self.chans, [uid])
         rows = self.chans.h
         h = rows[:, uid]                                 # (L, N)
         v = self.r_inv @ h[:, :, None]                   # (L, N, 1)
@@ -372,7 +354,6 @@ def candidate_rates(
     gets gamma_u = b_u at its serving BS; group holds R_c^-1 and every
     1 - a_k. None when the closed form cannot be trusted (see _rate_terms).
     """
-    _require_rows(group.chans, candidates)
     rows = group.chans.h
     g = rows[:, candidates]                               # (L, u, N)
     v = group.r_inv @ g.transpose(0, 2, 1)                # (L, N, u): R_c^-1 h_u

@@ -41,11 +41,20 @@ class EffectiveCsi:
     acquired: list[int] = field(default_factory=list)
 
 
+def _cell(csi: EffectiveCsi, bs: int) -> slice:
+    """The slice of the ids BS bs serves; ScheduleError for a BS outside
+    0..L-1, which must not wrap around to the last cells."""
+    if not 0 <= bs < len(csi.cells):
+        raise ScheduleError(f"BS {bs} is not one of the {len(csi.cells)} BSs")
+    return csi.cells[bs]
+
+
 def _served_ids(csi: EffectiveCsi, bs: int, ids, need: int) -> np.ndarray:
-    """ids in ascending order; ScheduleError for an id that BS bs does not
-    serve (-1 and n included), for a repeated id or for fewer than need."""
+    """ids in ascending order; ScheduleError for a BS that is not one, an
+    id that BS bs does not serve (-1 and n included), for a repeated id or
+    for fewer than need."""
     ids = np.sort(np.asarray(ids, dtype=np.int64))
-    cell = csi.cells[bs]
+    cell = _cell(csi, bs)
     if ids.size and (ids[0] < cell.start or ids[-1] >= cell.stop):
         unknown = {k for k in ids.tolist() if not cell.start <= k < cell.stop}
         raise ScheduleError(f"no correlation row at BS {bs} for user ids {sorted(unknown)}")
@@ -114,8 +123,8 @@ def residual_metric(gain, correlations):
 def _cell_block(csi: EffectiveCsi, bs: int, need: int) -> tuple[np.ndarray, np.ndarray]:
     """The ascending ids of the K users BS bs serves and their (K, K) block
     of csi.corr, a view: the slice csi.cells[bs] of its rows and columns.
-    ScheduleError when K is below need."""
-    cell = csi.cells[bs]
+    ScheduleError for a BS that is not one, or when K is below need."""
+    cell = _cell(csi, bs)
     ids = np.arange(cell.start, cell.stop)
     if len(ids) < need:
         raise ScheduleError(f"BS {bs}'s pool of {len(ids)} users cannot fill {need} slots")

@@ -1,6 +1,6 @@
 """Slow reference implementations that the production fast paths are
 checked against: one exact evaluate_group call per candidate group, the
-per-BS MMSE loop of one group that evaluate_groups batches,
+per-BS MMSE loop of one group that evaluate_group batches,
 per-user SINRs through the public mmse_receiver / sinr functions, the
 per-grid map survey through one channel_rows call and scalar statistics
 (np.vdot, the 1-D np.linalg.norm and np.var) per (BS, grid), the one-shot
@@ -102,7 +102,7 @@ def brute_force_reference(chans, kbar: int, noise_power: float):
 def evaluate_group_reference(group: UserGroup, chans, noise_power: float):
     """(rate, gammas) of one group with one MMSE solve per BS, cell by cell
     and ascending ids within a cell, and each user's SINR from numpy
-    scalars: the loop evaluate_groups stacks across systems."""
+    scalars: the loop evaluate_group stacks across its BSs."""
     cells = sorted(group.members)
     served_by = [sorted(group.members[cell]) for cell in cells]
     ids = [uid for served in served_by for uid in served]

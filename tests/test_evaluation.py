@@ -9,13 +9,10 @@ from ckmsched import UsCkm, build_scenario, evaluation, experiments
 from ckmsched.errors import EnumerationGuardError, ScheduleError
 from ckmsched.evaluation import (
     OverheadModel,
-    PartialGroup,
     ScheduleResult,
     brute_force_optimum,
     calibrate_noise,
-    candidate_rates,
     evaluate_group,
-    evaluate_groups,
     mmse_receiver,
     overhead_counts,
     sinr,
@@ -148,10 +145,17 @@ def test_evaluation_rejects_ids_without_a_channel_row():
     for uid in (-1, 2):
         with pytest.raises(ValueError, match=f"user {uid} has no channel row"):
             evaluate_group(UserGroup(members={0: [0, uid]}), chans, 1.0)
-        with pytest.raises(ValueError, match=f"user {uid} has no channel row"):
-            candidate_rates(PartialGroup(chans, 1.0), 0, [0, uid])
-        with pytest.raises(ValueError, match=f"user {uid} has no channel row"):
-            PartialGroup(chans, 1.0).add(0, uid)
+
+
+@pytest.mark.parametrize("cell", [-1, 2])
+def test_evaluation_refuses_a_cell_that_is_not_a_bs(cell):
+    # Cell -1 must not be scored at the last BS, nor cell L fail as a bare
+    # IndexError.
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))
+    chans = synthetic_chans(h, [0, 0, 1, 1])
+    with pytest.raises(ValueError, match=f"cell {cell} is not a BS of 2"):
+        evaluate_group(UserGroup(members={cell: [2]}), chans, 0.5)
 
 
 def test_empty_group_has_zero_rate():
@@ -180,8 +184,6 @@ def test_evaluation_refuses_a_user_scheduled_twice(members):
     chans = synthetic_chans(h, [0, 0, 1, 1])
     with pytest.raises(ValueError, match="user 1 is scheduled twice"):
         evaluate_group(UserGroup(members=members), chans, 0.5)
-    with pytest.raises(ValueError, match="user 1 is scheduled twice"):
-        evaluate_groups([UserGroup(members={0: [0]}), UserGroup(members=members)], chans, 0.5)
 
 
 def test_rate_is_bit_identical_under_member_reordering():

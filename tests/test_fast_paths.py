@@ -37,7 +37,6 @@ from ckmsched.evaluation import (
     candidate_rates,
     combination_count,
     evaluate_group,
-    evaluate_groups,
     first_best,
 )
 from ckmsched.experiments import (
@@ -143,7 +142,7 @@ def random_chans(rng, users_per_cell, n_cells, n_antennas):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Record every call of the exact MMSE kernel, which evaluate_groups,
+    """Record every call of the exact MMSE kernel, which evaluate_group,
     brute force and greedy's band confirmation all solve on: each call is a
     list of its systems, (BS, scheduled users in canonical order).
 
@@ -888,9 +887,8 @@ EVALUATION_CASES = {
 
 @pytest.mark.parametrize("name", sorted(EVALUATION_CASES))
 def test_batched_evaluation_matches_the_per_bs_loop(name):
-    # One batch mixes systems of several (served, scheduled) shapes; each
-    # group's (rate, gammas) must be the per-BS loop's, bit for bit, in the
-    # batch and alone.
+    # The groups span several (served, scheduled) shapes; each group's
+    # (rate, gammas) must be the per-BS loop's, bit for bit.
     cfg, seeds = EVALUATION_CASES[name]
     rng = np.random.default_rng(17)
     for seed in range(seeds):
@@ -899,12 +897,25 @@ def test_batched_evaluation_matches_the_per_bs_loop(name):
         shapes = {(len(served), sum(map(len, g.members.values())))
                   for g in groups for served in g.members.values() if served}
         assert len(shapes) >= (2 if cfg.users_per_cell == 1 else 4)
-        batch = evaluate_groups(groups, chans, noise)
-        assert len(batch) == len(groups)
-        for group, got in zip(groups, batch):
+        for group in groups:
             want = repr(evaluate_group_reference(group, chans, noise))
-            assert repr(got) == want
             assert repr(evaluate_group(group, chans, noise)) == want
+
+
+def test_evaluation_solves_each_served_count_in_one_kernel_call(kernel_calls):
+    # A full group is one call over every BS; a group whose cells serve
+    # unequal counts is one call per distinct count, its BSs ascending.
+    cfg = desk_config(n_cells=3, users_per_cell=4)
+    chans, noise = trial_instance(cfg, 0)
+    bycell = chans.ids_by_cell()
+    full = UserGroup(members={c: ids[:cfg.kbar] for c, ids in bycell.items()})
+    evaluate_group(full, chans, noise)
+    assert kernel_calls == [[(c, canonical(full)) for c in range(cfg.n_cells)]]
+    kernel_calls.clear()
+    uneven = UserGroup(members={0: bycell[0][:1], 1: bycell[1][:3], 2: bycell[2][:1]})
+    evaluate_group(uneven, chans, noise)
+    users = canonical(uneven)
+    assert kernel_calls == [[(0, users), (2, users)], [(1, users)]]
 
 
 def test_first_best_keeps_the_first_strict_maximum_of_its_band():

@@ -202,6 +202,26 @@ def test_stages_reject_ids_their_bs_does_not_serve(small_scenario, small_ckm):
             iccs_schedule([ActiveSet(0, ids)], csi, kbar=2)
 
 
+@pytest.mark.parametrize("stage", ["aes", "gis", "iccs"])
+@pytest.mark.parametrize("bs", [-1, "L"])
+def test_stages_refuse_a_bs_that_is_not_one(small_scenario, small_ckm, stage, bs):
+    # BS -1 must not wrap around to the last cell's users, nor BS L fail
+    # as a bare IndexError.
+    chans = trial_channels(small_scenario, place_users(small_scenario, 0), 0)
+    csi = fuse_effective_csi(small_ckm, chans)
+    L = chans.n_cells
+    bs = L if bs == "L" else bs
+    bycell = chans.ids_by_cell()
+    stages = {
+        "aes": lambda: aes_select(csi, bs, 4, 0.5),
+        "gis": lambda: gis_select(csi, bs, 4),
+        "iccs": lambda: iccs_schedule(
+            [ActiveSet(bs, bycell[L - 1][:2]), ActiveSet(0, bycell[0][:2])], csi, kbar=2),
+    }
+    with pytest.raises(ScheduleError, match=f"BS {bs} is not one of the {L} BSs"):
+        stages[stage]()
+
+
 def test_stages_reject_repeated_ids():
     csi = csi_one_cell([4.0, 3.0, 2.0, 1.0], {})
     with pytest.raises(ScheduleError, match=r"BS 0's pool repeats user ids \[3\]"):
