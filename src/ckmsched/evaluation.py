@@ -35,6 +35,8 @@ class ChannelSet:
     never synthesize. Users are numbered cell by cell, as place_users
     numbers them: cells[l] is the slice of cell l's ids, which schedulers
     read; ValueError unless cell_of is non-decreasing within 0..L-1.
+    evaluate_group keeps each scored group's noise-independent MMSE state
+    on the set, which goes with it.
     """
 
     cell_of: np.ndarray   # (n,)
@@ -50,6 +52,7 @@ class ChannelSet:
         self._rows = np.empty(self.shape, dtype=np.complex128)
         self._missing = np.ones(len(self.cell_of), dtype=bool)
         self._complete = False
+        self._scored: dict = {}
 
     @property
     def h(self) -> np.ndarray:
@@ -165,19 +168,37 @@ def evaluate_group(
     each system's arithmetic is that of a batch of one. ValueError for a
     cell that is not a BS, or a user scheduled twice or without a channel
     row.
+
+    chans keeps the noise-independent half of a group's systems (row
+    gathers and Grams, _mmse_prepare) under its canonical group, each cell
+    with its sorted members, so scoring that group again on the same
+    table, at any noise, runs only the solve (_mmse_solve).
     """
     # Canonical order, cell by cell and ascending ids within a cell, so the
-    # rate is bit-identical for any member ordering of the same group. A
-    # served cell's users are the slice first:first + k of ids.
-    cells = sorted(group.members)
-    served_by = [sorted(group.members[cell]) for cell in cells]
-    ids = [uid for served in served_by for uid in served]
+    # rate is bit-identical for any member ordering of the same group.
+    key = tuple((cell, tuple(sorted(group.members[cell]))) for cell in sorted(group.members))
+    ids = [uid for _, served in key for uid in served]
+    stacks = chans._scored.get(key)
+    if stacks is None:
+        stacks = chans._scored[key] = _prepare_group(key, ids, chans)
+    out = np.empty(len(ids))
+    for at, systems in stacks:
+        out[at] = _mmse_solve(systems, noise_power)
+    gammas = out.tolist()
+    return _sum_rate(gammas), dict(zip(ids, gammas))
+
+
+def _prepare_group(key, ids, chans: ChannelSet) -> list:
+    """[(at, systems)]: the prepared systems (_mmse_prepare) of a canonical
+    group key, whose users are ids, one stack per served count k, each with
+    the (B, k) slots of its gammas in ids. A served cell's users are the
+    slice first:first + k of ids. Raises evaluate_group's ValueErrors."""
     if len(set(ids)) < len(ids):
         twice = next(u for i, u in enumerate(ids) if u in ids[:i])
         raise ValueError(f"user {twice} is scheduled twice")
     stacks: dict[int, list[tuple[int, int]]] = {}
     first = 0
-    for cell, served in zip(cells, served_by):
+    for cell, served in key:
         if not 0 <= cell < chans.n_cells:
             raise ValueError(f"cell {cell} is not a BS of {chans.n_cells}")
         if served:
@@ -185,23 +206,32 @@ def evaluate_group(
         first += len(served)
     rows = chans.filled(ids)
     users = np.array([ids], dtype=np.int64)
-    out = np.empty(len(ids))
+    prepared = []
     for k, systems in stacks.items():
         bss, first = np.array(systems, dtype=np.int64).T
-        out[first[:, None] + np.arange(k)] = _mmse_gammas(
-            rows, bss, users.repeat(len(bss), axis=0), first, k, noise_power)
-    gammas = out.tolist()
-    return _sum_rate(gammas), dict(zip(ids, gammas))
+        prepared.append((first[:, None] + np.arange(k), _mmse_prepare(
+            rows, bss, users.repeat(len(bss), axis=0), first, k)))
+    return prepared
 
 
 def _mmse_gammas(h, bss, users, first, k: int, noise_power: float) -> np.ndarray:
-    """(B, k) SINRs of B MMSE systems, the one exact kernel.
+    """(B, k) SINRs of B MMSE systems, the one exact kernel: its
+    noise-independent half (_mmse_prepare) and its noise half
+    (_mmse_solve).
 
     System b is BS bss[b] against the m scheduled users[b] of a (B, m)
     array, in canonical order (cell by cell, ascending ids within a cell),
     and serves users[b, first[b]:first[b] + k]; first is (B,) or one
     offset for all. h is an (L, n, N) channel buffer holding those rows.
     """
+    return _mmse_solve(_mmse_prepare(h, bss, users, first, k), noise_power)
+
+
+def _mmse_prepare(h, bss, users, first, k: int) -> tuple:
+    """The systems of _mmse_gammas up to the noise: (st, gram, d, served),
+    the (B, N, m) scheduled rows st, their (B, N, N) Gram st s^*, the
+    (B, N, k) served rows d, and served, the index of each served user's
+    own term in a (B, k, m) cross product."""
     b = np.arange(len(users))[:, None]
     j = np.arange(k)
     cols = np.reshape(first, (-1, 1)) + j
@@ -209,15 +239,21 @@ def _mmse_gammas(h, bss, users, first, k: int, noise_power: float) -> np.ndarray
     s = h[bs, users]                                      # (B, m, N)
     d = h[bs, users[b, cols]]                             # (B, k, N)
     st = s.transpose(0, 2, 1)
-    eye = noise_power * np.eye(h.shape[2], dtype=np.complex128)
-    w = np.linalg.solve(st @ s.conj() + eye, d.transpose(0, 2, 1))   # (B, N, k)
+    return st, st @ s.conj(), d.transpose(0, 2, 1), (b, j, cols)
+
+
+def _mmse_solve(systems: tuple, noise_power: float) -> np.ndarray:
+    """(B, k) SINRs of systems prepared by _mmse_prepare at this noise."""
+    st, gram, d, served = systems
+    eye = noise_power * np.eye(gram.shape[2], dtype=np.complex128)
+    w = np.linalg.solve(gram + eye, d)                    # (B, N, k)
     # cross[b, j, i] = w_j^H h_i. Every product and reduction keeps the
     # shape and axis of one system's, so each result keeps its bits: k
     # rows, not k sliced from m (a one-row product runs as gemv), row sums
     # along the contiguous last axis, ||w||^2 over the antennas.
     p = np.abs(w.conj().transpose(0, 2, 1) @ st) ** 2     # (B, k, m)
     wn2 = np.sum(np.abs(w) ** 2, axis=1)                  # (B, k)
-    num = p[b, j, cols]
+    num = p[served]
     return num / ((p.sum(axis=2) - num) + noise_power * wn2)
 
 

@@ -347,7 +347,12 @@ def plan_at(point) -> str:
     ("sweep.eta = 0, 0.5, 1\n", 2 * 3),
     # Two scenario keys of two maps each: one per (key, seed, map).
     ("sweep.grid_edge = 12, 15\nsweep.eta = 0.5, 1\n", 2 * 2 * 2),
-], ids=["kbar-alpha", "eta", "grid_edge-eta"])
+    # SNR reads neither the placement nor the map: every point shares one
+    # fusion per (seed, map), and each decision and its scored group's
+    # noise-independent state are scored again at the other noise.
+    ("sweep.snr = 10, 20\n", 2 * 2),
+    ("sweep.snr = 10, 20\nsweep.kbar = 1, 2\n", 2 * 2),
+], ids=["kbar-alpha", "eta", "grid_edge-eta", "snr", "snr-kbar"])
 def test_each_sweep_point_writes_the_rows_of_its_own_plan(tmp_path, monkeypatch, empty_memo,
                                                           sweep, fusions):
     # The points of the sweep share trials, fusions and decisions where they

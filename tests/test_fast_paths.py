@@ -142,21 +142,23 @@ def random_chans(rng, users_per_cell, n_cells, n_antennas):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Record every call of the exact MMSE kernel, which evaluate_group,
+    """Record the systems that every call of the exact MMSE kernel's
+    noise-independent half prepares (_mmse_prepare), which evaluate_group,
     brute force and greedy's band confirmation all solve on: each call is a
     list of its systems, (BS, scheduled users in canonical order).
+    evaluate_group prepares a group once per table.
 
     The references and assert_same_* score through evaluate_group too, so a
     test reads the list right after the fast scheduler returns and clears it
     before comparing against a reference."""
     calls = []
-    kernel = evaluation._mmse_gammas
+    prepare = evaluation._mmse_prepare
 
-    def counted(h, bss, users, first, k, noise_power):
+    def counted(h, bss, users, first, k):
         calls.append(list(zip(np.asarray(bss).tolist(), map(tuple, users.tolist()))))
-        return kernel(h, bss, users, first, k, noise_power)
+        return prepare(h, bss, users, first, k)
 
-    monkeypatch.setattr(evaluation, "_mmse_gammas", counted)
+    monkeypatch.setattr(evaluation, "_mmse_prepare", counted)
     return calls
 
 
@@ -704,6 +706,28 @@ def test_the_memo_holds_at_most_one_trial(monkeypatch, empty_memo):
     assert alive == [[], [True], [False]]
 
 
+def test_a_scored_group_state_goes_with_its_trial(monkeypatch, empty_memo):
+    # The memo's table keeps the noise-independent state of the groups
+    # scored on it; once run_trial moves the memo to another seed, neither
+    # the previous seed's table nor any state prepared on it is held.
+    held = []
+    prepare = evaluation._mmse_prepare
+
+    def kept(*args):
+        systems = prepare(*args)
+        held.append(weakref.ref(systems[1]))
+        return systems
+
+    monkeypatch.setattr(evaluation, "_mmse_prepare", kept)
+    cfg = desk_config()
+    run_trial(cfg, "robust_aes", 0)
+    run_trial(dataclasses.replace(cfg, target_snr_db=10.0), "robust_aes", 0)
+    held.append(weakref.ref(experiments._map_trial.chans))
+    assert len(held) == 2 and all(ref() is not None for ref in held)
+    run_trial(cfg, "robust_aes", 1)
+    assert all(ref() is None for ref in held[:2])
+
+
 def test_a_new_fusion_key_releases_the_old_fusion_first(monkeypatch, empty_memo):
     # A seed's trial holds one fusion: a change of map frees the old fusion,
     # and its decisions, before the new one is made.
@@ -916,6 +940,58 @@ def test_evaluation_solves_each_served_count_in_one_kernel_call(kernel_calls):
     evaluate_group(uneven, chans, noise)
     users = canonical(uneven)
     assert kernel_calls == [[(0, users), (2, users)], [(1, users)]]
+
+
+def assert_rescored_like_fresh_tables(kernel_calls, chans, fresh_chans, groups, noises):
+    # Each group is scored at every noise in turn on one table: each
+    # scoring equals a fresh table's at that noise, and only a group's
+    # first scoring on the table prepares its systems.
+    scored = set()
+    for noise in noises:
+        for group in groups:
+            kernel_calls.clear()
+            rate, gammas = evaluate_group(group, chans, noise)
+            assert (kernel_calls == []) == (canonical_cells(group) in scored)
+            scored.add(canonical_cells(group))
+            kernel_calls.clear()
+            fresh_rate, fresh_gammas = evaluate_group(group, fresh_chans(), noise)
+            assert repr(rate) == repr(fresh_rate)
+            assert list(gammas.items()) == list(fresh_gammas.items())
+
+
+def canonical_cells(group):
+    return tuple((c, tuple(sorted(group.members[c]))) for c in sorted(group.members))
+
+
+def test_a_group_scored_again_on_its_table_equals_a_fresh_scoring(kernel_calls):
+    # The table keeps each scored group's noise-independent state, so a
+    # group scored at one noise and then another prepares nothing the
+    # second time and equals a fresh table's scoring at the second noise:
+    # a full group and one whose cells serve unequal counts.
+    cfg = desk_config(n_cells=3, users_per_cell=4)
+    chans, noise = trial_instance(cfg, 0)
+    bycell = chans.ids_by_cell()
+    groups = [UserGroup(members={c: ids[:cfg.kbar] for c, ids in bycell.items()}),
+              UserGroup(members={0: bycell[0][:1], 1: bycell[1][:3], 2: bycell[2][:1]})]
+    assert_rescored_like_fresh_tables(kernel_calls, chans, lambda: trial_instance(cfg, 0)[0],
+                                      groups, [noise, 10.0 * noise, noise])
+
+
+def test_the_same_ids_in_other_cells_are_other_groups(kernel_calls):
+    # A group's state is kept under its cells and their members, not its
+    # ids alone: users 0, 1 and 2 scheduled in other cells are other MMSE
+    # systems, each scored like on a fresh table, also when scored again.
+    chans = random_chans(np.random.default_rng(9), 2, 2, 3)
+
+    def fresh():
+        return synthetic_chans(chans.h, chans.cell_of)
+
+    groups = [UserGroup(members={0: [0, 1], 1: [2]}),
+              UserGroup(members={0: [0], 1: [1, 2]}),
+              UserGroup(members={0: [1, 0], 1: [2]})]
+    assert_rescored_like_fresh_tables(kernel_calls, chans, fresh, groups, [0.5, 0.05])
+    one, other, _ = (evaluate_group(g, fresh(), 0.5) for g in groups)
+    assert one[0] != other[0]
 
 
 def test_first_best_keeps_the_first_strict_maximum_of_its_band():
