@@ -268,7 +268,7 @@ def cmd_run(plan: ExperimentPlan, out_path: str, threads: int = 1,
     # The points of one scenario key run seed → map → algorithm → point, so
     # the two-stage schedulers of one seed share its users and channel rows,
     # those on one map its one fusion, and a scheduler's decision on it,
-    # across the points (experiments.MapTrial).
+    # across the points, all kept on the seed's table (evaluation.ChannelSet).
     chunks = list(_chunks(plan, configs))
     n_rows = len(configs) * len(plan.algorithms) * plan.trials
 

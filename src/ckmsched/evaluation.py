@@ -7,9 +7,9 @@ consumed, the resulting group is scored with the true channels.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -35,8 +35,12 @@ class ChannelSet:
     never synthesize. Users are numbered cell by cell, as place_users
     numbers them: cells[l] is the slice of cell l's ids, which schedulers
     read; ValueError unless cell_of is non-decreasing within 0..L-1.
-    evaluate_group keeps each scored group's noise-independent MMSE state
-    on the set, which goes with it.
+
+    All else a trial keeps lives on its set and goes with it:
+    evaluate_group keeps each scored group's noise-independent MMSE state,
+    and the two-stage schedulers keep one fusion slot, the fusion made
+    from the set (csi, None until one fuses) on the map fusion_key, and
+    the decisions made on that fusion.
     """
 
     cell_of: np.ndarray   # (n,)
@@ -53,6 +57,9 @@ class ChannelSet:
         self._missing = np.ones(len(self.cell_of), dtype=bool)
         self._complete = False
         self._scored: dict = {}
+        self.fusion_key = None
+        self.csi = None
+        self.decisions: dict = {}
 
     @property
     def h(self) -> np.ndarray:
@@ -108,6 +115,11 @@ class ReceiveBeamformer:
     weights: np.ndarray
 
 
+def _check_noise(noise_power: float) -> None:
+    if noise_power <= 0 or not math.isfinite(noise_power):
+        raise ValueError("noise_power must be positive and finite")
+
+
 def _require_finite(name, arr):
     if not np.all(np.isfinite(np.asarray(arr).view(float))):
         raise ValueError(f"{name} contains non-finite entries")
@@ -121,8 +133,7 @@ def mmse_receiver(desired, interferers, noise_power: float) -> ReceiveBeamformer
     """
     d = np.asarray(desired, dtype=np.complex128)
     _require_finite("desired", d.view(np.float64))
-    if noise_power <= 0 or not math.isfinite(noise_power):
-        raise ValueError("noise_power must be positive and finite")
+    _check_noise(noise_power)
     n = d.shape[0]
     cov = noise_power * np.eye(n, dtype=np.complex128)
     cov += np.outer(d, d.conj())
@@ -166,14 +177,15 @@ def evaluate_group(
     user against the full scheduled set. The BSs that serve k of the m
     scheduled users are stacked and solved in one batched call per k, and
     each system's arithmetic is that of a batch of one. ValueError for a
-    cell that is not a BS, or a user scheduled twice or without a channel
-    row.
+    cell that is not a BS, a user scheduled twice or without a channel
+    row, or a noise power that is not positive and finite.
 
     chans keeps the noise-independent half of a group's systems (row
     gathers and Grams, _mmse_prepare) under its canonical group, each cell
     with its sorted members, so scoring that group again on the same
     table, at any noise, runs only the solve (_mmse_solve).
     """
+    _check_noise(noise_power)
     # Canonical order, cell by cell and ascending ids within a cell, so the
     # rate is bit-identical for any member ordering of the same group.
     key = tuple((cell, tuple(sorted(group.members[cell]))) for cell in sorted(group.members))
@@ -335,10 +347,12 @@ class PartialGroup:
     r_inv[c] is R_c^-1 and resid[c] holds 1 - a_k of members[c], where
     a_k = h_k^H R_c^-1 h_k and gamma_k = a_k / (1 - a_k). add and
     candidate_rates take ids that are rows of chans, as greedy's from
-    ids_by_cell are, and do not check them.
+    ids_by_cell are, and do not check them. ValueError for a noise power
+    that is not positive and finite.
     """
 
     def __init__(self, chans: ChannelSet, noise_power: float):
+        _check_noise(noise_power)
         self.chans = chans
         self.noise_power = noise_power
         self.members: dict[int, list[int]] = {c: [] for c in range(chans.n_cells)}
@@ -432,6 +446,7 @@ def brute_force_optimum(
 ) -> tuple[UserGroup, float, dict[int, float]]:
     """Exhaustive search over all per-cell kbar-subsets.
 
+    ValueError for a noise power that is not positive and finite,
     ScheduleError for a cell with fewer than kbar users, and
     EnumerationGuardError when the product of per-cell subset counts
     exceeds BRUTE_FORCE_BUDGET. Every combination is scored on the exact
@@ -442,6 +457,7 @@ def brute_force_optimum(
     SelectionRecords. Returns (group, rate, gammas) as evaluate_group gives
     them for the group.
     """
+    _check_noise(noise_power)
     bycell = chans.ids_by_cell(kbar)
     n_combos = combination_count(map(len, bycell.values()), kbar)
     if n_combos > BRUTE_FORCE_BUDGET:
@@ -541,18 +557,25 @@ def calibrate_noise(scenario: Scenario, target_snr_db: float) -> float:
     return _median_center_gain(scenario) / 10.0 ** (target_snr_db / 10.0)
 
 
-@lru_cache(maxsize=8)
+# Each live scenario object's median grid-center gain (Scenario hashes by
+# identity); an entry goes with its scenario.
+_center_gains: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _median_center_gain(scenario: Scenario) -> float:
-    """Median grid-center gain of calibrate_noise, once per scenario object
-    (Scenario hashes by identity), so an SNR sweep synthesizes it once."""
-    gains = []
-    for l, grids in enumerate(scenario.grids_of_cell):
-        # One call per cell, over its grid centers: one batch of every
-        # center would change each product's shape, and on some BLAS
-        # kernels its last bits.
-        rows = channel_rows(scenario, scenario.grid_centers[grids], 0)[l]
-        gains.append(np.sum(np.abs(rows) ** 2, axis=1))
-    return _median(np.concatenate(gains))
+    """Median grid-center gain of calibrate_noise, once per scenario object,
+    so an SNR sweep synthesizes it once."""
+    gain = _center_gains.get(scenario)
+    if gain is None:
+        gains = []
+        for l, grids in enumerate(scenario.grids_of_cell):
+            # One call per cell, over its grid centers: one batch of every
+            # center would change each product's shape, and on some BLAS
+            # kernels its last bits.
+            rows = channel_rows(scenario, scenario.grid_centers[grids], 0)[l]
+            gains.append(np.sum(np.abs(rows) ** 2, axis=1))
+        gain = _center_gains[scenario] = _median(np.concatenate(gains))
+    return gain
 
 
 def _median(values: np.ndarray) -> float:

@@ -4,8 +4,6 @@ evaluation together."""
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -26,7 +24,6 @@ from .geometry import (_TAG_RANDOM_PICK, _TAG_USERS, Scenario, ScenarioConfig, _
                        build_scenario, channel_rows, scenario_key)
 from .groups import UserGroup
 from .scheduling import (
-    EffectiveCsi,
     fuse_effective_csi,
     greedy_schedule,
     random_schedule,
@@ -265,70 +262,35 @@ def _sus(config, trial_seed, chans, noise):
     return sus_schedule(chans, config.kbar, config.alpha), None, None
 
 
-@dataclass(eq=False)
-class MapTrial:
-    """A map-driven trial: its key, its channels (chans: the placement,
-    with rows synthesized as they are read) and its one fusion slot: the
-    fusion made from them (csi, None until a scheduler fuses), the map it
-    was made on (fusion_key) and the decisions made on it.
-
-    The key is what placement and channels read: the scenario key and the
-    trial seed, which fix the placement and every channel row. Every
-    map-driven scheduler of a seed shares one trial, at any threshold, as
-    do configs that differ only in what the schedulers, the noise
-    calibration or the survey read (SNR or samples sweeps). The map is all
-    else fusion reads, one object per survey key and threshold, so
-    robust_* at eta = 1 share the fusion of two_stage_*. The decisions map
-    (first stage, kprime, kbar, alpha), all that robust_two_stage reads
-    besides the fusion, to its (group, counters).
-    """
-
-    key: tuple
-    chans: ChannelSet
-    fusion_key: UsCkm | None = None
-    csi: EffectiveCsi | None = None
-    decisions: dict = field(default_factory=dict)
-
-
-# The map-driven trial last run; at most one is held.
-_map_trial: MapTrial | None = None
-
-
-def _map_trial_of(config: ScenarioConfig, trial_seed: int,
-                  channels: Callable[[], ChannelSet]) -> MapTrial:
-    """The map-driven trial of (config, trial_seed), at any threshold: the
-    last one when its scenario key and seed match, else a new one on
-    channels()."""
-    global _map_trial
-    key = (_scenario_key(config), int(trial_seed))
-    trial = _map_trial
-    if trial is not None and trial.key == key:
-        return trial
-    # Release the old trial, its channels, fusion and decisions, before
-    # placing the new one, so that no two are ever held at once.
-    del trial
-    _map_trial = None
-    trial = _map_trial = MapTrial(key, channels())
-    return trial
+# The table of the map-driven trial last run, (key, chans); at most one is
+# held. Its key, the scenario key and the trial seed, fixes the placement
+# and every channel row, so every map-driven scheduler of a seed shares one
+# table, at any threshold, as do configs that differ only in what the
+# schedulers, the noise calibration or the survey read (SNR or samples sweeps).
+_map_trial: tuple[tuple, ChannelSet] | None = None
 
 
 def _two_stage(first_stage: str, threshold: tuple | None):
+    """robust_two_stage at first_stage on the map of threshold, fused and
+    decided on the table it is handed. The table keeps one fusion (csi) on
+    one map (fusion_key: all else fusion reads, so robust_* at eta = 1 share
+    two_stage_*'s) and the decisions on it per (first stage, kprime, kbar,
+    alpha), all else robust_two_stage reads."""
     def schedule(config, trial_seed, chans, noise):
-        trial = _map_trial_of(config, trial_seed, lambda: chans)
         ckm = cached_ckm(config, threshold)
-        if trial.fusion_key is not ckm:
+        if chans.fusion_key is not ckm:
             # Release the old fusion and its decisions before fusing anew,
             # so that no two fusions are ever held at once.
-            trial.fusion_key, trial.csi, trial.decisions = None, None, {}
-            trial.csi = fuse_effective_csi(ckm, trial.chans)
-            trial.fusion_key = ckm
+            chans.fusion_key, chans.csi, chans.decisions = None, None, {}
+            chans.csi = fuse_effective_csi(ckm, chans)
+            chans.fusion_key = ckm
         key = (first_stage, config.kprime, config.kbar, config.alpha)
-        if key not in trial.decisions:
-            trial.decisions[key] = robust_two_stage(
-                trial.csi, config.kprime, config.kbar, config.alpha,
+        if key not in chans.decisions:
+            chans.decisions[key] = robust_two_stage(
+                chans.csi, config.kprime, config.kbar, config.alpha,
                 first_stage=first_stage,
             )
-        group, counters = trial.decisions[key]
+        group, counters = chans.decisions[key]
         # A copy, so that no two results share a group.
         return group.copy(), counters, None
 
@@ -378,18 +340,19 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
 
     Identical (config, algorithm, trial_seed) invocations reproduce the
     result exactly; wall_ms is diagnostic and times the scheduler call
-    alone. A two-stage scheduler looks up the last map-driven trial first
-    and, when it was made on the same scenario key and seed, reuses its
-    users and channel rows, placing no users and synthesizing only the rows
-    still missing; it reuses its fusion when that was made on the same map
-    (config's threshold for robust_*, all grids reliable for two_stage_*),
-    and its own decision on that fusion when kprime, kbar and alpha match
-    too. wall_ms then leaves that work out, so over the points of a sweep
-    that share them, the per-seed cost is the first point's wall_ms. The
-    group is evaluated on this trial's channels at this config's noise
-    power either way. The other schedulers place users and synthesize
-    channels anew on every call.
+    alone. A two-stage scheduler is handed the last map-driven trial's
+    table when it was made on the same scenario key and seed, and reuses
+    its users and channel rows, placing no users and synthesizing only the
+    rows still missing; it reuses the table's fusion when that was made on
+    the same map (config's threshold for robust_*, all grids reliable for
+    two_stage_*), and its own decision on that fusion when kprime, kbar and
+    alpha match too. wall_ms then leaves that work out, so over the points
+    of a sweep that share them, the per-seed cost is the first point's
+    wall_ms. The group is evaluated on this trial's channels at this
+    config's noise power either way. The other schedulers place users and
+    synthesize channels anew on every call.
     """
+    global _map_trial
     if algorithm not in _SCHEDULERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if isinstance(trial_seed, bool) or not isinstance(trial_seed, (int, np.integer)):
@@ -404,10 +367,17 @@ def run_trial(config: ScenarioConfig, algorithm: str, trial_seed: int) -> Schedu
         return trial_channels(scenario, place_users(scenario, trial_seed),
                               int(trial_seed) + 1)
 
-    if algorithm in MAP_ALGORITHMS:
-        chans = _map_trial_of(config, trial_seed, place).chans
-    else:
+    key = (_scenario_key(config), int(trial_seed)) if algorithm in MAP_ALGORITHMS else None
+    if key is None:
         chans = place()
+    elif _map_trial is not None and _map_trial[0] == key:
+        chans = _map_trial[1]
+    else:
+        # Release the old table, with its fusion and decisions, before
+        # placing the new one, so that no two are ever held at once.
+        _map_trial = None
+        chans = place()
+        _map_trial = key, chans
 
     t0 = time.perf_counter()
     group, counters, evaluation = schedule(config, trial_seed, chans, noise)

@@ -1,6 +1,8 @@
 """MMSE combining, rate evaluation, exhaustive oracle, overhead accounting."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -251,6 +253,23 @@ def test_brute_force_rejects_undersized_cells():
         brute_force_optimum(chans, kbar=2, noise_power=1.0)
 
 
+@pytest.mark.parametrize("noise", [0.0, -1.0, math.inf, math.nan],
+                         ids=["zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize("score", ["evaluate_group", "greedy_schedule", "brute_force_optimum"])
+def test_scoring_rejects_a_noise_power_that_is_not_positive_and_finite(score, noise):
+    cfg = desk_config()
+    scenario = experiments.cached_scenario(cfg)
+    chans = trial_channels(scenario, place_users(scenario, 0), 1)
+    group = UserGroup(members={l: ids[:cfg.kbar] for l, ids in chans.ids_by_cell().items()})
+    calls = {
+        "evaluate_group": lambda: evaluate_group(group, chans, noise),
+        "greedy_schedule": lambda: greedy_schedule(chans, cfg.kbar, noise),
+        "brute_force_optimum": lambda: brute_force_optimum(chans, cfg.kbar, noise),
+    }
+    with pytest.raises(ValueError, match="noise_power must be positive and finite"):
+        calls[score]()
+
+
 # -- overhead accounting -----------------------------------------------------------
 
 
@@ -343,6 +362,15 @@ def test_noise_calibration_synthesizes_the_grid_centers_once_per_scenario(monkey
     # One call per cell, over its grid centers, for the first target only.
     assert calls == [len(grids) for grids in scenario.grids_of_cell]
     assert noise == [noise[0] / 10.0 ** (snr / 10.0) for snr in snrs]
+
+
+def test_noise_calibration_keeps_no_scenario_alive():
+    scenario = build_scenario(desk_config(rng_seed=4344))
+    calibrate_noise(scenario, 0.0)
+    held = weakref.ref(scenario)
+    del scenario
+    gc.collect()
+    assert held() is None
 
 
 # -- trial runner ------------------------------------------------------------------------

@@ -589,9 +589,9 @@ def test_configs_that_differ_in_a_threshold_fuse_apart(other):
     cfg = desk_config(dynamic_grid_fraction=1.0)
     cfg2 = desk_config(dynamic_grid_fraction=1.0, **other)
     run_trial(cfg, "robust_aes", 0)
-    first = experiments._map_trial.csi
+    first = experiments._map_trial[1].csi
     run_trial(cfg2, "robust_aes", 0)
-    second = experiments._map_trial.csi
+    second = experiments._map_trial[1].csi
     assert first is not second
     assert first.acquired != second.acquired
     for c in (cfg, cfg2, cfg):
@@ -600,7 +600,7 @@ def test_configs_that_differ_in_a_threshold_fuse_apart(other):
 
 def test_memoized_fusion_is_read_only():
     run_trial(desk_config(), "robust_aes", 1)
-    csi = experiments._map_trial.csi
+    csi = experiments._map_trial[1].csi
     for arr in (csi.gain, csi.corr, csi.source):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
@@ -642,7 +642,7 @@ def test_points_that_differ_in_snr_share_a_decision_and_copy_its_group(monkeypat
     cfgs = [desk_config(target_snr_db=snr) for snr in (0.0, 10.0, 20.0)]
     other = dataclasses.replace(cfgs[0], kbar=1, kprime=3, alpha=0.9)
     run_trial(other, "robust_aes", 3)
-    fusion = experiments._map_trial.csi
+    fusion = experiments._map_trial[1].csi
     for algorithm in ("robust_aes", "two_stage_gis"):
         results = []
         for cfg in cfgs:
@@ -654,7 +654,7 @@ def test_points_that_differ_in_snr_share_a_decision_and_copy_its_group(monkeypat
             result.group.meta.pop()
         assert len({repr(r.sum_rate) for r in results}) == len(cfgs)
         if algorithm == "robust_aes":
-            assert experiments._map_trial.csi is fusion
+            assert experiments._map_trial[1].csi is fusion
     assert decisions == ["aes", "aes", "gis"]
 
 
@@ -699,7 +699,7 @@ def test_the_memo_holds_at_most_one_trial(monkeypatch, empty_memo):
     for algorithm, seed in (("robust_aes", 0), ("greedy", 0), ("robust_gis", 0),
                             ("two_stage_aes", 0), ("two_stage_aes", 1)):
         run_trial(cfg, algorithm, seed)
-        chans = experiments._map_trial.chans
+        chans = experiments._map_trial[1]
         if not any(ref() is chans for ref in held):
             held.append(weakref.ref(chans))
         del chans
@@ -722,10 +722,36 @@ def test_a_scored_group_state_goes_with_its_trial(monkeypatch, empty_memo):
     cfg = desk_config()
     run_trial(cfg, "robust_aes", 0)
     run_trial(dataclasses.replace(cfg, target_snr_db=10.0), "robust_aes", 0)
-    held.append(weakref.ref(experiments._map_trial.chans))
+    held.append(weakref.ref(experiments._map_trial[1]))
     assert len(held) == 2 and all(ref() is not None for ref in held)
     run_trial(cfg, "robust_aes", 1)
     assert all(ref() is None for ref in held[:2])
+
+
+def test_a_two_stage_scheduler_decides_on_the_table_it_is_handed(empty_memo):
+    # The memo holds seed 0's table; a table of the same users at another
+    # realization, handed to the scheduler directly, carries its own fusion
+    # and decision, those of a fresh run on it, and the memo's table keeps its own.
+    cfg = desk_config(dynamic_grid_fraction=1.0)
+    run_trial(cfg, "robust_aes", 0)
+    memo = experiments._map_trial[1]
+    scenario = cached_scenario(cfg)
+    noise = calibrate_noise(scenario, cfg.target_snr_db)
+    chans = trial_channels(scenario, place_users(scenario, 0), 5)
+    group, counters, _ = experiments._SCHEDULERS["robust_aes"](cfg, 0, chans, noise)
+    assert experiments._map_trial[1] is memo and chans is not memo
+    fresh_chans = trial_channels(scenario, place_users(scenario, 0), 5)
+    fresh = fuse_effective_csi(cached_ckm(cfg), fresh_chans)
+    assert chans.fusion_key is cached_ckm(cfg)
+    assert_same_fusion(chans.csi, fresh)
+    assert chans.csi.acquired and memo.csi.gain.tobytes() != chans.csi.gain.tobytes()
+    fresh_group, fresh_counters = robust_two_stage(fresh, cfg.kprime, cfg.kbar, cfg.alpha,
+                                                   first_stage="aes")
+    assert list(chans.decisions) == [("aes", cfg.kprime, cfg.kbar, cfg.alpha)]
+    decided, decided_counters = chans.decisions["aes", cfg.kprime, cfg.kbar, cfg.alpha]
+    for made in (group, decided):
+        assert_same_group(made, fresh_group, fresh_chans, noise)
+    assert counters == decided_counters == fresh_counters
 
 
 def test_a_new_fusion_key_releases_the_old_fusion_first(monkeypatch, empty_memo):
@@ -1256,8 +1282,8 @@ def test_each_algorithm_synthesizes_only_the_rows_it_reads(monkeypatch, empty_me
             elif algorithm == "random":
                 assert calls == [scheduled]
             else:
-                entry = entry or experiments._map_trial
-                assert experiments._map_trial is entry
+                entry = entry or experiments._map_trial[1]
+                assert experiments._map_trial[1] is entry
                 fused = algorithm in ("two_stage_aes", "robust_aes")  # the first on a map
                 acquired = set(entry.csi.acquired) - filled if fused else set()
                 assert calls == [k for k in (len(acquired), len(users - filled - acquired)) if k]
